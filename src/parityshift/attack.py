@@ -92,7 +92,7 @@ class PerturbationVector:
         breaks = np.flatnonzero(s[1:] != s[:-1]) + 1
         starts = np.concatenate(([0], breaks))
         ends = np.concatenate((breaks, [s.size]))
-        return [[int(s[i]), int(j - i)] for i, j in zip(starts, ends)]
+        return np.column_stack((s[starts], ends - starts)).tolist()
 
     @classmethod
     def from_rle(cls, rle, a: float) -> "PerturbationVector":

@@ -7,7 +7,8 @@ kernels     dump x, p(x), g(x), gamma(x), phi(x) and the identity
 attack      single-shot coupling demo on one sample
 detect      single-shot detector demo on one null sample
 experiment  run a harness operation (by preset and/or flags), write
-            summary.json (+ trials.jsonl), print per-check pass/fail
+            summary.json (+ trials.jsonl, one record per trial as it
+            finishes), print per-check pass/fail
 sweep       run the phase-transition sweep, write sweep.csv
 
 Configuration layers, later wins: preset -> --config JSON -> flags.
@@ -269,6 +270,28 @@ def _cmd_detect(args, argv) -> int:
     return 0
 
 
+def _run_streaming_records(run, spec: ExperimentSpec, path: Path) -> harness.ExperimentSummary:
+    """Run one operation, writing each trial record to ``path`` as it finishes.
+
+    Records go to ``<path>.partial``, renamed to ``path`` only once the run
+    has returned, so a run that raises leaves no file that looks complete.
+    ``vars`` gives the record's fields without the deep copy of the RLE
+    list that ``dataclasses.asdict`` makes; the JSON text is the same.
+    """
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with partial.open("w") as fh:
+            def write(rec: harness.TrialRecord) -> None:
+                fh.write(json.dumps(vars(rec), sort_keys=True) + "\n")
+
+            summary = run(spec, on_trial=write)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    partial.replace(path)
+    return summary
+
+
 def _cmd_experiment(args, argv) -> int:
     t0 = time.time()
     preset = None
@@ -290,16 +313,14 @@ def _cmd_experiment(args, argv) -> int:
     except TypeError as exc:
         raise ConfigError(f"spec: {exc}") from exc
 
-    record = "jsonl" in formats
-    summary = _OPERATIONS[operation](spec, record_trials=record)
-
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    run = _OPERATIONS[operation]
+    if "jsonl" in formats:
+        summary = _run_streaming_records(run, spec, out_dir / "trials.jsonl")
+    else:
+        summary = run(spec)
     _write_json(out_dir / "summary.json", summary.to_dict())
-    if record:
-        with (out_dir / "trials.jsonl").open("w") as fh:
-            for rec in summary.trials or []:
-                fh.write(json.dumps(asdict(rec), sort_keys=True) + "\n")
     _write_meta(out_dir, f"experiment:{operation}", argv, spec.master_seed, time.time() - t0)
 
     ok = _print_checks(summary.checks)

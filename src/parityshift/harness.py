@@ -5,7 +5,9 @@ ExperimentSummary holding empirical rates (with Wilson 95% intervals),
 the analytic bounds evaluated at the spec, machine-checked premises, and
 named pass/fail checks.  Trials use counter-based Philox substreams
 keyed by (master_seed, trial_index), are reduced in trial order, and the
-whole summary is bit-reproducible for a given seed and backend.
+whole summary is bit-reproducible for a given seed and backend.  An
+optional ``on_trial`` callback receives each trial's TrialRecord as the
+trial finishes, in trial order; no record is held by the run.
 
 Attacked statistics are derived by the exact integer-shift construction
 (a +-a shift moves the bin index by exactly one) and, in the theorem
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
@@ -51,6 +54,11 @@ class SpecValidationError(ValueError):
     """An experiment spec violates a hard precondition."""
 
 
+def _is_int(value) -> bool:
+    # bool is a subclass of int, but True is not a trial count
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Parameter set for one experiment.
@@ -76,11 +84,11 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.regime not in _REGIMES:
             raise SpecValidationError(f"regime must be one of {_REGIMES}, got {self.regime!r}")
-        if not (isinstance(self.n, int) and self.n >= 1):
+        if not (_is_int(self.n) and self.n >= 1):
             raise SpecValidationError(f"n must be a positive integer, got {self.n!r}")
-        if not (isinstance(self.trials, int) and self.trials >= 1):
+        if not (_is_int(self.trials) and self.trials >= 1):
             raise SpecValidationError(f"trials must be a positive integer, got {self.trials!r}")
-        if not isinstance(self.master_seed, int):
+        if not _is_int(self.master_seed):
             raise SpecValidationError(f"master_seed must be an integer, got {self.master_seed!r}")
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
             raise SpecValidationError(f"epsilon must be positive, got {self.epsilon!r}")
@@ -136,6 +144,9 @@ class TrialRecord:
     theta_rle: list | None = None
 
 
+OnTrial = Callable[[TrialRecord], None]
+
+
 @dataclass
 class ExperimentSummary:
     """Aggregated rates, bounds, premises and pass/fail checks."""
@@ -149,14 +160,13 @@ class ExperimentSummary:
     checks: dict[str, dict] = field(default_factory=dict)
     counts: dict[str, int] = field(default_factory=dict)
     passed: bool = True
-    trials: list[TrialRecord] | None = None
 
     def finalize(self) -> "ExperimentSummary":
         self.passed = all(c["passed"] for c in self.checks.values())
         return self
 
-    def to_dict(self, include_trials: bool = False) -> dict[str, Any]:
-        out = {
+    def to_dict(self) -> dict[str, Any]:
+        return {
             "operation": self.operation,
             "spec": self.spec,
             "backend": self.backend,
@@ -167,9 +177,6 @@ class ExperimentSummary:
             "counts": self.counts,
             "passed": self.passed,
         }
-        if include_trials and self.trials is not None:
-            out["trials"] = [asdict(t) for t in self.trials]
-        return out
 
 
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
@@ -220,7 +227,9 @@ def _note_alpha_target(out: ExperimentSummary, spec: ExperimentSpec) -> None:
 # coupling validation
 
 
-def run_coupling_validation(spec: ExperimentSpec, record_trials: bool = False) -> ExperimentSummary:
+def run_coupling_validation(
+    spec: ExperimentSpec, on_trial: OnTrial | None = None
+) -> ExperimentSummary:
     """Distributional checks of the coupling attack at fixed a.
 
     Pools x' across trials and reports the KS distance to the normal CDF,
@@ -236,7 +245,6 @@ def run_coupling_validation(spec: ExperimentSpec, record_trials: bool = False) -
     pool = np.empty(total, dtype=np.float64)
     zero_total = 0
     tail_count = 0
-    records: list[TrialRecord] = []
     for i in range(trials):
         rng = trial_rng(spec.seed64, i)
         x = rng.standard_normal(n)
@@ -247,10 +255,10 @@ def run_coupling_validation(spec: ExperimentSpec, record_trials: bool = False) -
         sr = zc / n
         if sr >= big_g + spec.epsilon:
             tail_count += 1
-        if record_trials:
-            z, s_pre = accel.parity_labels_and_sum(x, a)
+        if on_trial is not None:
+            _, s_pre = accel.parity_labels_and_sum(x, a)
             _, s_post = accel.parity_labels_and_sum(x_post, a)
-            records.append(
+            on_trial(
                 TrialRecord(
                     trial_index=i,
                     statistic_pre=s_pre / n,
@@ -308,8 +316,6 @@ def run_coupling_validation(spec: ExperimentSpec, record_trials: bool = False) -
         "x' skewness",
     )
     out.counts.update({"zero_total": zero_total, "tail_count": tail_count, "pooled": total})
-    if record_trials:
-        out.trials = records
     return out.finalize()
 
 
@@ -317,7 +323,9 @@ def run_coupling_validation(spec: ExperimentSpec, record_trials: bool = False) -
 # Theorem 1, undetectable direction (c below pi/sqrt 2)
 
 
-def run_thm1_undetectable(spec: ExperimentSpec, record_trials: bool = False) -> ExperimentSummary:
+def run_thm1_undetectable(
+    spec: ExperimentSpec, on_trial: OnTrial | None = None
+) -> ExperimentSummary:
     """Cube regime, small c: the coupling leaves no coordinate unmoved.
 
     Computes the exact no-stay probability (1 - G(a))^n, the analytic
@@ -345,16 +353,15 @@ def run_thm1_undetectable(spec: ExperimentSpec, record_trials: bool = False) -> 
     plan = accel.plan_for(a, spec.rel_tol)
     half = 0.5 * a
     zero_free = 0
-    records: list[TrialRecord] = []
     for i in range(trials):
         rng = trial_rng(spec.seed64, i)
-        if record_trials:
+        if on_trial is not None:
             x = rng.standard_normal(n)
             theta, x_post = couple_perturb(x, CouplingPolicy(params, rng))
             zc = theta.zero_count
-            z, s_pre = accel.parity_labels_and_sum(x, a)
+            _, s_pre = accel.parity_labels_and_sum(x, a)
             _, s_post = accel.parity_labels_and_sum(x_post, a)
-            records.append(
+            on_trial(
                 TrialRecord(
                     trial_index=i,
                     statistic_pre=s_pre / n,
@@ -369,8 +376,9 @@ def run_thm1_undetectable(spec: ExperimentSpec, record_trials: bool = False) -> 
         else:
             # Only coordinates inside the central bin can stay (the stay
             # probability vanishes elsewhere), so the die interval test
-            # runs on that subset alone; same draws, same outcomes,
-            # fraction of work ~ G-ish.
+            # runs on that subset alone; same draws, same outcomes.  The
+            # fraction of work is P(|X| < a/2), about 0.19 at the
+            # preset's a ~ 0.494.
             x = rng.standard_normal(n)
             u = rng.random(n)
             mask = np.abs(x) < half
@@ -405,8 +413,6 @@ def run_thm1_undetectable(spec: ExperimentSpec, record_trials: bool = False) -> 
         lo <= exact <= hi, exact, hi, f"MC Wilson interval [{lo!r}, {hi!r}] must contain exact"
     )
     out.counts["zero_free_trials"] = zero_free
-    if record_trials:
-        out.trials = records
     return out.finalize()
 
 
@@ -414,7 +420,9 @@ def run_thm1_undetectable(spec: ExperimentSpec, record_trials: bool = False) -> 
 # Theorem 1, detectable direction (c above pi)
 
 
-def run_thm1_detectable(spec: ExperimentSpec, record_trials: bool = False) -> ExperimentSummary:
+def run_thm1_detectable(
+    spec: ExperimentSpec, on_trial: OnTrial | None = None
+) -> ExperimentSummary:
     """Cube regime, large c: the zero test beats the full hypercube attack.
 
     Premises (recorded, not enforced): c > pi, G(a) > n^(-pi^2/(2 c^2)),
@@ -442,7 +450,6 @@ def run_thm1_detectable(spec: ExperimentSpec, record_trials: bool = False) -> Ex
     overlap = 0
     flip_violations = 0
     attacked = 0
-    records: list[TrialRecord] = []
     for i in range(trials):
         rng = trial_rng(spec.seed64, i)
         x = rng.standard_normal(n)
@@ -461,8 +468,8 @@ def run_thm1_detectable(spec: ExperimentSpec, record_trials: bool = False) -> Ex
             accept_post = s_post > 0
             if accept_post:
                 overlap += 1
-        if record_trials:
-            records.append(
+        if on_trial is not None:
+            on_trial(
                 TrialRecord(
                     trial_index=i,
                     statistic_pre=s_pre / n,
@@ -502,8 +509,6 @@ def run_thm1_detectable(spec: ExperimentSpec, record_trials: bool = False) -> Ex
         "P(A > 0) under the null vs 1 - exp(-lambda^2/2) - 3 SE",
     )
     out.counts.update({"attacked": attacked, "overlap_count": overlap, "flip_violations": flip_violations})
-    if record_trials:
-        out.trials = records
     return out.finalize()
 
 
@@ -511,7 +516,9 @@ def run_thm1_detectable(spec: ExperimentSpec, record_trials: bool = False) -> Ex
 # Theorem 2, undetectable direction (t = G + eps)
 
 
-def run_thm2_undetectable(spec: ExperimentSpec, record_trials: bool = False) -> ExperimentSummary:
+def run_thm2_undetectable(
+    spec: ExperimentSpec, on_trial: OnTrial | None = None
+) -> ExperimentSummary:
     """Fixed a, generous budget: the coupling evades any test.
 
     Confirms the attack lands inside the sparsity budget with frequency
@@ -528,7 +535,6 @@ def run_thm2_undetectable(spec: ExperimentSpec, record_trials: bool = False) -> 
     success_count = 0
     in_family_count = 0
     flip_violations = 0
-    records: list[TrialRecord] = []
     for i in range(trials):
         rng = trial_rng(spec.seed64, i)
         x = rng.standard_normal(n)
@@ -549,8 +555,8 @@ def run_thm2_undetectable(spec: ExperimentSpec, record_trials: bool = False) -> 
         success = accept_post and in_family
         success_count += success
         in_family_count += in_family
-        if record_trials:
-            records.append(
+        if on_trial is not None:
+            on_trial(
                 TrialRecord(
                     trial_index=i,
                     statistic_pre=s_pre / n,
@@ -599,8 +605,6 @@ def run_thm2_undetectable(spec: ExperimentSpec, record_trials: bool = False) -> 
         flip_violations == 0, flip_violations, 0, "direct binning vs integer-shift labels"
     )
     out.counts.update({"flip_violations": flip_violations})
-    if record_trials:
-        out.trials = records
     return out.finalize()
 
 
@@ -619,7 +623,9 @@ def _min_admissible_n(lam: float, eps: float) -> tuple[int, float]:
     return int(math.floor(threshold)) + 1, threshold
 
 
-def run_thm2_detectable(spec: ExperimentSpec, record_trials: bool = False) -> ExperimentSummary:
+def run_thm2_detectable(
+    spec: ExperimentSpec, on_trial: OnTrial | None = None
+) -> ExperimentSummary:
     """Fixed a, tight budget: the thresholded test beats optimal evasion.
 
     Requires n > lambda^2 / eps^2 (hard error naming the minimal
@@ -646,7 +652,6 @@ def run_thm2_detectable(spec: ExperimentSpec, record_trials: bool = False) -> Ex
     accept_post_count = 0
     overlap = 0
     flip_violations = 0
-    records: list[TrialRecord] = []
     for i in range(trials):
         rng = trial_rng(spec.seed64, i)
         x = rng.standard_normal(n)
@@ -665,8 +670,8 @@ def run_thm2_detectable(spec: ExperimentSpec, record_trials: bool = False) -> Ex
         accept_post_count += accept_post
         if accept_pre and accept_post:
             overlap += 1
-        if record_trials:
-            records.append(
+        if on_trial is not None:
+            on_trial(
                 TrialRecord(
                     trial_index=i,
                     statistic_pre=s_pre / n,
@@ -712,8 +717,6 @@ def run_thm2_detectable(spec: ExperimentSpec, record_trials: bool = False) -> Ex
         "null rejection rate vs exp(-lambda^2/2) + 3 SE",
     )
     out.counts.update({"overlap_count": overlap, "flip_violations": flip_violations})
-    if record_trials:
-        out.trials = records
     return out.finalize()
 
 

@@ -79,9 +79,20 @@ class TestPerturbationVector:
         back = PerturbationVector.from_rle(rle, 1.5)
         assert (back.signs == theta.signs).all()
 
+    def test_rle_elements_are_python_ints(self):
+        # the pairs go straight into json.dumps, which rejects numpy scalars
+        theta = PerturbationVector(np.array([-1, -1, 0, 1, 0, 0], dtype=np.int8), 1.0)
+        rle = theta.to_rle()
+        assert rle == [[-1, 2], [0, 1], [1, 1], [0, 2]]
+        assert all(type(pair) is list for pair in rle)
+        assert all(type(v) is int for pair in rle for v in pair)
+        assert PerturbationVector(np.empty(0, dtype=np.int8), 1.0).to_rle() == []
+
     @given(st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=60))
     def test_rle_roundtrip_property(self, signs):
         theta = PerturbationVector(np.array(signs, dtype=np.int8), 1.0)
+        # loop reference for the vectorised encoder
+        assert theta.to_rle() == [[s, len(list(run))] for s, run in itertools.groupby(signs)]
         back = PerturbationVector.from_rle(theta.to_rle(), 1.0)
         assert (back.signs == theta.signs).all()
 

@@ -1,11 +1,20 @@
 """CLI: exit codes, output files, byte-stability, config layering."""
 
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from parityshift import cli
 from parityshift.cli import run_cli
+from parityshift.harness import ExperimentSpec
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 SEED = "424242"
 
@@ -102,6 +111,16 @@ class TestExperimentCommand:
         assert code == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_config_bool_n_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({
+            "operation": "coupling_validation",
+            "regime": "fixed_a", "a": 2.0, "n": True, "trials": 5, "master_seed": 7,
+        }))
+        code = run_cli(["experiment", "--config", str(config), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "n must be a positive integer, got True" in capsys.readouterr().err
+
     def test_run_meta_written(self, tmp_path):
         run_cli(["experiment", "--preset", "thm2-undetectable", "--trials", "30",
                  "--n", "200", "--seed", SEED, "--out", str(tmp_path)])
@@ -109,6 +128,61 @@ class TestExperimentCommand:
         assert meta["master_seed"] == int(SEED)
         assert meta["backend"] in ("numba", "numpy")
         assert "numpy" in meta["versions"]
+
+
+# one small configuration per operation
+SMALL_CONFIGS = {
+    "coupling_validation": {"regime": "fixed_a", "a": 1.0, "n": 300, "epsilon": 0.005},
+    "thm1_undetectable": {"regime": "cube_scaling", "c": 1.5, "n": 300},
+    "thm1_detectable": {"regime": "cube_scaling", "c": 4.0, "n": 300},
+    "thm2_undetectable": {"regime": "fixed_a", "a": 2.0, "n": 300},
+    "thm2_detectable": {"regime": "fixed_a", "a": 2.0, "n": 300, "epsilon": 0.1, "lam": 1.0},
+}
+
+
+@pytest.mark.filterwarnings("ignore:theorem premises not all met")
+class TestTrialRecords:
+    @pytest.mark.parametrize("operation", sorted(SMALL_CONFIGS))
+    def test_lines_match_asdict(self, operation, tmp_path):
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({"operation": operation, **SMALL_CONFIGS[operation],
+                                      "trials": 6, "master_seed": 5}))
+        run_cli(["experiment", "--config", str(config), "--out", str(tmp_path),
+                 "--format", "json,jsonl"])
+        lines = (tmp_path / "trials.jsonl").read_text().splitlines()
+        spec = json.loads((tmp_path / "summary.json").read_text())["spec"]
+        recs = []
+        cli._OPERATIONS[operation](ExperimentSpec(**spec), on_trial=recs.append)
+        assert lines == [json.dumps(dataclasses.asdict(rec), sort_keys=True) for rec in recs]
+        assert not (tmp_path / "trials.jsonl.partial").exists()
+
+    def test_raising_run_leaves_no_trials_file(self, tmp_path, monkeypatch):
+        real = cli._OPERATIONS["thm2_undetectable"]
+
+        def crash_on_third_trial(spec, on_trial):
+            def record(rec):
+                if rec.trial_index == 2:
+                    raise RuntimeError("trial 2 failed")
+                on_trial(rec)
+
+            return real(spec, on_trial=record)
+
+        monkeypatch.setitem(cli._OPERATIONS, "thm2_undetectable", crash_on_third_trial)
+        with pytest.raises(RuntimeError, match="trial 2 failed"):
+            run_cli(["experiment", "--preset", "thm2-undetectable", "--trials", "5",
+                     "--n", "200", "--seed", SEED, "--out", str(tmp_path),
+                     "--format", "json,jsonl"])
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestModuleEntryPoint:
+    def test_python_m_help(self):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "parityshift", "--help"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "experiment" in proc.stdout
 
 
 class TestSweepCommand:

@@ -44,6 +44,14 @@ class TestExperimentSpec:
         with pytest.raises(SpecValidationError):
             ExperimentSpec(regime="fixed_a", a=0.5, n=100, trials=10, master_seed=1)
 
+    @pytest.mark.parametrize("field_name", ["n", "trials", "master_seed"])
+    def test_bool_rejected(self, field_name):
+        # bool is an int subclass; True must not pass as a count or a seed
+        kwargs = dict(regime="fixed_a", a=2.0, n=100, trials=10, master_seed=1)
+        kwargs[field_name] = True
+        with pytest.raises(SpecValidationError, match=f"^{field_name} must"):
+            ExperimentSpec(**kwargs)
+
     def test_regime_field_consistency(self):
         with pytest.raises(SpecValidationError):
             ExperimentSpec(regime="fixed_a", a=1.0, c=2.0, n=10, trials=1, master_seed=0)
@@ -91,9 +99,10 @@ class TestCouplingValidation:
     def test_trial_records(self):
         spec = ExperimentSpec(regime="fixed_a", a=1.0, n=50, trials=4, master_seed=SEED,
                               epsilon=0.004)
-        out = run_coupling_validation(spec, record_trials=True)
-        assert len(out.trials) == 4
-        rec = out.trials[0]
+        recs = []
+        run_coupling_validation(spec, on_trial=recs.append)
+        assert len(recs) == 4
+        rec = recs[0]
         assert rec.zero_count == sum(c for s, c in rec.theta_rle if s == 0)
 
 
@@ -232,6 +241,28 @@ class TestThm2Detectable:
         assert not out.premises["t_at_most_G_minus_eps"]
         # evasion succeeds nearly every accepted trial
         assert out.rates["overlap"]["rate"] > 0.9
+
+
+# one small valid spec per operation; thm2_detectable needs n > lam^2/eps^2
+SMALL_RUNS = [
+    (run_coupling_validation, dict(regime="fixed_a", a=2.0, n=200)),
+    (run_thm1_undetectable, dict(regime="cube_scaling", c=1.5, n=200)),
+    (run_thm1_detectable, dict(regime="cube_scaling", c=4.0, n=200)),
+    (run_thm2_undetectable, dict(regime="fixed_a", a=2.0, n=200)),
+    (run_thm2_detectable, dict(regime="fixed_a", a=2.0, n=200, epsilon=0.1, lam=1.0)),
+]
+
+
+@pytest.mark.filterwarnings("ignore:theorem premises not all met")
+class TestOnTrial:
+    @pytest.mark.parametrize("run, kwargs", SMALL_RUNS, ids=lambda v: getattr(v, "__name__", ""))
+    def test_once_per_trial_in_order(self, run, kwargs):
+        spec = ExperimentSpec(**kwargs, trials=7, master_seed=SEED)
+        recs = []
+        streamed = run(spec, on_trial=recs.append)
+        assert [rec.trial_index for rec in recs] == list(range(spec.trials))
+        # recording never changes what the run reports
+        assert streamed.to_dict() == run(spec).to_dict()
 
 
 class TestDeterminism:
