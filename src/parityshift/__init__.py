@@ -7,7 +7,7 @@ and the bin-parity statistic whose exact +-a flip property separates
 detectable from undetectable sparsity budgets.
 """
 
-from .accel import BACKEND, NUMBA_AVAILABLE, plan_for
+from .accel import plan_for
 from .attack import (
     CouplingPolicy,
     InvalidProbabilitiesError,
@@ -24,6 +24,7 @@ from .detector import (
     bin_prob,
     decide,
     flip_identity_check,
+    min_accepted_sum,
     parity_statistic,
 )
 from .harness import (
@@ -56,8 +57,6 @@ from .kernels import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
-    "NUMBA_AVAILABLE",
     "plan_for",
     "CouplingPolicy",
     "InvalidProbabilitiesError",
@@ -72,6 +71,7 @@ __all__ = [
     "bin_prob",
     "decide",
     "flip_identity_check",
+    "min_accepted_sum",
     "parity_statistic",
     "ExperimentSpec",
     "ExperimentSummary",

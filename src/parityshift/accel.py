@@ -1,28 +1,15 @@
-"""Array-path hot kernels: numba loops with a pure-numpy fallback.
+"""Array-path hot kernels, in numpy.
 
 The Monte Carlo harness evaluates the stay/up-shift probabilities, die
 outcomes and bin-parity labels across ~1e8 coordinates per experiment,
-so these are the only routines worth accelerating.
-
-Backend selection at import time:
-
-* ``PARITYSHIFT_NUMBA=0|false|off|no|numpy``  -> force the numpy path;
-* ``PARITYSHIFT_NUMBA=1|true|on|yes|require`` -> require numba (import
-  error if unavailable);
-* unset / ``auto``                            -> numba when importable.
-
-Both backends consume the same precomputed term plan and sum the same
-terms, so they agree to float round-off (tested at 5e-13 against the
-scalar reference).  Results are deterministic per backend; bit-level
-identity across backends is not promised.
-
-benchmarks/bench_backends.py times the two paths side by side.
+so these are the only routines worth vectorising.  Each kernel sums the
+terms of a precomputed plan, truncated at 1e-12 relative, and agrees
+with the adaptive scalar reference in ``kernels`` within 2e-12.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,37 +18,13 @@ import numpy as np
 from .kernels import MODE_CROSSOVER_A, SQRT_TWO_PI, KernelRangeError
 
 __all__ = [
-    "BACKEND",
-    "NUMBA_AVAILABLE",
     "SeriesPlan",
     "plan_for",
     "phi_gamma",
-    "phi_gamma_backend",
     "die_outcomes",
     "parity_labels_and_sum",
-    "parity_labels_and_sum_backend",
     "zero_signed_sum",
 ]
-
-_env = os.environ.get("PARITYSHIFT_NUMBA", "auto").strip().lower()
-if _env in ("0", "false", "off", "no", "numpy"):
-    _requested = "numpy"
-elif _env in ("1", "true", "on", "yes", "require", "numba"):
-    _requested = "numba"
-else:
-    _requested = "auto"
-
-NUMBA_AVAILABLE = False
-if _requested != "numpy":
-    try:
-        from numba import njit
-
-        NUMBA_AVAILABLE = True
-    except ImportError:
-        if _requested == "numba":
-            raise
-
-BACKEND = "numba" if (NUMBA_AVAILABLE and _requested != "numpy") else "numpy"
 
 
 @dataclass(frozen=True)
@@ -142,7 +105,9 @@ def _alt_horner_inplace(w: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _phi_gamma_numpy(x: np.ndarray, plan: SeriesPlan) -> tuple[np.ndarray, np.ndarray, int]:
+def phi_gamma(x: np.ndarray, plan: SeriesPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Clamped stay/up-shift probabilities for every coordinate of x."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
     a = plan.a
     w = np.exp(-a * np.abs(x))
     forward = _alt_horner_inplace(w, plan.phi_coef)
@@ -180,140 +145,14 @@ def _phi_gamma_numpy(x: np.ndarray, plan: SeriesPlan) -> tuple[np.ndarray, np.nd
     band = plan.band
     bad = int(np.count_nonzero((phi_raw < -band) | (phi_raw > 1.0 + band)))
     bad += int(np.count_nonzero((gamma_raw < -band) | (gamma_raw > 1.0 + band)))
-    np.clip(phi_raw, 0.0, 1.0, out=phi_raw)
-    np.clip(gamma_raw, 0.0, 1.0, out=gamma_raw)
-    return phi_raw, gamma_raw, bad
-
-
-def _die_numpy(phi: np.ndarray, gamma: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return np.where(u < phi, 1, np.where(u < phi + gamma, 0, -1)).astype(np.int8)
-
-
-def _parity_numpy(x: np.ndarray, a: float) -> tuple[np.ndarray, int]:
-    k = np.floor(x / a + 0.5).astype(np.int64)
-    odd = (k & 1).astype(np.int8)
-    z = (1 - 2 * odd).astype(np.int8)
-    return z, int(x.size - 2 * int(odd.sum()))
-
-
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True)
-    def _phi_gamma_numba(x, a, band, phi_coef, gamma_coef, dual_coef, dual_freq,
-                         use_dual, product_safe, out_phi, out_gamma):
-        half = 0.5 * a
-        bad = 0
-        for i in range(x.size):
-            xi = x[i]
-            w = math.exp(-a * abs(xi))
-            forward = 0.0
-            wk = 1.0
-            sign = 1.0
-            for k in range(phi_coef.size):
-                wk *= w
-                forward += sign * phi_coef[k] * wk
-                sign = -sign
-
-            graw = 0.0
-            if abs(xi) < half:
-                if use_dual:
-                    s = 0.0
-                    for m in range(dual_coef.size):
-                        s += dual_coef[m] * math.cos(dual_freq[m] * xi)
-                    graw = s * SQRT_TWO_PI * math.exp(0.5 * xi * xi)
-                elif product_safe:
-                    wp = math.exp(-a * xi)
-                    wm = 1.0 / wp
-                    hp = 0.0
-                    hm = 0.0
-                    wpk = 1.0
-                    wmk = 1.0
-                    sgn = 1.0
-                    for k in range(gamma_coef.size):
-                        wpk *= wp
-                        wmk *= wm
-                        hp += sgn * gamma_coef[k] * wpk
-                        hm += sgn * gamma_coef[k] * wmk
-                        sgn = -sgn
-                    graw = 1.0 - hp - hm
-                else:
-                    graw = 1.0
-                    sgn = -1.0
-                    for k in range(1, gamma_coef.size + 1):
-                        graw += sgn * (
-                            math.exp(-k * a * xi - 0.5 * k * k * a * a)
-                            + math.exp(k * a * xi - 0.5 * k * k * a * a)
-                        )
-                        sgn = -sgn
-                if graw < -band or graw > 1.0 + band:
-                    bad += 1
-
-            if xi >= 0.0:
-                praw = forward
-            else:
-                praw = 1.0 - graw - forward
-            if praw < -band or praw > 1.0 + band:
-                bad += 1
-
-            out_phi[i] = min(1.0, max(0.0, praw))
-            out_gamma[i] = min(1.0, max(0.0, graw))
-        return bad
-
-    @njit(cache=True)
-    def _die_numba(phi, gamma, u):
-        out = np.empty(u.size, dtype=np.int8)
-        for i in range(u.size):
-            if u[i] < phi[i]:
-                out[i] = 1
-            elif u[i] < phi[i] + gamma[i]:
-                out[i] = 0
-            else:
-                out[i] = -1
-        return out
-
-    @njit(cache=True)
-    def _parity_numba(x, a):
-        z = np.empty(x.size, dtype=np.int8)
-        s = 0
-        for i in range(x.size):
-            k = int(math.floor(x[i] / a + 0.5))
-            if k & 1:
-                z[i] = -1
-                s -= 1
-            else:
-                z[i] = 1
-                s += 1
-        return z, s
-
-
-def phi_gamma_backend(x: np.ndarray, plan: SeriesPlan, backend: str) -> tuple[np.ndarray, np.ndarray]:
-    """Stay/up-shift probabilities on an explicit backend (bench/tests)."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if backend == "numba":
-        if not NUMBA_AVAILABLE:
-            raise RuntimeError("numba backend requested but numba is unavailable")
-        phi = np.empty_like(x)
-        gamma = np.empty_like(x)
-        bad = _phi_gamma_numba(
-            x, plan.a, plan.band, plan.phi_coef, plan.gamma_coef,
-            plan.dual_coef, plan.dual_freq, plan.use_dual, plan.product_safe,
-            phi, gamma,
-        )
-    elif backend == "numpy":
-        phi, gamma, bad = _phi_gamma_numpy(x, plan)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
     if bad:
         raise KernelRangeError(
             f"{bad} coordinate(s) outside [-10 rel_tol, 1 + 10 rel_tol] "
             f"(a={plan.a!r}); series inconsistency"
         )
-    return phi, gamma
-
-
-def phi_gamma(x: np.ndarray, plan: SeriesPlan) -> tuple[np.ndarray, np.ndarray]:
-    """Clamped stay/up-shift probabilities for every coordinate of x."""
-    return phi_gamma_backend(x, plan, BACKEND)
+    np.clip(phi_raw, 0.0, 1.0, out=phi_raw)
+    np.clip(gamma_raw, 0.0, 1.0, out=gamma_raw)
+    return phi_raw, gamma_raw
 
 
 def die_outcomes(phi: np.ndarray, gamma: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -321,26 +160,16 @@ def die_outcomes(phi: np.ndarray, gamma: np.ndarray, u: np.ndarray) -> np.ndarra
 
     Interval order is fixed: up wins on u < phi, stay on u < phi + gamma.
     """
-    if BACKEND == "numba":
-        return _die_numba(phi, gamma, u)
-    return _die_numpy(phi, gamma, u)
-
-
-def parity_labels_and_sum_backend(x: np.ndarray, a: float, backend: str) -> tuple[np.ndarray, int]:
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if backend == "numba":
-        if not NUMBA_AVAILABLE:
-            raise RuntimeError("numba backend requested but numba is unavailable")
-        z, s = _parity_numba(x, a)
-        return z, int(s)
-    if backend == "numpy":
-        return _parity_numpy(x, a)
-    raise ValueError(f"unknown backend {backend!r}")
+    return np.where(u < phi, 1, np.where(u < phi + gamma, 0, -1)).astype(np.int8)
 
 
 def parity_labels_and_sum(x: np.ndarray, a: float) -> tuple[np.ndarray, int]:
     """Bin-parity labels z_i = +-1 and their integer sum."""
-    return parity_labels_and_sum_backend(x, a, BACKEND)
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    k = np.floor(x / a + 0.5).astype(np.int64)
+    odd = (k & 1).astype(np.int8)
+    z = (1 - 2 * odd).astype(np.int8)
+    return z, int(x.size - 2 * int(odd.sum()))
 
 
 def zero_signed_sum(z: np.ndarray, signs: np.ndarray) -> int:

@@ -13,8 +13,8 @@ sweep       run the phase-transition sweep, write sweep.csv
 
 Configuration layers, later wins: preset -> --config JSON -> flags.
 Exit codes: 0 all run-level assertions pass, 1 assertion failure,
-2 bad configuration.  Payload files are byte-stable for a fixed seed
-and backend; timestamps live only in the run_meta.json sidecar.
+2 bad configuration.  Payload files are byte-stable for a fixed seed;
+timestamps live only in the run_meta.json sidecar.
 """
 
 from __future__ import annotations
@@ -131,7 +131,6 @@ def _write_meta(out_dir: Path, command: str, argv: list[str], seed: int | None,
         "command": command,
         "argv": argv,
         "master_seed": seed,
-        "backend": accel.BACKEND,
         "wall_time_s": wall_time,
         "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "versions": {
@@ -152,6 +151,14 @@ def _print_checks(checks: dict[str, dict]) -> bool:
               + (f"  ({chk['note']})" if chk.get("note") else ""))
         ok = ok and chk["passed"]
     return ok
+
+
+def _grid(key: str, value) -> list:
+    """A sweep grid from a config file: a non-empty list of numbers."""
+    if not (isinstance(value, list) and value and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
+        raise ConfigError(f"{key}: must be a non-empty list of numbers, got {value!r}")
+    return value
 
 
 def _build_spec(args, preset: dict | None) -> tuple[str, dict, dict]:
@@ -178,7 +185,7 @@ def _build_spec(args, preset: dict | None) -> tuple[str, dict, dict]:
             if key in _SPEC_FIELDS:
                 spec[key] = loaded.pop(key)
             elif key in ("t_offsets", "c_values"):
-                extras[key] = loaded.pop(key)
+                extras[key] = _grid(key, loaded.pop(key))
             else:
                 raise ConfigError(f"config: unknown field {key!r}")
     flag_map = {
@@ -300,14 +307,16 @@ def _cmd_experiment(args, argv) -> int:
             raise ConfigError(f"preset: unknown preset {args.preset!r} "
                               f"(choose from {sorted(PRESETS)})")
         preset = PRESETS[args.preset]
-    operation, spec_kwargs, _ = _build_spec(args, preset)
+    operation, spec_kwargs, extras = _build_spec(args, preset)
     if operation == "sweep":
         raise ConfigError("operation: sweep presets run under the `sweep` subcommand")
     if operation not in _OPERATIONS:
         raise ConfigError(f"operation: unknown operation {operation!r}")
+    if extras:
+        raise ConfigError(f"{', '.join(sorted(extras))}: only the `sweep` subcommand takes a grid")
     formats = set((args.format or "json").split(","))
-    if not formats <= {"csv", "json", "jsonl"}:
-        raise ConfigError(f"format: must be a subset of csv,json,jsonl, got {args.format!r}")
+    if not formats <= {"json", "jsonl"}:
+        raise ConfigError(f"format: must be a subset of json,jsonl, got {args.format!r}")
     try:
         spec = ExperimentSpec(**spec_kwargs)
     except TypeError as exc:
@@ -363,6 +372,9 @@ def _cmd_sweep(args, argv) -> int:
         spec = ExperimentSpec(**spec_kwargs)
     except TypeError as exc:
         raise ConfigError(f"spec: {exc}") from exc
+    grid, other = ("t_offsets", "c_values") if spec.regime == "fixed_a" else ("c_values", "t_offsets")
+    if other in extras:
+        raise ConfigError(f"{other}: a {spec.regime} sweep takes {grid}, not {other}")
 
     rows = harness.sweep_phase_transition(
         spec, t_offsets=extras.get("t_offsets"), c_values=extras.get("c_values")
@@ -382,7 +394,6 @@ def _cmd_sweep(args, argv) -> int:
     payload = {
         "operation": "sweep",
         "spec": asdict(spec),
-        "backend": accel.BACKEND,
         "rows": rows,
         "checks": checks,
         "passed": all(c["passed"] for c in checks.values()),
@@ -441,7 +452,7 @@ def _parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("experiment", help="run one harness operation")
     add_spec_flags(pe)
     pe.add_argument("--operation", choices=sorted(_OPERATIONS), default=None)
-    pe.add_argument("--format", default="json", help="comma subset of csv,json,jsonl")
+    pe.add_argument("--format", default="json", help="comma subset of json,jsonl")
 
     ps = sub.add_parser("sweep", help="phase-transition sweep")
     add_spec_flags(ps)

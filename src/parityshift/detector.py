@@ -26,6 +26,7 @@ __all__ = [
     "bin_index",
     "parity_statistic",
     "bin_prob",
+    "min_accepted_sum",
     "decide",
     "flip_identity_check",
     "big_g_value",
@@ -99,18 +100,40 @@ def bin_prob(k: int, a: float) -> float:
     return float(ndtr(hi) - ndtr(lo))
 
 
+def min_accepted_sum(config: DetectorConfig, n: int) -> int:
+    """Smallest integer label sum s the test accepts on n samples.
+
+    The test accepts exactly when s >= min_accepted_sum(config, n); the
+    result is n + 1 when no sum in [-n, n] is accepted.  zero: A > 0
+    means s >= 1.  thresholded: the float predicate
+    sqrt(n) (s/n - G(a)) > -lambda is bisected over the integers; every
+    IEEE operation in it is monotone in s, so the bisection returns the
+    exact boundary of the per-sample float rule.
+    """
+    if not (isinstance(n, int) and n >= 1):
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    if config.variant == "zero":
+        return 1
+    big_g, lam, root_n = big_g_value(config.a), config.lam, math.sqrt(n)
+    lo, hi = -n, n + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if root_n * (mid / n - big_g) > -lam:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def decide(x, config: DetectorConfig) -> DetectionResult:
     """Run the configured acceptance test on a sample."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.size == 0:
         raise ValueError("cannot decide on an empty sample")
     n = x.size
-    a_stat = parity_statistic(x, config.a)
-    if config.variant == "zero":
-        accept = a_stat > 0.0
-    else:
-        accept = math.sqrt(n) * (a_stat - big_g_value(config.a)) > -config.lam
-    return DetectionResult(statistic_a=a_stat, accept_h0=bool(accept), n=n)
+    _, s = accel.parity_labels_and_sum(x, config.a)
+    accept = s >= min_accepted_sum(config, n)
+    return DetectionResult(statistic_a=s / n, accept_h0=accept, n=n)
 
 
 def flip_identity_check(x, theta: PerturbationVector, a: float) -> float:

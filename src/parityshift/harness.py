@@ -5,7 +5,7 @@ ExperimentSummary holding empirical rates (with Wilson 95% intervals),
 the analytic bounds evaluated at the spec, machine-checked premises, and
 named pass/fail checks.  Trials use counter-based Philox substreams
 keyed by (master_seed, trial_index), are reduced in trial order, and the
-whole summary is bit-reproducible for a given seed and backend.  An
+whole summary is bit-reproducible for a given seed.  An
 optional ``on_trial`` callback receives each trial's TrialRecord as the
 trial finishes, in trial order; no record is held by the run.
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import accel
 from .attack import CouplingPolicy, PerturbationVector, couple_perturb, optimal_parity_evasion
-from .detector import big_g_value
+from .detector import DetectorConfig, big_g_value, min_accepted_sum
 from .kernels import KernelParams
 from .stats import binomial_se, ks_distance_standard_normal, sample_moments, wilson_interval
 
@@ -153,7 +153,6 @@ class ExperimentSummary:
 
     operation: str
     spec: dict
-    backend: str
     rates: dict[str, dict] = field(default_factory=dict)
     bounds: dict[str, float] = field(default_factory=dict)
     premises: dict[str, bool] = field(default_factory=dict)
@@ -169,7 +168,6 @@ class ExperimentSummary:
         return {
             "operation": self.operation,
             "spec": self.spec,
-            "backend": self.backend,
             "rates": self.rates,
             "bounds": self.bounds,
             "premises": self.premises,
@@ -203,16 +201,12 @@ def _spec_dict(spec: ExperimentSpec) -> dict:
 
 
 def _summary(operation: str, spec: ExperimentSpec) -> ExperimentSummary:
-    return ExperimentSummary(operation=operation, spec=_spec_dict(spec), backend=accel.BACKEND)
+    return ExperimentSummary(operation=operation, spec=_spec_dict(spec))
 
 
 def _require_regime(spec: ExperimentSpec, regime: str, operation: str) -> None:
     if spec.regime != regime:
         raise SpecValidationError(f"{operation} requires the {regime} regime, got {spec.regime!r}")
-
-
-def _thresholded_accept(s_label: int, n: int, big_g: float, lam: float) -> bool:
-    return math.sqrt(n) * (s_label / n - big_g) > -lam
 
 
 def _note_alpha_target(out: ExperimentSummary, spec: ExperimentSpec) -> None:
@@ -446,6 +440,7 @@ def run_thm1_detectable(
     if not all(premises.values()):
         warnings.warn(f"theorem premises not all met: {premises}; running anyway", stacklevel=2)
 
+    s_min = min_accepted_sum(DetectorConfig(a, lam, "zero"), n)
     accept_pre_count = 0
     overlap = 0
     flip_violations = 0
@@ -454,7 +449,7 @@ def run_thm1_detectable(
         rng = trial_rng(spec.seed64, i)
         x = rng.standard_normal(n)
         _, s_pre = accel.parity_labels_and_sum(x, a)
-        accept_pre = s_pre > 0
+        accept_pre = s_pre >= s_min
         accept_post = accept_pre
         s_post = s_pre
         if accept_pre:
@@ -465,7 +460,7 @@ def run_thm1_detectable(
             _, s_post = accel.parity_labels_and_sum(x + a, a)
             if s_post != -s_pre:
                 flip_violations += 1
-            accept_post = s_post > 0
+            accept_post = s_post >= s_min
             if accept_post:
                 overlap += 1
         if on_trial is not None:
@@ -476,7 +471,7 @@ def run_thm1_detectable(
                     statistic_post=s_post / n,
                     sr=0.0,
                     accepted_pre=accept_pre,
-                    accepted_post=bool(accept_post),
+                    accepted_post=accept_post,
                     zero_count=0,
                     theta_rle=[[1, n]] if accept_pre else None,
                 )
@@ -530,6 +525,7 @@ def run_thm2_undetectable(
     big_g = big_g_value(a)
     t = spec.t if spec.t is not None else big_g + spec.epsilon
     params = KernelParams(a, rel_tol=spec.rel_tol)
+    s_min = min_accepted_sum(DetectorConfig(a, lam), n)
 
     accept_pre_count = 0
     success_count = 0
@@ -549,8 +545,8 @@ def run_thm2_undetectable(
         if s_post != 2 * kept - s_pre:
             flip_violations += 1
 
-        accept_pre = _thresholded_accept(s_pre, n, big_g, lam)
-        accept_post = _thresholded_accept(s_post, n, big_g, lam)
+        accept_pre = s_pre >= s_min
+        accept_post = s_post >= s_min
         accept_pre_count += accept_pre
         success = accept_post and in_family
         success_count += success
@@ -647,6 +643,7 @@ def run_thm2_detectable(
     budget = math.ceil(t * n) - 1
     if budget < 0:
         raise SpecValidationError(f"t = {t!r} leaves no admissible perturbation")
+    s_min = min_accepted_sum(DetectorConfig(a, lam), n)
 
     accept_pre_count = 0
     accept_post_count = 0
@@ -664,8 +661,8 @@ def run_thm2_detectable(
         if s_direct != s_post:
             flip_violations += 1
 
-        accept_pre = _thresholded_accept(s_pre, n, big_g, lam)
-        accept_post = _thresholded_accept(s_post, n, big_g, lam)
+        accept_pre = s_pre >= s_min
+        accept_post = s_post >= s_min
         accept_pre_count += accept_pre
         accept_post_count += accept_post
         if accept_pre and accept_post:
@@ -751,6 +748,7 @@ def sweep_phase_transition(
             if not (0.0 <= t <= 1.0):
                 raise SpecValidationError(f"t = {t!r} outside [0, 1]; shrink the offset grid")
             budgets.append(math.ceil(t * n) - 1)
+        s_min = min_accepted_sum(DetectorConfig(a, lam), n)
         success = [0] * len(ts)
         pre_accepts = 0
         overlaps = [0] * len(ts)
@@ -759,12 +757,12 @@ def sweep_phase_transition(
             x = rng.standard_normal(n)
             _, s_pre = accel.parity_labels_and_sum(x, a)
             n_plus = (n + s_pre) // 2
-            accept_pre = _thresholded_accept(s_pre, n, big_g, lam)
+            accept_pre = s_pre >= s_min
             pre_accepts += accept_pre
             for j, budget in enumerate(budgets):
                 kept = budget if n_plus >= budget else n_plus
                 s_post = 2 * kept - s_pre
-                accept_post = _thresholded_accept(s_post, n, big_g, lam)
+                accept_post = s_post >= s_min
                 success[j] += accept_post
                 if accept_pre and accept_post:
                     overlaps[j] += 1
@@ -794,6 +792,7 @@ def sweep_phase_transition(
         a = cell.effective_a
         big_g = big_g_value(a)
         params = KernelParams(a, rel_tol=spec.rel_tol)
+        s_min = min_accepted_sum(DetectorConfig(a, spec.lam, "zero"), n)
         pre_accepts = 0
         post_accepts = 0
         overlap = 0
@@ -805,8 +804,8 @@ def sweep_phase_transition(
             theta, x_post = couple_perturb(x, CouplingPolicy(params, rng))
             _, s_pre = accel.parity_labels_and_sum(x, a)
             _, s_post = accel.parity_labels_and_sum(x_post, a)
-            accept_pre = s_pre > 0
-            accept_post = s_post > 0
+            accept_pre = s_pre >= s_min
+            accept_post = s_post >= s_min
             pre_accepts += accept_pre
             post_accepts += accept_post
             overlap += accept_pre and accept_post

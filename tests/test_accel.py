@@ -1,17 +1,12 @@
-"""Array kernels: agreement with the scalar reference, both backends."""
+"""Array kernels: agreement with the scalar reference."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from parityshift import accel
 from parityshift.kernels import KernelParams, eval_gamma, eval_phi
-
-BACKENDS = ["numpy"] + (["numba"] if accel.NUMBA_AVAILABLE else [])
 
 A_VALUES = [0.3, 0.494, 0.7, 1.0, math.sqrt(math.pi), 2.0, 3.0, 8.0]
 
@@ -26,14 +21,14 @@ def grid_for(a: float, rng: np.random.Generator) -> np.ndarray:
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("a", A_VALUES)
-def test_phi_gamma_matches_scalar(backend, a):
+# ids name the numpy array path checked against the scalar reference
+@pytest.mark.parametrize("a", A_VALUES, ids=lambda a: f"{a}-numpy")
+def test_phi_gamma_matches_scalar(a):
     rng = np.random.default_rng(101)
     x = grid_for(a, rng)
     params = KernelParams(a)
     plan = accel.plan_for(a, 1e-12)
-    phi, gamma = accel.phi_gamma_backend(x, plan, backend)
+    phi, gamma = accel.phi_gamma(x, plan)
     idx = rng.choice(x.size, 250, replace=False)
     # each route certifies 1e-12 relative truncation, so 2e-12 between them
     for i in idx:
@@ -41,43 +36,20 @@ def test_phi_gamma_matches_scalar(backend, a):
         assert abs(gamma[i] - eval_gamma(float(x[i]), params)) <= 2e-12
 
 
-@pytest.mark.skipif(not accel.NUMBA_AVAILABLE, reason="numba unavailable")
-@pytest.mark.parametrize("a", A_VALUES)
-def test_backends_agree(a):
-    x = grid_for(a, np.random.default_rng(5))
-    plan = accel.plan_for(a, 1e-12)
-    p1, g1 = accel.phi_gamma_backend(x, plan, "numba")
-    p2, g2 = accel.phi_gamma_backend(x, plan, "numpy")
-    assert np.max(np.abs(p1 - p2)) <= 1e-13
-    assert np.max(np.abs(g1 - g2)) <= 1e-13
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_outputs_clamped(backend, a=1.0):
+def test_outputs_clamped(a=1.0):
     x = grid_for(a, np.random.default_rng(17))
-    phi, gamma = accel.phi_gamma_backend(x, plan := accel.plan_for(a), backend)
+    phi, gamma = accel.phi_gamma(x, plan := accel.plan_for(a))
     for arr in (phi, gamma):
         assert arr.min() >= 0.0 and arr.max() <= 1.0
     assert np.all(phi + gamma <= 1.0 + plan.band)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_parity_labels(backend):
+def test_parity_labels():
     x = np.array([0.3, 0.6, -1.2, -0.5, 0.5, 1.49, 1.5])
-    z, s = accel.parity_labels_and_sum_backend(x, 1.0, backend)
+    z, s = accel.parity_labels_and_sum(x, 1.0)
     # bins 0, 1, -1, 0, 1, 1, 2
     assert z.tolist() == [1, -1, -1, 1, -1, -1, 1]
     assert s == -1
-
-
-@pytest.mark.skipif(not accel.NUMBA_AVAILABLE, reason="numba unavailable")
-def test_parity_backends_agree():
-    x = np.random.default_rng(3).standard_normal(200_000) * 3.0
-    for a in (0.494, 1.0, 2.0):
-        z1, s1 = accel.parity_labels_and_sum_backend(x, a, "numba")
-        z2, s2 = accel.parity_labels_and_sum_backend(x, a, "numpy")
-        assert s1 == s2
-        assert (z1 == z2).all()
 
 
 def test_die_outcomes_intervals():
@@ -110,11 +82,3 @@ def test_plan_extreme_widths():
         phi, gamma = accel.phi_gamma(x, plan)
         assert np.isfinite(phi).all() and np.isfinite(gamma).all()
 
-
-def test_env_flag_forces_numpy_backend():
-    env = dict(os.environ, PARITYSHIFT_NUMBA="0")
-    out = subprocess.run(
-        [sys.executable, "-c", "from parityshift import accel; print(accel.BACKEND)"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert out.stdout.strip() == "numpy"

@@ -126,7 +126,6 @@ class TestExperimentCommand:
                  "--n", "200", "--seed", SEED, "--out", str(tmp_path)])
         meta = json.loads((tmp_path / "run_meta.json").read_text())
         assert meta["master_seed"] == int(SEED)
-        assert meta["backend"] in ("numba", "numpy")
         assert "numpy" in meta["versions"]
 
 
@@ -204,6 +203,15 @@ class TestSweepCommand:
         assert read(tmp_path / "one" / "sweep.csv") == read(tmp_path / "two" / "sweep.csv")
         assert read(tmp_path / "one" / "summary.json") == read(tmp_path / "two" / "summary.json")
 
+    @pytest.mark.parametrize("preset, grid", [("sweep-t", "t_offsets"), ("sweep-c", "c_values")])
+    def test_empty_grid_exits_2(self, tmp_path, capsys, preset, grid):
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps({grid: []}))
+        code = run_cli(["sweep", "--preset", preset, "--config", str(config), "--trials", "5",
+                        "--seed", SEED, "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert grid in capsys.readouterr().err
+
     def test_cube_sweep(self, tmp_path):
         code = run_cli(["sweep", "--preset", "sweep-c", "--trials", "40", "--n", "300",
                         "--seed", SEED, "--out", str(tmp_path)])
@@ -211,6 +219,25 @@ class TestSweepCommand:
         lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 14
         assert "detector_win_rate" in lines[0].split(",")
+
+
+class TestIgnoredInput:
+    @pytest.mark.parametrize("argv, config, field", [
+        (["experiment", "--preset", "thm2-undetectable"], {"t_offsets": [0.0]}, "t_offsets"),
+        (["experiment", "--preset", "thm2-undetectable"], {"c_values": [2.0]}, "c_values"),
+        (["experiment", "--preset", "thm2-undetectable", "--format", "csv"], {}, "format"),
+        (["experiment", "--preset", "thm2-undetectable", "--format", "json,csv"], {}, "format"),
+        (["sweep", "--preset", "sweep-t"], {"c_values": [1.0]}, "c_values"),
+        (["sweep", "--preset", "sweep-c"], {"t_offsets": [0.0]}, "t_offsets"),
+    ])
+    def test_exits_2_naming_the_field(self, tmp_path, capsys, argv, config, field):
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps(config))
+        code = run_cli(argv + ["--config", str(path), "--trials", "5", "--seed", SEED,
+                               "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 class TestDemoCommands:

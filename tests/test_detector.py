@@ -15,6 +15,7 @@ from parityshift.detector import (
     big_g_value,
     decide,
     flip_identity_check,
+    min_accepted_sum,
     parity_statistic,
 )
 from parityshift.harness import trial_rng
@@ -132,6 +133,30 @@ class TestDecide:
             DetectorConfig(a=1.0, lam=0.0)
         with pytest.raises(ValueError):
             DetectorConfig(a=1.0, variant="weird")
+
+
+class TestMinAcceptedSum:
+    @pytest.mark.parametrize("a", [0.3, 0.494, 1.0, math.sqrt(math.pi), 2.0, 8.0])
+    @pytest.mark.parametrize("lam", [0.5, 3.0, 7.0])
+    def test_thresholded_matches_float_rule(self, a, lam):
+        g = big_g_value(a)
+        config = DetectorConfig(a=a, lam=lam, variant="thresholded")
+        for n in (1, 2, 7, 1000, 5000):
+            s_min = min_accepted_sum(config, n)
+            for s in range(-n, n + 1):
+                assert (s >= s_min) == (math.sqrt(n) * (s / n - g) > -lam), (n, s)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 5000])
+    def test_zero_is_positive_sum(self, n, monkeypatch):
+        # the zero test never needs G(a)
+        monkeypatch.setattr("parityshift.detector.big_g_value", None)
+        s_min = min_accepted_sum(DetectorConfig(a=2.0, variant="zero"), n)
+        assert all((s >= s_min) == (s > 0) for s in range(-n, n + 1))
+
+    @pytest.mark.parametrize("n", [0, -3, 2.0])
+    def test_bad_n_raises(self, n):
+        with pytest.raises(ValueError):
+            min_accepted_sum(DetectorConfig(a=1.0), n)
 
 
 class TestFlipIdentity:
