@@ -4,7 +4,9 @@ The Monte Carlo harness evaluates the stay/up-shift probabilities, die
 outcomes and bin-parity labels across ~1e8 coordinates per experiment,
 so these are the only routines worth vectorising.  Each kernel sums the
 terms of a precomputed plan, truncated at 1e-12 relative, and agrees
-with the adaptive scalar reference in ``kernels`` within 2e-12.
+with the adaptive scalar reference in ``kernels`` within 2e-12.  The
+kernels are elementwise, so the harness calls each once per (m, n)
+trial block; the label sums are then taken per row.
 """
 
 from __future__ import annotations
@@ -159,19 +161,34 @@ def die_outcomes(phi: np.ndarray, gamma: np.ndarray, u: np.ndarray) -> np.ndarra
     """Three-sided die outcomes as int8 signs: +1 (up), 0 (stay), -1 (down).
 
     Interval order is fixed: up wins on u < phi, stay on u < phi + gamma.
+    Built as up + (up or stay) - 1 on int8 views of the two masks, which
+    avoids the int64 temporaries of a nested where.
     """
-    return np.where(u < phi, 1, np.where(u < phi + gamma, 0, -1)).astype(np.int8)
+    up = u < phi
+    up_or_stay = up | (u < phi + gamma)
+    return up.view(np.int8) + up_or_stay.view(np.int8) - 1
 
 
-def parity_labels_and_sum(x: np.ndarray, a: float) -> tuple[np.ndarray, int]:
-    """Bin-parity labels z_i = +-1 and their integer sum."""
+def parity_labels_and_sum(x: np.ndarray, a: float) -> tuple[np.ndarray, int | np.ndarray]:
+    """Bin-parity labels z_i = +-1 and their integer sum.
+
+    For a 2-d trial block (one trial per row) the sum is taken per row
+    and returned as an int64 array.
+    """
     x = np.ascontiguousarray(x, dtype=np.float64)
     k = np.floor(x / a + 0.5).astype(np.int64)
     odd = (k & 1).astype(np.int8)
     z = (1 - 2 * odd).astype(np.int8)
-    return z, int(x.size - 2 * int(odd.sum()))
+    if x.ndim == 1:
+        return z, int(x.size - 2 * int(odd.sum()))
+    return z, x.shape[-1] - 2 * odd.sum(axis=-1, dtype=np.int64)
 
 
-def zero_signed_sum(z: np.ndarray, signs: np.ndarray) -> int:
-    """Sum of parity labels over untouched (sign == 0) coordinates."""
-    return int(z[signs == 0].sum())
+def zero_signed_sum(z: np.ndarray, signs: np.ndarray) -> int | np.ndarray:
+    """Sum of parity labels over untouched (sign == 0) coordinates.
+
+    Per row, as an int64 array, for a 2-d trial block.
+    """
+    if z.ndim == 1:
+        return int(z[signs == 0].sum())
+    return np.where(signs == 0, z, 0).sum(axis=-1, dtype=np.int64)

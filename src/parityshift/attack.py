@@ -6,7 +6,8 @@ stay/up-shift probabilities, which leaves the standard normal law of
 every coordinate intact.  ``optimal_parity_evasion`` is the worst-case
 sparsity-constrained adversary against the bin-parity detector: it keeps
 (leaves untouched) as many +1-labelled coordinates as the sparsity
-budget allows and flips everything else.
+budget allows and flips everything else.  Both take one sample or a 2-d
+trial block (one trial per row) and validate a block once.
 """
 
 from __future__ import annotations
@@ -42,7 +43,9 @@ class PerturbationVector:
 
     ``signs`` holds the entries in units of a (int8 in {-1, 0, +1}), so
     membership is exact by construction and ``values`` reproduces the
-    float entries as signs * a.
+    float entries as signs * a.  A 2-d ``signs`` is a trial block, one
+    perturbation per row; ``n`` is the row length and ``zero_count`` an
+    int64 array of per-row counts.
     """
 
     signs: np.ndarray
@@ -52,9 +55,9 @@ class PerturbationVector:
         if not (self.a > 0.0 and math.isfinite(self.a)):
             raise ValueError(f"a must be positive and finite, got {self.a!r}")
         signs = np.asarray(self.signs, dtype=np.int8)
-        if signs.ndim != 1:
-            raise ValueError("signs must be one-dimensional")
-        if signs.size and not np.isin(signs, (-1, 0, 1)).all():
+        if signs.ndim not in (1, 2):
+            raise ValueError("signs must be one-dimensional or a 2-d block of rows")
+        if signs.size and not (signs.min() >= -1 and signs.max() <= 1):
             raise ValueError("every entry must be -a, 0 or +a")
         object.__setattr__(self, "signs", signs)
 
@@ -71,21 +74,28 @@ class PerturbationVector:
 
     @property
     def n(self) -> int:
-        return int(self.signs.size)
+        return int(self.signs.shape[-1])
 
     @property
     def values(self) -> np.ndarray:
         return self.signs * self.a
 
     @property
-    def zero_count(self) -> int:
-        return int(np.count_nonzero(self.signs == 0))
+    def zero_count(self) -> int | np.ndarray:
+        counts = np.count_nonzero(self.signs == 0, axis=-1)
+        return int(counts) if self.signs.ndim == 1 else counts
+
+    def row(self, i: int) -> "PerturbationVector":
+        """The perturbation of trial row i of a block."""
+        return PerturbationVector(self.signs[i], self.a)
 
     def sparsity_ratio(self) -> float:
         return sparsity_ratio(self)
 
     def to_rle(self) -> list[list[int]]:
         """Run-length encoding as [sign, count] pairs (signs in units of a)."""
+        if self.signs.ndim != 1:
+            raise ValueError("run-length encode one row of a block at a time")
         if self.n == 0:
             return []
         s = self.signs
@@ -106,11 +116,12 @@ class CouplingPolicy:
     """Kernel parameters plus the seeded generator driving the die.
 
     The die probabilities (phi(x), gamma(x)) are nonnegative and sum to
-    at most 1 by the kernel range guarantees.
+    at most 1 by the kernel range guarantees.  ``rng_stream`` may be
+    None when every caller of ``couple_perturb`` passes the uniforms.
     """
 
     kernel: KernelParams
-    rng_stream: np.random.Generator
+    rng_stream: np.random.Generator | None
 
 
 def sample_die(p1: float, p2: float, a: float, u: float) -> float:
@@ -132,16 +143,22 @@ def sample_die(p1: float, p2: float, a: float, u: float) -> float:
     return -a
 
 
-def couple_perturb(x, policy: CouplingPolicy) -> tuple[PerturbationVector, np.ndarray]:
+def couple_perturb(
+    x, policy: CouplingPolicy, u: np.ndarray | None = None
+) -> tuple[PerturbationVector, np.ndarray]:
     """Resample every coordinate by the coupling die.
 
     For each i: theta_i = die(phi(x_i), gamma(x_i)) and x'_i = x_i +
     theta_i.  Each x'_i is again standard normal, which is the whole
     point of the construction.
+
+    x is one sample or a 2-d trial block.  The die's uniforms u (shaped
+    like x) are drawn from ``policy.rng_stream`` when not given; a block's
+    caller draws each row's uniforms from that trial's own stream.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("x must be a nonempty 1-d array")
+    if x.ndim not in (1, 2) or x.size == 0:
+        raise ValueError("x must be a nonempty 1-d sample or 2-d trial block")
     params = policy.kernel
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
@@ -151,7 +168,8 @@ def couple_perturb(x, policy: CouplingPolicy) -> tuple[PerturbationVector, np.nd
 
     plan = accel.plan_for(params.a, params.rel_tol)
     phi, gamma = accel.phi_gamma(x, plan)
-    u = policy.rng_stream.random(x.size)
+    if u is None:
+        u = policy.rng_stream.random(x.shape)
     signs = accel.die_outcomes(phi, gamma, u)
     theta = PerturbationVector(signs, params.a)
     return theta, x + signs * params.a
@@ -176,12 +194,13 @@ def optimal_parity_evasion(z, a: float, t: float, n: int) -> PerturbationVector:
     keeps up to m = ceil(t n) - 1 coordinates (the strict budget) chosen
     among those with z = +1 (fewer if fewer exist, lowest index first)
     and shifts every other coordinate by +a (parity is sign-blind; +a by
-    convention).
+    convention).  A 2-d z is a trial block: each row is attacked on its
+    own and the result is a block perturbation.
     """
     z = np.asarray(z, dtype=np.int8)
-    if z.ndim != 1 or z.size != n or n <= 0:
-        raise ValueError(f"z must be a 1-d array of length n={n}")
-    if not np.isin(z, (-1, 1)).all():
+    if z.ndim not in (1, 2) or z.shape[-1] != n or n <= 0:
+        raise ValueError(f"z must be a 1-d array of length n={n}, or a block of such rows")
+    if not ((z == 1) | (z == -1)).all():
         raise ValueError("z entries must be +-1")
     if not (0.0 <= t <= 1.0):
         raise ValueError(f"t must lie in [0, 1], got {t!r}")
@@ -190,7 +209,6 @@ def optimal_parity_evasion(z, a: float, t: float, n: int) -> PerturbationVector:
         raise ValueError(
             f"no perturbation has sparsity ratio < {t!r}; the constrained family is empty"
         )
-    keep = np.flatnonzero(z == 1)[:budget]
-    signs = np.ones(n, dtype=np.int8)
-    signs[keep] = 0
-    return PerturbationVector(signs, a)
+    plus = z == 1
+    keep = plus & (np.cumsum(plus, axis=-1) <= budget)
+    return PerturbationVector((~keep).view(np.int8), a)

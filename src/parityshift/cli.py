@@ -162,10 +162,16 @@ def _grid(key: str, value) -> list:
 
 
 def _build_spec(args, preset: dict | None) -> tuple[str, dict, dict]:
-    """Layer preset -> config file -> flags into (operation, spec kwargs, extras)."""
+    """Layer preset -> config file -> flags into (operation, spec kwargs, extras).
+
+    A non-null bin width of the other regime (c under fixed_a, a under
+    cube_scaling) is an error when the config file or a flag gives it; a
+    preset's is dropped, since a later layer may change the regime.
+    """
     operation = None
     spec: dict = {}
     extras: dict = {}
+    given: set[str] = set()  # spec fields set by the config file or a flag
     if preset is not None:
         operation = preset["operation"]
         spec.update(preset["spec"])
@@ -184,6 +190,7 @@ def _build_spec(args, preset: dict | None) -> tuple[str, dict, dict]:
         for key in list(loaded):
             if key in _SPEC_FIELDS:
                 spec[key] = loaded.pop(key)
+                given.add(key)
             elif key in ("t_offsets", "c_values"):
                 extras[key] = _grid(key, loaded.pop(key))
             else:
@@ -196,15 +203,17 @@ def _build_spec(args, preset: dict | None) -> tuple[str, dict, dict]:
         value = getattr(args, flag, None)
         if value is not None:
             spec[field_name] = value
+            given.add(field_name)
     if "regime" not in spec:
         if spec.get("c") is not None:
             spec["regime"] = "cube_scaling"
         elif spec.get("a") is not None:
             spec["regime"] = "fixed_a"
-    if spec.get("regime") == "fixed_a":
-        spec.pop("c", None)
-    elif spec.get("regime") == "cube_scaling":
-        spec.pop("a", None)
+    unused = {"fixed_a": "c", "cube_scaling": "a"}.get(spec.get("regime"))
+    if unused is not None:
+        if spec.get(unused) is not None and unused in given:
+            raise ConfigError(f"{unused}: the {spec['regime']} regime does not take {unused}")
+        spec.pop(unused, None)
     if getattr(args, "operation", None):
         operation = args.operation
     if operation is None:
@@ -368,6 +377,9 @@ def _cmd_sweep(args, argv) -> int:
                               f"(choose from {sorted(PRESETS)})")
         preset = PRESETS[args.preset]
     _, spec_kwargs, extras = _build_spec(args, preset)
+    if spec_kwargs.get("t") is not None:
+        raise ConfigError("t: a sweep does not take t; a fixed_a sweep sets t = G(a) + each "
+                          "t_offsets entry")
     try:
         spec = ExperimentSpec(**spec_kwargs)
     except TypeError as exc:

@@ -4,10 +4,16 @@ Every experiment consumes an ExperimentSpec and returns an
 ExperimentSummary holding empirical rates (with Wilson 95% intervals),
 the analytic bounds evaluated at the spec, machine-checked premises, and
 named pass/fail checks.  Trials use counter-based Philox substreams
-keyed by (master_seed, trial_index), are reduced in trial order, and the
-whole summary is bit-reproducible for a given seed.  An
-optional ``on_trial`` callback receives each trial's TrialRecord as the
-trial finishes, in trial order; no record is held by the run.
+keyed by (master_seed, trial_index), and the whole summary is
+bit-reproducible for a given seed.
+
+Every run is a reducer over one trial-block engine: ``_blocks`` draws
+consecutive trials into the rows of an (m, n) array, each row from its
+own substream, so the kernels run once per block while every value stays
+what a lone trial would give; ``_tally`` sums a run's per-row integer
+counters over the blocks.  An optional ``on_trial`` callback receives
+each trial's TrialRecord after its block, in trial order; no record is
+held by the run.
 
 Attacked statistics are derived by the exact integer-shift construction
 (a +-a shift moves the bin index by exactly one) and, in the theorem
@@ -20,14 +26,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
 import numpy as np
 
 from . import accel
-from .attack import CouplingPolicy, PerturbationVector, couple_perturb, optimal_parity_evasion
+from .attack import CouplingPolicy, couple_perturb, optimal_parity_evasion
 from .detector import DetectorConfig, big_g_value, min_accepted_sum
 from .kernels import KernelParams
 from .stats import binomial_se, ks_distance_standard_normal, sample_moments, wilson_interval
@@ -48,6 +54,8 @@ __all__ = [
 
 _REGIMES = ("fixed_a", "cube_scaling")
 _MASK64 = (1 << 64) - 1
+# Coordinates per trial block: max(1, _BLOCK_COORDS // n) trials a block.
+_BLOCK_COORDS = 1 << 14
 
 
 class SpecValidationError(ValueError):
@@ -183,12 +191,67 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _f(x) -> float:
-    return float(x)
+def _blocks(
+    spec: ExperimentSpec, uniforms: bool = False
+) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
+    """Yield (first trial index, x, u) for consecutive blocks of trials.
+
+    Row r of the (m, n) array x holds trial start + r's normals, drawn
+    from trial_rng(seed, start + r) as a lone trial draws them; u holds
+    that trial's uniforms, drawn next from the same stream, when asked
+    for, else None.  The buffers are reused, so a block is valid only
+    until the next one is requested.
+    """
+    n, trials = spec.n, spec.trials
+    m = min(trials, max(1, _BLOCK_COORDS // n))
+    x = np.empty((m, n))
+    u = np.empty((m, n)) if uniforms else None
+    for start in range(0, trials, m):
+        rows = min(m, trials - start)
+        for r in range(rows):
+            rng = trial_rng(spec.seed64, start + r)
+            rng.standard_normal(out=x[r])
+            if u is not None:
+                rng.random(out=u[r])
+        yield start, x[:rows], None if u is None else u[:rows]
+
+
+def _tally(
+    spec: ExperimentSpec, reduce_block: Callable[..., dict], uniforms: bool = False
+) -> dict[str, Any]:
+    """Total a run's integer counters over every trial block.
+
+    reduce_block(start, x, u) returns per-row counters (bool or integer
+    arrays of shape (m,) or (m, cells)); each is summed over rows and
+    blocks and returned as a Python int, or a list of ints per cell.
+    """
+    totals: dict[str, Any] = {}
+    for block in _blocks(spec, uniforms):
+        for name, per_row in reduce_block(*block).items():
+            totals[name] = totals.get(name, 0) + per_row.sum(axis=0)
+    return {name: total.tolist() for name, total in totals.items()}
+
+
+def _emit(on_trial: OnTrial, start: int, n: int, s_pre, s_post, zero_count,
+          accepted_pre, accepted_post, rle: Callable[[int], list | None]) -> None:
+    """Hand on_trial one TrialRecord per block row, in trial order.
+
+    Each per-row value is an array with one entry per row or a scalar
+    shared by every row; rle(r) gives row r's theta_rle.
+    """
+    m = len(s_pre)
+    cols = [np.broadcast_to(v, (m,)).tolist()
+            for v in (s_pre, s_post, zero_count, accepted_pre, accepted_post)]
+    for r, (sp, so, zc, ap, ao) in enumerate(zip(*cols)):
+        on_trial(TrialRecord(
+            trial_index=start + r, statistic_pre=sp / n, statistic_post=so / n, sr=zc / n,
+            accepted_pre=ap, accepted_post=ao, zero_count=zc, theta_rle=rle(r),
+        ))
 
 
 def _check(passed, observed, limit, note: str = "") -> dict:
-    return {"passed": bool(passed), "observed": _f(observed), "limit": _f(limit), "note": note}
+    return {"passed": bool(passed), "observed": float(observed), "limit": float(limit),
+            "note": note}
 
 
 def _rate(count: int, total: int) -> dict:
@@ -196,12 +259,8 @@ def _rate(count: int, total: int) -> dict:
     return {"rate": count / total, "lo": lo, "hi": hi, "count": int(count), "total": int(total)}
 
 
-def _spec_dict(spec: ExperimentSpec) -> dict:
-    return asdict(spec)
-
-
 def _summary(operation: str, spec: ExperimentSpec) -> ExperimentSummary:
-    return ExperimentSummary(operation=operation, spec=_spec_dict(spec))
+    return ExperimentSummary(operation=operation, spec=asdict(spec))
 
 
 def _require_regime(spec: ExperimentSpec, regime: str, operation: str) -> None:
@@ -233,40 +292,25 @@ def run_coupling_validation(
     _require_regime(spec, "fixed_a", "run_coupling_validation")
     a, n, trials = spec.effective_a, spec.n, spec.trials
     big_g = big_g_value(a)
-    params = KernelParams(a, rel_tol=spec.rel_tol)
+    policy = CouplingPolicy(KernelParams(a, rel_tol=spec.rel_tol), None)
     total = trials * n
+    pool = np.empty((trials, n))
 
-    pool = np.empty(total, dtype=np.float64)
-    zero_total = 0
-    tail_count = 0
-    for i in range(trials):
-        rng = trial_rng(spec.seed64, i)
-        x = rng.standard_normal(n)
-        theta, x_post = couple_perturb(x, CouplingPolicy(params, rng))
-        pool[i * n : (i + 1) * n] = x_post
+    def reduce_block(start, x, u):
+        theta, x_post = couple_perturb(x, policy, u)
+        pool[start : start + len(x)] = x_post
         zc = theta.zero_count
-        zero_total += zc
-        sr = zc / n
-        if sr >= big_g + spec.epsilon:
-            tail_count += 1
         if on_trial is not None:
             _, s_pre = accel.parity_labels_and_sum(x, a)
             _, s_post = accel.parity_labels_and_sum(x_post, a)
-            on_trial(
-                TrialRecord(
-                    trial_index=i,
-                    statistic_pre=s_pre / n,
-                    statistic_post=s_post / n,
-                    sr=sr,
-                    accepted_pre=True,
-                    accepted_post=True,
-                    zero_count=zc,
-                    theta_rle=theta.to_rle(),
-                )
-            )
+            _emit(on_trial, start, n, s_pre, s_post, zc, True, True,
+                  lambda r: theta.row(r).to_rle())
+        return {"zero_total": zc, "tail_count": zc / n >= big_g + spec.epsilon}
 
-    ks = ks_distance_standard_normal(pool)
-    mean, var, skew = sample_moments(pool)
+    tally = _tally(spec, reduce_block, uniforms=True)
+    zero_total, tail_count = tally["zero_total"], tally["tail_count"]
+    mean, var, skew = sample_moments(pool.reshape(-1))
+    ks = ks_distance_standard_normal(pool.reshape(-1))
     hoeffding_bound = math.exp(-2.0 * n * spec.epsilon * spec.epsilon)
     zero_frac = zero_total / total
     zero_tol = 4.0 * binomial_se(big_g, total)
@@ -343,48 +387,31 @@ def run_thm1_undetectable(
     chain_base = 1.0 - (4.0 / math.pi) * n ** (-math.pi**2 / (2.0 * c * c))
     chain_bound = chain_base**n if chain_base > 0.0 else 0.0
 
-    params = KernelParams(a, rel_tol=spec.rel_tol)
+    policy = CouplingPolicy(KernelParams(a, rel_tol=spec.rel_tol), None)
     plan = accel.plan_for(a, spec.rel_tol)
-    half = 0.5 * a
-    zero_free = 0
-    for i in range(trials):
-        rng = trial_rng(spec.seed64, i)
+
+    def reduce_block(start, x, u):
         if on_trial is not None:
-            x = rng.standard_normal(n)
-            theta, x_post = couple_perturb(x, CouplingPolicy(params, rng))
+            theta, x_post = couple_perturb(x, policy, u)
             zc = theta.zero_count
             _, s_pre = accel.parity_labels_and_sum(x, a)
             _, s_post = accel.parity_labels_and_sum(x_post, a)
-            on_trial(
-                TrialRecord(
-                    trial_index=i,
-                    statistic_pre=s_pre / n,
-                    statistic_post=s_post / n,
-                    sr=zc / n,
-                    accepted_pre=True,
-                    accepted_post=True,
-                    zero_count=zc,
-                    theta_rle=theta.to_rle(),
-                )
-            )
+            _emit(on_trial, start, n, s_pre, s_post, zc, True, True,
+                  lambda r: theta.row(r).to_rle())
         else:
             # Only coordinates inside the central bin can stay (the stay
             # probability vanishes elsewhere), so the die interval test
             # runs on that subset alone; same draws, same outcomes.  The
             # fraction of work is P(|X| < a/2), about 0.19 at the
             # preset's a ~ 0.494.
-            x = rng.standard_normal(n)
-            u = rng.random(n)
-            mask = np.abs(x) < half
-            if mask.any():
-                phi_c, gamma_c = accel.phi_gamma(x[mask], plan)
-                uc = u[mask]
-                zc = int(np.count_nonzero((uc >= phi_c) & (uc < phi_c + gamma_c)))
-            else:
-                zc = 0
-        if zc == 0:
-            zero_free += 1
+            central = np.flatnonzero(np.abs(x) < 0.5 * a)
+            phi_c, gamma_c = accel.phi_gamma(x.ravel()[central], plan)
+            uc = u.ravel()[central]
+            stays = central[(uc >= phi_c) & (uc < phi_c + gamma_c)]
+            zc = np.bincount(stays // n, minlength=len(x))
+        return {"zero_free": zc == 0}
 
+    zero_free = _tally(spec, reduce_block, uniforms=True)["zero_free"]
     lo, hi = wilson_interval(zero_free, trials)
     out = _summary("thm1_undetectable", spec)
     out.premises["c_below_pi_over_sqrt2"] = premise_c
@@ -441,41 +468,26 @@ def run_thm1_detectable(
         warnings.warn(f"theorem premises not all met: {premises}; running anyway", stacklevel=2)
 
     s_min = min_accepted_sum(DetectorConfig(a, lam, "zero"), n)
-    accept_pre_count = 0
-    overlap = 0
-    flip_violations = 0
-    attacked = 0
-    for i in range(trials):
-        rng = trial_rng(spec.seed64, i)
-        x = rng.standard_normal(n)
+
+    def reduce_block(start, x, u):
         _, s_pre = accel.parity_labels_and_sum(x, a)
         accept_pre = s_pre >= s_min
-        accept_post = accept_pre
-        s_post = s_pre
-        if accept_pre:
-            accept_pre_count += 1
-            attacked += 1
+        # only accepted samples are attacked; the rest keep s_post = s_pre
+        s_post = s_pre.copy()
+        if accept_pre.any():
             # full hypercube attack: every coordinate shifted by +a
             # (parity is sign-blind, so one sign pattern suffices)
-            _, s_post = accel.parity_labels_and_sum(x + a, a)
-            if s_post != -s_pre:
-                flip_violations += 1
-            accept_post = s_post >= s_min
-            if accept_post:
-                overlap += 1
+            _, s_post[accept_pre] = accel.parity_labels_and_sum(x[accept_pre] + a, a)
+        accept_post = s_post >= s_min
         if on_trial is not None:
-            on_trial(
-                TrialRecord(
-                    trial_index=i,
-                    statistic_pre=s_pre / n,
-                    statistic_post=s_post / n,
-                    sr=0.0,
-                    accepted_pre=accept_pre,
-                    accepted_post=accept_post,
-                    zero_count=0,
-                    theta_rle=[[1, n]] if accept_pre else None,
-                )
-            )
+            _emit(on_trial, start, n, s_pre, s_post, 0, accept_pre, accept_post,
+                  lambda r: [[1, n]] if accept_pre[r] else None)
+        return {"accept_pre": accept_pre, "overlap": accept_pre & accept_post,
+                "flip_violations": accept_pre & (s_post != -s_pre)}
+
+    tally = _tally(spec, reduce_block)
+    accept_pre_count, overlap = tally["accept_pre"], tally["overlap"]
+    flip_violations = tally["flip_violations"]
 
     alarm_bound = math.exp(-0.5 * lam * lam)
     floor = 1.0 - alarm_bound - 3.0 * binomial_se(alarm_bound, trials)
@@ -503,7 +515,8 @@ def run_thm1_detectable(
         accept_pre_count / trials >= floor, accept_pre_count / trials, floor,
         "P(A > 0) under the null vs 1 - exp(-lambda^2/2) - 3 SE",
     )
-    out.counts.update({"attacked": attacked, "overlap_count": overlap, "flip_violations": flip_violations})
+    out.counts.update({"attacked": accept_pre_count, "overlap_count": overlap,
+                       "flip_violations": flip_violations})
     return out.finalize()
 
 
@@ -524,46 +537,27 @@ def run_thm2_undetectable(
     a, n, trials, lam = spec.effective_a, spec.n, spec.trials, spec.lam
     big_g = big_g_value(a)
     t = spec.t if spec.t is not None else big_g + spec.epsilon
-    params = KernelParams(a, rel_tol=spec.rel_tol)
+    policy = CouplingPolicy(KernelParams(a, rel_tol=spec.rel_tol), None)
     s_min = min_accepted_sum(DetectorConfig(a, lam), n)
 
-    accept_pre_count = 0
-    success_count = 0
-    in_family_count = 0
-    flip_violations = 0
-    for i in range(trials):
-        rng = trial_rng(spec.seed64, i)
-        x = rng.standard_normal(n)
-        theta, x_post = couple_perturb(x, CouplingPolicy(params, rng))
+    def reduce_block(start, x, u):
+        theta, x_post = couple_perturb(x, policy, u)
         zc = theta.zero_count
-        sr = zc / n
-        in_family = sr < t
-
+        in_family = zc / n < t
         z, s_pre = accel.parity_labels_and_sum(x, a)
         _, s_post = accel.parity_labels_and_sum(x_post, a)
         kept = accel.zero_signed_sum(z, theta.signs)
-        if s_post != 2 * kept - s_pre:
-            flip_violations += 1
-
         accept_pre = s_pre >= s_min
         accept_post = s_post >= s_min
-        accept_pre_count += accept_pre
-        success = accept_post and in_family
-        success_count += success
-        in_family_count += in_family
         if on_trial is not None:
-            on_trial(
-                TrialRecord(
-                    trial_index=i,
-                    statistic_pre=s_pre / n,
-                    statistic_post=s_post / n,
-                    sr=sr,
-                    accepted_pre=accept_pre,
-                    accepted_post=accept_post,
-                    zero_count=zc,
-                    theta_rle=theta.to_rle(),
-                )
-            )
+            _emit(on_trial, start, n, s_pre, s_post, zc, accept_pre, accept_post,
+                  lambda r: theta.row(r).to_rle())
+        return {"accept_pre": accept_pre, "success": accept_post & in_family,
+                "in_family": in_family, "flip_violations": s_post != 2 * kept - s_pre}
+
+    tally = _tally(spec, reduce_block, uniforms=True)
+    accept_pre_count, success_count = tally["accept_pre"], tally["success"]
+    in_family_count, flip_violations = tally["in_family"], tally["flip_violations"]
 
     bound = math.exp(-2.0 * n * spec.epsilon * spec.epsilon)
     null_rate = accept_pre_count / trials
@@ -645,41 +639,23 @@ def run_thm2_detectable(
         raise SpecValidationError(f"t = {t!r} leaves no admissible perturbation")
     s_min = min_accepted_sum(DetectorConfig(a, lam), n)
 
-    accept_pre_count = 0
-    accept_post_count = 0
-    overlap = 0
-    flip_violations = 0
-    for i in range(trials):
-        rng = trial_rng(spec.seed64, i)
-        x = rng.standard_normal(n)
+    def reduce_block(start, x, u):
         z, s_pre = accel.parity_labels_and_sum(x, a)
         theta = optimal_parity_evasion(z, a, t, n)
-        kept = budget if (n + s_pre) // 2 >= budget else (n + s_pre) // 2
-        s_post = 2 * kept - s_pre
-
+        # the evader keeps min(budget, #{z = +1}) coordinates
+        s_post = 2 * np.minimum((n + s_pre) // 2, budget) - s_pre
         _, s_direct = accel.parity_labels_and_sum(x + theta.signs * a, a)
-        if s_direct != s_post:
-            flip_violations += 1
-
         accept_pre = s_pre >= s_min
         accept_post = s_post >= s_min
-        accept_pre_count += accept_pre
-        accept_post_count += accept_post
-        if accept_pre and accept_post:
-            overlap += 1
         if on_trial is not None:
-            on_trial(
-                TrialRecord(
-                    trial_index=i,
-                    statistic_pre=s_pre / n,
-                    statistic_post=s_post / n,
-                    sr=theta.zero_count / n,
-                    accepted_pre=accept_pre,
-                    accepted_post=accept_post,
-                    zero_count=theta.zero_count,
-                    theta_rle=theta.to_rle(),
-                )
-            )
+            _emit(on_trial, start, n, s_pre, s_post, theta.zero_count, accept_pre, accept_post,
+                  lambda r: theta.row(r).to_rle())
+        return {"accept_pre": accept_pre, "accept_post": accept_post,
+                "overlap": accept_pre & accept_post, "flip_violations": s_direct != s_post}
+
+    tally = _tally(spec, reduce_block)
+    accept_pre_count, accept_post_count = tally["accept_pre"], tally["accept_post"]
+    overlap, flip_violations = tally["overlap"], tally["flip_violations"]
 
     alarm_bound = math.exp(-0.5 * lam * lam)
     alarm_rate = 1.0 - accept_pre_count / trials
@@ -743,29 +719,24 @@ def sweep_phase_transition(
         if t_offsets is None:
             t_offsets = [round(-0.15 + 0.025 * j, 6) for j in range(13)]
         ts = [big_g + off for off in t_offsets]
-        budgets = []
         for t in ts:
             if not (0.0 <= t <= 1.0):
                 raise SpecValidationError(f"t = {t!r} outside [0, 1]; shrink the offset grid")
-            budgets.append(math.ceil(t * n) - 1)
+        budgets = [math.ceil(t * n) - 1 for t in ts]
+        budget_row = np.array(budgets)
         s_min = min_accepted_sum(DetectorConfig(a, lam), n)
-        success = [0] * len(ts)
-        pre_accepts = 0
-        overlaps = [0] * len(ts)
-        for i in range(trials):
-            rng = trial_rng(spec.seed64, i)
-            x = rng.standard_normal(n)
+
+        def reduce_block(start, x, u):
+            # one column per budget: the evader keeps min(budget, #{z = +1})
             _, s_pre = accel.parity_labels_and_sum(x, a)
-            n_plus = (n + s_pre) // 2
+            s_post = 2 * np.minimum(((n + s_pre) // 2)[:, None], budget_row) - s_pre[:, None]
             accept_pre = s_pre >= s_min
-            pre_accepts += accept_pre
-            for j, budget in enumerate(budgets):
-                kept = budget if n_plus >= budget else n_plus
-                s_post = 2 * kept - s_pre
-                accept_post = s_post >= s_min
-                success[j] += accept_post
-                if accept_pre and accept_post:
-                    overlaps[j] += 1
+            accept_post = s_post >= s_min
+            return {"pre_accepts": accept_pre, "success": accept_post,
+                    "overlaps": accept_pre[:, None] & accept_post}
+
+        tally = _tally(spec, reduce_block)
+        pre_accepts, success, overlaps = tally["pre_accepts"], tally["success"], tally["overlaps"]
         for j, (off, t) in enumerate(zip(t_offsets, ts)):
             row = {
                 "kind": "t",
@@ -791,26 +762,20 @@ def sweep_phase_transition(
         )
         a = cell.effective_a
         big_g = big_g_value(a)
-        params = KernelParams(a, rel_tol=spec.rel_tol)
+        policy = CouplingPolicy(KernelParams(a, rel_tol=spec.rel_tol), None)
         s_min = min_accepted_sum(DetectorConfig(a, spec.lam, "zero"), n)
-        pre_accepts = 0
-        post_accepts = 0
-        overlap = 0
-        zero_free = 0
-        wins = 0
-        for i in range(trials):
-            rng = trial_rng(spec.seed64, i)
-            x = rng.standard_normal(n)
-            theta, x_post = couple_perturb(x, CouplingPolicy(params, rng))
+
+        def reduce_block(start, x, u):
+            theta, x_post = couple_perturb(x, policy, u)
             _, s_pre = accel.parity_labels_and_sum(x, a)
             _, s_post = accel.parity_labels_and_sum(x_post, a)
             accept_pre = s_pre >= s_min
             accept_post = s_post >= s_min
-            pre_accepts += accept_pre
-            post_accepts += accept_post
-            overlap += accept_pre and accept_post
-            zero_free += theta.zero_count == 0
-            wins += accept_pre and not accept_post
+            return {"pre_accepts": accept_pre, "post_accepts": accept_post,
+                    "overlap": accept_pre & accept_post, "zero_free": theta.zero_count == 0,
+                    "wins": accept_pre & ~accept_post}
+
+        tally = _tally(cell, reduce_block, uniforms=True)
         rows.append(
             {
                 "kind": "c",
@@ -818,11 +783,11 @@ def sweep_phase_transition(
                 "a": a,
                 "big_g": big_g,
                 "exact_no_stay": (1.0 - big_g) ** n,
-                "no_stay_rate": _rate(zero_free, trials),
-                "null_accept_rate": pre_accepts / trials,
-                "attacker_success": _rate(post_accepts, trials),
-                "overlap_rate": overlap / trials,
-                "detector_win_rate": wins / trials,
+                "no_stay_rate": _rate(tally["zero_free"], trials),
+                "null_accept_rate": tally["pre_accepts"] / trials,
+                "attacker_success": _rate(tally["post_accepts"], trials),
+                "overlap_rate": tally["overlap"] / trials,
+                "detector_win_rate": tally["wins"] / trials,
             }
         )
     return rows

@@ -17,8 +17,8 @@ translate sums over ``k`` ("primal", terms decay like ``exp(-k^2 a^2/2)``)
 and Poisson-summed cosine series ("dual", terms decay like
 ``exp(-m^2 pi^2 / (2 a^2))``).  The decay rates coincide at
 ``a = sqrt(pi)``, which is the mode crossover.  ``big_g_oracle`` provides
-a third route for ``G(a)`` -- arbitrary-precision quadrature of the
-translate sum -- used as the anti-drift reference for `eval_big_g`.
+a third route for ``G(a)`` -- the arbitrary-precision alternating sum of
+normal bin masses -- used as the anti-drift reference for `eval_big_g`.
 
 All exponents are assembled before exponentiation (no density ratios),
 so no intermediate overflows for any ``a > 0``.
@@ -233,42 +233,34 @@ def eval_big_g(params: KernelParams) -> KernelEval:
 
 
 def big_g_oracle(params: KernelParams) -> float:
-    """Brute-force route for G(a): quadrature of the translate sum.
+    """Independent route for G(a): an alternating sum of normal bin masses.
 
-    Integrates the translate-sum representation of g over [-a/2, a/2]
-    (only that representation; the Poisson-summed series never enters) in
-    mpmath arbitrary precision, with working digits scaled to resolve
-    G(a) ~ exp(-pi^2/(2 a^2)) down to a -> 0.  Serves as the anti-drift
-    reference for eval_big_g; absolute accuracy far exceeds 1e-12.
-
-    Raises SeriesConvergenceError if the quadrature error estimate is
-    above 1e-13.
+    Integrating the translate sum of g term by term over [-a/2, a/2]
+    gives G(a) = sum_k (-1)^k [Phi((k+1/2)a) - Phi((k-1/2)a)], the
+    alternating mass of the bins of width a.  It is summed in mpmath
+    arbitrary precision from upper-tail masses erfc((k+1/2) a / sqrt 2),
+    with working digits scaled to resolve G(a) ~ exp(-pi^2/(2 a^2)) down
+    to a -> 0; the Poisson-summed series of eval_big_g never enters.
+    Serves as the anti-drift reference for eval_big_g; absolute accuracy
+    far exceeds 1e-12.
     """
     a = params.a
     dps = 25 + int(math.pi * math.pi / (2.0 * a * a) / math.log(10.0)) + 10
     with mpmath.workdps(dps):
         am = mpmath.mpf(a)
-        # keep translates while exp(-(x+ka)^2/2) can exceed 10^-(dps+8)
+        # keep bins while their tail mass can exceed 10^-(dps+8); the
+        # omitted remainder is below the last tail kept
         reach = mpmath.sqrt(2 * (dps + 8) * mpmath.log(10))
         kmax = int(mpmath.ceil((reach + am / 2) / am)) + 2
-        inv_norm = 1 / mpmath.sqrt(2 * mpmath.pi)
-
-        def translate_sum(x: mpmath.mpf) -> mpmath.mpf:
-            s = mpmath.mpf(0)
-            for k in range(-kmax, kmax + 1):
-                u = x + k * am
-                t = mpmath.e ** (-u * u / 2)
-                s += -t if (k & 1) else t
-            return s * inv_norm
-
-        # g is even: integrate the half bin and double.
-        half, err = mpmath.quad(translate_sum, [0, am / 2], error=True)
-        value = 2 * half
-        if err > mpmath.mpf("1e-13"):
-            raise SeriesConvergenceError(
-                f"oracle quadrature for G(a) did not converge (a={a!r}, err={err})"
-            )
-        return float(value)
+        scale = am / mpmath.sqrt(2)
+        # tails[j] = 2 P(X > (j + 1/2) a), the mass outside the bins |k| <= j
+        tails = [mpmath.erfc((j + mpmath.mpf(1) / 2) * scale) for j in range(kmax + 1)]
+        total = 1 - tails[0]
+        for k in range(1, kmax + 1):
+            # bins k and -k together hold tails[k-1] - tails[k]
+            bins = tails[k - 1] - tails[k]
+            total += -bins if (k & 1) else bins
+        return float(total)
 
 
 def _gamma_raw(x: float, params: KernelParams) -> float:

@@ -61,6 +61,18 @@ def test_die_outcomes_intervals():
     assert signs.dtype == np.int8
 
 
+def test_die_outcomes_match_nested_where_on_blocks():
+    # any inputs, including a negative gamma and NaN: up wins, then stay
+    rng = np.random.default_rng(17)
+    phi, gamma, u = rng.random((3, 4, 500))
+    gamma -= 0.2
+    phi[0, :5] = np.nan
+    gamma[1, :5] = np.nan
+    expected = np.where(u < phi, 1, np.where(u < phi + gamma, 0, -1))
+    signs = accel.die_outcomes(phi, gamma, u)
+    assert signs.dtype == np.int8 and (signs == expected).all()
+
+
 def test_zero_signed_sum():
     z = np.array([1, -1, 1, 1, -1], dtype=np.int8)
     signs = np.array([0, 0, 1, 0, -1], dtype=np.int8)

@@ -229,6 +229,13 @@ class TestIgnoredInput:
         (["experiment", "--preset", "thm2-undetectable", "--format", "json,csv"], {}, "format"),
         (["sweep", "--preset", "sweep-t"], {"c_values": [1.0]}, "c_values"),
         (["sweep", "--preset", "sweep-c"], {"t_offsets": [0.0]}, "t_offsets"),
+        # the other regime's bin width, and t on a sweep, would be ignored
+        (["experiment", "--preset", "thm2-undetectable", "--c", "3"], {}, "c"),
+        (["experiment", "--preset", "thm2-undetectable"], {"c": 3.0}, "c"),
+        (["experiment", "--preset", "thm1-undetectable", "--a", "1"], {}, "a"),
+        (["experiment", "--preset", "thm1-undetectable"], {"a": 1.0}, "a"),
+        (["sweep", "--preset", "sweep-t", "--t", "0.3"], {}, "t"),
+        (["sweep", "--preset", "sweep-c"], {"t": 0.3}, "t"),
     ])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, argv, config, field):
         path = tmp_path / "extra.json"
@@ -236,8 +243,21 @@ class TestIgnoredInput:
         code = run_cli(argv + ["--config", str(path), "--trials", "5", "--seed", SEED,
                                "--out", str(tmp_path / "run")])
         assert code == 2
-        assert field in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {field}:")
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("argv, config", [
+        (["experiment", "--preset", "thm2-undetectable"], {"c": None, "t": None}),
+        (["experiment", "--preset", "thm1-undetectable"], {"a": None}),
+        (["sweep", "--preset", "sweep-t"], {"c": None, "t": None}),
+        (["sweep", "--preset", "sweep-c"], {"a": None, "t": None}),
+    ])
+    def test_null_values_accepted(self, tmp_path, argv, config):
+        path = tmp_path / "nulls.json"
+        path.write_text(json.dumps(config))
+        assert run_cli(argv + ["--config", str(path), "--trials", "2", "--n", "300",
+                               "--seed", SEED, "--out", str(tmp_path / "run")]) in (0, 1)
+        assert (tmp_path / "run" / "summary.json").is_file()
 
 
 class TestDemoCommands:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from parityshift import accel
+from parityshift import accel, harness
 from parityshift.attack import CouplingPolicy, couple_perturb
 from parityshift.detector import big_g_value
 from parityshift.harness import (
@@ -20,6 +20,7 @@ from parityshift.harness import (
     trial_rng,
 )
 from parityshift.kernels import KernelParams
+from parityshift.stats import ks_distance_standard_normal, sample_moments
 
 SEED = 91625
 
@@ -263,6 +264,69 @@ class TestOnTrial:
         assert [rec.trial_index for rec in recs] == list(range(spec.trials))
         # recording never changes what the run reports
         assert streamed.to_dict() == run(spec).to_dict()
+
+
+def _per_trial_coupling_records(spec):
+    # record fields as a one-trial-at-a-time loop makes them: one draw,
+    # one couple_perturb, one parity pass per sample
+    a, n = spec.effective_a, spec.n
+    params = KernelParams(a, rel_tol=spec.rel_tol)
+    out = []
+    for i in range(spec.trials):
+        rng = trial_rng(spec.seed64, i)
+        x = rng.standard_normal(n)
+        theta, x_post = couple_perturb(x, CouplingPolicy(params, rng))
+        _, s_pre = accel.parity_labels_and_sum(x, a)
+        _, s_post = accel.parity_labels_and_sum(x_post, a)
+        out.append((i, s_pre / n, s_post / n, theta.zero_count, theta.to_rle()))
+    return out
+
+
+def _record_fields(recs):
+    return [(r.trial_index, r.statistic_pre, r.statistic_post, r.zero_count, r.theta_rle)
+            for r in recs]
+
+
+@pytest.mark.filterwarnings("ignore:theorem premises not all met")
+class TestTrialBlocks:
+    # (trials, _BLOCK_COORDS) at n = 200: blocks of 3 + 3 + 1 trials; one
+    # block holding the only trial; n above the block size, one trial a block
+    SHAPES = [(7, 600), (1, 1 << 14), (3, 100)]
+
+    @pytest.mark.parametrize("trials, block_coords", SHAPES)
+    @pytest.mark.parametrize("run, kwargs", SMALL_RUNS, ids=lambda v: getattr(v, "__name__", ""))
+    def test_same_as_one_trial_blocks(self, monkeypatch, run, kwargs, trials, block_coords):
+        spec = ExperimentSpec(**kwargs, trials=trials, master_seed=SEED)
+        monkeypatch.setattr(harness, "_BLOCK_COORDS", 1)
+        ref_recs = []
+        ref = run(spec, on_trial=ref_recs.append).to_dict()
+        monkeypatch.setattr(harness, "_BLOCK_COORDS", block_coords)
+        recs = []
+        assert run(spec, on_trial=recs.append).to_dict() == ref
+        assert recs == ref_recs
+        assert run(spec).to_dict() == ref
+
+    @pytest.mark.parametrize("run", [run_coupling_validation, run_thm2_undetectable])
+    @pytest.mark.parametrize("n, trials", [(200, 7), (200, 1), (harness._BLOCK_COORDS + 50, 2)])
+    def test_records_match_per_trial_loop(self, run, n, trials):
+        spec = ExperimentSpec(regime="fixed_a", a=2.0, n=n, trials=trials, master_seed=SEED)
+        recs = []
+        run(spec, on_trial=recs.append)
+        assert _record_fields(recs) == _per_trial_coupling_records(spec)
+        for rec in recs:
+            assert rec.sr == rec.zero_count / n
+
+    def test_pool_matches_per_trial_concatenation(self):
+        spec = ExperimentSpec(regime="fixed_a", a=2.0, n=300, trials=9, master_seed=SEED)
+        params = KernelParams(2.0)
+        pool = []
+        for i in range(spec.trials):
+            rng = trial_rng(spec.seed64, i)
+            pool.append(couple_perturb(rng.standard_normal(spec.n), CouplingPolicy(params, rng))[1])
+        pool = np.concatenate(pool)
+        bounds = run_coupling_validation(spec).bounds
+        assert bounds["ks_distance"] == ks_distance_standard_normal(pool)
+        assert (bounds["pool_mean"], bounds["pool_var"]) == sample_moments(pool)[:2]
 
 
 class TestDeterminism:

@@ -1,0 +1,64 @@
+"""Pooled statistics: the chunked KS distance and the moment triple."""
+
+import math
+
+import numpy as np
+import pytest
+
+from parityshift import stats
+from parityshift.harness import trial_rng
+from parityshift.stats import ks_distance_standard_normal, sample_moments
+
+
+def _ks_one_shot(sample: np.ndarray) -> float:
+    # the whole-array formula the chunked evaluation replaces
+    s = np.sort(sample)
+    n = s.size
+    cdf = stats.ndtr(s)
+    steps = np.arange(1, n + 1, dtype=np.float64) / n
+    return max(float(np.max(steps - cdf)), float(np.max(cdf - (steps - 1.0 / n))))
+
+
+class TestKsChunks:
+    @pytest.mark.parametrize("size", [1, 2, 1000, 3 * stats._KS_CHUNK + 123])
+    def test_bit_identical_to_one_shot(self, size):
+        sample = trial_rng(2718, size).standard_normal(size)
+        assert ks_distance_standard_normal(sample) == _ks_one_shot(sample)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_independent_of_chunk_size(self, monkeypatch, chunk):
+        # a shifted sample, so the maximum sits away from the first chunk
+        sample = trial_rng(31, 0).standard_normal(1001) + 0.05
+        expected = _ks_one_shot(sample)
+        monkeypatch.setattr(stats, "_KS_CHUNK", chunk)
+        assert ks_distance_standard_normal(sample) == expected
+
+    def test_input_not_reordered(self):
+        sample = trial_rng(5, 1).standard_normal(500)
+        before = sample.copy()
+        ks_distance_standard_normal(sample)
+        assert (sample == before).all()
+
+
+class TestSampleMoments:
+    @pytest.mark.parametrize("size", [3, 1000, 200_001])
+    def test_matches_power_form(self, size):
+        x = trial_rng(1618, size).standard_normal(size)
+        mean = float(x.mean())
+        centered = x - mean
+        var = float(np.mean(centered * centered))
+        skew = float(np.mean(centered**3)) / var**1.5
+        got_mean, got_var, got_skew = sample_moments(x)
+        # mean and variance keep their bits; only the cube's rounding moves
+        assert got_mean == mean and got_var == var
+        assert abs(got_skew - skew) <= 1e-15
+
+    def test_constant_sample(self):
+        assert sample_moments(np.full(10, 2.5)) == (2.5, 0.0, 0.0)
+
+    def test_known_skew(self):
+        # two-point sample {0, 0, 3}: mean 1, var 2, third central moment 2
+        mean, var, skew = sample_moments(np.array([0.0, 0.0, 3.0]))
+        assert (mean, var) == (1.0, 2.0)
+        assert skew == pytest.approx(2.0 / 2.0**1.5, rel=1e-15)
+        assert math.isfinite(skew)
