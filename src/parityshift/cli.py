@@ -125,13 +125,18 @@ def _write_json(path: Path, payload: dict) -> None:
 def _write_meta(out_dir: Path, command: str, argv: list[str], seed: int | None,
                 wall_time: float) -> None:
     import mpmath
+    import resource
     import scipy
 
+    # the process's peak resident set so far; ru_maxrss is in KiB on
+    # Linux and in bytes on macOS, reported here in decimal MB
+    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     meta = {
         "command": command,
         "argv": argv,
         "master_seed": seed,
         "wall_time_s": wall_time,
+        "peak_rss_mb": maxrss * (1 if sys.platform == "darwin" else 1024) / 1e6,
         "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "versions": {
             "python": platform.python_version(),

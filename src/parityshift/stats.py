@@ -17,6 +17,10 @@ __all__ = [
 _Z95 = 1.959963984540054
 # Coordinates per chunk of the KS evaluation after the sort.
 _KS_CHUNK = 1 << 16
+# Coordinates per chunk of the central moments.  Each chunk's sums are
+# combined with math.fsum, so changing this moves the last bits of the
+# coupling runs' pool_var and pool_skew.
+_MOMENT_CHUNK = 1 << 16
 
 
 def wilson_interval(count: int, total: int, z: float = _Z95) -> tuple[float, float]:
@@ -39,15 +43,21 @@ def binomial_se(p: float, total: int) -> float:
     return math.sqrt(p * (1.0 - p) / total)
 
 
-def ks_distance_standard_normal(sample: np.ndarray) -> float:
+def ks_distance_standard_normal(sample: np.ndarray, overwrite_input: bool = False) -> float:
     """Kolmogorov-Smirnov distance of a sample to the N(0,1) CDF.
 
-    Sorts a copy, then evaluates the CDF and both step differences in
-    chunks of _KS_CHUNK, so scratch memory beyond the sorted copy stays
-    fixed; the maxima are order-free, so the result does not depend on
-    the chunk size.
+    Sorts a copy of the flattened sample, or, with overwrite_input, sorts
+    a contiguous float64 sample in place and leaves it sorted (any other
+    sample is still copied first).  The CDF and both step differences are
+    then evaluated in chunks of _KS_CHUNK, so scratch memory beyond the
+    sorted values stays fixed; the maxima are order-free, so the result
+    does not depend on the chunk size.
     """
-    s = np.sort(np.ascontiguousarray(sample, dtype=np.float64))
+    s = np.ascontiguousarray(sample, dtype=np.float64).reshape(-1)
+    if overwrite_input:
+        s.sort()
+    else:
+        s = np.sort(s)
     n = s.size
     if n == 0:
         raise ValueError("empty sample")
@@ -64,17 +74,31 @@ def ks_distance_standard_normal(sample: np.ndarray) -> float:
 def sample_moments(x: np.ndarray) -> tuple[float, float, float]:
     """Mean, population variance and skewness of a sample.
 
-    The cube is formed as (c*c)*c in the buffer that held c*c: np.power
-    is an order of magnitude slower, and one fewer pool-sized array is
-    live.
+    The mean is numpy's float(x.mean()).  The second and third central
+    moments are summed with np.sum over chunks of _MOMENT_CHUNK values,
+    and the chunk sums are combined with math.fsum, which rounds their
+    exact total once, so no array larger than a chunk is allocated.  The
+    cube is formed as (c*c)*c in the buffer that held c*c: np.power is an
+    order of magnitude slower.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    x = np.ascontiguousarray(x, dtype=np.float64).reshape(-1)
+    n = x.size
+    if n == 0:
+        raise ValueError("empty sample")
     mean = float(x.mean())
-    centered = x - mean
-    sq = centered * centered
-    var = float(np.mean(sq))
+    c = np.empty(min(n, _MOMENT_CHUNK))
+    sq = np.empty_like(c)
+    sums2, sums3 = [], []
+    for lo in range(0, n, _MOMENT_CHUNK):
+        chunk = x[lo : lo + _MOMENT_CHUNK]
+        cc, cs = c[: chunk.size], sq[: chunk.size]
+        np.subtract(chunk, mean, out=cc)
+        np.multiply(cc, cc, out=cs)
+        sums2.append(float(np.sum(cs)))
+        cs *= cc
+        sums3.append(float(np.sum(cs)))
+    var = math.fsum(sums2) / n
     if var == 0.0:
         return mean, var, 0.0
-    sq *= centered
-    skew = float(np.mean(sq)) / var**1.5
+    skew = math.fsum(sums3) / n / var**1.5
     return mean, var, skew

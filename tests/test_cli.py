@@ -127,6 +127,8 @@ class TestExperimentCommand:
         meta = json.loads((tmp_path / "run_meta.json").read_text())
         assert meta["master_seed"] == int(SEED)
         assert "numpy" in meta["versions"]
+        # decimal MB: this process holds numpy and scipy (tens of MB), not 10 GB
+        assert 10.0 < meta["peak_rss_mb"] < 1e4
 
 
 # one small configuration per operation

@@ -77,6 +77,24 @@ class TestSubstreams:
     def test_distinct_indices_distinct_draws(self):
         assert not (trial_rng(7, 0).standard_normal(8) == trial_rng(7, 1).standard_normal(8)).all()
 
+    @pytest.mark.parametrize("seed", [7, -1, 2**64 - 1])
+    @pytest.mark.parametrize("index", [0, 5, 2**40])
+    def test_rekeyed_philox_matches_fresh(self, seed, index):
+        bit_generator = np.random.Philox(0)
+        # leave a part-used buffer and a cached 32-bit half behind
+        trial_rng(3, 1, bit_generator).integers(0, 2**32, size=3, dtype=np.uint32)
+        fresh, rekeyed = trial_rng(seed, index), trial_rng(seed, index, bit_generator)
+        assert (fresh.standard_normal(1001) == rekeyed.standard_normal(1001)).all()
+        assert (fresh.random(1001) == rekeyed.random(1001)).all()
+        halves = dict(size=3, dtype=np.uint32)
+        assert (fresh.integers(0, 2**32, **halves) == rekeyed.integers(0, 2**32, **halves)).all()
+
+    def test_fresh_generators_independent_when_interleaved(self):
+        one, two = trial_rng(7, 1), trial_rng(7, 2)
+        drawn = np.array([(one.standard_normal(), two.standard_normal()) for _ in range(6)])
+        assert (drawn[:, 0] == trial_rng(7, 1).standard_normal(6)).all()
+        assert (drawn[:, 1] == trial_rng(7, 2).standard_normal(6)).all()
+
 
 class TestCouplingValidation:
     def test_checks_pass_small(self):

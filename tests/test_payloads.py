@@ -2,11 +2,14 @@
 
 The sha256 values were recorded from the per-trial harness, before trials
 ran in blocks, so they pin that the block engine reproduces every
-payload byte.  The one exception is the coupling presets' pooled
-skewness (``bounds.pool_skew`` and the ``pool_skew_4se`` check's
-``observed``, which is its absolute value): the cube of the centred pool
-is formed as (c*c)*c instead of c**3, which moves the last bits.  Those
-two values are compared within 1e-15 absolute of the recorded ones and
+payload byte.  The exceptions are the coupling presets' pooled moments
+``bounds.pool_skew`` and ``bounds.pool_var`` and their checks'
+``observed`` values (``|skew|`` and ``|var - 1|``).  The cube of the
+centred pool is formed as (c*c)*c instead of c**3, and both central
+moments are summed over fixed-size chunks whose sums are combined with
+math.fsum; each moves the last bits.  Each moment is compared within
+1e-15 absolute of its recorded value, pool_skew as recorded from the
+per-trial harness and pool_var as recorded before the chunked sums, and
 the rest of the summary byte for byte.
 """
 
@@ -56,15 +59,15 @@ GOLDEN = {
     },
 }
 
-# coupling preset -> (recorded pool_skew, sha256 of summary.json written
-# without the two skew values)
+# coupling preset -> (recorded pool_skew, recorded pool_var, sha256 of
+# summary.json written without the two moments and their checks' observed)
 COUPLING_SUMMARY = {
-    "coupling-a1": (-0.009487640849109212,
-                    "a596ce11ab74eb5392485e5f45133410e80543c412f3e370b249b41831bd3038"),
-    "coupling-a2": (-0.004417113065563041,
-                    "89bc1753c2ed857d84207f30312c742e58c0fa6035a5330dcd885a576ff4f499"),
-    "hoeffding": (-0.001581461617898963,
-                  "6b6471215fd3a035503984154d5a341a0e05ebc9badc4c5c72ee9cab5c272609"),
+    "coupling-a1": (-0.009487640849109212, 1.0024087264708208,
+                    "1cda721333a01077325e73462d1b3ea2bcbe696e8bb24f473abc30811cc84171"),
+    "coupling-a2": (-0.004417113065563041, 1.001439897597183,
+                    "2eea9863ff1d714c3b416a0a5c8317fd1d8167a6480dc63ef127e6a47d2805ff"),
+    "hoeffding": (-0.001581461617898963, 0.9949943534211366,
+                  "745c293ac051fb2bf4b8ea567af4d03ef965831701b0035a328294f7685c2d32"),
 }
 
 
@@ -86,11 +89,13 @@ def test_payload_bytes(preset, tmp_path):
     got = {name: _sha256((tmp_path / name).read_bytes()) for name in GOLDEN[preset]}
     assert got == GOLDEN[preset]
     if preset in COUPLING_SUMMARY:
-        skew, digest = COUPLING_SUMMARY[preset]
+        skew, var, digest = COUPLING_SUMMARY[preset]
         summary = json.loads((tmp_path / "summary.json").read_text())
         got_skew = summary["bounds"].pop("pool_skew")
-        observed = summary["checks"]["pool_skew_4se"].pop("observed")
+        got_var = summary["bounds"].pop("pool_var")
         assert abs(got_skew - skew) <= 1e-15
-        assert observed == abs(got_skew)
+        assert abs(got_var - var) <= 1e-15
+        assert summary["checks"]["pool_skew_4se"].pop("observed") == abs(got_skew)
+        assert summary["checks"]["pool_var_4se"].pop("observed") == abs(got_var - 1.0)
         text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
         assert _sha256(text.encode()) == digest
