@@ -108,25 +108,33 @@ def _alt_horner_inplace(w: np.ndarray, coef: np.ndarray) -> np.ndarray:
 
 
 def phi_gamma(x: np.ndarray, plan: SeriesPlan) -> tuple[np.ndarray, np.ndarray]:
-    """Clamped stay/up-shift probabilities for every coordinate of x."""
+    """Clamped stay/up-shift probabilities for every coordinate of x.
+
+    x may be a 1-d sample or a 2-d trial block; phi and gamma have its
+    shape.  gamma is zero outside the open central bin |x| < a/2, so the
+    stay series runs only on the central coordinates, which are gathered
+    and scattered back by flat index (np.take and index assignment are
+    several times cheaper per element than a boolean mask).
+    """
     x = np.ascontiguousarray(x, dtype=np.float64)
     a = plan.a
     w = np.exp(-a * np.abs(x))
     forward = _alt_horner_inplace(w, plan.phi_coef)
 
     gamma_raw = np.zeros_like(x)
-    central = np.abs(x) < 0.5 * a
-    if central.any():
-        xc = x[central]
+    central = np.flatnonzero(np.abs(x) < 0.5 * a)
+    if central.size:
+        xc = x.reshape(-1).take(central)
+        gamma_flat = gamma_raw.reshape(-1)
         if plan.use_dual:
             s = np.zeros_like(xc)
             for m in range(plan.dual_coef.size):
                 s += plan.dual_coef[m] * np.cos(plan.dual_freq[m] * xc)
             s *= SQRT_TWO_PI * np.exp(0.5 * xc * xc)
-            gamma_raw[central] = s
+            gamma_flat[central] = s
         elif plan.product_safe:
             wp = np.exp(-a * xc)
-            gamma_raw[central] = (
+            gamma_flat[central] = (
                 1.0
                 - _alt_horner_inplace(wp, plan.gamma_coef)
                 - _alt_horner_inplace(1.0 / wp, plan.gamma_coef)
@@ -140,7 +148,7 @@ def phi_gamma(x: np.ndarray, plan: SeriesPlan) -> tuple[np.ndarray, np.ndarray]:
                     + np.exp(k * a * xc - 0.5 * k * k * a * a)
                 )
                 sign = -sign
-            gamma_raw[central] = gc
+            gamma_flat[central] = gc
 
     phi_raw = np.where(x >= 0.0, forward, 1.0 - gamma_raw - forward)
 

@@ -15,8 +15,13 @@ __all__ = [
 ]
 
 _Z95 = 1.959963984540054
-# Coordinates per chunk of the KS evaluation after the sort.
-_KS_CHUNK = 1 << 16
+# Coordinates per chunk of the KS evaluation after the sort: the CDF is
+# taken at every chunk's ends, then across the chunks that can hold the
+# maximum.  512 leaves 2-3% of a 2e7 N(0,1) pool to scan in full.
+_KS_CHUNK = 512
+# Slack added to each chunk's upper bound before it is compared with the
+# attained maximum; ndtr's departures from monotonicity are ulp-sized.
+_KS_MARGIN = 1e-9
 # Coordinates per chunk of the central moments.  Each chunk's sums are
 # combined with math.fsum, so changing this moves the last bits of the
 # coupling runs' pool_var and pool_skew.
@@ -48,10 +53,19 @@ def ks_distance_standard_normal(sample: np.ndarray, overwrite_input: bool = Fals
 
     Sorts a copy of the flattened sample, or, with overwrite_input, sorts
     a contiguous float64 sample in place and leaves it sorted (any other
-    sample is still copied first).  The CDF and both step differences are
-    then evaluated in chunks of _KS_CHUNK, so scratch memory beyond the
-    sorted values stays fixed; the maxima are order-free, so the result
-    does not depend on the chunk size.
+    sample is still copied first).  A sample containing NaN raises
+    ValueError; +-inf are valid.
+
+    The sorted sample is split into chunks of _KS_CHUNK, and the CDF is
+    first evaluated only at each chunk's two ends.  Both the steps
+    (i+1)/n and the CDF rise along the sorted sample, so no value inside
+    a chunk exceeds max(step_last - cdf_first, cdf_last - (step_first -
+    1/n)), while the differences at the ends are attained and bound the
+    maximum from below.  Only the chunks whose bound, plus a margin far
+    above the CDF's rounding, reaches that lower bound are scanned in
+    full.  They include the chunk holding the maximum, and every
+    difference is the whole-sample formula's, so the result is the same
+    float as a full scan and does not depend on the chunk size.
     """
     s = np.ascontiguousarray(sample, dtype=np.float64).reshape(-1)
     if overwrite_input:
@@ -61,14 +75,25 @@ def ks_distance_standard_normal(sample: np.ndarray, overwrite_input: bool = Fals
     n = s.size
     if n == 0:
         raise ValueError("empty sample")
-    d_plus = d_minus = -math.inf
-    for lo in range(0, n, _KS_CHUNK):
+    if np.isnan(s[-1]):  # NaN sorts last
+        raise ValueError("sample contains NaN")
+    inv_n = 1.0 / n
+    first = np.arange(0, n, _KS_CHUNK)
+    cdf_first = ndtr(s[first])
+    cdf_last = ndtr(s[np.minimum(first + (_KS_CHUNK - 1), n - 1)])
+    step_first = (first + 1.0) / n
+    step_last = np.minimum(first + float(_KS_CHUNK), n) / n
+    best = max(float(np.max(step_first - cdf_first)), float(np.max(step_last - cdf_last)))
+    step_first -= inv_n  # from here on, the step below each chunk's first value
+    best = max(best, float(np.max(cdf_first - step_first)),
+               float(np.max(cdf_last - (step_last - inv_n))))
+    bound = np.maximum(step_last - cdf_first, cdf_last - step_first)
+    for lo in first[bound + _KS_MARGIN >= best].tolist():
         hi = min(lo + _KS_CHUNK, n)
         cdf = ndtr(s[lo:hi])
         steps = np.arange(lo + 1, hi + 1, dtype=np.float64) / n
-        d_plus = max(d_plus, float(np.max(steps - cdf)))
-        d_minus = max(d_minus, float(np.max(cdf - (steps - 1.0 / n))))
-    return max(d_plus, d_minus)
+        best = max(best, float(np.max(steps - cdf)), float(np.max(cdf - (steps - inv_n))))
+    return best
 
 
 def sample_moments(x: np.ndarray) -> tuple[float, float, float]:

@@ -36,6 +36,76 @@ def test_phi_gamma_matches_scalar(a):
         assert abs(gamma[i] - eval_gamma(float(x[i]), params)) <= 2e-12
 
 
+def _phi_gamma_boolean_mask(x, plan):
+    # the boolean-mask gather and scatter that phi_gamma's flat indices replace
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    a = plan.a
+    forward = accel._alt_horner_inplace(np.exp(-a * np.abs(x)), plan.phi_coef)
+    gamma_raw = np.zeros_like(x)
+    central = np.abs(x) < 0.5 * a
+    if central.any():
+        xc = x[central]
+        if plan.use_dual:
+            s = np.zeros_like(xc)
+            for m in range(plan.dual_coef.size):
+                s += plan.dual_coef[m] * np.cos(plan.dual_freq[m] * xc)
+            s *= accel.SQRT_TWO_PI * np.exp(0.5 * xc * xc)
+            gamma_raw[central] = s
+        elif plan.product_safe:
+            wp = np.exp(-a * xc)
+            gamma_raw[central] = (
+                1.0
+                - accel._alt_horner_inplace(wp, plan.gamma_coef)
+                - accel._alt_horner_inplace(1.0 / wp, plan.gamma_coef)
+            )
+        else:
+            gc = np.ones_like(xc)
+            sign = -1.0
+            for k in range(1, plan.gamma_coef.size + 1):
+                gc += sign * (
+                    np.exp(-k * a * xc - 0.5 * k * k * a * a)
+                    + np.exp(k * a * xc - 0.5 * k * k * a * a)
+                )
+                sign = -sign
+            gamma_raw[central] = gc
+    phi_raw = np.where(x >= 0.0, forward, 1.0 - gamma_raw - forward)
+    return np.clip(phi_raw, 0.0, 1.0), np.clip(gamma_raw, 0.0, 1.0)
+
+
+# one width per route: dual cosine, primal running powers, primal exps
+ROUTES = [(0.494, True, True), (2.0, False, True), (30.0, False, False)]
+
+
+@pytest.mark.parametrize("a, use_dual, product_safe", ROUTES, ids=["dual", "primal", "primal-exp"])
+def test_phi_gamma_bits_match_boolean_mask(a, use_dual, product_safe):
+    plan = accel.plan_for(a)
+    assert (plan.use_dual, plan.product_safe) == (use_dual, product_safe)
+    half = a / 2
+    edges = np.array(
+        [0.0, -0.0, half, -half, np.nextafter(half, 0.0), np.nextafter(-half, 0.0)]
+    )
+    rng = np.random.default_rng(2024)
+    inside = rng.uniform(-half, half, (3, 40))
+    outside = np.copysign(rng.uniform(half, half + 4.0, (3, 40)), rng.standard_normal((3, 40)))
+    block = rng.standard_normal((4, 300)) * max(1.0, a / 4)
+    block[1, : edges.size] = edges
+    cases = {
+        "1-d": np.concatenate([block[0], edges]),
+        "block": block,
+        "no central": outside,
+        "all central": inside,
+    }
+    for name, x in cases.items():
+        got = accel.phi_gamma(x, plan)
+        expected = _phi_gamma_boolean_mask(x, plan)
+        for g, e in zip(got, expected):
+            assert g.shape == x.shape, name
+            assert g.tobytes() == e.tobytes(), name
+    # the block cases reach the routes they name
+    assert not (np.abs(cases["no central"]) < half).any()
+    assert (np.abs(cases["all central"]) < half).all()
+
+
 def test_outputs_clamped(a=1.0):
     x = grid_for(a, np.random.default_rng(17))
     phi, gamma = accel.phi_gamma(x, plan := accel.plan_for(a))

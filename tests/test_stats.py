@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from parityshift import stats
 from parityshift.harness import ExperimentSpec, run_coupling_validation, trial_rng
@@ -36,10 +37,55 @@ def _ks_one_shot(sample: np.ndarray) -> float:
 
 
 class TestKsChunks:
-    @pytest.mark.parametrize("size", [1, 2, 1000, 3 * stats._KS_CHUNK + 123])
+    @pytest.mark.parametrize(
+        "size",
+        # 196731 = 3 * 2**16 + 123: hundreds of chunks and a partial last one
+        [1, 2, 1000, stats._KS_CHUNK - 1, stats._KS_CHUNK, stats._KS_CHUNK + 1,
+         3 * stats._KS_CHUNK + 123, 196_731],
+    )
     def test_bit_identical_to_one_shot(self, size):
         sample = trial_rng(2718, size).standard_normal(size)
         assert ks_distance_standard_normal(sample) == _ks_one_shot(sample)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda g: g.standard_normal(50_001) + 0.01,
+            lambda g: g.standard_normal(50_001) - 0.3,
+            lambda g: g.standard_normal(50_001) * 1.02,
+            lambda g: g.standard_normal(50_001) * 0.5,
+            lambda g: np.round(g.standard_normal(50_001), 1),
+            lambda g: np.full(3 * stats._KS_CHUNK + 7, 0.25),
+            lambda g: np.concatenate([g.standard_normal(9_000), [np.inf, -np.inf, np.inf]]),
+            lambda g: np.array([-np.inf, np.inf]),
+            lambda g: g.uniform(-1.0, 1.0, 50_001),
+        ],
+        ids=["shift+", "shift-", "scale>1", "scale<1", "ties", "all-equal", "inf", "only-inf",
+             "uniform"],
+    )
+    def test_pruned_scan_matches_full_scan(self, make):
+        sample = make(trial_rng(99, 3))
+        assert ks_distance_standard_normal(sample) == _ks_one_shot(sample)
+
+    def test_cdf_evaluated_on_under_half_the_sample(self, monkeypatch):
+        sample = trial_rng(2718, 4).standard_normal(4_000_000)
+        expected = _ks_one_shot(sample)
+        seen = []
+
+        def counting_ndtr(v):
+            seen.append(np.size(v))
+            return ndtr(v)
+
+        monkeypatch.setattr(stats, "ndtr", counting_ndtr)
+        assert ks_distance_standard_normal(sample) == expected
+        assert sum(seen) < sample.size / 2
+
+    @pytest.mark.parametrize("size", [2, 3 * stats._KS_CHUNK + 123])
+    def test_nan_raises(self, size):
+        sample = trial_rng(7, 5).standard_normal(size)
+        sample[size // 3] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            ks_distance_standard_normal(sample)
 
     @pytest.mark.parametrize("chunk", [1, 7, 64])
     def test_independent_of_chunk_size(self, monkeypatch, chunk):
