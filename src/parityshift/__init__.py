@@ -9,7 +9,6 @@ detectable from undetectable sparsity budgets.
 
 from .accel import plan_for
 from .attack import (
-    CouplingPolicy,
     InvalidProbabilitiesError,
     PerturbationVector,
     couple_perturb,
@@ -58,7 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "plan_for",
-    "CouplingPolicy",
     "InvalidProbabilitiesError",
     "PerturbationVector",
     "couple_perturb",

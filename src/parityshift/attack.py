@@ -2,12 +2,12 @@
 
 Two attackers are implemented.  ``couple_perturb`` shifts each observed
 coordinate by -a, 0 or +a using the three-sided die driven by the
-stay/up-shift probabilities, which leaves the standard normal law of
-every coordinate intact.  ``optimal_parity_evasion`` is the worst-case
-sparsity-constrained adversary against the bin-parity detector: it keeps
-(leaves untouched) as many +1-labelled coordinates as the sparsity
-budget allows and flips everything else.  Both take one sample or a 2-d
-trial block (one trial per row) and validate a block once.
+stay/up-shift probabilities and the caller's uniforms, which leaves the
+standard normal law of every coordinate intact.  ``optimal_parity_evasion``
+is the worst-case sparsity-constrained adversary against the bin-parity
+detector: it keeps (leaves untouched) as many +1-labelled coordinates as
+the sparsity budget allows and flips everything else.  Both take one
+sample or a 2-d trial block (one trial per row) and validate a block once.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .kernels import KernelParams
 
 __all__ = [
     "PerturbationVector",
-    "CouplingPolicy",
     "InvalidProbabilitiesError",
     "sample_die",
     "couple_perturb",
@@ -111,19 +110,6 @@ class PerturbationVector:
         return cls(signs, a)
 
 
-@dataclass(frozen=True)
-class CouplingPolicy:
-    """Kernel parameters plus the seeded generator driving the die.
-
-    The die probabilities (phi(x), gamma(x)) are nonnegative and sum to
-    at most 1 by the kernel range guarantees.  ``rng_stream`` may be
-    None when every caller of ``couple_perturb`` passes the uniforms.
-    """
-
-    kernel: KernelParams
-    rng_stream: np.random.Generator | None
-
-
 def sample_die(p1: float, p2: float, a: float, u: float) -> float:
     """One three-sided die roll: +a on u < p1, 0 on p1 <= u < p1+p2, else -a.
 
@@ -144,22 +130,24 @@ def sample_die(p1: float, p2: float, a: float, u: float) -> float:
 
 
 def couple_perturb(
-    x, policy: CouplingPolicy, u: np.ndarray | None = None
+    x, params: KernelParams, u: np.ndarray
 ) -> tuple[PerturbationVector, np.ndarray]:
     """Resample every coordinate by the coupling die.
 
     For each i: theta_i = die(phi(x_i), gamma(x_i)) and x'_i = x_i +
     theta_i.  Each x'_i is again standard normal, which is the whole
-    point of the construction.
+    point of the construction.  The die probabilities are nonnegative
+    and sum to at most 1 by the kernel range guarantees.
 
-    x is one sample or a 2-d trial block.  The die's uniforms u (shaped
-    like x) are drawn from ``policy.rng_stream`` when not given; a block's
-    caller draws each row's uniforms from that trial's own stream.
+    x is one sample or a 2-d trial block, and u holds the die's uniforms
+    in [0, 1), shaped like x; a block's caller draws each row's uniforms
+    from that trial's own stream.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.size == 0:
         raise ValueError("x must be a nonempty 1-d sample or 2-d trial block")
-    params = policy.kernel
+    if np.shape(u) != x.shape:
+        raise ValueError(f"u must be shaped like x {x.shape}, got {np.shape(u)}")
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
     worst = float(np.max(np.abs(x)))
@@ -168,8 +156,6 @@ def couple_perturb(
 
     plan = accel.plan_for(params.a, params.rel_tol)
     phi, gamma = accel.phi_gamma(x, plan)
-    if u is None:
-        u = policy.rng_stream.random(x.shape)
     signs = accel.die_outcomes(phi, gamma, u)
     theta = PerturbationVector(signs, params.a)
     return theta, x + signs * params.a

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import accel, harness
-from .attack import CouplingPolicy, couple_perturb
+from .attack import couple_perturb
 from .detector import DetectorConfig, big_g_value, decide, flip_identity_check
 from .harness import ExperimentSpec, SpecValidationError, trial_rng
 from .kernels import KernelParams, eval_g, eval_gamma, eval_phi, fp_residual, normal_pdf
@@ -166,7 +166,7 @@ def _grid(key: str, value) -> list:
     return value
 
 
-def _build_spec(args, preset: dict | None) -> tuple[str, dict, dict]:
+def _build_spec(args) -> tuple[str, dict, dict]:
     """Layer preset -> config file -> flags into (operation, spec kwargs, extras).
 
     A non-null bin width of the other regime (c under fixed_a, a under
@@ -177,7 +177,11 @@ def _build_spec(args, preset: dict | None) -> tuple[str, dict, dict]:
     spec: dict = {}
     extras: dict = {}
     given: set[str] = set()  # spec fields set by the config file or a flag
-    if preset is not None:
+    if args.preset:
+        if args.preset not in PRESETS:
+            raise ConfigError(f"preset: unknown preset {args.preset!r} "
+                              f"(choose from {sorted(PRESETS)})")
+        preset = PRESETS[args.preset]
         operation = preset["operation"]
         spec.update(preset["spec"])
         extras = {k: v for k, v in preset.items() if k not in ("operation", "spec")}
@@ -228,9 +232,18 @@ def _build_spec(args, preset: dict | None) -> tuple[str, dict, dict]:
     return operation, spec, extras
 
 
+def _make_spec(spec_kwargs: dict) -> ExperimentSpec:
+    try:
+        return ExperimentSpec(**spec_kwargs)
+    except TypeError as exc:
+        raise ConfigError(f"spec: {exc}") from exc
+
+
 def _cmd_kernels(args, argv) -> int:
     t0 = time.time()
     params = KernelParams(args.a, rel_tol=args.rel_tol)
+    if not args.step > 0.0:
+        raise ConfigError(f"step: must be positive, got {args.step!r}")
     if args.xmax < args.xmin:
         raise ConfigError("xmax: must be >= xmin")
     if max(abs(args.xmin), abs(args.xmax)) > params.x_max - params.a:
@@ -265,10 +278,12 @@ def _cmd_kernels(args, argv) -> int:
 
 
 def _cmd_attack(args, argv) -> int:
+    if args.n < 1:
+        raise ConfigError(f"n: must be a positive integer, got {args.n!r}")
     params = KernelParams(args.a, rel_tol=args.rel_tol)
     rng = trial_rng(args.seed, 0)
     x = rng.standard_normal(args.n)
-    theta, x_post = couple_perturb(x, CouplingPolicy(params, rng))
+    theta, x_post = couple_perturb(x, params, rng.random(args.n))
     a_pre = accel.parity_labels_and_sum(x, args.a)[1] / args.n
     a_post = accel.parity_labels_and_sum(x_post, args.a)[1] / args.n
     resid = flip_identity_check(x, theta, args.a)
@@ -281,6 +296,8 @@ def _cmd_attack(args, argv) -> int:
 
 
 def _cmd_detect(args, argv) -> int:
+    if args.n < 1:
+        raise ConfigError(f"n: must be a positive integer, got {args.n!r}")
     config = DetectorConfig(a=args.a, lam=args.lam, variant=args.variant)
     rng = trial_rng(args.seed, 0)
     x = rng.standard_normal(args.n)
@@ -315,13 +332,7 @@ def _run_streaming_records(run, spec: ExperimentSpec, path: Path) -> harness.Exp
 
 def _cmd_experiment(args, argv) -> int:
     t0 = time.time()
-    preset = None
-    if args.preset:
-        if args.preset not in PRESETS:
-            raise ConfigError(f"preset: unknown preset {args.preset!r} "
-                              f"(choose from {sorted(PRESETS)})")
-        preset = PRESETS[args.preset]
-    operation, spec_kwargs, extras = _build_spec(args, preset)
+    operation, spec_kwargs, extras = _build_spec(args)
     if operation == "sweep":
         raise ConfigError("operation: sweep presets run under the `sweep` subcommand")
     if operation not in _OPERATIONS:
@@ -331,10 +342,7 @@ def _cmd_experiment(args, argv) -> int:
     formats = set((args.format or "json").split(","))
     if not formats <= {"json", "jsonl"}:
         raise ConfigError(f"format: must be a subset of json,jsonl, got {args.format!r}")
-    try:
-        spec = ExperimentSpec(**spec_kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"spec: {exc}") from exc
+    spec = _make_spec(spec_kwargs)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -375,20 +383,11 @@ def _sweep_csv_lines(rows: list[dict]) -> list[str]:
 
 def _cmd_sweep(args, argv) -> int:
     t0 = time.time()
-    preset = None
-    if args.preset:
-        if args.preset not in PRESETS:
-            raise ConfigError(f"preset: unknown preset {args.preset!r} "
-                              f"(choose from {sorted(PRESETS)})")
-        preset = PRESETS[args.preset]
-    _, spec_kwargs, extras = _build_spec(args, preset)
+    _, spec_kwargs, extras = _build_spec(args)
     if spec_kwargs.get("t") is not None:
         raise ConfigError("t: a sweep does not take t; a fixed_a sweep sets t = G(a) + each "
                           "t_offsets entry")
-    try:
-        spec = ExperimentSpec(**spec_kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"spec: {exc}") from exc
+    spec = _make_spec(spec_kwargs)
     grid, other = ("t_offsets", "c_values") if spec.regime == "fixed_a" else ("c_values", "t_offsets")
     if other in extras:
         raise ConfigError(f"{other}: a {spec.regime} sweep takes {grid}, not {other}")

@@ -33,7 +33,7 @@ from typing import Any
 import numpy as np
 
 from . import accel
-from .attack import CouplingPolicy, couple_perturb, optimal_parity_evasion
+from .attack import couple_perturb, optimal_parity_evasion
 from .detector import DetectorConfig, big_g_value, min_accepted_sum
 from .kernels import KernelParams
 from .stats import binomial_se, ks_distance_standard_normal, sample_moments, wilson_interval
@@ -62,11 +62,6 @@ class SpecValidationError(ValueError):
     """An experiment spec violates a hard precondition."""
 
 
-def _is_int(value) -> bool:
-    # bool is a subclass of int, but True is not a trial count
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Parameter set for one experiment.
@@ -90,13 +85,17 @@ class ExperimentSpec:
     rel_tol: float = 1e-12
 
     def __post_init__(self) -> None:
+        # bool is a subclass of int, but True is not a count, a seed or a real number
+        for name in ("a", "c", "t", "epsilon", "lam", "alpha", "rel_tol"):
+            if isinstance(value := getattr(self, name), bool):
+                raise SpecValidationError(f"{name} must be a real number, got {value!r}")
         if self.regime not in _REGIMES:
             raise SpecValidationError(f"regime must be one of {_REGIMES}, got {self.regime!r}")
-        if not (_is_int(self.n) and self.n >= 1):
+        if not (type(self.n) is int and self.n >= 1):
             raise SpecValidationError(f"n must be a positive integer, got {self.n!r}")
-        if not (_is_int(self.trials) and self.trials >= 1):
+        if not (type(self.trials) is int and self.trials >= 1):
             raise SpecValidationError(f"trials must be a positive integer, got {self.trials!r}")
-        if not _is_int(self.master_seed):
+        if type(self.master_seed) is not int:
             raise SpecValidationError(f"master_seed must be an integer, got {self.master_seed!r}")
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
             raise SpecValidationError(f"epsilon must be positive, got {self.epsilon!r}")
@@ -168,21 +167,8 @@ class ExperimentSummary:
     counts: dict[str, int] = field(default_factory=dict)
     passed: bool = True
 
-    def finalize(self) -> "ExperimentSummary":
-        self.passed = all(c["passed"] for c in self.checks.values())
-        return self
-
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "operation": self.operation,
-            "spec": self.spec,
-            "rates": self.rates,
-            "bounds": self.bounds,
-            "premises": self.premises,
-            "checks": self.checks,
-            "counts": self.counts,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def trial_rng(
@@ -276,13 +262,30 @@ def _check(passed, observed, limit, note: str = "") -> dict:
             "note": note}
 
 
+def _at_most(observed, limit, note: str) -> dict:
+    return _check(observed <= limit, observed, limit, note)
+
+
+def _at_least(observed, limit, note: str) -> dict:
+    return _check(observed >= limit, observed, limit, note)
+
+
 def _rate(count: int, total: int) -> dict:
     lo, hi = wilson_interval(int(count), int(total))
     return {"rate": count / total, "lo": lo, "hi": hi, "count": int(count), "total": int(total)}
 
 
-def _summary(operation: str, spec: ExperimentSpec) -> ExperimentSummary:
-    return ExperimentSummary(operation=operation, spec=asdict(spec))
+def _summary(operation: str, spec: ExperimentSpec, rates: dict[str, tuple[int, int]],
+             bounds: dict[str, float], checks: dict[str, dict],
+             premises: dict[str, bool] | None = None,
+             counts: dict[str, int] | None = None) -> ExperimentSummary:
+    """A run's summary: Wilson intervals for its (count, total) rates; passed if all checks are."""
+    return ExperimentSummary(
+        operation=operation, spec=asdict(spec),
+        rates={name: _rate(count, total) for name, (count, total) in rates.items()},
+        bounds=bounds, premises=premises or {}, checks=checks, counts=counts or {},
+        passed=all(c["passed"] for c in checks.values()),
+    )
 
 
 def _require_regime(spec: ExperimentSpec, regime: str, operation: str) -> None:
@@ -290,12 +293,18 @@ def _require_regime(spec: ExperimentSpec, regime: str, operation: str) -> None:
         raise SpecValidationError(f"{operation} requires the {regime} regime, got {spec.regime!r}")
 
 
-def _note_alpha_target(out: ExperimentSummary, spec: ExperimentSpec) -> None:
+def _note_alpha_target(out: ExperimentSummary, spec: ExperimentSpec) -> ExperimentSummary:
     # alpha is the false-alarm budget; lambda meets it when e^{-lam^2/2} <= alpha
-    if spec.alpha is None:
-        return
-    out.bounds["alpha"] = spec.alpha
-    out.premises["lambda_meets_alpha"] = math.exp(-0.5 * spec.lam * spec.lam) <= spec.alpha
+    if spec.alpha is not None:
+        out.bounds["alpha"] = spec.alpha
+        out.premises["lambda_meets_alpha"] = math.exp(-0.5 * spec.lam * spec.lam) <= spec.alpha
+    return out
+
+
+def _evaded_sum(s_pre, n: int, budget):
+    # the label sum after optimal_parity_evasion, which keeps min(budget,
+    # #{z = +1}) = min(budget, (n + s_pre) / 2) coordinates and flips the rest
+    return 2 * np.minimum((n + s_pre) // 2, budget) - s_pre
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +323,12 @@ def run_coupling_validation(
     _require_regime(spec, "fixed_a", "run_coupling_validation")
     a, n, trials = spec.effective_a, spec.n, spec.trials
     big_g = big_g_value(a)
-    policy = CouplingPolicy(KernelParams(a, rel_tol=spec.rel_tol), None)
+    params = KernelParams(a, rel_tol=spec.rel_tol)
     total = trials * n
     pool = np.empty((trials, n))
 
     def reduce_block(start, x, u):
-        theta, x_post = couple_perturb(x, policy, u)
+        theta, x_post = couple_perturb(x, params, u)
         pool[start : start + len(x)] = x_post
         zc = theta.zero_count
         if on_trial is not None:
@@ -334,49 +343,28 @@ def run_coupling_validation(
     mean, var, skew = sample_moments(pool.reshape(-1))
     ks = ks_distance_standard_normal(pool.reshape(-1), overwrite_input=True)
     hoeffding_bound = math.exp(-2.0 * n * spec.epsilon * spec.epsilon)
-    zero_frac = zero_total / total
-    zero_tol = 4.0 * binomial_se(big_g, total)
-
-    out = _summary("coupling_validation", spec)
-    out.rates["zero_fraction"] = _rate(zero_total, total)
-    out.rates["hoeffding_tail"] = _rate(tail_count, trials)
-    out.bounds.update(
-        {
-            "big_g": big_g,
-            "ks_critical": 1.95 / math.sqrt(total),
-            "hoeffding_tail_bound": hoeffding_bound,
-            "ks_distance": ks,
-            "pool_mean": mean,
-            "pool_var": var,
-            "pool_skew": skew,
-        }
-    )
-    out.checks["ks_within_critical"] = _check(
-        ks <= 1.95 / math.sqrt(total), ks, 1.95 / math.sqrt(total),
-        "KS distance of pooled x' to the standard normal CDF",
-    )
-    out.checks["zero_fraction_4se"] = _check(
-        abs(zero_frac - big_g) <= zero_tol, abs(zero_frac - big_g), zero_tol,
-        "pooled stay fraction vs G(a), 4 binomial SE",
-    )
+    ks_critical = 1.95 / math.sqrt(total)
     tail_limit = hoeffding_bound + 3.0 * math.sqrt(hoeffding_bound / trials)
-    out.checks["hoeffding_tail"] = _check(
-        tail_count / trials <= tail_limit, tail_count / trials, tail_limit,
-        "P(sr >= G + eps) vs exp(-2 n eps^2) plus MC slack",
+
+    return _summary(
+        "coupling_validation", spec,
+        rates={"zero_fraction": (zero_total, total), "hoeffding_tail": (tail_count, trials)},
+        bounds={"big_g": big_g, "ks_critical": ks_critical, "hoeffding_tail_bound": hoeffding_bound,
+                "ks_distance": ks, "pool_mean": mean, "pool_var": var, "pool_skew": skew},
+        checks={
+            "ks_within_critical": _at_most(
+                ks, ks_critical, "KS distance of pooled x' to the standard normal CDF"),
+            "zero_fraction_4se": _at_most(
+                abs(zero_total / total - big_g), 4.0 * binomial_se(big_g, total),
+                "pooled stay fraction vs G(a), 4 binomial SE"),
+            "hoeffding_tail": _at_most(tail_count / trials, tail_limit,
+                                       "P(sr >= G + eps) vs exp(-2 n eps^2) plus MC slack"),
+            "pool_mean_4se": _at_most(abs(mean), 4.0 / math.sqrt(total), "x' mean"),
+            "pool_var_4se": _at_most(abs(var - 1.0), 4.0 * math.sqrt(2.0 / total), "x' variance"),
+            "pool_skew_4se": _at_most(abs(skew), 4.0 * math.sqrt(6.0 / total), "x' skewness"),
+        },
+        counts={"zero_total": zero_total, "tail_count": tail_count, "pooled": total},
     )
-    out.checks["pool_mean_4se"] = _check(
-        abs(mean) <= 4.0 / math.sqrt(total), abs(mean), 4.0 / math.sqrt(total), "x' mean"
-    )
-    out.checks["pool_var_4se"] = _check(
-        abs(var - 1.0) <= 4.0 * math.sqrt(2.0 / total), abs(var - 1.0),
-        4.0 * math.sqrt(2.0 / total), "x' variance",
-    )
-    out.checks["pool_skew_4se"] = _check(
-        abs(skew) <= 4.0 * math.sqrt(6.0 / total), abs(skew), 4.0 * math.sqrt(6.0 / total),
-        "x' skewness",
-    )
-    out.counts.update({"zero_total": zero_total, "tail_count": tail_count, "pooled": total})
-    return out.finalize()
 
 
 # ---------------------------------------------------------------------------
@@ -409,12 +397,12 @@ def run_thm1_undetectable(
     chain_base = 1.0 - (4.0 / math.pi) * n ** (-math.pi**2 / (2.0 * c * c))
     chain_bound = chain_base**n if chain_base > 0.0 else 0.0
 
-    policy = CouplingPolicy(KernelParams(a, rel_tol=spec.rel_tol), None)
+    params = KernelParams(a, rel_tol=spec.rel_tol)
     plan = accel.plan_for(a, spec.rel_tol)
 
     def reduce_block(start, x, u):
         if on_trial is not None:
-            theta, x_post = couple_perturb(x, policy, u)
+            theta, x_post = couple_perturb(x, params, u)
             zc = theta.zero_count
             _, s_pre = accel.parity_labels_and_sum(x, a)
             _, s_post = accel.parity_labels_and_sum(x_post, a)
@@ -435,28 +423,22 @@ def run_thm1_undetectable(
 
     zero_free = _tally(spec, reduce_block, uniforms=True)["zero_free"]
     lo, hi = wilson_interval(zero_free, trials)
-    out = _summary("thm1_undetectable", spec)
-    out.premises["c_below_pi_over_sqrt2"] = premise_c
-    out.rates["no_stay_trials"] = _rate(zero_free, trials)
-    out.bounds.update(
-        {
-            "a": a,
-            "big_g": big_g,
-            "exact_no_stay": exact,
-            "chain_base": chain_base,
-            "chain_bound": chain_bound,
-            "deficit": (4.0 / math.pi) * n ** (1.0 - math.pi**2 / (2.0 * c * c)),
-        }
+    return _summary(
+        "thm1_undetectable", spec,
+        rates={"no_stay_trials": (zero_free, trials)},
+        bounds={"a": a, "big_g": big_g, "exact_no_stay": exact, "chain_base": chain_base,
+                "chain_bound": chain_bound,
+                "deficit": (4.0 / math.pi) * n ** (1.0 - math.pi**2 / (2.0 * c * c))},
+        checks={
+            "exact_ge_chain_bound": _at_least(
+                exact, chain_bound, "(1 - G)^n against the first-term chain bound"),
+            "wilson_contains_exact": _check(
+                lo <= exact <= hi, exact, hi,
+                f"MC Wilson interval [{lo!r}, {hi!r}] must contain exact"),
+        },
+        premises={"c_below_pi_over_sqrt2": premise_c},
+        counts={"zero_free_trials": zero_free},
     )
-    out.checks["exact_ge_chain_bound"] = _check(
-        exact >= chain_bound, exact, chain_bound,
-        "(1 - G)^n against the first-term chain bound",
-    )
-    out.checks["wilson_contains_exact"] = _check(
-        lo <= exact <= hi, exact, hi, f"MC Wilson interval [{lo!r}, {hi!r}] must contain exact"
-    )
-    out.counts["zero_free_trials"] = zero_free
-    return out.finalize()
 
 
 # ---------------------------------------------------------------------------
@@ -513,33 +495,23 @@ def run_thm1_detectable(
 
     alarm_bound = math.exp(-0.5 * lam * lam)
     floor = 1.0 - alarm_bound - 3.0 * binomial_se(alarm_bound, trials)
-    out = _summary("thm1_detectable", spec)
-    _note_alpha_target(out, spec)
-    out.premises.update(premises)
-    out.rates["null_accept"] = _rate(accept_pre_count, trials)
-    out.rates["overlap"] = _rate(overlap, trials)
-    out.bounds.update(
-        {
-            "a": a,
-            "big_g": big_g,
-            "cube_n1_lhs": n1_lhs,
-            "cube_n1_rhs": n1_rhs,
-            "cube_n2_lhs": n2_lhs,
-            "cube_n2_rhs": n2_rhs,
-            "null_accept_floor": floor,
-        }
-    )
-    out.checks["overlap_zero"] = _check(overlap == 0, overlap, 0, "exact integer assertion")
-    out.checks["flip_identity_zero"] = _check(
-        flip_violations == 0, flip_violations, 0, "direct binning of x + a vs negated labels"
-    )
-    out.checks["null_accept_floor"] = _check(
-        accept_pre_count / trials >= floor, accept_pre_count / trials, floor,
-        "P(A > 0) under the null vs 1 - exp(-lambda^2/2) - 3 SE",
-    )
-    out.counts.update({"attacked": accept_pre_count, "overlap_count": overlap,
-                       "flip_violations": flip_violations})
-    return out.finalize()
+    return _note_alpha_target(_summary(
+        "thm1_detectable", spec,
+        rates={"null_accept": (accept_pre_count, trials), "overlap": (overlap, trials)},
+        bounds={"a": a, "big_g": big_g, "cube_n1_lhs": n1_lhs, "cube_n1_rhs": n1_rhs,
+                "cube_n2_lhs": n2_lhs, "cube_n2_rhs": n2_rhs, "null_accept_floor": floor},
+        checks={
+            "overlap_zero": _at_most(overlap, 0, "exact integer assertion"),
+            "flip_identity_zero": _at_most(
+                flip_violations, 0, "direct binning of x + a vs negated labels"),
+            "null_accept_floor": _at_least(
+                accept_pre_count / trials, floor,
+                "P(A > 0) under the null vs 1 - exp(-lambda^2/2) - 3 SE"),
+        },
+        premises=premises,
+        counts={"attacked": accept_pre_count, "overlap_count": overlap,
+                "flip_violations": flip_violations},
+    ), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -559,11 +531,11 @@ def run_thm2_undetectable(
     a, n, trials, lam = spec.effective_a, spec.n, spec.trials, spec.lam
     big_g = big_g_value(a)
     t = spec.t if spec.t is not None else big_g + spec.epsilon
-    policy = CouplingPolicy(KernelParams(a, rel_tol=spec.rel_tol), None)
+    params = KernelParams(a, rel_tol=spec.rel_tol)
     s_min = min_accepted_sum(DetectorConfig(a, lam), n)
 
     def reduce_block(start, x, u):
-        theta, x_post = couple_perturb(x, policy, u)
+        theta, x_post = couple_perturb(x, params, u)
         zc = theta.zero_count
         in_family = zc / n < t
         z, s_pre = accel.parity_labels_and_sum(x, a)
@@ -591,33 +563,23 @@ def run_thm2_undetectable(
     gap_limit = bound + 3.0 * gap_se
     family_floor = 1.0 - bound - 3.0 * math.sqrt(bound / trials)
 
-    out = _summary("thm2_undetectable", spec)
-    _note_alpha_target(out, spec)
-    out.rates["null_accept"] = _rate(accept_pre_count, trials)
-    out.rates["attacked_success"] = _rate(success_count, trials)
-    out.rates["in_family"] = _rate(in_family_count, trials)
-    out.bounds.update(
-        {
-            "big_g": big_g,
-            "t": t,
-            "hoeffding_bound": bound,
-            "acceptance_gap": gap,
-            "gap_limit": gap_limit,
-        }
-    )
-    out.checks["gap_within_bound"] = _check(
-        gap <= gap_limit, gap, gap_limit,
-        "null acceptance minus attacked-and-in-budget acceptance",
-    )
-    out.checks["in_family_floor"] = _check(
-        in_family_count / trials >= family_floor, in_family_count / trials, family_floor,
-        "attack frequency inside the sparsity budget",
-    )
-    out.checks["flip_identity_zero"] = _check(
-        flip_violations == 0, flip_violations, 0, "direct binning vs integer-shift labels"
-    )
-    out.counts.update({"flip_violations": flip_violations})
-    return out.finalize()
+    return _note_alpha_target(_summary(
+        "thm2_undetectable", spec,
+        rates={"null_accept": (accept_pre_count, trials),
+               "attacked_success": (success_count, trials),
+               "in_family": (in_family_count, trials)},
+        bounds={"big_g": big_g, "t": t, "hoeffding_bound": bound, "acceptance_gap": gap,
+                "gap_limit": gap_limit},
+        checks={
+            "gap_within_bound": _at_most(
+                gap, gap_limit, "null acceptance minus attacked-and-in-budget acceptance"),
+            "in_family_floor": _at_least(in_family_count / trials, family_floor,
+                                         "attack frequency inside the sparsity budget"),
+            "flip_identity_zero": _at_most(
+                flip_violations, 0, "direct binning vs integer-shift labels"),
+        },
+        counts={"flip_violations": flip_violations},
+    ), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -664,8 +626,7 @@ def run_thm2_detectable(
     def reduce_block(start, x, u):
         z, s_pre = accel.parity_labels_and_sum(x, a)
         theta = optimal_parity_evasion(z, a, t, n)
-        # the evader keeps min(budget, #{z = +1}) coordinates
-        s_post = 2 * np.minimum((n + s_pre) // 2, budget) - s_pre
+        s_post = _evaded_sum(s_pre, n, budget)
         _, s_direct = accel.parity_labels_and_sum(x + theta.signs * a, a)
         accept_pre = s_pre >= s_min
         accept_post = s_post >= s_min
@@ -683,36 +644,26 @@ def run_thm2_detectable(
     alarm_rate = 1.0 - accept_pre_count / trials
     alarm_limit = alarm_bound + 3.0 * binomial_se(alarm_bound, trials)
 
-    out = _summary("thm2_detectable", spec)
-    _note_alpha_target(out, spec)
-    out.premises["t_at_most_G_minus_eps"] = bool(premise_t)
-    out.premises["n_above_lambda2_over_eps2"] = True
-    out.rates["null_accept"] = _rate(accept_pre_count, trials)
-    out.rates["attacked_accept"] = _rate(accept_post_count, trials)
-    out.rates["overlap"] = _rate(overlap, trials)
-    out.bounds.update(
-        {
-            "big_g": big_g,
-            "t": t,
-            "budget": budget,
-            "false_alarm_bound": alarm_bound,
-            "min_admissible_n": min_n,
-        }
-    )
-    out.checks["overlap_zero"] = _check(
-        overlap == 0 if premise_t else True, overlap, 0,
-        "exact when t <= G - eps and n > lambda^2/eps^2" if premise_t
-        else "t out of theorem range: overlap expected, not asserted",
-    )
-    out.checks["flip_identity_zero"] = _check(
-        flip_violations == 0, flip_violations, 0, "direct binning vs integer-shift labels"
-    )
-    out.checks["null_false_alarm"] = _check(
-        alarm_rate <= alarm_limit, alarm_rate, alarm_limit,
-        "null rejection rate vs exp(-lambda^2/2) + 3 SE",
-    )
-    out.counts.update({"overlap_count": overlap, "flip_violations": flip_violations})
-    return out.finalize()
+    return _note_alpha_target(_summary(
+        "thm2_detectable", spec,
+        rates={"null_accept": (accept_pre_count, trials),
+               "attacked_accept": (accept_post_count, trials),
+               "overlap": (overlap, trials)},
+        bounds={"big_g": big_g, "t": t, "budget": budget, "false_alarm_bound": alarm_bound,
+                "min_admissible_n": min_n},
+        checks={
+            "overlap_zero": _check(
+                overlap == 0 if premise_t else True, overlap, 0,
+                "exact when t <= G - eps and n > lambda^2/eps^2" if premise_t
+                else "t out of theorem range: overlap expected, not asserted"),
+            "flip_identity_zero": _at_most(
+                flip_violations, 0, "direct binning vs integer-shift labels"),
+            "null_false_alarm": _at_most(
+                alarm_rate, alarm_limit, "null rejection rate vs exp(-lambda^2/2) + 3 SE"),
+        },
+        premises={"t_at_most_G_minus_eps": bool(premise_t), "n_above_lambda2_over_eps2": True},
+        counts={"overlap_count": overlap, "flip_violations": flip_violations},
+    ), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -749,9 +700,8 @@ def sweep_phase_transition(
         s_min = min_accepted_sum(DetectorConfig(a, lam), n)
 
         def reduce_block(start, x, u):
-            # one column per budget: the evader keeps min(budget, #{z = +1})
             _, s_pre = accel.parity_labels_and_sum(x, a)
-            s_post = 2 * np.minimum(((n + s_pre) // 2)[:, None], budget_row) - s_pre[:, None]
+            s_post = _evaded_sum(s_pre[:, None], n, budget_row)  # one column per budget
             accept_pre = s_pre >= s_min
             accept_post = s_post >= s_min
             return {"pre_accepts": accept_pre, "success": accept_post,
@@ -760,17 +710,10 @@ def sweep_phase_transition(
         tally = _tally(spec, reduce_block)
         pre_accepts, success, overlaps = tally["pre_accepts"], tally["success"], tally["overlaps"]
         for j, (off, t) in enumerate(zip(t_offsets, ts)):
-            row = {
-                "kind": "t",
-                "t_offset": off,
-                "t": t,
-                "budget": budgets[j],
-                "big_g": big_g,
-                "null_accept_rate": pre_accepts / trials,
-                "attacker_success": _rate(success[j], trials),
-                "overlap_rate": overlaps[j] / trials,
-            }
-            rows.append(row)
+            rows.append({"kind": "t", "t_offset": off, "t": t, "budget": budgets[j], "big_g": big_g,
+                         "null_accept_rate": pre_accepts / trials,
+                         "attacker_success": _rate(success[j], trials),
+                         "overlap_rate": overlaps[j] / trials})
         return rows
 
     # cube regime: coupling attack against the zero test, per cell
@@ -784,11 +727,11 @@ def sweep_phase_transition(
         )
         a = cell.effective_a
         big_g = big_g_value(a)
-        policy = CouplingPolicy(KernelParams(a, rel_tol=spec.rel_tol), None)
+        params = KernelParams(a, rel_tol=spec.rel_tol)
         s_min = min_accepted_sum(DetectorConfig(a, spec.lam, "zero"), n)
 
         def reduce_block(start, x, u):
-            theta, x_post = couple_perturb(x, policy, u)
+            theta, x_post = couple_perturb(x, params, u)
             _, s_pre = accel.parity_labels_and_sum(x, a)
             _, s_post = accel.parity_labels_and_sum(x_post, a)
             accept_pre = s_pre >= s_min
@@ -798,18 +741,11 @@ def sweep_phase_transition(
                     "wins": accept_pre & ~accept_post}
 
         tally = _tally(cell, reduce_block, uniforms=True)
-        rows.append(
-            {
-                "kind": "c",
-                "c": float(c),
-                "a": a,
-                "big_g": big_g,
-                "exact_no_stay": (1.0 - big_g) ** n,
-                "no_stay_rate": _rate(tally["zero_free"], trials),
-                "null_accept_rate": tally["pre_accepts"] / trials,
-                "attacker_success": _rate(tally["post_accepts"], trials),
-                "overlap_rate": tally["overlap"] / trials,
-                "detector_win_rate": tally["wins"] / trials,
-            }
-        )
+        rows.append({"kind": "c", "c": float(c), "a": a, "big_g": big_g,
+                     "exact_no_stay": (1.0 - big_g) ** n,
+                     "no_stay_rate": _rate(tally["zero_free"], trials),
+                     "null_accept_rate": tally["pre_accepts"] / trials,
+                     "attacker_success": _rate(tally["post_accepts"], trials),
+                     "overlap_rate": tally["overlap"] / trials,
+                     "detector_win_rate": tally["wins"] / trials})
     return rows

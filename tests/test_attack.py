@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parityshift.attack import (
-    CouplingPolicy,
     InvalidProbabilitiesError,
     PerturbationVector,
     couple_perturb,
@@ -122,7 +121,7 @@ class TestCouplePerturb:
         params = KernelParams(1.0)
         rng = trial_rng(7, 0)
         x = rng.standard_normal(5000)
-        theta, x_post = couple_perturb(x, CouplingPolicy(params, rng))
+        theta, x_post = couple_perturb(x, params, rng.random(5000))
         assert set(np.unique(theta.signs)) <= {-1, 0, 1}
         assert np.allclose(x_post - x, theta.signs * 1.0)
 
@@ -134,7 +133,7 @@ class TestCouplePerturb:
         for i in range(trials):
             rng = trial_rng(31337, i)
             x = rng.standard_normal(n)
-            theta, _ = couple_perturb(x, CouplingPolicy(params, rng))
+            theta, _ = couple_perturb(x, params, rng.random(n))
             total += theta.zero_count
         big_g = big_g_value(1.0)
         se = math.sqrt(big_g * (1.0 - big_g) / (n * trials))
@@ -146,7 +145,7 @@ class TestCouplePerturb:
         for i in range(20):
             rng = trial_rng(999, i)
             x = rng.standard_normal(10_000)
-            _, x_post = couple_perturb(x, CouplingPolicy(params, rng))
+            _, x_post = couple_perturb(x, params, rng.random(10_000))
             pool.append(x_post)
         sample = np.concatenate(pool)
         assert ks_distance_standard_normal(sample) <= 1.95 / math.sqrt(sample.size)
@@ -154,8 +153,13 @@ class TestCouplePerturb:
     def test_rejects_out_of_clamp(self):
         params = KernelParams(1.0)
         with pytest.raises(ValueError):
-            couple_perturb(np.array([0.0, params.x_max + 1.0]),
-                           CouplingPolicy(params, trial_rng(1, 0)))
+            couple_perturb(np.array([0.0, params.x_max + 1.0]), params, np.full(2, 0.5))
+
+    def test_rejects_misshaped_uniforms(self):
+        # one row of uniforms must not broadcast across a block's rows
+        x = trial_rng(3, 0).standard_normal((4, 50))
+        with pytest.raises(ValueError, match="u must be shaped like x"):
+            couple_perturb(x, KernelParams(1.0), np.full(50, 0.5))
 
     def test_ks_distance_matches_scipy(self):
         from scipy.stats import kstest

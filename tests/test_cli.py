@@ -121,6 +121,17 @@ class TestExperimentCommand:
         assert code == 2
         assert "n must be a positive integer, got True" in capsys.readouterr().err
 
+    def test_config_bool_real_field_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({
+            "operation": "thm2_undetectable", "regime": "fixed_a", "a": 2.0, "n": 200,
+            "trials": 20, "lam": True, "master_seed": 1,
+        }))
+        code = run_cli(["experiment", "--config", str(config), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "lam must be a real number, got True" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_run_meta_written(self, tmp_path):
         run_cli(["experiment", "--preset", "thm2-undetectable", "--trials", "30",
                  "--n", "200", "--seed", SEED, "--out", str(tmp_path)])
@@ -260,6 +271,21 @@ class TestIgnoredInput:
         assert run_cli(argv + ["--config", str(path), "--trials", "2", "--n", "300",
                                "--seed", SEED, "--out", str(tmp_path / "run")]) in (0, 1)
         assert (tmp_path / "run" / "summary.json").is_file()
+
+
+class TestBadNumericInput:
+    @pytest.mark.parametrize("argv, field", [
+        (["kernels", "--a", "1.2", "--step", "0"], "step"),
+        (["kernels", "--a", "1.2", "--step", "-0.01"], "step"),
+        (["attack", "--a", "1", "--n", "0", "--seed", "3"], "n"),
+        (["detect", "--a", "2", "--n", "-3", "--seed", "3"], "n"),
+    ])
+    def test_exits_2_naming_the_field(self, tmp_path, capsys, argv, field):
+        assert run_cli(argv + (["--out", str(tmp_path)] if argv[0] == "kernels" else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {field}:")
+        assert "[PASS]" not in captured.out
+        assert not (tmp_path / "kernels.csv").exists()
 
 
 class TestDemoCommands:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from parityshift import accel, harness
-from parityshift.attack import CouplingPolicy, couple_perturb
+from parityshift.attack import couple_perturb, optimal_parity_evasion
 from parityshift.detector import big_g_value
 from parityshift.harness import (
     ExperimentSpec,
@@ -45,9 +45,10 @@ class TestExperimentSpec:
         with pytest.raises(SpecValidationError):
             ExperimentSpec(regime="fixed_a", a=0.5, n=100, trials=10, master_seed=1)
 
-    @pytest.mark.parametrize("field_name", ["n", "trials", "master_seed"])
+    @pytest.mark.parametrize("field_name", ["n", "trials", "master_seed", "a", "c", "t",
+                                            "epsilon", "lam", "alpha", "rel_tol"])
     def test_bool_rejected(self, field_name):
-        # bool is an int subclass; True must not pass as a count or a seed
+        # bool is an int subclass; True must not pass as a count, a seed or a real number
         kwargs = dict(regime="fixed_a", a=2.0, n=100, trials=10, master_seed=1)
         kwargs[field_name] = True
         with pytest.raises(SpecValidationError, match=f"^{field_name} must"):
@@ -153,7 +154,7 @@ class TestThm1Undetectable:
 
             rng2 = trial_rng(spec.seed64, i)
             x2 = rng2.standard_normal(spec.n)
-            theta, _ = couple_perturb(x2, CouplingPolicy(params, rng2))
+            theta, _ = couple_perturb(x2, params, rng2.random(spec.n))
             assert fast == theta.zero_count
 
     def test_vanishing_c_limit(self):
@@ -222,7 +223,7 @@ class TestThm2Undetectable:
 def _zero_count_for_trial(spec, i):
     rng = trial_rng(spec.seed64, i)
     x = rng.standard_normal(spec.n)
-    theta, _ = couple_perturb(x, CouplingPolicy(KernelParams(spec.effective_a), rng))
+    theta, _ = couple_perturb(x, KernelParams(spec.effective_a), rng.random(spec.n))
     return theta.zero_count
 
 
@@ -251,6 +252,23 @@ class TestThm2Detectable:
         # e^{-4.5} ~ 0.0111 sits between the two targets
         assert loose.premises["lambda_meets_alpha"]
         assert not strict.premises["lambda_meets_alpha"]
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_evaded_sum_matches_constructed_evasion(self, n):
+        # the closed form the run and the t-sweep use, against direct
+        # binning of x + theta at every budget; the last two rows are all
+        # +1 (central bin) and all -1 (the bins next to it)
+        a = 2.0
+        x = np.vstack([np.random.default_rng(n).standard_normal((6, n)) * 3.0,
+                       np.zeros(n), np.full(n, a)])
+        z, s_pre = accel.parity_labels_and_sum(x, a)
+        assert (z[-2] == 1).all() and (z[-1] == -1).all()
+        per_budget = harness._evaded_sum(s_pre[:, None], n, np.arange(n))
+        for budget in range(n):
+            theta = optimal_parity_evasion(z, a, (budget + 0.5) / n, n)  # ceil(t n) - 1 = budget
+            _, s_direct = accel.parity_labels_and_sum(x + theta.signs * a, a)
+            assert harness._evaded_sum(s_pre, n, budget).tolist() == s_direct.tolist()
+            assert per_budget[:, budget].tolist() == s_direct.tolist()
 
     def test_out_of_theorem_budget_overlaps(self):
         t = big_g_value(2.0) + 0.1
@@ -293,7 +311,7 @@ def _per_trial_coupling_records(spec):
     for i in range(spec.trials):
         rng = trial_rng(spec.seed64, i)
         x = rng.standard_normal(n)
-        theta, x_post = couple_perturb(x, CouplingPolicy(params, rng))
+        theta, x_post = couple_perturb(x, params, rng.random(n))
         _, s_pre = accel.parity_labels_and_sum(x, a)
         _, s_post = accel.parity_labels_and_sum(x_post, a)
         out.append((i, s_pre / n, s_post / n, theta.zero_count, theta.to_rle()))
@@ -340,7 +358,8 @@ class TestTrialBlocks:
         pool = []
         for i in range(spec.trials):
             rng = trial_rng(spec.seed64, i)
-            pool.append(couple_perturb(rng.standard_normal(spec.n), CouplingPolicy(params, rng))[1])
+            x = rng.standard_normal(spec.n)
+            pool.append(couple_perturb(x, params, rng.random(spec.n))[1])
         pool = np.concatenate(pool)
         bounds = run_coupling_validation(spec).bounds
         assert bounds["ks_distance"] == ks_distance_standard_normal(pool)

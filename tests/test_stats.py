@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from parityshift import stats
 from parityshift.harness import ExperimentSpec, run_coupling_validation, trial_rng
@@ -25,6 +25,12 @@ def _peak_traced_bytes(fn, *args) -> int:
     finally:
         if started:
             tracemalloc.stop()
+
+
+def _sorted_quantiles(n: int) -> np.ndarray:
+    # the N(0,1) quantiles at (i + 1/2)/n: an empirical CDF that hugs the
+    # normal CDF everywhere, so the pruned scan can skip no chunk
+    return ndtri((np.arange(n) + 0.5) / n)
 
 
 def _ks_one_shot(sample: np.ndarray) -> float:
@@ -59,9 +65,10 @@ class TestKsChunks:
             lambda g: np.concatenate([g.standard_normal(9_000), [np.inf, -np.inf, np.inf]]),
             lambda g: np.array([-np.inf, np.inf]),
             lambda g: g.uniform(-1.0, 1.0, 50_001),
+            lambda g: _sorted_quantiles(200_001),
         ],
         ids=["shift+", "shift-", "scale>1", "scale<1", "ties", "all-equal", "inf", "only-inf",
-             "uniform"],
+             "uniform", "quantiles"],
     )
     def test_pruned_scan_matches_full_scan(self, make):
         sample = make(trial_rng(99, 3))
@@ -79,6 +86,21 @@ class TestKsChunks:
         monkeypatch.setattr(stats, "ndtr", counting_ndtr)
         assert ks_distance_standard_normal(sample) == expected
         assert sum(seen) < sample.size / 2
+
+    def test_flat_curve_scanned_in_few_cdf_calls(self, monkeypatch):
+        # every chunk of the exact quantiles is a candidate; runs of them
+        # are scanned _KS_SCAN values per call, not one chunk per call
+        sample = _sorted_quantiles(1 << 20)
+        expected = _ks_one_shot(sample)
+        calls = []
+
+        def counting_ndtr(v):
+            calls.append(np.size(v))
+            return ndtr(v)
+
+        monkeypatch.setattr(stats, "ndtr", counting_ndtr)
+        assert ks_distance_standard_normal(sample) == expected
+        assert len(calls) <= sample.size / stats._KS_SCAN + 3
 
     @pytest.mark.parametrize("size", [2, 3 * stats._KS_CHUNK + 123])
     def test_nan_raises(self, size):
