@@ -128,15 +128,18 @@ def _write_meta(out_dir: Path, command: str, argv: list[str], seed: int | None,
     import resource
     import scipy
 
-    # the process's peak resident set so far; ru_maxrss is in KiB on
-    # Linux and in bytes on macOS, reported here in decimal MB
-    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss is in KiB on Linux and in bytes on macOS, reported here
+    # in decimal MB: this process's peak resident set so far, and the
+    # largest of its reaped children's, the trial-block workers
+    to_mb = (1 if sys.platform == "darwin" else 1024) / 1e6
     meta = {
         "command": command,
         "argv": argv,
         "master_seed": seed,
         "wall_time_s": wall_time,
-        "peak_rss_mb": maxrss * (1 if sys.platform == "darwin" else 1024) / 1e6,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * to_mb,
+        "workers": harness.worker_count(),
+        "workers_peak_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * to_mb,
         "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "versions": {
             "python": platform.python_version(),
@@ -244,6 +247,10 @@ def _cmd_kernels(args, argv) -> int:
     params = KernelParams(args.a, rel_tol=args.rel_tol)
     if not args.step > 0.0:
         raise ConfigError(f"step: must be positive, got {args.step!r}")
+    for name in ("xmin", "xmax"):
+        # NaN fails every comparison below, so it is named here
+        if not math.isfinite(value := getattr(args, name)):
+            raise ConfigError(f"{name}: must be a finite number, got {value!r}")
     if args.xmax < args.xmin:
         raise ConfigError("xmax: must be >= xmin")
     if max(abs(args.xmin), abs(args.xmax)) > params.x_max - params.a:

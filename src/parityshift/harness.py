@@ -10,10 +10,15 @@ bit-reproducible for a given seed.
 Every run is a reducer over one trial-block engine: ``_blocks`` draws
 consecutive trials into the rows of an (m, n) array, each row from its
 own substream, so the kernels run once per block while every value stays
-what a lone trial would give; ``_tally`` sums a run's per-row integer
-counters over the blocks.  An optional ``on_trial`` callback receives
-each trial's TrialRecord after its block, in trial order; no record is
-held by the run.
+what a lone trial would give.  ``_tally`` is the one place blocks run.
+It splits each run's blocks into tasks of contiguous blocks and, when the
+run is large enough, shards the tasks across one forked worker process
+per core this process may use (``os.sched_getaffinity``); with one
+worker the same task function runs in-process.  ``taskset -c 0`` thus
+runs everything on one core.  Every counter is an integer sum, so no
+payload depends on the worker count.  An optional ``on_trial`` callback
+receives each trial's TrialRecord in trial order, from the parent; no
+record is held by the run beyond the few tasks in flight.
 
 Attacked statistics are derived by the exact integer-shift construction
 (a +-a shift moves the bin index by exactly one) and, in the theorem
@@ -24,7 +29,9 @@ tolerance.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
 import warnings
 from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, field
@@ -33,8 +40,9 @@ from typing import Any
 import numpy as np
 
 from . import accel
-from .attack import couple_perturb, optimal_parity_evasion
+from .attack import PerturbationVector, couple_perturb, optimal_parity_evasion
 from .detector import DetectorConfig, big_g_value, min_accepted_sum
+from .forked import forked_map, worker_count
 from .kernels import KernelParams
 from .stats import binomial_se, ks_distance_standard_normal, sample_moments, wilson_interval
 
@@ -56,6 +64,12 @@ _REGIMES = ("fixed_a", "cube_scaling")
 _MASK64 = (1 << 64) - 1
 # Coordinates per trial block: max(1, _BLOCK_COORDS // n) trials a block.
 _BLOCK_COORDS = 1 << 14
+# Blocks per task, the unit a worker runs and returns.
+_TASK_BLOCKS = 8
+# Blocks each worker must get before a run is sharded.  Forking two
+# workers, their first result and reaping them cost 30-40 ms on a 2-core
+# machine, the time of about 64 of the cheapest (parity-only) blocks.
+_MIN_WORKER_BLOCKS = 64
 
 
 class SpecValidationError(ValueError):
@@ -196,26 +210,41 @@ def trial_rng(
     return np.random.Generator(bit_generator)
 
 
+@dataclass(frozen=True)
+class _Job:
+    """One run's trials: reduce_block(start, x, u) -> (counters, record rows or None)."""
+
+    spec: ExperimentSpec
+    reduce_block: Callable[..., tuple[dict, list | None]]
+    uniforms: bool = False
+    on_trial: OnTrial | None = None
+
+    @property
+    def rows_per_block(self) -> int:
+        return min(self.spec.trials, max(1, _BLOCK_COORDS // self.spec.n))
+
+    @property
+    def block_count(self) -> int:
+        return -(-self.spec.trials // self.rows_per_block)
+
+
 def _blocks(
-    spec: ExperimentSpec, uniforms: bool = False
+    spec: ExperimentSpec, first: int, stop: int, bit_generator: np.random.Philox,
+    x: np.ndarray, u: np.ndarray | None,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
-    """Yield (first trial index, x, u) for consecutive blocks of trials.
+    """Yield (first trial index, x, u) for blocks first..stop-1 of a run's trials.
 
     Row r of the (m, n) array x holds trial start + r's normals, drawn
-    from trial_rng(seed, start + r) as a lone trial draws them; u holds
-    that trial's uniforms, drawn next from the same stream, when asked
-    for, else None.  The buffers are reused, so a block is valid only
-    until the next one is requested.
+    from trial_rng(seed, start + r, bit_generator) as a lone trial draws
+    them; u, when given, holds that trial's uniforms, drawn next from the
+    same stream.  Every block is drawn into the same two arrays, so a
+    block is valid only until the next one is requested.
     """
-    n, trials = spec.n, spec.trials
-    m = min(trials, max(1, _BLOCK_COORDS // n))
-    x = np.empty((m, n))
-    u = np.empty((m, n)) if uniforms else None
-    # one Philox re-keyed for every trial, passed positionally because
-    # perfbench's tracer wraps trial_rng as a positional-only lambda
-    bit_generator = np.random.Philox(0)
-    for start in range(0, trials, m):
-        rows = min(m, trials - start)
+    m = len(x)
+    # bit_generator is passed positionally because perfbench's tracer
+    # wraps trial_rng as a positional-only lambda
+    for start in range(first * m, min(spec.trials, stop * m), m):
+        rows = min(m, spec.trials - start)
         for r in range(rows):
             rng = trial_rng(spec.seed64, start + r, bit_generator)
             rng.standard_normal(out=x[r])
@@ -224,37 +253,88 @@ def _blocks(
         yield start, x[:rows], None if u is None else u[:rows]
 
 
-def _tally(
-    spec: ExperimentSpec, reduce_block: Callable[..., dict], uniforms: bool = False
-) -> dict[str, Any]:
-    """Total a run's integer counters over every trial block.
+def _workers(*jobs: _Job) -> int:
+    """Worker processes _tally shards these jobs across; 1 runs them in this process."""
+    return min(worker_count(), sum(job.block_count for job in jobs) // _MIN_WORKER_BLOCKS)
+
+
+def _tally(*jobs: _Job, workers: int | None = None) -> list[dict[str, Any]]:
+    """Total each job's integer counters over its trial blocks.
 
     reduce_block(start, x, u) returns per-row counters (bool or integer
-    arrays of shape (m,) or (m, cells)); each is summed over rows and
-    blocks and returned as a Python int, or a list of ints per cell.
+    arrays of shape (m,) or (m, cells)), each summed over rows and blocks
+    and returned as a Python int, or a list of ints per cell, together
+    with the block's record rows (``_record_rows``) or None.  Tasks of
+    _TASK_BLOCKS blocks run in forked workers when every worker gets at
+    least _MIN_WORKER_BLOCKS blocks, else tasks of one block run in this
+    process; either way their results are consumed in task order, so
+    each job's on_trial sees its records in trial order.  A caller that
+    must know the worker count before the run (to share its buffers)
+    passes _workers(*jobs) as workers.
     """
-    totals: dict[str, Any] = {}
-    for block in _blocks(spec, uniforms):
-        for name, per_row in reduce_block(*block).items():
-            totals[name] = totals.get(name, 0) + per_row.sum(axis=0)
-    return {name: total.tolist() for name, total in totals.items()}
+    # One Philox, re-keyed for every trial, and one pair of block arrays
+    # serve every task in a process (forked workers write their own
+    # copies), so the jobs must share one block shape, as a sweep's cells do.
+    if len({(job.rows_per_block, job.spec.n, job.uniforms) for job in jobs}) != 1:
+        raise ValueError("the jobs of one tally must share one block shape")
+    bit_generator = np.random.Philox(0)
+    x = np.empty((jobs[0].rows_per_block, jobs[0].spec.n))
+    u = np.empty_like(x) if jobs[0].uniforms else None
+    if workers is None:
+        workers = _workers(*jobs)
+    # in this process a task is one block, so each block's records are
+    # handed on before the next block is drawn
+    size = _TASK_BLOCKS if workers > 1 else 1
+    tasks = ((j, first, min(first + size, job.block_count))
+             for j, job in enumerate(jobs) for first in range(0, job.block_count, size))
+
+    def run_task(task):
+        # blocks first..stop-1 of job j: j, counters summed over rows, and record rows
+        j, first, stop = task
+        counts: dict[str, Any] = {}
+        records: list = []
+        for block in _blocks(jobs[j].spec, first, stop, bit_generator, x, u):
+            counters, rows = jobs[j].reduce_block(*block)
+            for name, per_row in counters.items():
+                counts[name] = counts.get(name, 0) + per_row.sum(axis=0)
+            records += rows or []
+        return j, counts, records
+
+    if workers > 1:
+        results = forked_map(run_task, list(tasks), workers)
+    else:
+        results = (run_task(task) for task in tasks)
+    totals: list[dict[str, Any]] = [{} for _ in jobs]
+    with contextlib.closing(results):
+        for j, counters, records in results:
+            for name, total in counters.items():
+                totals[j][name] = totals[j].get(name, 0) + total
+            n, on_trial = jobs[j].spec.n, jobs[j].on_trial
+            for index, sp, so, zc, ap, ao, theta in records:
+                if isinstance(theta, PerturbationVector):
+                    theta = theta.to_rle()
+                on_trial(TrialRecord(
+                    trial_index=index, statistic_pre=sp / n, statistic_post=so / n, sr=zc / n,
+                    accepted_pre=ap, accepted_post=ao, zero_count=zc, theta_rle=theta,
+                ))
+    return [{name: total.tolist() for name, total in job_totals.items()} for job_totals in totals]
 
 
-def _emit(on_trial: OnTrial, start: int, n: int, s_pre, s_post, zero_count,
-          accepted_pre, accepted_post, rle: Callable[[int], list | None]) -> None:
-    """Hand on_trial one TrialRecord per block row, in trial order.
+def _record_rows(start: int, s_pre, s_post, zero_count, accepted_pre, accepted_post,
+                 theta: Callable[[int], PerturbationVector | list | None]) -> list[tuple]:
+    """A block's record rows, one tuple per row, in trial order.
 
-    Each per-row value is an array with one entry per row or a scalar
-    shared by every row; rle(r) gives row r's theta_rle.
+    A row is (trial index, s_pre, s_post, zero count, accepted_pre,
+    accepted_post, theta).  Each per-row value passed in is an array with
+    one entry per row or a scalar shared by every row.  theta(r) gives row r's theta_rle, or the
+    PerturbationVector that ``_tally`` encodes into it just before handing
+    on_trial the row's TrialRecord: a task's run-length lists are never
+    alive together, so the cyclic collector does not rescan them.
     """
     m = len(s_pre)
     cols = [np.broadcast_to(v, (m,)).tolist()
             for v in (s_pre, s_post, zero_count, accepted_pre, accepted_post)]
-    for r, (sp, so, zc, ap, ao) in enumerate(zip(*cols)):
-        on_trial(TrialRecord(
-            trial_index=start + r, statistic_pre=sp / n, statistic_post=so / n, sr=zc / n,
-            accepted_pre=ap, accepted_post=ao, zero_count=zc, theta_rle=rle(r),
-        ))
+    return [(start + r, *row, theta(r)) for r, row in enumerate(zip(*cols))]
 
 
 def _check(passed, observed, limit, note: str = "") -> dict:
@@ -325,20 +405,28 @@ def run_coupling_validation(
     big_g = big_g_value(a)
     params = KernelParams(a, rel_tol=spec.rel_tol)
     total = trials * n
-    pool = np.empty((trials, n))
 
     def reduce_block(start, x, u):
         theta, x_post = couple_perturb(x, params, u)
         pool[start : start + len(x)] = x_post
         zc = theta.zero_count
+        rows = None
         if on_trial is not None:
             _, s_pre = accel.parity_labels_and_sum(x, a)
             _, s_post = accel.parity_labels_and_sum(x_post, a)
-            _emit(on_trial, start, n, s_pre, s_post, zc, True, True,
-                  lambda r: theta.row(r).to_rle())
-        return {"zero_total": zc, "tail_count": zc / n >= big_g + spec.epsilon}
+            rows = _record_rows(start, s_pre, s_post, zc, True, True, theta.row)
+        return {"zero_total": zc, "tail_count": zc / n >= big_g + spec.epsilon}, rows
 
-    tally = _tally(spec, reduce_block, uniforms=True)
+    job = _Job(spec, reduce_block, uniforms=True, on_trial=on_trial)
+    workers = _workers(job)
+    # Rows written by forked workers land in this process's pool through
+    # an anonymous shared mapping.  In-process, a private array is filled
+    # faster: the shared one cost 0.1 s more of hoeffding's 2.2 s on one core.
+    if workers > 1:
+        pool = np.frombuffer(mmap.mmap(-1, 8 * total), dtype=np.float64).reshape(trials, n)
+    else:
+        pool = np.empty((trials, n))
+    (tally,) = _tally(job, workers=workers)
     zero_total, tail_count = tally["zero_total"], tally["tail_count"]
     mean, var, skew = sample_moments(pool.reshape(-1))
     ks = ks_distance_standard_normal(pool.reshape(-1), overwrite_input=True)
@@ -401,13 +489,13 @@ def run_thm1_undetectable(
     plan = accel.plan_for(a, spec.rel_tol)
 
     def reduce_block(start, x, u):
+        rows = None
         if on_trial is not None:
             theta, x_post = couple_perturb(x, params, u)
             zc = theta.zero_count
             _, s_pre = accel.parity_labels_and_sum(x, a)
             _, s_post = accel.parity_labels_and_sum(x_post, a)
-            _emit(on_trial, start, n, s_pre, s_post, zc, True, True,
-                  lambda r: theta.row(r).to_rle())
+            rows = _record_rows(start, s_pre, s_post, zc, True, True, theta.row)
         else:
             # Only coordinates inside the central bin can stay (the stay
             # probability vanishes elsewhere), so the die interval test
@@ -419,9 +507,10 @@ def run_thm1_undetectable(
             uc = u.ravel()[central]
             stays = central[(uc >= phi_c) & (uc < phi_c + gamma_c)]
             zc = np.bincount(stays // n, minlength=len(x))
-        return {"zero_free": zc == 0}
+        return {"zero_free": zc == 0}, rows
 
-    zero_free = _tally(spec, reduce_block, uniforms=True)["zero_free"]
+    (tally,) = _tally(_Job(spec, reduce_block, uniforms=True, on_trial=on_trial))
+    zero_free = tally["zero_free"]
     lo, hi = wilson_interval(zero_free, trials)
     return _summary(
         "thm1_undetectable", spec,
@@ -483,13 +572,14 @@ def run_thm1_detectable(
             # (parity is sign-blind, so one sign pattern suffices)
             _, s_post[accept_pre] = accel.parity_labels_and_sum(x[accept_pre] + a, a)
         accept_post = s_post >= s_min
+        rows = None
         if on_trial is not None:
-            _emit(on_trial, start, n, s_pre, s_post, 0, accept_pre, accept_post,
-                  lambda r: [[1, n]] if accept_pre[r] else None)
+            rows = _record_rows(start, s_pre, s_post, 0, accept_pre, accept_post,
+                                lambda r: [[1, n]] if accept_pre[r] else None)
         return {"accept_pre": accept_pre, "overlap": accept_pre & accept_post,
-                "flip_violations": accept_pre & (s_post != -s_pre)}
+                "flip_violations": accept_pre & (s_post != -s_pre)}, rows
 
-    tally = _tally(spec, reduce_block)
+    (tally,) = _tally(_Job(spec, reduce_block, on_trial=on_trial))
     accept_pre_count, overlap = tally["accept_pre"], tally["overlap"]
     flip_violations = tally["flip_violations"]
 
@@ -543,13 +633,13 @@ def run_thm2_undetectable(
         kept = accel.zero_signed_sum(z, theta.signs)
         accept_pre = s_pre >= s_min
         accept_post = s_post >= s_min
+        rows = None
         if on_trial is not None:
-            _emit(on_trial, start, n, s_pre, s_post, zc, accept_pre, accept_post,
-                  lambda r: theta.row(r).to_rle())
+            rows = _record_rows(start, s_pre, s_post, zc, accept_pre, accept_post, theta.row)
         return {"accept_pre": accept_pre, "success": accept_post & in_family,
-                "in_family": in_family, "flip_violations": s_post != 2 * kept - s_pre}
+                "in_family": in_family, "flip_violations": s_post != 2 * kept - s_pre}, rows
 
-    tally = _tally(spec, reduce_block, uniforms=True)
+    (tally,) = _tally(_Job(spec, reduce_block, uniforms=True, on_trial=on_trial))
     accept_pre_count, success_count = tally["accept_pre"], tally["success"]
     in_family_count, flip_violations = tally["in_family"], tally["flip_violations"]
 
@@ -630,13 +720,14 @@ def run_thm2_detectable(
         _, s_direct = accel.parity_labels_and_sum(x + theta.signs * a, a)
         accept_pre = s_pre >= s_min
         accept_post = s_post >= s_min
+        rows = None
         if on_trial is not None:
-            _emit(on_trial, start, n, s_pre, s_post, theta.zero_count, accept_pre, accept_post,
-                  lambda r: theta.row(r).to_rle())
+            rows = _record_rows(start, s_pre, s_post, theta.zero_count, accept_pre, accept_post,
+                                theta.row)
         return {"accept_pre": accept_pre, "accept_post": accept_post,
-                "overlap": accept_pre & accept_post, "flip_violations": s_direct != s_post}
+                "overlap": accept_pre & accept_post, "flip_violations": s_direct != s_post}, rows
 
-    tally = _tally(spec, reduce_block)
+    (tally,) = _tally(_Job(spec, reduce_block, on_trial=on_trial))
     accept_pre_count, accept_post_count = tally["accept_pre"], tally["accept_post"]
     overlap, flip_violations = tally["overlap"], tally["flip_violations"]
 
@@ -705,9 +796,9 @@ def sweep_phase_transition(
             accept_pre = s_pre >= s_min
             accept_post = s_post >= s_min
             return {"pre_accepts": accept_pre, "success": accept_post,
-                    "overlaps": accept_pre[:, None] & accept_post}
+                    "overlaps": accept_pre[:, None] & accept_post}, None
 
-        tally = _tally(spec, reduce_block)
+        (tally,) = _tally(_Job(spec, reduce_block))
         pre_accepts, success, overlaps = tally["pre_accepts"], tally["success"], tally["overlaps"]
         for j, (off, t) in enumerate(zip(t_offsets, ts)):
             rows.append({"kind": "t", "t_offset": off, "t": t, "budget": budgets[j], "big_g": big_g,
@@ -716,17 +807,14 @@ def sweep_phase_transition(
                          "overlap_rate": overlaps[j] / trials})
         return rows
 
-    # cube regime: coupling attack against the zero test, per cell
+    # cube regime: coupling attack against the zero test, one job per
+    # cell, all tallied together so that a sharded sweep forks once
     n, trials = spec.n, spec.trials
     if c_values is None:
         c_values = [1.0 + 0.25 * j for j in range(13)]
-    for c in c_values:
-        cell = ExperimentSpec(
-            regime="cube_scaling", n=n, trials=trials, master_seed=spec.master_seed,
-            c=float(c), epsilon=spec.epsilon, lam=spec.lam, rel_tol=spec.rel_tol,
-        )
+
+    def cell_job(cell: ExperimentSpec) -> _Job:
         a = cell.effective_a
-        big_g = big_g_value(a)
         params = KernelParams(a, rel_tol=spec.rel_tol)
         s_min = min_accepted_sum(DetectorConfig(a, spec.lam, "zero"), n)
 
@@ -738,10 +826,18 @@ def sweep_phase_transition(
             accept_post = s_post >= s_min
             return {"pre_accepts": accept_pre, "post_accepts": accept_post,
                     "overlap": accept_pre & accept_post, "zero_free": theta.zero_count == 0,
-                    "wins": accept_pre & ~accept_post}
+                    "wins": accept_pre & ~accept_post}, None
 
-        tally = _tally(cell, reduce_block, uniforms=True)
-        rows.append({"kind": "c", "c": float(c), "a": a, "big_g": big_g,
+        return _Job(cell, reduce_block, uniforms=True)
+
+    cells = [ExperimentSpec(
+        regime="cube_scaling", n=n, trials=trials, master_seed=spec.master_seed,
+        c=float(c), epsilon=spec.epsilon, lam=spec.lam, rel_tol=spec.rel_tol,
+    ) for c in c_values]
+    big_gs = [big_g_value(cell.effective_a) for cell in cells]
+    tallies = _tally(*(cell_job(cell) for cell in cells))
+    for cell, big_g, tally in zip(cells, big_gs, tallies):
+        rows.append({"kind": "c", "c": cell.c, "a": cell.effective_a, "big_g": big_g,
                      "exact_no_stay": (1.0 - big_g) ** n,
                      "no_stay_rate": _rate(tally["zero_free"], trials),
                      "null_accept_rate": tally["pre_accepts"] / trials,

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from parityshift import cli
+from parityshift import cli, harness
 from parityshift.cli import run_cli
 from parityshift.harness import ExperimentSpec
 
@@ -132,14 +132,21 @@ class TestExperimentCommand:
         assert "lam must be a real number, got True" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    def test_run_meta_written(self, tmp_path):
+    def test_run_meta_written(self, tmp_path, monkeypatch):
+        # one trial a block and a low shard threshold, so the run forks two workers
+        monkeypatch.setattr(harness, "worker_count", lambda: 2)
+        monkeypatch.setattr(harness, "_BLOCK_COORDS", 1)
+        monkeypatch.setattr(harness, "_MIN_WORKER_BLOCKS", 1)
         run_cli(["experiment", "--preset", "thm2-undetectable", "--trials", "30",
                  "--n", "200", "--seed", SEED, "--out", str(tmp_path)])
         meta = json.loads((tmp_path / "run_meta.json").read_text())
         assert meta["master_seed"] == int(SEED)
         assert "numpy" in meta["versions"]
-        # decimal MB: this process holds numpy and scipy (tens of MB), not 10 GB
+        # decimal MB: this process holds numpy and scipy (tens of MB), not 10 GB,
+        # and so did each forked worker
         assert 10.0 < meta["peak_rss_mb"] < 1e4
+        assert meta["workers"] == 2
+        assert 10.0 < meta["workers_peak_rss_mb"] < 1e4
 
 
 # one small configuration per operation
@@ -279,6 +286,8 @@ class TestBadNumericInput:
         (["kernels", "--a", "1.2", "--step", "-0.01"], "step"),
         (["attack", "--a", "1", "--n", "0", "--seed", "3"], "n"),
         (["detect", "--a", "2", "--n", "-3", "--seed", "3"], "n"),
+        (["kernels", "--a", "1", "--xmin", "nan"], "xmin"),
+        (["kernels", "--a", "1", "--xmax", "nan"], "xmax"),
     ])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, argv, field):
         assert run_cli(argv + (["--out", str(tmp_path)] if argv[0] == "kernels" else [])) == 2

@@ -1,6 +1,8 @@
-"""Harness: spec validation, determinism, all five operations, sweep."""
+"""Harness: spec validation, determinism, all five operations, sweep, sharding."""
 
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from parityshift.harness import (
     sweep_phase_transition,
     trial_rng,
 )
-from parityshift.kernels import KernelParams
+from parityshift.kernels import KernelParams, KernelRangeError
 from parityshift.stats import ks_distance_standard_normal, sample_moments
 
 SEED = 91625
@@ -414,3 +416,114 @@ class TestSweep:
         assert sweep_phase_transition(spec, t_offsets=[0.0, 0.1]) == sweep_phase_transition(
             spec, t_offsets=[0.0, 0.1]
         )
+
+
+@pytest.fixture
+def shard(monkeypatch):
+    """Make tiny runs shard: one trial a block, tasks of three blocks, no
+    size threshold.  Returns a setter for the worker count; each sharded
+    _tally call appends its worker count to the setter's ``calls``."""
+    monkeypatch.setattr(harness, "_BLOCK_COORDS", 1)
+    monkeypatch.setattr(harness, "_TASK_BLOCKS", 3)
+    monkeypatch.setattr(harness, "_MIN_WORKER_BLOCKS", 1)
+    real = harness.forked_map
+
+    def spy(fn, tasks, workers):
+        set_workers.calls.append(workers)
+        return real(fn, tasks, workers)
+
+    def set_workers(workers):
+        monkeypatch.setattr(harness, "worker_count", lambda: workers)
+
+    set_workers.calls = []
+    monkeypatch.setattr(harness, "forked_map", spy)
+    return set_workers
+
+
+def _raise_in_worker(exc_factory):
+    # a couple_perturb that fails in a forked worker and works in this process
+    parent = os.getpid()
+
+    def perturb(x, params, u):
+        if os.getpid() != parent:
+            raise exc_factory()
+        return couple_perturb(x, params, u)
+
+    return perturb
+
+
+@pytest.mark.filterwarnings("ignore:theorem premises not all met")
+class TestSharding:
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("run, kwargs", SMALL_RUNS, ids=lambda v: getattr(v, "__name__", ""))
+    def test_runs_match_one_worker(self, shard, run, kwargs, workers):
+        # 20 one-trial blocks in 7 tasks: more tasks than the 2 * workers window
+        spec = ExperimentSpec(**kwargs, trials=20, master_seed=SEED)
+        shard(1)
+        ref_recs = []
+        ref = run(spec, on_trial=ref_recs.append).to_dict()
+        assert shard.calls == []
+        shard(workers)
+        recs = []
+        assert run(spec, on_trial=recs.append).to_dict() == ref
+        assert recs == ref_recs
+        assert run(spec).to_dict() == ref
+        assert shard.calls == [workers, workers]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("spec, grid", [
+        (ExperimentSpec(regime="fixed_a", a=2.0, n=300, trials=20, master_seed=SEED),
+         dict(t_offsets=[-0.1, 0.0, 0.1])),
+        (ExperimentSpec(regime="cube_scaling", c=1.0, n=300, trials=20, master_seed=SEED),
+         dict(c_values=[1.0, 2.5, 4.0])),
+    ], ids=["t", "c"])
+    def test_sweeps_match_one_worker(self, shard, spec, grid):
+        shard(1)
+        ref = sweep_phase_transition(spec, **grid)
+        shard(2)
+        assert sweep_phase_transition(spec, **grid) == ref
+        # all cells of a sweep share one set of workers
+        assert shard.calls == [2]
+
+    def test_worker_exception_reaches_caller(self, shard, monkeypatch):
+        shard(2)
+        monkeypatch.setattr(harness, "couple_perturb", _raise_in_worker(
+            lambda: KernelRangeError("gamma left its certified range")))
+        spec = ExperimentSpec(regime="fixed_a", a=2.0, n=100, trials=20, master_seed=SEED)
+        with pytest.raises(KernelRangeError, match="gamma left its certified range") as info:
+            run_coupling_validation(spec)
+        assert "raised in worker process" in str(info.value.__cause__)
+        assert shard.calls == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_unpicklable_exception_keeps_type_name_and_message(self, shard, monkeypatch):
+        class LocalError(Exception):  # a local class cannot be pickled
+            pass
+
+        shard(2)
+        monkeypatch.setattr(harness, "couple_perturb",
+                            _raise_in_worker(lambda: LocalError("series diverged")))
+        spec = ExperimentSpec(regime="fixed_a", a=2.0, n=100, trials=20, master_seed=SEED)
+        with pytest.raises(RuntimeError, match="LocalError: series diverged"):
+            run_coupling_validation(spec)
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_raises(self, shard, monkeypatch):
+        shard(2)
+        monkeypatch.setattr(harness, "couple_perturb", _raise_in_worker(lambda: os._exit(3)))
+        spec = ExperimentSpec(regime="fixed_a", a=2.0, n=100, trials=20, master_seed=SEED)
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            run_coupling_validation(spec)
+        assert multiprocessing.active_children() == []
+
+    def test_record_consumer_exception_stops_workers(self, shard):
+        shard(2)
+        spec = ExperimentSpec(regime="fixed_a", a=2.0, n=100, trials=20, master_seed=SEED)
+
+        def fail_at_trial_5(rec):
+            if rec.trial_index == 5:
+                raise ValueError("disk full")
+
+        with pytest.raises(ValueError, match="disk full"):
+            run_thm2_undetectable(spec, on_trial=fail_at_trial_5)
+        assert multiprocessing.active_children() == []
