@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import accel, harness
+from . import accel, forked, harness
 from .attack import couple_perturb
 from .detector import DetectorConfig, big_g_value, decide, flip_identity_check
 from .harness import ExperimentSpec, SpecValidationError, trial_rng
@@ -123,23 +123,27 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_meta(out_dir: Path, command: str, argv: list[str], seed: int | None,
-                wall_time: float) -> None:
+                t0: float, started: int) -> None:
+    """Write run_meta.json for a run begun at time t0 with forked.workers_started at started."""
     import mpmath
     import resource
     import scipy
 
     # ru_maxrss is in KiB on Linux and in bytes on macOS, reported here
-    # in decimal MB: this process's peak resident set so far, and the
-    # largest of its reaped children's, the trial-block workers
+    # in decimal MB: this process's peak resident set so far and, if the
+    # run forked trial-block workers, the largest of its reaped children's
+    # (with none, that figure is older than the run: it carries over exec)
     to_mb = (1 if sys.platform == "darwin" else 1024) / 1e6
+    workers = forked.workers_started - started
     meta = {
         "command": command,
         "argv": argv,
         "master_seed": seed,
-        "wall_time_s": wall_time,
+        "wall_time_s": time.time() - t0,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * to_mb,
-        "workers": harness.worker_count(),
-        "workers_peak_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * to_mb,
+        "workers": workers,
+        "workers_peak_rss_mb": (resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * to_mb
+                                if workers else None),
         "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "versions": {
             "python": platform.python_version(),
@@ -243,7 +247,7 @@ def _make_spec(spec_kwargs: dict) -> ExperimentSpec:
 
 
 def _cmd_kernels(args, argv) -> int:
-    t0 = time.time()
+    t0, started = time.time(), forked.workers_started
     params = KernelParams(args.a, rel_tol=args.rel_tol)
     if not args.step > 0.0:
         raise ConfigError(f"step: must be positive, got {args.step!r}")
@@ -277,7 +281,7 @@ def _cmd_kernels(args, argv) -> int:
             raise AssertionError(f"non-finite kernel value at x={x!r}")
         lines.append(",".join(_fmt(v) for v in row))
     (out_dir / "kernels.csv").write_text("\n".join(lines) + "\n")
-    _write_meta(out_dir, "kernels", argv, None, time.time() - t0)
+    _write_meta(out_dir, "kernels", argv, None, t0, started)
     ok = worst <= 1e-9
     print(f"[{'PASS' if ok else 'FAIL'}] max_abs_fp_residual: observed={worst:.6g} limit=1e-09")
     print(f"wrote {out_dir / 'kernels.csv'} ({xs.size} rows)")
@@ -338,7 +342,7 @@ def _run_streaming_records(run, spec: ExperimentSpec, path: Path) -> harness.Exp
 
 
 def _cmd_experiment(args, argv) -> int:
-    t0 = time.time()
+    t0, started = time.time(), forked.workers_started
     operation, spec_kwargs, extras = _build_spec(args)
     if operation == "sweep":
         raise ConfigError("operation: sweep presets run under the `sweep` subcommand")
@@ -359,7 +363,7 @@ def _cmd_experiment(args, argv) -> int:
     else:
         summary = run(spec)
     _write_json(out_dir / "summary.json", summary.to_dict())
-    _write_meta(out_dir, f"experiment:{operation}", argv, spec.master_seed, time.time() - t0)
+    _write_meta(out_dir, f"experiment:{operation}", argv, spec.master_seed, t0, started)
 
     ok = _print_checks(summary.checks)
     print(f"wrote {out_dir / 'summary.json'}; passed={summary.passed}")
@@ -389,7 +393,7 @@ def _sweep_csv_lines(rows: list[dict]) -> list[str]:
 
 
 def _cmd_sweep(args, argv) -> int:
-    t0 = time.time()
+    t0, started = time.time(), forked.workers_started
     _, spec_kwargs, extras = _build_spec(args)
     if spec_kwargs.get("t") is not None:
         raise ConfigError("t: a sweep does not take t; a fixed_a sweep sets t = G(a) + each "
@@ -423,7 +427,7 @@ def _cmd_sweep(args, argv) -> int:
     }
     _write_json(out_dir / "summary.json", payload)
     (out_dir / "sweep.csv").write_text("\n".join(_sweep_csv_lines(rows)) + "\n")
-    _write_meta(out_dir, "sweep", argv, spec.master_seed, time.time() - t0)
+    _write_meta(out_dir, "sweep", argv, spec.master_seed, t0, started)
 
     ok = _print_checks(checks) if checks else True
     print(f"wrote {out_dir / 'sweep.csv'} ({len(rows)} cells); passed={payload['passed']}")

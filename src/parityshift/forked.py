@@ -21,7 +21,9 @@ import traceback
 from collections.abc import Callable, Iterator, Sequence
 from typing import Any
 
-__all__ = ["worker_count", "forked_map"]
+__all__ = ["worker_count", "forked_map", "workers_started"]
+
+workers_started = 0  # worker processes forked_map has started in this process
 
 
 def worker_count() -> int:
@@ -46,6 +48,7 @@ def forked_map(fn: Callable[[Any], Any], tasks: Sequence, workers: int) -> Itera
     import multiprocessing
     from multiprocessing.connection import wait
 
+    global workers_started
     context = multiprocessing.get_context("fork")
     # a forked child flushes its inherited copy of these buffers on exit
     sys.stdout.flush()
@@ -57,6 +60,7 @@ def forked_map(fn: Callable[[Any], Any], tasks: Sequence, workers: int) -> Itera
             proc = context.Process(target=_serve, args=(fn, theirs, [*procs, ours]),
                                    daemon=True)
             proc.start()
+            workers_started += 1
             theirs.close()
             procs[ours] = proc
         queued: dict = {conn: [] for conn in procs}  # tasks sent to each worker, in order

@@ -11,14 +11,14 @@ Every run is a reducer over one trial-block engine: ``_blocks`` draws
 consecutive trials into the rows of an (m, n) array, each row from its
 own substream, so the kernels run once per block while every value stays
 what a lone trial would give.  ``_tally`` is the one place blocks run.
-It splits each run's blocks into tasks of contiguous blocks and, when the
-run is large enough, shards the tasks across one forked worker process
-per core this process may use (``os.sched_getaffinity``); with one
-worker the same task function runs in-process.  ``taskset -c 0`` thus
-runs everything on one core.  Every counter is an integer sum, so no
-payload depends on the worker count.  An optional ``on_trial`` callback
-receives each trial's TrialRecord in trial order, from the parent; no
-record is held by the run beyond the few tasks in flight.
+It splits each run's blocks into tasks of contiguous blocks and runs the
+same task function whatever the worker count: sharded across one forked
+worker process per core this process may use (``os.sched_getaffinity``)
+when the run is large enough, else in this process.  ``taskset -c 0``
+thus runs everything on one core.  Every counter is an integer sum, so
+no payload depends on the worker count.  An optional ``on_trial``
+callback receives each trial's TrialRecord in trial order, from the
+parent; no record is held by the run beyond the few tasks in flight.
 
 Attacked statistics are derived by the exact integer-shift construction
 (a +-a shift moves the bin index by exactly one) and, in the theorem
@@ -64,7 +64,7 @@ _REGIMES = ("fixed_a", "cube_scaling")
 _MASK64 = (1 << 64) - 1
 # Coordinates per trial block: max(1, _BLOCK_COORDS // n) trials a block.
 _BLOCK_COORDS = 1 << 14
-# Blocks per task, the unit a worker runs and returns.
+# Blocks per task, the unit _tally runs and hands on, in a worker or in-process.
 _TASK_BLOCKS = 8
 # Blocks each worker must get before a run is sharded.  Forking two
 # workers, their first result and reaping them cost 30-40 ms on a 2-core
@@ -253,12 +253,7 @@ def _blocks(
         yield start, x[:rows], None if u is None else u[:rows]
 
 
-def _workers(*jobs: _Job) -> int:
-    """Worker processes _tally shards these jobs across; 1 runs them in this process."""
-    return min(worker_count(), sum(job.block_count for job in jobs) // _MIN_WORKER_BLOCKS)
-
-
-def _tally(*jobs: _Job, workers: int | None = None) -> list[dict[str, Any]]:
+def _tally(*jobs: _Job) -> list[dict[str, Any]]:
     """Total each job's integer counters over its trial blocks.
 
     reduce_block(start, x, u) returns per-row counters (bool or integer
@@ -266,11 +261,11 @@ def _tally(*jobs: _Job, workers: int | None = None) -> list[dict[str, Any]]:
     and returned as a Python int, or a list of ints per cell, together
     with the block's record rows (``_record_rows``) or None.  Tasks of
     _TASK_BLOCKS blocks run in forked workers when every worker gets at
-    least _MIN_WORKER_BLOCKS blocks, else tasks of one block run in this
-    process; either way their results are consumed in task order, so
-    each job's on_trial sees its records in trial order.  A caller that
-    must know the worker count before the run (to share its buffers)
-    passes _workers(*jobs) as workers.
+    least _MIN_WORKER_BLOCKS blocks, else in this process; either way
+    their results are consumed in task order, so each job's on_trial
+    sees its records in trial order.  A buffer that reduce_block fills
+    for the caller must be a shared mapping made before the call, since
+    a forked worker writes only its own copy of a private array.
     """
     # One Philox, re-keyed for every trial, and one pair of block arrays
     # serve every task in a process (forked workers write their own
@@ -280,13 +275,9 @@ def _tally(*jobs: _Job, workers: int | None = None) -> list[dict[str, Any]]:
     bit_generator = np.random.Philox(0)
     x = np.empty((jobs[0].rows_per_block, jobs[0].spec.n))
     u = np.empty_like(x) if jobs[0].uniforms else None
-    if workers is None:
-        workers = _workers(*jobs)
-    # in this process a task is one block, so each block's records are
-    # handed on before the next block is drawn
-    size = _TASK_BLOCKS if workers > 1 else 1
-    tasks = ((j, first, min(first + size, job.block_count))
-             for j, job in enumerate(jobs) for first in range(0, job.block_count, size))
+    workers = min(worker_count(), sum(job.block_count for job in jobs) // _MIN_WORKER_BLOCKS)
+    tasks = [(j, first, min(first + _TASK_BLOCKS, job.block_count))
+             for j, job in enumerate(jobs) for first in range(0, job.block_count, _TASK_BLOCKS)]
 
     def run_task(task):
         # blocks first..stop-1 of job j: j, counters summed over rows, and record rows
@@ -300,8 +291,9 @@ def _tally(*jobs: _Job, workers: int | None = None) -> list[dict[str, Any]]:
             records += rows or []
         return j, counts, records
 
+    # one worker would add only a fork, and perfbench's tracer sees this process alone
     if workers > 1:
-        results = forked_map(run_task, list(tasks), workers)
+        results = forked_map(run_task, tasks, workers)
     else:
         results = (run_task(task) for task in tasks)
     totals: list[dict[str, Any]] = [{} for _ in jobs]
@@ -405,6 +397,9 @@ def run_coupling_validation(
     big_g = big_g_value(a)
     params = KernelParams(a, rel_tol=spec.rel_tol)
     total = trials * n
+    # rows written by forked workers land in this process's pool through
+    # an anonymous shared mapping
+    pool = np.frombuffer(mmap.mmap(-1, 8 * total), dtype=np.float64).reshape(trials, n)
 
     def reduce_block(start, x, u):
         theta, x_post = couple_perturb(x, params, u)
@@ -417,16 +412,7 @@ def run_coupling_validation(
             rows = _record_rows(start, s_pre, s_post, zc, True, True, theta.row)
         return {"zero_total": zc, "tail_count": zc / n >= big_g + spec.epsilon}, rows
 
-    job = _Job(spec, reduce_block, uniforms=True, on_trial=on_trial)
-    workers = _workers(job)
-    # Rows written by forked workers land in this process's pool through
-    # an anonymous shared mapping.  In-process, a private array is filled
-    # faster: the shared one cost 0.1 s more of hoeffding's 2.2 s on one core.
-    if workers > 1:
-        pool = np.frombuffer(mmap.mmap(-1, 8 * total), dtype=np.float64).reshape(trials, n)
-    else:
-        pool = np.empty((trials, n))
-    (tally,) = _tally(job, workers=workers)
+    (tally,) = _tally(_Job(spec, reduce_block, uniforms=True, on_trial=on_trial))
     zero_total, tail_count = tally["zero_total"], tally["tail_count"]
     mean, var, skew = sample_moments(pool.reshape(-1))
     ks = ks_distance_standard_normal(pool.reshape(-1), overwrite_input=True)
@@ -498,14 +484,13 @@ def run_thm1_undetectable(
             rows = _record_rows(start, s_pre, s_post, zc, True, True, theta.row)
         else:
             # Only coordinates inside the central bin can stay (the stay
-            # probability vanishes elsewhere), so the die interval test
-            # runs on that subset alone; same draws, same outcomes.  The
-            # fraction of work is P(|X| < a/2), about 0.19 at the
-            # preset's a ~ 0.494.
+            # probability vanishes elsewhere), so the die runs on that
+            # subset alone; same draws, same outcomes.  The fraction of
+            # work is P(|X| < a/2), about 0.19 at the preset's a ~ 0.494.
             central = np.flatnonzero(np.abs(x) < 0.5 * a)
             phi_c, gamma_c = accel.phi_gamma(x.ravel()[central], plan)
             uc = u.ravel()[central]
-            stays = central[(uc >= phi_c) & (uc < phi_c + gamma_c)]
+            stays = central[accel.die_outcomes(phi_c, gamma_c, uc) == 0]
             zc = np.bincount(stays // n, minlength=len(x))
         return {"zero_free": zc == 0}, rows
 

@@ -133,19 +133,25 @@ class TestExperimentCommand:
         assert not (tmp_path / "run").exists()
 
     def test_run_meta_written(self, tmp_path, monkeypatch):
+        argv = ["experiment", "--preset", "thm2-undetectable", "--trials", "30",
+                "--n", "200", "--seed", SEED]
+        # one block, far below the shard threshold: the run forks nothing
+        run_cli([*argv, "--out", str(tmp_path / "in_process")])
+        meta = json.loads((tmp_path / "in_process" / "run_meta.json").read_text())
+        assert meta["master_seed"] == int(SEED)
+        assert "numpy" in meta["versions"]
+        # decimal MB: this process holds numpy and scipy (tens of MB), not 10 GB
+        assert 10.0 < meta["peak_rss_mb"] < 1e4
+        assert meta["workers"] == 0
+        assert meta["workers_peak_rss_mb"] is None
         # one trial a block and a low shard threshold, so the run forks two workers
         monkeypatch.setattr(harness, "worker_count", lambda: 2)
         monkeypatch.setattr(harness, "_BLOCK_COORDS", 1)
         monkeypatch.setattr(harness, "_MIN_WORKER_BLOCKS", 1)
-        run_cli(["experiment", "--preset", "thm2-undetectable", "--trials", "30",
-                 "--n", "200", "--seed", SEED, "--out", str(tmp_path)])
-        meta = json.loads((tmp_path / "run_meta.json").read_text())
-        assert meta["master_seed"] == int(SEED)
-        assert "numpy" in meta["versions"]
-        # decimal MB: this process holds numpy and scipy (tens of MB), not 10 GB,
-        # and so did each forked worker
-        assert 10.0 < meta["peak_rss_mb"] < 1e4
+        run_cli([*argv, "--out", str(tmp_path / "sharded")])
+        meta = json.loads((tmp_path / "sharded" / "run_meta.json").read_text())
         assert meta["workers"] == 2
+        # each forked worker held numpy and scipy too
         assert 10.0 < meta["workers_peak_rss_mb"] < 1e4
 
 

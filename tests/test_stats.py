@@ -164,21 +164,15 @@ class TestPeakMemory:
         x = trial_rng(1618, 0).standard_normal(1_000_000)
         assert _peak_traced_bytes(sample_moments, x) < 0.5 * x.nbytes
 
-    def test_coupling_run_holds_one_pool(self, monkeypatch):
-        # Sharded, the trials x n float64 pool the KS test needs lives in a
-        # shared anonymous mapping, which tracemalloc does not see.  What it
-        # does see is this process's chunks, so a second pool-sized array
-        # for the moments or the sort would take the peak past half the pool.
-        monkeypatch.setattr(harness, "worker_count", lambda: 2)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_coupling_run_holds_one_pool(self, monkeypatch, workers):
+        # In-process or sharded, the trials x n float64 pool the KS test
+        # needs lives in a shared anonymous mapping, which tracemalloc does
+        # not see.  What it does see is this process's blocks and chunks,
+        # so a second pool-sized array for the moments or the sort would
+        # take the peak past half the pool.
+        monkeypatch.setattr(harness, "worker_count", lambda: workers)
         monkeypatch.setattr(harness, "_MIN_WORKER_BLOCKS", 1)
         spec = ExperimentSpec(regime="fixed_a", a=2.0, n=1000, trials=1000, master_seed=42)
         pool_bytes = 8 * spec.n * spec.trials
         assert _peak_traced_bytes(run_coupling_validation, spec) < 0.5 * pool_bytes
-
-    def test_in_process_coupling_run_holds_one_pool(self, monkeypatch):
-        # in-process, the pool is a private array that tracemalloc sees,
-        # plus blocks and chunks; no second pool-sized array
-        monkeypatch.setattr(harness, "worker_count", lambda: 1)
-        spec = ExperimentSpec(regime="fixed_a", a=2.0, n=1000, trials=1000, master_seed=42)
-        pool_bytes = 8 * spec.n * spec.trials
-        assert _peak_traced_bytes(run_coupling_validation, spec) < 1.5 * pool_bytes
