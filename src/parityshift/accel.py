@@ -41,12 +41,11 @@ class SeriesPlan:
     a: float
     rel_tol: float
     band: float                 # range-check slack, 10 * rel_tol
-    use_dual: bool              # stay-probability route (a < sqrt(pi))
+    use_dual: bool              # stay-probability route: dual if a < sqrt(pi), else primal
     phi_coef: np.ndarray        # exp(-k^2 a^2 / 2), k = 1..K_phi
-    gamma_coef: np.ndarray      # same coefficients, k = 1..K_gamma (primal route)
-    dual_coef: np.ndarray       # (2/a) exp(-m^2 pi^2/(2 a^2)), odd m
-    dual_freq: np.ndarray       # m pi / a, odd m
-    product_safe: bool          # running e^{+-a x k} powers stay finite
+    gamma_coef: np.ndarray      # primal: exp(-k(k-1) a^2 / 2), k = 1..K_gamma, each <= 1
+    dual_coef: np.ndarray       # dual: (2/a) exp(-m^2 pi^2/(2 a^2)), odd m
+    dual_freq: np.ndarray       # dual: m pi / a, odd m
 
 
 @lru_cache(maxsize=64)
@@ -73,15 +72,13 @@ def plan_for(a: float, rel_tol: float = 1e-12) -> SeriesPlan:
         dual_coef = (2.0 / a) * np.exp(-beta * ms * ms)
         dual_freq = ms * math.pi / a
         gamma_coef = phi_coef[:1]
-        product_safe = True
     else:
         disc = 1.0 + 8.0 * (target + math.log(2.0)) / (a * a)
         k_gamma = max(2, math.ceil(0.5 * (-1.0 + math.sqrt(disc))) + 1)
         kg = np.arange(1, k_gamma + 1, dtype=np.float64)
-        gamma_coef = np.exp(-0.5 * (kg * a) ** 2)
+        gamma_coef = np.exp(-0.5 * kg * (kg - 1.0) * a * a)
         dual_coef = np.empty(0, dtype=np.float64)
         dual_freq = np.empty(0, dtype=np.float64)
-        product_safe = k_gamma * a * a / 2.0 < 600.0
 
     return SeriesPlan(
         a=float(a),
@@ -92,7 +89,6 @@ def plan_for(a: float, rel_tol: float = 1e-12) -> SeriesPlan:
         gamma_coef=gamma_coef,
         dual_coef=dual_coef,
         dual_freq=dual_freq,
-        product_safe=product_safe,
     )
 
 
@@ -114,7 +110,9 @@ def phi_gamma(x: np.ndarray, plan: SeriesPlan) -> tuple[np.ndarray, np.ndarray]:
     shape.  gamma is zero outside the open central bin |x| < a/2, so the
     stay series runs only on the central coordinates, which are gathered
     and scattered back by flat index (np.take and index assignment are
-    several times cheaper per element than a boolean mask).
+    several times cheaper per element than a boolean mask).  The stay
+    series takes one of two routes: the dual cosine series when
+    a < sqrt(pi), else the primal series, half of which is phi's own.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     a = plan.a
@@ -132,23 +130,15 @@ def phi_gamma(x: np.ndarray, plan: SeriesPlan) -> tuple[np.ndarray, np.ndarray]:
                 s += plan.dual_coef[m] * np.cos(plan.dual_freq[m] * xc)
             s *= SQRT_TWO_PI * np.exp(0.5 * xc * xc)
             gamma_flat[central] = s
-        elif plan.product_safe:
-            wp = np.exp(-a * xc)
-            gamma_flat[central] = (
-                1.0
-                - _alt_horner_inplace(wp, plan.gamma_coef)
-                - _alt_horner_inplace(1.0 / wp, plan.gamma_coef)
-            )
         else:
-            gc = np.ones_like(xc)
-            sign = -1.0
-            for k in range(1, plan.gamma_coef.size + 1):
-                gc += sign * (
-                    np.exp(-k * a * xc - 0.5 * k * k * a * a)
-                    + np.exp(k * a * xc - 0.5 * k * k * a * a)
-                )
-                sign = -sign
-            gamma_flat[central] = gc
+            # gamma = 1 - sum_k (-1)^(k+1) e^{-k^2 a^2/2} (e^{-k a|x|} + e^{k a|x|}).
+            # The e^{-k a|x|} half is phi's forward series; the other half
+            # is H(t) with t = e^{a|x| - a^2/2} <= 1 in the central bin and
+            # coefficients e^{-k(k-1) a^2/2}, so no term overflows at any a.
+            t = np.exp(a * np.abs(xc) - 0.5 * a * a)
+            gamma_flat[central] = (
+                1.0 - forward.reshape(-1).take(central) - _alt_horner_inplace(t, plan.gamma_coef)
+            )
 
     phi_raw = np.where(x >= 0.0, forward, 1.0 - gamma_raw - forward)
 

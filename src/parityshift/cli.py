@@ -124,26 +124,24 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _write_meta(out_dir: Path, command: str, argv: list[str], seed: int | None,
                 t0: float, started: int) -> None:
-    """Write run_meta.json for a run begun at time t0 with forked.workers_started at started."""
+    """Write run_meta.json for a run begun at time t0 with len(forked.worker_peaks) at started."""
     import mpmath
     import resource
     import scipy
 
     # ru_maxrss is in KiB on Linux and in bytes on macOS, reported here
     # in decimal MB: this process's peak resident set so far and, if the
-    # run forked trial-block workers, the largest of its reaped children's
-    # (with none, that figure is older than the run: it carries over exec)
+    # run forked trial-block workers, the largest peak they reported
     to_mb = (1 if sys.platform == "darwin" else 1024) / 1e6
-    workers = forked.workers_started - started
+    peaks = forked.worker_peaks[started:]
     meta = {
         "command": command,
         "argv": argv,
         "master_seed": seed,
         "wall_time_s": time.time() - t0,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * to_mb,
-        "workers": workers,
-        "workers_peak_rss_mb": (resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * to_mb
-                                if workers else None),
+        "workers": len(peaks),
+        "workers_peak_rss_mb": max(peaks) * to_mb if peaks else None,
         "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "versions": {
             "python": platform.python_version(),
@@ -247,7 +245,7 @@ def _make_spec(spec_kwargs: dict) -> ExperimentSpec:
 
 
 def _cmd_kernels(args, argv) -> int:
-    t0, started = time.time(), forked.workers_started
+    t0, started = time.time(), len(forked.worker_peaks)
     params = KernelParams(args.a, rel_tol=args.rel_tol)
     if not args.step > 0.0:
         raise ConfigError(f"step: must be positive, got {args.step!r}")
@@ -342,7 +340,7 @@ def _run_streaming_records(run, spec: ExperimentSpec, path: Path) -> harness.Exp
 
 
 def _cmd_experiment(args, argv) -> int:
-    t0, started = time.time(), forked.workers_started
+    t0, started = time.time(), len(forked.worker_peaks)
     operation, spec_kwargs, extras = _build_spec(args)
     if operation == "sweep":
         raise ConfigError("operation: sweep presets run under the `sweep` subcommand")
@@ -393,7 +391,7 @@ def _sweep_csv_lines(rows: list[dict]) -> list[str]:
 
 
 def _cmd_sweep(args, argv) -> int:
-    t0, started = time.time(), forked.workers_started
+    t0, started = time.time(), len(forked.worker_peaks)
     _, spec_kwargs, extras = _build_spec(args)
     if spec_kwargs.get("t") is not None:
         raise ConfigError("t: a sweep does not take t; a fixed_a sweep sets t = G(a) + each "

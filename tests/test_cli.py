@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from parityshift import cli, harness
+from parityshift import cli, forked, harness
 from parityshift.cli import run_cli
 from parityshift.harness import ExperimentSpec
 
@@ -153,6 +154,22 @@ class TestExperimentCommand:
         assert meta["workers"] == 2
         # each forked worker held numpy and scipy too
         assert 10.0 < meta["workers_peak_rss_mb"] < 1e4
+
+    def test_workers_peak_is_this_runs(self, tmp_path):
+        # a run's workers_peak_rss_mb comes from its own workers, not from
+        # larger ones an earlier run in this process forked and reaped
+        def allocate(mb):
+            return int(np.ones(1 + mb * 2**20 // 8)[-1])  # written, so resident
+
+        peaks = []
+        for task_mb in (100, 0):
+            t0, started = time.time(), len(forked.worker_peaks)
+            assert list(forked.forked_map(allocate, [task_mb] * 4, 2)) == [1] * 4
+            cli._write_meta(tmp_path, "map", [], None, t0, started)
+            meta = json.loads((tmp_path / "run_meta.json").read_text())
+            assert meta["workers"] == 2
+            peaks.append(meta["workers_peak_rss_mb"])
+        assert peaks[1] < peaks[0]
 
 
 # one small configuration per operation

@@ -325,6 +325,17 @@ def _record_fields(recs):
             for r in recs]
 
 
+def _check_thm1_records(spec, recs):
+    # thm1-undetectable's records come from its central-bin die and the
+    # flip identity; they must equal the full coupling and direct binning
+    # of x + theta, trial by trial, and carry no theta_rle
+    expected = [(i, s_pre, s_post, zc, None)
+                for i, s_pre, s_post, zc, _ in _per_trial_coupling_records(spec)]
+    assert _record_fields(recs) == expected
+    for rec in recs:
+        assert rec.sr == rec.zero_count / spec.n
+
+
 @pytest.mark.filterwarnings("ignore:theorem premises not all met")
 class TestTrialBlocks:
     # (trials, _BLOCK_COORDS) at n = 200: blocks of 3 + 3 + 1 trials; one
@@ -353,6 +364,15 @@ class TestTrialBlocks:
         assert _record_fields(recs) == _per_trial_coupling_records(spec)
         for rec in recs:
             assert rec.sr == rec.zero_count / n
+
+    @pytest.mark.parametrize("n, trials", [(200, 7), (200, 1), (harness._BLOCK_COORDS + 50, 2)])
+    def test_thm1_records_match_per_trial_loop(self, n, trials):
+        # c just below pi/sqrt(2): some trials keep a coordinate in place
+        spec = ExperimentSpec(regime="cube_scaling", c=2.2, n=n, trials=trials, master_seed=SEED)
+        recs = []
+        run_thm1_undetectable(spec, on_trial=recs.append)
+        _check_thm1_records(spec, recs)
+        assert any(rec.zero_count for rec in recs)
 
     def test_pool_matches_per_trial_concatenation(self):
         spec = ExperimentSpec(regime="fixed_a", a=2.0, n=300, trials=9, master_seed=SEED)
@@ -484,6 +504,14 @@ class TestSharding:
         assert sweep_phase_transition(spec, **grid) == ref
         # all cells of a sweep share one set of workers
         assert shard.calls == [2]
+
+    def test_thm1_records_match_per_trial_loop(self, shard):
+        spec = ExperimentSpec(regime="cube_scaling", c=2.2, n=200, trials=7, master_seed=SEED)
+        shard(2)
+        recs = []
+        run_thm1_undetectable(spec, on_trial=recs.append)
+        assert shard.calls == [2]
+        _check_thm1_records(spec, recs)
 
     def test_worker_exception_reaches_caller(self, shard, monkeypatch):
         shard(2)

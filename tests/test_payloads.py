@@ -11,6 +11,11 @@ math.fsum; each moves the last bits.  Each moment is compared within
 1e-15 absolute of its recorded value, pool_skew as recorded from the
 per-trial harness and pool_var as recorded before the chunked sums, and
 the rest of the summary byte for byte.
+
+thm1-undetectable's trials.jsonl was re-recorded when its records came
+to be built from the run's central-bin die: each record's theta_rle
+became null, and every other field kept its value.  Its summary.json
+hash, which covers that same path, was not changed.
 """
 
 import hashlib
@@ -26,7 +31,7 @@ ARGS = ["--seed", "42", "--trials", "200"]
 GOLDEN = {
     "thm1-undetectable": {
         "summary.json": "9bc4db2a501d6a25033cd1719e16de386f37a210aae8dee2c3c43736cd7ae714",
-        "trials.jsonl": "761148cac286e20830ca1eef30dc74a5c9e20f5d7f51f5747267aa7d91cbc78f",
+        "trials.jsonl": "3bf5c87fcd02d2cc639802bb11dc814b649d1964582bc4585b3129a411eedd8c",
     },
     "thm1-detectable": {
         "summary.json": "3a7371b3763512737d669bf06129fb269e3d90ca193c6c280fb610d6af3942aa",
