@@ -124,10 +124,13 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _write_meta(out_dir: Path, command: str, argv: list[str], seed: int | None,
                 t0: float, started: int) -> None:
-    """Write run_meta.json for a run begun at time t0 with len(forked.worker_peaks) at started."""
-    import mpmath
+    """Write run_meta.json for a run begun at time t0 with len(forked.worker_peaks) at started.
+
+    The scipy and mpmath versions come from the installed distributions'
+    metadata: importing mpmath here would load it into every run.
+    """
     import resource
-    import scipy
+    from importlib.metadata import version
 
     # ru_maxrss is in KiB on Linux and in bytes on macOS, reported here
     # in decimal MB: this process's peak resident set so far and, if the
@@ -146,8 +149,8 @@ def _write_meta(out_dir: Path, command: str, argv: list[str], seed: int | None,
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "mpmath": mpmath.__version__,
+            "scipy": version("scipy"),
+            "mpmath": version("mpmath"),
         },
     }
     (out_dir / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
@@ -323,13 +326,16 @@ def _run_streaming_records(run, spec: ExperimentSpec, path: Path) -> harness.Exp
     Records go to ``<path>.partial``, renamed to ``path`` only once the run
     has returned, so a run that raises leaves no file that looks complete.
     ``vars`` gives the record's fields without the deep copy of the RLE
-    list that ``dataclasses.asdict`` makes; the JSON text is the same.
+    list that ``dataclasses.asdict`` makes; the JSON text is the same.  A
+    record is flat scalars plus one list of [sign, count] pairs, so it
+    cannot refer to itself and the encoder's circular-reference check is
+    skipped.
     """
     partial = path.with_name(path.name + ".partial")
     try:
         with partial.open("w") as fh:
             def write(rec: harness.TrialRecord) -> None:
-                fh.write(json.dumps(vars(rec), sort_keys=True) + "\n")
+                fh.write(json.dumps(vars(rec), sort_keys=True, check_circular=False) + "\n")
 
             summary = run(spec, on_trial=write)
     except BaseException:

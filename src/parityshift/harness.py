@@ -104,43 +104,47 @@ class ExperimentSpec:
         # bool is a subclass of int, but True is not a count, a seed or a real number
         for name in ("a", "c", "t", "epsilon", "lam", "alpha", "rel_tol"):
             if isinstance(value := getattr(self, name), bool):
-                raise SpecValidationError(f"{name} must be a real number, got {value!r}")
+                raise SpecValidationError(f"{name}: must be a real number, got {value!r}")
         if self.regime not in _REGIMES:
-            raise SpecValidationError(f"regime must be one of {_REGIMES}, got {self.regime!r}")
+            raise SpecValidationError(f"regime: must be one of {_REGIMES}, got {self.regime!r}")
         if not (type(self.n) is int and self.n >= 1):
-            raise SpecValidationError(f"n must be a positive integer, got {self.n!r}")
+            raise SpecValidationError(f"n: must be a positive integer, got {self.n!r}")
         if not (type(self.trials) is int and self.trials >= 1):
-            raise SpecValidationError(f"trials must be a positive integer, got {self.trials!r}")
+            raise SpecValidationError(f"trials: must be a positive integer, got {self.trials!r}")
         if type(self.master_seed) is not int:
-            raise SpecValidationError(f"master_seed must be an integer, got {self.master_seed!r}")
+            raise SpecValidationError(f"master_seed: must be an integer, got {self.master_seed!r}")
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
-            raise SpecValidationError(f"epsilon must be positive, got {self.epsilon!r}")
+            raise SpecValidationError(
+                f"epsilon: must be positive and finite, got {self.epsilon!r}")
         if not (self.lam > 0.0 and math.isfinite(self.lam)):
-            raise SpecValidationError(f"lambda must be positive, got {self.lam!r}")
+            raise SpecValidationError(f"lam: must be positive and finite, got {self.lam!r}")
         if self.alpha is not None and not (0.0 < self.alpha < 1.0):
-            raise SpecValidationError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+            raise SpecValidationError(f"alpha: must lie in (0, 1), got {self.alpha!r}")
         if self.t is not None and not (0.0 <= self.t <= 1.0):
-            raise SpecValidationError(f"t must lie in [0, 1], got {self.t!r}")
+            raise SpecValidationError(f"t: must lie in [0, 1], got {self.t!r}")
         if not (0.0 < self.rel_tol <= 1e-6):
-            raise SpecValidationError(f"rel_tol must lie in (0, 1e-6], got {self.rel_tol!r}")
+            raise SpecValidationError(f"rel_tol: must lie in (0, 1e-6], got {self.rel_tol!r}")
         if self.regime == "fixed_a":
             if self.a is None or not (self.a > 0.0 and math.isfinite(self.a)):
-                raise SpecValidationError("fixed_a regime requires a positive a")
+                raise SpecValidationError(
+                    f"a: the fixed_a regime requires a positive finite a, got {self.a!r}")
             if self.c is not None:
-                raise SpecValidationError("fixed_a regime must not set c")
+                raise SpecValidationError("c: the fixed_a regime must not set c")
             big_g = big_g_value(self.a)
             if not (0.0 < big_g - self.epsilon and big_g + self.epsilon < 1.0):
                 raise SpecValidationError(
-                    f"epsilon window violated: need 0 < G(a) - eps and G(a) + eps < 1, "
+                    f"epsilon: window violated: need 0 < G(a) - eps and G(a) + eps < 1, "
                     f"got G({self.a}) = {big_g!r}, eps = {self.epsilon!r}"
                 )
         else:
             if self.c is None or not (self.c > 0.0 and math.isfinite(self.c)):
-                raise SpecValidationError("cube_scaling regime requires a positive c")
+                raise SpecValidationError(
+                    f"c: the cube_scaling regime requires a positive finite c, got {self.c!r}")
             if self.a is not None:
-                raise SpecValidationError("cube_scaling regime must not set a")
+                raise SpecValidationError("a: the cube_scaling regime must not set a")
             if self.n < 3:
-                raise SpecValidationError("cube_scaling regime requires n >= 3")
+                raise SpecValidationError(
+                    f"n: the cube_scaling regime requires n >= 3, got {self.n!r}")
 
     @property
     def effective_a(self) -> float:
@@ -364,7 +368,8 @@ def _summary(operation: str, spec: ExperimentSpec, rates: dict[str, tuple[int, i
 
 def _require_regime(spec: ExperimentSpec, regime: str, operation: str) -> None:
     if spec.regime != regime:
-        raise SpecValidationError(f"{operation} requires the {regime} regime, got {spec.regime!r}")
+        raise SpecValidationError(
+            f"regime: {operation} requires the {regime} regime, got {spec.regime!r}")
 
 
 def _note_alpha_target(out: ExperimentSummary, spec: ExperimentSpec) -> ExperimentSummary:
@@ -686,7 +691,7 @@ def run_thm2_detectable(
     min_n, threshold = _min_admissible_n(lam, eps)
     if n < min_n:
         raise SpecValidationError(
-            f"n = {n} violates n > lambda^2/eps^2 = {threshold:g}; "
+            f"n: n = {n} violates n > lambda^2/eps^2 = {threshold:g}; "
             f"minimal admissible n is {min_n}"
         )
     big_g = big_g_value(a)
@@ -694,7 +699,7 @@ def run_thm2_detectable(
     premise_t = t <= big_g - eps + 1e-12
     budget = math.ceil(t * n) - 1
     if budget < 0:
-        raise SpecValidationError(f"t = {t!r} leaves no admissible perturbation")
+        raise SpecValidationError(f"t: t = {t!r} leaves no admissible perturbation")
     s_min = min_accepted_sum(DetectorConfig(a, lam), n)
 
     def reduce_block(start, x, u):
@@ -769,7 +774,8 @@ def sweep_phase_transition(
         ts = [big_g + off for off in t_offsets]
         for t in ts:
             if not (0.0 <= t <= 1.0):
-                raise SpecValidationError(f"t = {t!r} outside [0, 1]; shrink the offset grid")
+                raise SpecValidationError(
+                    f"t_offsets: t = {t!r} outside [0, 1]; shrink the offset grid")
         budgets = [math.ceil(t * n) - 1 for t in ts]
         budget_row = np.array(budgets)
         s_min = min_accepted_sum(DetectorConfig(a, lam), n)

@@ -22,15 +22,17 @@ normal bin masses -- used as the anti-drift reference for `eval_big_g`.
 
 All exponents are assembled before exponentiation (no density ratios),
 so no intermediate overflows for any ``a > 0``.
+
+Importing the package or its CLI loads numpy and ``scipy.special`` only.
+mpmath loads on the first call of ``big_g_oracle`` and ``scipy.optimize``
+on the first call of ``solve_a_for_g``; no CLI command calls either, so
+a run loads neither package.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import mpmath
-from scipy.optimize import brentq
 
 __all__ = [
     "KernelParams",
@@ -244,6 +246,8 @@ def big_g_oracle(params: KernelParams) -> float:
     Serves as the anti-drift reference for eval_big_g; absolute accuracy
     far exceeds 1e-12.
     """
+    import mpmath
+
     a = params.a
     dps = 25 + int(math.pi * math.pi / (2.0 * a * a) / math.log(10.0)) + 10
     with mpmath.workdps(dps):
@@ -412,6 +416,8 @@ def solve_a_for_g(target: float, rel_tol: float = 1e-9) -> float:
     a bracketed root search on [0.2, 16] (where G spans far past both
     target bounds) converges unconditionally.
     """
+    from scipy.optimize import brentq
+
     if not (1e-12 < target < 1.0 - 1e-12):
         raise ValueError(f"target must lie in (1e-12, 1 - 1e-12), got {target!r}")
 

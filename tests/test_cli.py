@@ -8,8 +8,10 @@ import sys
 import time
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+import scipy
 
 from parityshift import cli, forked, harness
 from parityshift.cli import run_cli
@@ -120,7 +122,7 @@ class TestExperimentCommand:
         }))
         code = run_cli(["experiment", "--config", str(config), "--out", str(tmp_path / "run")])
         assert code == 2
-        assert "n must be a positive integer, got True" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: n: must be a positive integer, got True\n"
 
     def test_config_bool_real_field_exits_2(self, tmp_path, capsys):
         config = tmp_path / "spec.json"
@@ -130,7 +132,7 @@ class TestExperimentCommand:
         }))
         code = run_cli(["experiment", "--config", str(config), "--out", str(tmp_path / "run")])
         assert code == 2
-        assert "lam must be a real number, got True" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: lam: must be a real number, got True\n"
         assert not (tmp_path / "run").exists()
 
     def test_run_meta_written(self, tmp_path, monkeypatch):
@@ -140,7 +142,10 @@ class TestExperimentCommand:
         run_cli([*argv, "--out", str(tmp_path / "in_process")])
         meta = json.loads((tmp_path / "in_process" / "run_meta.json").read_text())
         assert meta["master_seed"] == int(SEED)
-        assert "numpy" in meta["versions"]
+        # read from package metadata, not by importing scipy or mpmath
+        assert meta["versions"]["numpy"] == np.__version__
+        assert meta["versions"]["scipy"] == scipy.__version__
+        assert meta["versions"]["mpmath"] == mpmath.__version__
         # decimal MB: this process holds numpy and scipy (tens of MB), not 10 GB
         assert 10.0 < meta["peak_rss_mb"] < 1e4
         assert meta["workers"] == 0
@@ -227,6 +232,43 @@ class TestModuleEntryPoint:
         assert "experiment" in proc.stdout
 
 
+# Runs in a fresh interpreter: the test process has already imported
+# mpmath and scipy.optimize through the kernel tests.
+_FOOTPRINT_SCRIPT = """
+import json, sys
+from parityshift.cli import run_cli
+
+out = sys.argv[1]
+codes = [
+    run_cli(["experiment", "--preset", "coupling-a1", "--trials", "20", "--seed", "1",
+             "--format", "json,jsonl", "--out", out + "/experiment"]),
+    run_cli(["sweep", "--preset", "sweep-c", "--trials", "5", "--seed", "1",
+             "--out", out + "/sweep"]),
+]
+loaded = sorted(m for m in ("mpmath", "scipy.optimize", "scipy.linalg") if m in sys.modules)
+
+from parityshift.kernels import KernelParams, big_g_oracle, solve_a_for_g
+
+print(json.dumps({"codes": codes, "loaded": loaded,
+                  "big_g_1": big_g_oracle(KernelParams(1.0)), "a_half": solve_a_for_g(0.5)}))
+"""
+
+
+class TestImportFootprint:
+    def test_runs_load_neither_mpmath_nor_scipy_optimize(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_SCRIPT, str(tmp_path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["codes"] == [0, 0]
+        assert result["loaded"] == []
+        # the first call of each function imports what it needs
+        assert result["big_g_1"] == pytest.approx(0.0091569902897607558, abs=1e-12)
+        assert result["a_half"] == pytest.approx(2.2979465162993065, abs=1e-9)
+
+
 class TestSweepCommand:
     def test_writes_csv_and_monotone(self, tmp_path, capsys):
         code = run_cli(["sweep", "--preset", "sweep-t", "--trials", "120",
@@ -311,13 +353,25 @@ class TestBadNumericInput:
         (["detect", "--a", "2", "--n", "-3", "--seed", "3"], "n"),
         (["kernels", "--a", "1", "--xmin", "nan"], "xmin"),
         (["kernels", "--a", "1", "--xmax", "nan"], "xmax"),
+        # ExperimentSpec and the harness name the spec field too
+        (["experiment", "--preset", "thm2-undetectable", "--lambda", "nan"], "lam"),
+        (["experiment", "--preset", "thm2-undetectable", "--trials", "0"], "trials"),
+        (["experiment", "--preset", "thm2-undetectable", "--a", "inf"], "a"),
+        (["experiment", "--preset", "thm2-undetectable", "--epsilon", "0"], "epsilon"),
+        (["experiment", "--preset", "thm2-undetectable", "--t", "1.5"], "t"),
+        (["experiment", "--preset", "thm1-undetectable", "--n", "2"], "n"),
+        (["experiment", "--preset", "thm1-undetectable", "--c", "0"], "c"),
+        (["experiment", "--preset", "thm2-detectable", "--t", "0"], "t"),
     ])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, argv, field):
-        assert run_cli(argv + (["--out", str(tmp_path)] if argv[0] == "kernels" else [])) == 2
+        if argv[0] == "experiment":
+            argv = argv + ["--seed", SEED, "--format", "json,jsonl"]
+        out = ["--out", str(tmp_path)] if argv[0] in ("kernels", "experiment") else []
+        assert run_cli(argv + out) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {field}:")
         assert "[PASS]" not in captured.out
-        assert not (tmp_path / "kernels.csv").exists()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDemoCommands:

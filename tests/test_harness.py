@@ -53,7 +53,7 @@ class TestExperimentSpec:
         # bool is an int subclass; True must not pass as a count, a seed or a real number
         kwargs = dict(regime="fixed_a", a=2.0, n=100, trials=10, master_seed=1)
         kwargs[field_name] = True
-        with pytest.raises(SpecValidationError, match=f"^{field_name} must"):
+        with pytest.raises(SpecValidationError, match=f"^{field_name}: "):
             ExperimentSpec(**kwargs)
 
     def test_regime_field_consistency(self):
