@@ -23,6 +23,7 @@ import argparse
 import json
 import math
 import platform
+import resource
 import sys
 import time
 from dataclasses import asdict
@@ -122,19 +123,34 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
+def _run_start() -> tuple[float, int, int, int]:
+    """What _write_meta measures a run from, taken as the run starts.
+
+    The time, len(forked.worker_peaks), and the minor page faults so far
+    of this process and of its reaped child processes.
+    """
+    return (time.time(), len(forked.worker_peaks),
+            resource.getrusage(resource.RUSAGE_SELF).ru_minflt,
+            resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt)
+
+
 def _write_meta(out_dir: Path, command: str, argv: list[str], seed: int | None,
-                t0: float, started: int) -> None:
-    """Write run_meta.json for a run begun at time t0 with len(forked.worker_peaks) at started.
+                start: tuple[float, int, int, int]) -> None:
+    """Write run_meta.json for a run that began at start (``_run_start``).
 
     The scipy and mpmath versions come from the installed distributions'
     metadata: importing mpmath here would load it into every run.
     """
-    import resource
     from importlib.metadata import version
 
+    t0, started, faults, children_faults = start
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    children_faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - children_faults
     # ru_maxrss is in KiB on Linux and in bytes on macOS, reported here
     # in decimal MB: this process's peak resident set so far and, if the
-    # run forked trial-block workers, the largest peak they reported
+    # run forked trial-block workers, the largest peak they reported.
+    # A fault count is a sum, so the children's delta covers only this
+    # run's workers, all reaped by forked_map before this is written.
     to_mb = (1 if sys.platform == "darwin" else 1024) / 1e6
     peaks = forked.worker_peaks[started:]
     meta = {
@@ -142,9 +158,11 @@ def _write_meta(out_dir: Path, command: str, argv: list[str], seed: int | None,
         "argv": argv,
         "master_seed": seed,
         "wall_time_s": time.time() - t0,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * to_mb,
+        "peak_rss_mb": usage.ru_maxrss * to_mb,
+        "minor_faults": usage.ru_minflt - faults,
         "workers": len(peaks),
         "workers_peak_rss_mb": max(peaks) * to_mb if peaks else None,
+        "workers_minor_faults": children_faults if peaks else None,
         "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "versions": {
             "python": platform.python_version(),
@@ -248,7 +266,7 @@ def _make_spec(spec_kwargs: dict) -> ExperimentSpec:
 
 
 def _cmd_kernels(args, argv) -> int:
-    t0, started = time.time(), len(forked.worker_peaks)
+    start = _run_start()
     params = KernelParams(args.a, rel_tol=args.rel_tol)
     if not args.step > 0.0:
         raise ConfigError(f"step: must be positive, got {args.step!r}")
@@ -282,7 +300,7 @@ def _cmd_kernels(args, argv) -> int:
             raise AssertionError(f"non-finite kernel value at x={x!r}")
         lines.append(",".join(_fmt(v) for v in row))
     (out_dir / "kernels.csv").write_text("\n".join(lines) + "\n")
-    _write_meta(out_dir, "kernels", argv, None, t0, started)
+    _write_meta(out_dir, "kernels", argv, None, start)
     ok = worst <= 1e-9
     print(f"[{'PASS' if ok else 'FAIL'}] max_abs_fp_residual: observed={worst:.6g} limit=1e-09")
     print(f"wrote {out_dir / 'kernels.csv'} ({xs.size} rows)")
@@ -346,7 +364,7 @@ def _run_streaming_records(run, spec: ExperimentSpec, path: Path) -> harness.Exp
 
 
 def _cmd_experiment(args, argv) -> int:
-    t0, started = time.time(), len(forked.worker_peaks)
+    start = _run_start()
     operation, spec_kwargs, extras = _build_spec(args)
     if operation == "sweep":
         raise ConfigError("operation: sweep presets run under the `sweep` subcommand")
@@ -360,14 +378,24 @@ def _cmd_experiment(args, argv) -> int:
     spec = _make_spec(spec_kwargs)
 
     out_dir = Path(args.out)
+    # the directories made here, deepest first, removed again while
+    # still empty if the run raises
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
     run = _OPERATIONS[operation]
-    if "jsonl" in formats:
-        summary = _run_streaming_records(run, spec, out_dir / "trials.jsonl")
-    else:
-        summary = run(spec)
-    _write_json(out_dir / "summary.json", summary.to_dict())
-    _write_meta(out_dir, f"experiment:{operation}", argv, spec.master_seed, t0, started)
+    try:
+        if "jsonl" in formats:
+            summary = _run_streaming_records(run, spec, out_dir / "trials.jsonl")
+        else:
+            summary = run(spec)
+        _write_json(out_dir / "summary.json", summary.to_dict())
+    except BaseException:
+        for d in made:
+            if any(d.iterdir()):
+                break
+            d.rmdir()
+        raise
+    _write_meta(out_dir, f"experiment:{operation}", argv, spec.master_seed, start)
 
     ok = _print_checks(summary.checks)
     print(f"wrote {out_dir / 'summary.json'}; passed={summary.passed}")
@@ -397,7 +425,7 @@ def _sweep_csv_lines(rows: list[dict]) -> list[str]:
 
 
 def _cmd_sweep(args, argv) -> int:
-    t0, started = time.time(), len(forked.worker_peaks)
+    start = _run_start()
     _, spec_kwargs, extras = _build_spec(args)
     if spec_kwargs.get("t") is not None:
         raise ConfigError("t: a sweep does not take t; a fixed_a sweep sets t = G(a) + each "
@@ -431,7 +459,7 @@ def _cmd_sweep(args, argv) -> int:
     }
     _write_json(out_dir / "summary.json", payload)
     (out_dir / "sweep.csv").write_text("\n".join(_sweep_csv_lines(rows)) + "\n")
-    _write_meta(out_dir, "sweep", argv, spec.master_seed, t0, started)
+    _write_meta(out_dir, "sweep", argv, spec.master_seed, start)
 
     ok = _print_checks(checks) if checks else True
     print(f"wrote {out_dir / 'sweep.csv'} ({len(rows)} cells); passed={payload['passed']}")

@@ -19,6 +19,10 @@ thus runs everything on one core.  Every counter is an integer sum, so
 no payload depends on the worker count.  An optional ``on_trial``
 callback receives each trial's TrialRecord in trial order, from the
 parent; no record is held by the run beyond the few tasks in flight.
+Before the first block, glibc's heap trim and mmap thresholds are set
+once per process (``_keep_freed_heap``), so memory a block frees is
+reused by the next block instead of being handed back to the kernel and
+faulted in again.
 
 Attacked statistics are derived by the exact integer-shift construction
 (a +-a shift moves the bin index by exactly one) and, in the theorem
@@ -26,12 +30,15 @@ runs, re-verified per trial by direct binning of x + theta; both sides
 are integer label sums, so the flip identity is asserted with zero
 tolerance.  thm1-undetectable rolls the die on central-bin coordinates
 only, the only ones that can stay, so its records carry no theta_rle and
-take s_post from the flip identity: each stay keeps label +1.
+take s_post from the flip identity: each stay keeps label +1.  The cube
+sweep takes s_post from the same identity.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 import math
 import mmap
 import warnings
@@ -72,6 +79,14 @@ _TASK_BLOCKS = 8
 # workers, their first result and reaping them cost 30-40 ms on a 2-core
 # machine, the time of about 64 of the cheapest (parity-only) blocks.
 _MIN_WORKER_BLOCKS = 64
+# glibc's mallopt parameters.  At their 128 KiB defaults a block's
+# temporaries (up to 128 KiB each) come from the top of the heap, which
+# is handed back to the kernel after each block and faulted in again by
+# the next.  Setting either value stops glibc adjusting both, and a
+# fixed 128 KiB mmap threshold would map and unmap every block array of
+# 2^14 doubles, so both are set: 64 MiB and 32 MiB, the most glibc
+# accepts on 64-bit.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 
 class SpecValidationError(ValueError):
@@ -259,6 +274,22 @@ def _blocks(
         yield start, x[:rows], None if u is None else u[:rows]
 
 
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Set glibc's heap trim and mmap thresholds, once per process.
+
+    Forked workers inherit the setting.  Where mallopt is missing
+    (macOS) or declines the values (musl), nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+
+
 def _tally(*jobs: _Job) -> list[dict[str, Any]]:
     """Total each job's integer counters over its trial blocks.
 
@@ -278,6 +309,7 @@ def _tally(*jobs: _Job) -> list[dict[str, Any]]:
     # copies), so the jobs must share one block shape, as a sweep's cells do.
     if len({(job.rows_per_block, job.spec.n, job.uniforms) for job in jobs}) != 1:
         raise ValueError("the jobs of one tally must share one block shape")
+    _keep_freed_heap()
     bit_generator = np.random.Philox(0)
     x = np.empty((jobs[0].rows_per_block, jobs[0].spec.n))
     u = np.empty_like(x) if jobs[0].uniforms else None
@@ -809,13 +841,16 @@ def sweep_phase_transition(
         s_min = min_accepted_sum(DetectorConfig(a, spec.lam, "zero"), n)
 
         def reduce_block(start, x, u):
-            theta, x_post = couple_perturb(x, params, u)
+            theta, _ = couple_perturb(x, params, u)
+            zc = theta.zero_count
             _, s_pre = accel.parity_labels_and_sum(x, a)
-            _, s_post = accel.parity_labels_and_sum(x_post, a)
+            # a coordinate stays only inside the central bin, label +1,
+            # and every +-a move flips a label
+            s_post = 2 * zc - s_pre
             accept_pre = s_pre >= s_min
             accept_post = s_post >= s_min
             return {"pre_accepts": accept_pre, "post_accepts": accept_post,
-                    "overlap": accept_pre & accept_post, "zero_free": theta.zero_count == 0,
+                    "overlap": accept_pre & accept_post, "zero_free": zc == 0,
                     "wins": accept_pre & ~accept_post}, None
 
         return _Job(cell, reduce_block, uniforms=True)

@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import mpmath
@@ -148,8 +147,10 @@ class TestExperimentCommand:
         assert meta["versions"]["mpmath"] == mpmath.__version__
         # decimal MB: this process holds numpy and scipy (tens of MB), not 10 GB
         assert 10.0 < meta["peak_rss_mb"] < 1e4
+        assert type(meta["minor_faults"]) is int and meta["minor_faults"] >= 0
         assert meta["workers"] == 0
         assert meta["workers_peak_rss_mb"] is None
+        assert meta["workers_minor_faults"] is None
         # one trial a block and a low shard threshold, so the run forks two workers
         monkeypatch.setattr(harness, "worker_count", lambda: 2)
         monkeypatch.setattr(harness, "_BLOCK_COORDS", 1)
@@ -159,22 +160,28 @@ class TestExperimentCommand:
         assert meta["workers"] == 2
         # each forked worker held numpy and scipy too
         assert 10.0 < meta["workers_peak_rss_mb"] < 1e4
+        assert type(meta["minor_faults"]) is int and meta["minor_faults"] >= 0
+        # a forked worker faults in at least the pages it writes
+        assert type(meta["workers_minor_faults"]) is int and meta["workers_minor_faults"] > 0
 
     def test_workers_peak_is_this_runs(self, tmp_path):
-        # a run's workers_peak_rss_mb comes from its own workers, not from
-        # larger ones an earlier run in this process forked and reaped
+        # a run's workers_peak_rss_mb and workers_minor_faults come from
+        # its own workers, not from larger ones an earlier run in this
+        # process forked and reaped
         def allocate(mb):
             return int(np.ones(1 + mb * 2**20 // 8)[-1])  # written, so resident
 
-        peaks = []
+        peaks, faults = [], []
         for task_mb in (100, 0):
-            t0, started = time.time(), len(forked.worker_peaks)
+            start = cli._run_start()
             assert list(forked.forked_map(allocate, [task_mb] * 4, 2)) == [1] * 4
-            cli._write_meta(tmp_path, "map", [], None, t0, started)
+            cli._write_meta(tmp_path, "map", [], None, start)
             meta = json.loads((tmp_path / "run_meta.json").read_text())
             assert meta["workers"] == 2
             peaks.append(meta["workers_peak_rss_mb"])
+            faults.append(meta["workers_minor_faults"])
         assert peaks[1] < peaks[0]
+        assert faults[1] < faults[0]
 
 
 # one small configuration per operation
@@ -362,11 +369,15 @@ class TestBadNumericInput:
         (["experiment", "--preset", "thm1-undetectable", "--n", "2"], "n"),
         (["experiment", "--preset", "thm1-undetectable", "--c", "0"], "c"),
         (["experiment", "--preset", "thm2-detectable", "--t", "0"], "t"),
+        (["experiment", "--preset", "thm2-undetectable", "--operation", "thm1_undetectable"],
+         "regime"),
     ])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, argv, field):
         if argv[0] == "experiment":
             argv = argv + ["--seed", SEED, "--format", "json,jsonl"]
-        out = ["--out", str(tmp_path)] if argv[0] in ("kernels", "experiment") else []
+        # neither --out nor its parent exists yet; a run that raises leaves neither
+        out = (["--out", str(tmp_path / "out" / "run")] if argv[0] in ("kernels", "experiment")
+               else [])
         assert run_cli(argv + out) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {field}:")

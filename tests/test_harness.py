@@ -1,8 +1,13 @@
 """Harness: spec validation, determinism, all five operations, sweep, sharding."""
 
+import json
 import math
 import multiprocessing
 import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +30,7 @@ from parityshift.kernels import KernelParams, KernelRangeError
 from parityshift.stats import ks_distance_standard_normal, sample_moments
 
 SEED = 91625
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestExperimentSpec:
@@ -555,3 +561,44 @@ class TestSharding:
         with pytest.raises(ValueError, match="disk full"):
             run_thm2_undetectable(spec, on_trial=fail_at_trial_5)
         assert multiprocessing.active_children() == []
+
+
+# Runs in a fresh interpreter, where _tally has not yet set glibc's
+# thresholds.  glibc raises both by a varying amount whenever a mapped
+# chunk is freed, which imports may have done, so the script first puts
+# them at their start-up values, 128 KiB each, as in a process without
+# that history.  An import can also leave a free hole in the heap that
+# holds a block's temporaries, so they never reach the top of the heap;
+# the live fill arrays of 120,000 B use up such holes.
+_FAULTS_SCRIPT = """
+import ctypes, json, resource
+import numpy as np
+from parityshift import forked
+from parityshift.harness import ExperimentSpec, run_thm2_undetectable
+
+mallopt = ctypes.CDLL(None).mallopt
+mallopt(-1, 128 << 10)  # M_TRIM_THRESHOLD
+mallopt(-3, 128 << 10)  # M_MMAP_THRESHOLD
+fill = [np.empty(15000) for _ in range(64)]
+spec = ExperimentSpec(regime="fixed_a", a=2.0, n=2000, trials=1000, master_seed=1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_thm2_undetectable(spec)
+print(json.dumps({"faults": resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before,
+                  "workers": len(forked.worker_peaks)}))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
+def test_freed_block_memory_is_reused():
+    # 1000 trials of n = 2000 are 125 blocks of 8 rows, whose 128,000 B
+    # temporaries sit just under the 128 KiB trim threshold: 130-240
+    # faults a block when the top of the heap is trimmed after every
+    # block, 2-3 when _tally's setting keeps it
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["workers"] == 0  # below the shard threshold: every block ran in-process
+    assert result["faults"] <= 20 * 125
