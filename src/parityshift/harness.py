@@ -80,12 +80,12 @@ _TASK_BLOCKS = 8
 # machine, the time of about 64 of the cheapest (parity-only) blocks.
 _MIN_WORKER_BLOCKS = 64
 # glibc's mallopt parameters.  At their 128 KiB defaults a block's
-# temporaries (up to 128 KiB each) come from the top of the heap, which
-# is handed back to the kernel after each block and faulted in again by
-# the next.  Setting either value stops glibc adjusting both, and a
-# fixed 128 KiB mmap threshold would map and unmap every block array of
-# 2^14 doubles, so both are set: 64 MiB and 32 MiB, the most glibc
-# accepts on 64-bit.
+# temporaries (up to 128 KiB each) can come from the top of the heap,
+# which glibc then hands back to the kernel after each block, and the
+# next block faults it in again.  Setting either value stops glibc
+# adjusting both, and a fixed 128 KiB mmap threshold would map and unmap
+# every block array of 2^14 doubles, so both are set: 64 MiB and 32 MiB,
+# the most glibc accepts on 64-bit.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 
