@@ -182,11 +182,6 @@ def parity_labels_and_sum(x: np.ndarray, a: float) -> tuple[np.ndarray, int | np
     return z, x.shape[-1] - 2 * odd.sum(axis=-1, dtype=np.int64)
 
 
-def zero_signed_sum(z: np.ndarray, signs: np.ndarray) -> int | np.ndarray:
-    """Sum of parity labels over untouched (sign == 0) coordinates.
-
-    Per row, as an int64 array, for a 2-d trial block.
-    """
-    if z.ndim == 1:
-        return int(z[signs == 0].sum())
-    return np.where(signs == 0, z, 0).sum(axis=-1, dtype=np.int64)
+def zero_signed_sum(z: np.ndarray, signs: np.ndarray) -> int:
+    """Sum of parity labels over untouched (sign == 0) coordinates."""
+    return int(z[signs == 0].sum())

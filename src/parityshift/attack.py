@@ -26,6 +26,7 @@ __all__ = [
     "sample_die",
     "couple_perturb",
     "sparsity_ratio",
+    "sparsity_budget",
     "optimal_parity_evasion",
 ]
 
@@ -172,16 +173,28 @@ def sparsity_ratio(theta: PerturbationVector) -> float:
     return theta.zero_count / theta.n
 
 
+def sparsity_budget(t: float, n: int) -> int:
+    """The largest m with m / n < t, or -1 if there is none.
+
+    ceil(t n) - 1 is one too many where t n rounds up onto an integer
+    (0.28 * 25 = 7.000000000000001, yet 7 / 25 is not < 0.28).
+    """
+    m = math.ceil(t * n)
+    while m >= 0 and m / n >= t:
+        m -= 1
+    return m
+
+
 def optimal_parity_evasion(z, a: float, t: float, n: int) -> PerturbationVector:
     """Best evasion against the parity statistic under a sparsity budget.
 
     With z the pre-attack parity labels, the attacked statistic is
     A' = -A + (2/n) * sum of z over untouched coordinates, so the optimum
-    keeps up to m = ceil(t n) - 1 coordinates (the strict budget) chosen
-    among those with z = +1 (fewer if fewer exist, lowest index first)
-    and shifts every other coordinate by +a (parity is sign-blind; +a by
-    convention).  A 2-d z is a trial block: each row is attacked on its
-    own and the result is a block perturbation.
+    keeps up to m = sparsity_budget(t, n) coordinates (the strict budget)
+    chosen among those with z = +1 (fewer if fewer exist, lowest index
+    first) and shifts every other coordinate by +a (parity is sign-blind;
+    +a by convention).  A 2-d z is a trial block: each row is attacked on
+    its own and the result is a block perturbation.
     """
     z = np.asarray(z, dtype=np.int8)
     if z.ndim not in (1, 2) or z.shape[-1] != n or n <= 0:
@@ -190,7 +203,7 @@ def optimal_parity_evasion(z, a: float, t: float, n: int) -> PerturbationVector:
         raise ValueError("z entries must be +-1")
     if not (0.0 <= t <= 1.0):
         raise ValueError(f"t must lie in [0, 1], got {t!r}")
-    budget = math.ceil(t * n) - 1
+    budget = sparsity_budget(t, n)
     if budget < 0:
         raise ValueError(
             f"no perturbation has sparsity ratio < {t!r}; the constrained family is empty"

@@ -9,7 +9,8 @@ detect      single-shot detector demo on one null sample
 experiment  run a harness operation (by preset and/or flags), write
             summary.json (+ trials.jsonl, one record per trial as it
             finishes), print per-check pass/fail
-sweep       run the phase-transition sweep, write sweep.csv
+sweep       run the sweep operation the same way, write summary.json
+            and sweep.csv
 
 Configuration layers, later wins: preset -> --config JSON -> flags.
 Exit codes: 0 all run-level assertions pass, 1 assertion failure,
@@ -26,7 +27,6 @@ import platform
 import resource
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +50,7 @@ _OPERATIONS = {
     "thm1_detectable": harness.run_thm1_detectable,
     "thm2_undetectable": harness.run_thm2_undetectable,
     "thm2_detectable": harness.run_thm2_detectable,
+    "sweep": harness.sweep_phase_transition,
 }
 
 # Acceptance-grade parameter sets, runnable by name.
@@ -363,16 +364,18 @@ def _run_streaming_records(run, spec: ExperimentSpec, path: Path) -> harness.Exp
     return summary
 
 
-def _cmd_experiment(args, argv) -> int:
+def _cmd_run(args, argv) -> int:
+    """Run one operation: ``experiment`` runs all but the sweep, ``sweep`` only the sweep."""
     start = _run_start()
     operation, spec_kwargs, extras = _build_spec(args)
-    if operation == "sweep":
-        raise ConfigError("operation: sweep presets run under the `sweep` subcommand")
     if operation not in _OPERATIONS:
         raise ConfigError(f"operation: unknown operation {operation!r}")
-    if extras:
+    if (operation == "sweep") != (args.command == "sweep"):
+        raise ConfigError(f"operation: {operation!r} does not run under `{args.command}`; "
+                          "`sweep` runs operation sweep and `experiment` the others")
+    if extras and operation != "sweep":
         raise ConfigError(f"{', '.join(sorted(extras))}: only the `sweep` subcommand takes a grid")
-    formats = set((args.format or "json").split(","))
+    formats = set((getattr(args, "format", None) or "json").split(","))
     if not formats <= {"json", "jsonl"}:
         raise ConfigError(f"format: must be a subset of json,jsonl, got {args.format!r}")
     spec = _make_spec(spec_kwargs)
@@ -387,15 +390,18 @@ def _cmd_experiment(args, argv) -> int:
         if "jsonl" in formats:
             summary = _run_streaming_records(run, spec, out_dir / "trials.jsonl")
         else:
-            summary = run(spec)
+            summary = run(spec, **extras)
         _write_json(out_dir / "summary.json", summary.to_dict())
+        if summary.rows is not None:
+            (out_dir / "sweep.csv").write_text("\n".join(_sweep_csv_lines(summary.rows)) + "\n")
     except BaseException:
         for d in made:
             if any(d.iterdir()):
                 break
             d.rmdir()
         raise
-    _write_meta(out_dir, f"experiment:{operation}", argv, spec.master_seed, start)
+    command = "sweep" if operation == "sweep" else f"experiment:{operation}"
+    _write_meta(out_dir, command, argv, spec.master_seed, start)
 
     ok = _print_checks(summary.checks)
     print(f"wrote {out_dir / 'summary.json'}; passed={summary.passed}")
@@ -422,48 +428,6 @@ def _sweep_csv_lines(rows: list[dict]) -> list[str]:
             cells.append(_fmt(v) if isinstance(v, float) else str(v))
         lines.append(",".join(cells))
     return lines
-
-
-def _cmd_sweep(args, argv) -> int:
-    start = _run_start()
-    _, spec_kwargs, extras = _build_spec(args)
-    if spec_kwargs.get("t") is not None:
-        raise ConfigError("t: a sweep does not take t; a fixed_a sweep sets t = G(a) + each "
-                          "t_offsets entry")
-    spec = _make_spec(spec_kwargs)
-    grid, other = ("t_offsets", "c_values") if spec.regime == "fixed_a" else ("c_values", "t_offsets")
-    if other in extras:
-        raise ConfigError(f"{other}: a {spec.regime} sweep takes {grid}, not {other}")
-
-    rows = harness.sweep_phase_transition(
-        spec, t_offsets=extras.get("t_offsets"), c_values=extras.get("c_values")
-    )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    checks: dict[str, dict] = {}
-    if rows and rows[0]["kind"] == "t":
-        counts = [row["attacker_success"]["count"] for row in rows]
-        monotone = all(c1 <= c2 for c1, c2 in zip(counts, counts[1:]))
-        checks["success_monotone_in_t"] = harness._check(
-            monotone, 0 if monotone else 1, 0,
-            "success counts nondecreasing across the t grid (shared substreams)",
-        )
-
-    payload = {
-        "operation": "sweep",
-        "spec": asdict(spec),
-        "rows": rows,
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks.values()),
-    }
-    _write_json(out_dir / "summary.json", payload)
-    (out_dir / "sweep.csv").write_text("\n".join(_sweep_csv_lines(rows)) + "\n")
-    _write_meta(out_dir, "sweep", argv, spec.master_seed, start)
-
-    ok = _print_checks(checks) if checks else True
-    print(f"wrote {out_dir / 'sweep.csv'} ({len(rows)} cells); passed={payload['passed']}")
-    return 0 if ok else 1
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -510,7 +474,7 @@ def _parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("experiment", help="run one harness operation")
     add_spec_flags(pe)
-    pe.add_argument("--operation", choices=sorted(_OPERATIONS), default=None)
+    pe.add_argument("--operation", choices=sorted(set(_OPERATIONS) - {"sweep"}), default=None)
     pe.add_argument("--format", default="json", help="comma subset of json,jsonl")
 
     ps = sub.add_parser("sweep", help="phase-transition sweep")
@@ -527,8 +491,8 @@ def run_cli(argv: list[str] | None = None) -> int:
         "kernels": _cmd_kernels,
         "attack": _cmd_attack,
         "detect": _cmd_detect,
-        "experiment": _cmd_experiment,
-        "sweep": _cmd_sweep,
+        "experiment": _cmd_run,
+        "sweep": _cmd_run,
     }
     try:
         return handlers[args.command](args, argv)

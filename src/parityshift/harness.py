@@ -1,11 +1,12 @@
 """Seeded Monte Carlo experiments reproducing both theorem directions.
 
-Every experiment consumes an ExperimentSpec and returns an
-ExperimentSummary holding empirical rates (with Wilson 95% intervals),
-the analytic bounds evaluated at the spec, machine-checked premises, and
-named pass/fail checks.  Trials use counter-based Philox substreams
-keyed by (master_seed, trial_index), and the whole summary is
-bit-reproducible for a given seed.
+Every experiment, the phase-transition sweep included, consumes an
+ExperimentSpec and returns an ExperimentSummary holding empirical rates
+(with Wilson 95% intervals), the analytic bounds evaluated at the spec,
+machine-checked premises, and named pass/fail checks; a sweep's summary
+holds its grid cells in ``rows`` instead of rates and bounds.  Trials
+use counter-based Philox substreams keyed by (master_seed, trial_index),
+and the whole summary is bit-reproducible for a given seed.
 
 Every run is a reducer over one trial-block engine: ``_blocks`` draws
 consecutive trials into the rows of an (m, n) array, each row from its
@@ -25,13 +26,15 @@ reused by the next block instead of being handed back to the kernel and
 faulted in again.
 
 Attacked statistics are derived by the exact integer-shift construction
-(a +-a shift moves the bin index by exactly one) and, in the theorem
-runs, re-verified per trial by direct binning of x + theta; both sides
-are integer label sums, so the flip identity is asserted with zero
-tolerance.  thm1-undetectable rolls the die on central-bin coordinates
-only, the only ones that can stay, so its records carry no theta_rle and
-take s_post from the flip identity: each stay keeps label +1.  The cube
-sweep takes s_post from the same identity.
+(a +-a shift moves the bin index by exactly one).  thm1-detectable and
+the two thm2 runs re-verify them per trial by direct binning of
+x + theta; both sides are integer label sums, so the flip identity is
+asserted with zero tolerance.  A coordinate stays only inside the
+central bin, label +1, so under the coupling s_post = 2 * zero_count -
+s_pre: thm2-undetectable checks this on every trial, and the cube sweep
+and thm1-undetectable's records take s_post from it.  thm1-undetectable
+rolls the die on central-bin coordinates only, so its records carry no
+theta_rle.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from typing import Any
 import numpy as np
 
 from . import accel
-from .attack import PerturbationVector, couple_perturb, optimal_parity_evasion
+from .attack import PerturbationVector, couple_perturb, optimal_parity_evasion, sparsity_budget
 from .detector import DetectorConfig, big_g_value, min_accepted_sum
 from .forked import forked_map, worker_count
 from .kernels import KernelParams
@@ -191,19 +194,23 @@ OnTrial = Callable[[TrialRecord], None]
 
 @dataclass
 class ExperimentSummary:
-    """Aggregated rates, bounds, premises and pass/fail checks."""
+    """Aggregated rates, bounds, premises and pass/fail checks, or a sweep's rows.
+
+    ``to_dict`` leaves out the fields that are None.
+    """
 
     operation: str
     spec: dict
-    rates: dict[str, dict] = field(default_factory=dict)
-    bounds: dict[str, float] = field(default_factory=dict)
-    premises: dict[str, bool] = field(default_factory=dict)
+    rates: dict[str, dict] | None = None
+    bounds: dict[str, float] | None = None
+    premises: dict[str, bool] | None = None
     checks: dict[str, dict] = field(default_factory=dict)
-    counts: dict[str, int] = field(default_factory=dict)
+    counts: dict[str, int] | None = None
     passed: bool = True
+    rows: list[dict] | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
+        return {name: value for name, value in asdict(self).items() if value is not None}
 
 
 def trial_rng(
@@ -642,23 +649,23 @@ def run_thm2_undetectable(
     a, n, trials, lam = spec.effective_a, spec.n, spec.trials, spec.lam
     big_g = big_g_value(a)
     t = spec.t if spec.t is not None else big_g + spec.epsilon
+    budget = sparsity_budget(t, n)
     params = KernelParams(a, rel_tol=spec.rel_tol)
     s_min = min_accepted_sum(DetectorConfig(a, lam), n)
 
     def reduce_block(start, x, u):
         theta, x_post = couple_perturb(x, params, u)
         zc = theta.zero_count
-        in_family = zc / n < t
-        z, s_pre = accel.parity_labels_and_sum(x, a)
+        in_family = zc <= budget
+        _, s_pre = accel.parity_labels_and_sum(x, a)
         _, s_post = accel.parity_labels_and_sum(x_post, a)
-        kept = accel.zero_signed_sum(z, theta.signs)
         accept_pre = s_pre >= s_min
         accept_post = s_post >= s_min
         rows = None
         if on_trial is not None:
             rows = _record_rows(start, s_pre, s_post, zc, accept_pre, accept_post, theta.row)
         return {"accept_pre": accept_pre, "success": accept_post & in_family,
-                "in_family": in_family, "flip_violations": s_post != 2 * kept - s_pre}, rows
+                "in_family": in_family, "flip_violations": s_post != 2 * zc - s_pre}, rows
 
     (tally,) = _tally(_Job(spec, reduce_block, uniforms=True, on_trial=on_trial))
     accept_pre_count, success_count = tally["accept_pre"], tally["success"]
@@ -729,7 +736,7 @@ def run_thm2_detectable(
     big_g = big_g_value(a)
     t = spec.t if spec.t is not None else big_g - eps
     premise_t = t <= big_g - eps + 1e-12
-    budget = math.ceil(t * n) - 1
+    budget = sparsity_budget(t, n)
     if budget < 0:
         raise SpecValidationError(f"t: t = {t!r} leaves no admissible perturbation")
     s_min = min_accepted_sum(DetectorConfig(a, lam), n)
@@ -786,17 +793,26 @@ def sweep_phase_transition(
     spec: ExperimentSpec,
     t_offsets: list[float] | None = None,
     c_values: list[float] | None = None,
-) -> list[dict]:
+) -> ExperimentSummary:
     """Attacker-success rates across the sparsity or cube-scaling grid.
 
     fixed_a: sweeps t = G(a) + offset over the given offsets (default
     -0.15..0.15 step 0.025) against the optimal evasion adversary; all
-    cells share trial substreams, so the success rate is exactly
-    monotone in t.  cube_scaling: sweeps c (default 1..4 in 13 steps)
-    with the coupling attack against the zero-variant test.
+    cells share trial substreams, so the success count is exactly
+    monotone in t, which the success_monotone_in_t check asserts.
+    cube_scaling: sweeps c (default 1..4 in 13 steps) with the coupling
+    attack against the zero-variant test.  The spec must not set t, and
+    only the spec's regime's grid may be given.
 
-    Returns one row dict per cell, in grid order.
+    Returns a summary whose ``rows`` hold one dict per cell, in grid order.
     """
+    if spec.t is not None:
+        raise SpecValidationError(
+            "t: a sweep does not take t; a fixed_a sweep sets t = G(a) + each t_offsets entry")
+    grid, other, other_values = (("t_offsets", "c_values", c_values) if spec.regime == "fixed_a"
+                                 else ("c_values", "t_offsets", t_offsets))
+    if other_values is not None:
+        raise SpecValidationError(f"{other}: a {spec.regime} sweep takes {grid}, not {other}")
     rows: list[dict] = []
     if spec.regime == "fixed_a":
         a, n, trials, lam = spec.effective_a, spec.n, spec.trials, spec.lam
@@ -804,11 +820,14 @@ def sweep_phase_transition(
         if t_offsets is None:
             t_offsets = [round(-0.15 + 0.025 * j, 6) for j in range(13)]
         ts = [big_g + off for off in t_offsets]
-        for t in ts:
+        budgets = [sparsity_budget(t, n) for t in ts]
+        for t, budget in zip(ts, budgets):
             if not (0.0 <= t <= 1.0):
                 raise SpecValidationError(
                     f"t_offsets: t = {t!r} outside [0, 1]; shrink the offset grid")
-        budgets = [math.ceil(t * n) - 1 for t in ts]
+            if budget < 0:
+                raise SpecValidationError(
+                    f"t_offsets: t = {t!r} leaves no admissible perturbation")
         budget_row = np.array(budgets)
         s_min = min_accepted_sum(DetectorConfig(a, lam), n)
 
@@ -827,7 +846,11 @@ def sweep_phase_transition(
                          "null_accept_rate": pre_accepts / trials,
                          "attacker_success": _rate(success[j], trials),
                          "overlap_rate": overlaps[j] / trials})
-        return rows
+        monotone = all(c1 <= c2 for c1, c2 in zip(success, success[1:]))
+        return ExperimentSummary("sweep", asdict(spec), rows=rows, passed=monotone, checks={
+            "success_monotone_in_t": _check(
+                monotone, 0 if monotone else 1, 0,
+                "success counts nondecreasing across the t grid (shared substreams)")})
 
     # cube regime: coupling attack against the zero test, one job per
     # cell, all tallied together so that a sharded sweep forks once
@@ -869,4 +892,4 @@ def sweep_phase_transition(
                      "attacker_success": _rate(tally["post_accepts"], trials),
                      "overlap_rate": tally["overlap"] / trials,
                      "detector_win_rate": tally["wins"] / trials})
-    return rows
+    return ExperimentSummary("sweep", asdict(spec), rows=rows)

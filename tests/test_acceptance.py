@@ -187,7 +187,7 @@ def test_c8_phase_transition_sweep():
     spec = ExperimentSpec(regime="fixed_a", a=2.0, n=2000, trials=10_000,
                           master_seed=ACCEPT_SEED, epsilon=0.05, lam=3.0)
     offsets = [-0.15, -0.1, -0.05, 0.0, 0.05, 0.1, 0.15]
-    rows = sweep_phase_transition(spec, t_offsets=offsets)
+    rows = sweep_phase_transition(spec, t_offsets=offsets).rows
     by_offset = {row["t_offset"]: row for row in rows}
     low = by_offset[-0.1]["attacker_success"]["rate"]
     high = by_offset[0.1]["attacker_success"]["rate"]

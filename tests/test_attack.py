@@ -14,6 +14,7 @@ from parityshift.attack import (
     couple_perturb,
     optimal_parity_evasion,
     sample_die,
+    sparsity_budget,
     sparsity_ratio,
 )
 from parityshift.detector import big_g_value
@@ -229,6 +230,21 @@ class TestOptimalParityEvasion:
             return
         theta = optimal_parity_evasion(z, 1.0, t, n)
         assert sparsity_ratio(theta) < t
+
+    # t * n rounds up onto an integer here (0.28 * 25 = 7.000000000000001),
+    # where ceil(t n) - 1 keeps one coordinate too many
+    @pytest.mark.parametrize("t, n, budget", [(0.28, 25, 6), (0.28, 5000, 1399), (0.56, 25, 13)])
+    def test_budget_strict_where_t_n_rounds_up(self, t, n, budget):
+        assert sparsity_budget(t, n) == budget
+        assert budget / n < t <= (budget + 1) / n
+        theta = optimal_parity_evasion(np.ones(n, np.int8), 1.0, t, n)
+        assert theta.zero_count == budget
+        assert sparsity_ratio(theta) < t
+
+    def test_budget_empty_only_at_zero(self):
+        assert sparsity_budget(0.0, 7) == -1
+        assert sparsity_budget(1e-12, 7) == 0
+        assert sparsity_budget(1.0, 7) == 6
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("t", [0.2, 0.5, 0.8, 1.0])

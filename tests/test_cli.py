@@ -14,6 +14,7 @@ import scipy
 
 from parityshift import cli, forked, harness
 from parityshift.cli import run_cli
+from parityshift.detector import big_g_value
 from parityshift.harness import ExperimentSpec
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -304,6 +305,16 @@ class TestSweepCommand:
         assert code == 2
         assert grid in capsys.readouterr().err
 
+    def test_empty_family_cell_exits_2(self, tmp_path, capsys):
+        # t = G(2) - G(2) = 0: no perturbation has sparsity ratio < t
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps({"t_offsets": [-big_g_value(2.0)]}))
+        code = run_cli(["sweep", "--preset", "sweep-t", "--config", str(config), "--trials", "5",
+                        "--seed", SEED, "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: t_offsets:")
+        assert not (tmp_path / "run").exists()
+
     def test_cube_sweep(self, tmp_path):
         code = run_cli(["sweep", "--preset", "sweep-c", "--trials", "40", "--n", "300",
                         "--seed", SEED, "--out", str(tmp_path)])
@@ -328,6 +339,11 @@ class TestIgnoredInput:
         (["experiment", "--preset", "thm1-undetectable"], {"a": 1.0}, "a"),
         (["sweep", "--preset", "sweep-t", "--t", "0.3"], {}, "t"),
         (["sweep", "--preset", "sweep-c"], {"t": 0.3}, "t"),
+        # each subcommand runs only its own operations
+        (["sweep", "--preset", "hoeffding"], {}, "operation"),
+        (["sweep"], {"operation": "thm1_detectable", "regime": "cube_scaling", "c": 4.0,
+                     "n": 300}, "operation"),
+        (["experiment", "--preset", "sweep-t"], {}, "operation"),
     ])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, argv, config, field):
         path = tmp_path / "extra.json"

@@ -1,5 +1,6 @@
 """Harness: spec validation, determinism, all five operations, sweep, sharding."""
 
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -412,7 +413,7 @@ class TestSweep:
     def test_single_cell_matches_thm2_detectable(self):
         spec = ExperimentSpec(regime="fixed_a", a=2.0, n=5000, trials=120, master_seed=SEED)
         full = run_thm2_detectable(spec)
-        rows = sweep_phase_transition(spec, t_offsets=[-spec.epsilon])
+        rows = sweep_phase_transition(spec, t_offsets=[-spec.epsilon]).rows
         assert len(rows) == 1
         row = rows[0]
         assert row["t"] == full.bounds["t"]
@@ -424,24 +425,50 @@ class TestSweep:
         spec = ExperimentSpec(regime="fixed_a", a=2.0, n=2000, trials=250, master_seed=SEED)
         rows = sweep_phase_transition(
             spec, t_offsets=[-0.15, -0.1, -0.05, -0.03, 0.0, 0.05, 0.1, 0.15]
-        )
+        ).rows
         counts = [r["attacker_success"]["count"] for r in rows]
         assert counts == sorted(counts)
 
     def test_cube_sweep_shape(self):
         spec = ExperimentSpec(regime="cube_scaling", c=1.0, n=500, trials=60, master_seed=SEED)
-        rows = sweep_phase_transition(spec, c_values=[1.0, 2.5, 4.0])
+        rows = sweep_phase_transition(spec, c_values=[1.0, 2.5, 4.0]).rows
         assert [r["c"] for r in rows] == [1.0, 2.5, 4.0]
         for row in rows:
             assert 0.0 <= row["detector_win_rate"] <= 1.0
         # large-c cell: the full flip makes accepted-then-accepted impossible
         assert rows[-1]["overlap_rate"] == 0.0 or rows[-1]["big_g"] > 0
 
+    @pytest.mark.parametrize("spec, grid, field", [
+        (ExperimentSpec(regime="fixed_a", a=2.0, n=300, trials=5, master_seed=SEED, t=0.3),
+         {}, "t"),
+        (ExperimentSpec(regime="cube_scaling", c=1.0, n=300, trials=5, master_seed=SEED, t=0.3),
+         {}, "t"),
+        (ExperimentSpec(regime="fixed_a", a=2.0, n=300, trials=5, master_seed=SEED),
+         {"c_values": [1.0]}, "c_values"),
+        (ExperimentSpec(regime="cube_scaling", c=1.0, n=300, trials=5, master_seed=SEED),
+         {"t_offsets": [0.0]}, "t_offsets"),
+        # t = G(2) - G(2) = 0 leaves no perturbation with sparsity ratio < t
+        (ExperimentSpec(regime="fixed_a", a=2.0, n=300, trials=5, master_seed=SEED),
+         {"t_offsets": [0.0, -big_g_value(2.0)]}, "t_offsets"),
+    ])
+    def test_bad_input_raises_naming_the_field(self, spec, grid, field):
+        with pytest.raises(SpecValidationError, match=f"^{field}:"):
+            sweep_phase_transition(spec, **grid)
+
+    def test_summary_payload(self):
+        spec = ExperimentSpec(regime="fixed_a", a=2.0, n=300, trials=20, master_seed=SEED)
+        summary = sweep_phase_transition(spec, t_offsets=[0.0, 0.1])
+        assert summary.operation == "sweep" and summary.passed
+        assert sorted(summary.to_dict()) == ["checks", "operation", "passed", "rows", "spec"]
+        assert list(summary.checks) == ["success_monotone_in_t"]
+        assert "rows" not in run_thm2_detectable(
+            dataclasses.replace(spec, n=5000, trials=3)).to_dict()
+
     def test_deterministic(self):
         spec = ExperimentSpec(regime="fixed_a", a=2.0, n=800, trials=50, master_seed=SEED)
-        assert sweep_phase_transition(spec, t_offsets=[0.0, 0.1]) == sweep_phase_transition(
+        assert sweep_phase_transition(spec, t_offsets=[0.0, 0.1]).rows == sweep_phase_transition(
             spec, t_offsets=[0.0, 0.1]
-        )
+        ).rows
 
 
 @pytest.fixture
@@ -505,9 +532,9 @@ class TestSharding:
     ], ids=["t", "c"])
     def test_sweeps_match_one_worker(self, shard, spec, grid):
         shard(1)
-        ref = sweep_phase_transition(spec, **grid)
+        ref = sweep_phase_transition(spec, **grid).rows
         shard(2)
-        assert sweep_phase_transition(spec, **grid) == ref
+        assert sweep_phase_transition(spec, **grid).rows == ref
         # all cells of a sweep share one set of workers
         assert shard.calls == [2]
 
