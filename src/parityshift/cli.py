@@ -186,10 +186,10 @@ def _print_checks(checks: dict[str, dict]) -> bool:
 
 
 def _grid(key: str, value) -> list:
-    """A sweep grid from a config file: a non-empty list of numbers."""
-    if not (isinstance(value, list) and value and all(
+    """A sweep grid from a config file: a list of numbers."""
+    if not (isinstance(value, list) and all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
-        raise ConfigError(f"{key}: must be a non-empty list of numbers, got {value!r}")
+        raise ConfigError(f"{key}: must be a list of numbers, got {value!r}")
     return value
 
 
@@ -252,6 +252,8 @@ def _build_spec(args) -> tuple[str, dict, dict]:
         spec.pop(unused, None)
     if getattr(args, "operation", None):
         operation = args.operation
+    if operation is None and args.command == "sweep":
+        operation = "sweep"
     if operation is None:
         raise ConfigError("no operation: give --preset, --operation or a config file")
     if spec.get("master_seed") is None:

@@ -1,15 +1,18 @@
 """An ordered map over tasks, computed by worker processes forked from this one.
 
 ``forked_map(fn, tasks, workers)`` yields fn(task) for every task, in
-task order.  The workers inherit fn at the fork, closures and shared
-anonymous mappings included, so only the tasks and their results are
-pickled.  That inheritance needs the fork start method, which copies
-only the calling thread: call from a process whose other threads hold
-no lock fn needs.  A worker holds at most two tasks, and no task is
-sent more than 2 * workers tasks ahead of the next result yielded, so a
-slow consumer holds only a few results.  Each worker sends its peak
-resident set with every result, kept in ``worker_peaks``.
-``multiprocessing`` is imported on the first map, not with this module.
+task order.  Worker w is forked holding its share, every workers-th task
+from task w, and inherits it with fn at the fork, closures and shared
+anonymous mappings included, so only the results are pickled.  That
+inheritance needs the fork start method, which copies only the calling
+thread: call from a process whose other threads hold no lock fn needs.
+A worker computes its share in order and sends each result on a one-way
+pipe, so the result for task i is the next message from worker
+i % workers.  A worker whose pipe is full blocks until the parent reads,
+so a slow consumer holds at most a pipe's buffer and one result a
+worker.  Each worker sends its peak resident set with every result,
+kept in ``worker_peaks``.  ``multiprocessing`` is imported on the first
+map, not with this module.
 """
 
 from __future__ import annotations
@@ -49,88 +52,61 @@ def forked_map(fn: Callable[[Any], Any], tasks: Sequence, workers: int) -> Itera
     no worker is left running.
     """
     import multiprocessing
-    from multiprocessing.connection import wait
 
     context = multiprocessing.get_context("fork")
     # a forked child flushes its inherited copy of these buffers on exit
     sys.stdout.flush()
     sys.stderr.flush()
-    procs: dict = {}  # parent's connection -> worker process
-    slots: dict = {}  # parent's connection -> the worker's index in worker_peaks
+    procs: list = []  # (parent's read end, worker process, index in worker_peaks), by worker
     try:
-        for _ in range(workers):
-            ours, theirs = context.Pipe()
-            proc = context.Process(target=_serve, args=(fn, theirs, [*procs, ours]),
-                                   daemon=True)
+        for w in range(workers):
+            ours, theirs = context.Pipe(duplex=False)
+            proc = context.Process(target=_serve, daemon=True, args=(
+                fn, tasks[w::workers], theirs, [conn for conn, _, _ in procs] + [ours]))
             proc.start()
             theirs.close()
-            procs[ours] = proc
-            slots[ours] = len(worker_peaks)
+            procs.append((ours, proc, len(worker_peaks)))
             worker_peaks.append(0)
-        queued: dict = {conn: [] for conn in procs}  # tasks sent to each worker, in order
-        done: dict = {}  # task index -> result not yet yielded
-        sent = 0
         for i in range(len(tasks)):
-            while i not in done:
-                for conn, queue in queued.items():
-                    # two tasks a worker, so that the next one is waiting
-                    # when a worker returns a result
-                    while len(queue) < 2 and sent < min(len(tasks), i + 2 * workers):
-                        try:
-                            conn.send(tasks[sent])
-                        except ConnectionError:
-                            raise _worker_died(procs[conn]) from None
-                        queue.append(sent)
-                        sent += 1
-                for conn in wait([conn for conn, queue in queued.items() if queue]):
-                    done[queued[conn].pop(0)] = _receive(conn, procs[conn], slots[conn])
-            yield done.pop(i)
+            yield _receive(*procs[i % workers])
     finally:
-        # idle workers wait for a task, and after an error busy ones are
+        # after an error, or once the consumer stops, busy workers are
         # not needed: every worker is terminated, then reaped
-        for conn, proc in procs.items():
+        for conn, proc, _ in procs:
             conn.close()
             proc.terminate()
-        for proc in procs.values():
+        for _, proc, _ in procs:
             proc.join()
 
 
 def _receive(conn, proc, slot: int) -> Any:
-    """One task's result from a worker, or its exception raised here."""
+    """A worker's next result, or its exception raised here."""
     try:
         worker_peaks[slot], ok, *reply = conn.recv()
-    except (EOFError, ConnectionError):
-        raise _worker_died(proc) from None
+    except EOFError:
+        proc.join()
+        raise RuntimeError(f"worker process {proc.pid} exited with code {proc.exitcode}") from None
     if ok:
         return reply[0]
     exc, worker_traceback = reply
     raise exc from RuntimeError(f"raised in worker process {proc.pid}:\n{worker_traceback}")
 
 
-def _worker_died(proc) -> RuntimeError:
-    proc.join()
-    return RuntimeError(f"worker process {proc.pid} exited with code {proc.exitcode}")
+def _serve(fn: Callable[[Any], Any], tasks: Sequence, conn, parent_ends: list) -> None:
+    """A forked worker: send fn(task) on conn for each of its tasks, in order.
 
-
-def _serve(fn: Callable[[Any], Any], conn, parent_ends: list) -> None:
-    """A forked worker: send back fn(task) for each task received on conn.
-
-    The worker first closes the parent's ends of every worker's pipe that
-    the fork copied, so that its recv ends when the parent exits, however
-    it exits, and leaves Ctrl-C to the parent, which stops every worker.
+    The worker first closes the read ends of every worker's pipe that the
+    fork copied, so that its send fails once the parent exits, however it
+    exits, and leaves Ctrl-C to the parent, which stops every worker.
     It stops after sending an exception, since the parent raises it.
-    Each reply starts with the worker's ru_maxrss so far.
+    Each message starts with the worker's ru_maxrss so far.
     """
     import resource
 
     for end in parent_ends:
         end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    while True:
-        try:
-            task = conn.recv()
-        except (EOFError, ConnectionError):  # the parent is gone
-            return
+    for task in tasks:
         try:
             reply = (True, fn(task))
         except Exception as exc:
@@ -141,7 +117,7 @@ def _serve(fn: Callable[[Any], Any], conn, parent_ends: list) -> None:
             reply = (False, exc, traceback.format_exc())
         try:
             conn.send((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, *reply))
-        except ConnectionError:  # the parent is gone
+        except BrokenPipeError:  # the parent is gone
             return
         if not reply[0]:
             return

@@ -802,17 +802,20 @@ def sweep_phase_transition(
     monotone in t, which the success_monotone_in_t check asserts.
     cube_scaling: sweeps c (default 1..4 in 13 steps) with the coupling
     attack against the zero-variant test.  The spec must not set t, and
-    only the spec's regime's grid may be given.
+    only the spec's regime's grid may be given, with at least one value.
 
     Returns a summary whose ``rows`` hold one dict per cell, in grid order.
     """
     if spec.t is not None:
         raise SpecValidationError(
             "t: a sweep does not take t; a fixed_a sweep sets t = G(a) + each t_offsets entry")
-    grid, other, other_values = (("t_offsets", "c_values", c_values) if spec.regime == "fixed_a"
-                                 else ("c_values", "t_offsets", t_offsets))
+    grid, values, other, other_values = (
+        ("t_offsets", t_offsets, "c_values", c_values) if spec.regime == "fixed_a"
+        else ("c_values", c_values, "t_offsets", t_offsets))
     if other_values is not None:
         raise SpecValidationError(f"{other}: a {spec.regime} sweep takes {grid}, not {other}")
+    if values is not None and len(values) == 0:
+        raise SpecValidationError(f"{grid}: a sweep needs at least one cell")
     rows: list[dict] = []
     if spec.regime == "fixed_a":
         a, n, trials, lam = spec.effective_a, spec.n, spec.trials, spec.lam

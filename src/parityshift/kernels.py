@@ -333,8 +333,9 @@ def _phi_forward_raw(y: float, params: KernelParams) -> float:
     sum_{k>=1} (-1)^(k+1) [1 - gamma(y + k a)] exp(-k a y - k^2 a^2 / 2)
 
     For y >= 0 every argument y + k a lies past a/2, so the stay-probability
-    factor is identically 1 and the terms decrease monotonically; the
-    alternating remainder is bounded by the first omitted term.
+    factor is identically 1 and is left out; the terms decrease
+    monotonically, and the alternating remainder is bounded by the first
+    omitted term.
     """
     a = params.a
     total = 0.0
@@ -343,8 +344,7 @@ def _phi_forward_raw(y: float, params: KernelParams) -> float:
     sign = 1.0
     while True:
         k += 1
-        stay_factor = 1.0 - _gamma_raw(y + k * a, params)
-        total += sign * stay_factor * math.exp(-k * a * y - 0.5 * k * k * a * a)
+        total += sign * math.exp(-k * a * y - 0.5 * k * k * a * a)
         sign = -sign
         terms += 1
         kn = k + 1

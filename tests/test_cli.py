@@ -315,6 +315,19 @@ class TestSweepCommand:
         assert capsys.readouterr().err.startswith("error: t_offsets:")
         assert not (tmp_path / "run").exists()
 
+    def test_runs_sweep_without_preset(self, tmp_path, capsys):
+        # sweep has one operation, so flags alone name the run; experiment has five
+        code = run_cli(["sweep", "--a", "2", "--n", "300", "--trials", "5", "--seed", "1",
+                        "--out", str(tmp_path / "sweep")])
+        assert code == 0
+        lines = (tmp_path / "sweep" / "sweep.csv").read_text().strip().splitlines()
+        assert len(lines) == 14  # header + the 13 offsets of the default grid
+        code = run_cli(["experiment", "--a", "2", "--n", "300", "--trials", "5", "--seed", "1",
+                        "--out", str(tmp_path / "experiment")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: no operation: give --preset, --operation or a config file\n")
+
     def test_cube_sweep(self, tmp_path):
         code = run_cli(["sweep", "--preset", "sweep-c", "--trials", "40", "--n", "300",
                         "--seed", SEED, "--out", str(tmp_path)])

@@ -6,8 +6,10 @@ import math
 import multiprocessing
 import os
 import platform
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -450,6 +452,11 @@ class TestSweep:
         # t = G(2) - G(2) = 0 leaves no perturbation with sparsity ratio < t
         (ExperimentSpec(regime="fixed_a", a=2.0, n=300, trials=5, master_seed=SEED),
          {"t_offsets": [0.0, -big_g_value(2.0)]}, "t_offsets"),
+        # an empty grid has no cell to run or to check
+        (ExperimentSpec(regime="fixed_a", a=2.0, n=300, trials=5, master_seed=SEED),
+         {"t_offsets": []}, "t_offsets"),
+        (ExperimentSpec(regime="cube_scaling", c=1.0, n=300, trials=5, master_seed=SEED),
+         {"c_values": []}, "c_values"),
     ])
     def test_bad_input_raises_naming_the_field(self, spec, grid, field):
         with pytest.raises(SpecValidationError, match=f"^{field}:"):
@@ -510,7 +517,7 @@ class TestSharding:
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("run, kwargs", SMALL_RUNS, ids=lambda v: getattr(v, "__name__", ""))
     def test_runs_match_one_worker(self, shard, run, kwargs, workers):
-        # 20 one-trial blocks in 7 tasks: more tasks than the 2 * workers window
+        # 20 one-trial blocks in 7 tasks, split 4+3 or 3+2+2 between the workers
         spec = ExperimentSpec(**kwargs, trials=20, master_seed=SEED)
         shard(1)
         ref_recs = []
@@ -537,6 +544,22 @@ class TestSharding:
         assert sweep_phase_transition(spec, **grid).rows == ref
         # all cells of a sweep share one set of workers
         assert shard.calls == [2]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_records_larger_than_a_pipe(self, shard, workers):
+        # a task's three theta rows of 30,000 signs pickle to about 90 KB,
+        # more than a 64 KiB pipe holds, so each worker blocks in send
+        # until this process reads its result
+        spec = ExperimentSpec(regime="fixed_a", a=2.0, n=30_000, trials=20, master_seed=SEED)
+        shard(1)
+        ref_recs = []
+        ref = run_coupling_validation(spec, on_trial=ref_recs.append).to_dict()
+        shard(workers)
+        recs = []
+        assert run_coupling_validation(spec, on_trial=recs.append).to_dict() == ref
+        assert recs == ref_recs
+        assert shard.calls == [workers]
+        assert multiprocessing.active_children() == []
 
     def test_thm1_records_match_per_trial_loop(self, shard):
         spec = ExperimentSpec(regime="cube_scaling", c=2.2, n=200, trials=7, master_seed=SEED)
@@ -588,6 +611,70 @@ class TestSharding:
         with pytest.raises(ValueError, match="disk full"):
             run_thm2_undetectable(spec, on_trial=fail_at_trial_5)
         assert multiprocessing.active_children() == []
+
+
+# A sharded run whose consumer takes a second a record, so the workers
+# fill their pipes (about 90 KB a task) and block in send.  It prints
+# the worker pids once the first record arrives.
+_PARENT_DEATH_SCRIPT = """
+import multiprocessing, time
+from parityshift import harness
+from parityshift.harness import ExperimentSpec, run_thm2_undetectable
+
+harness.worker_count = lambda: 2
+harness._BLOCK_COORDS = 1
+harness._TASK_BLOCKS = 3
+harness._MIN_WORKER_BLOCKS = 1
+
+def on_trial(rec):
+    if rec.trial_index == 0:
+        print(*(child.pid for child in multiprocessing.active_children()), flush=True)
+    time.sleep(1)
+
+spec = ExperimentSpec(regime="fixed_a", a=2.0, n=30000, trials=40, master_seed=1)
+run_thm2_undetectable(spec, on_trial=on_trial)
+"""
+
+
+def _process_state(pid: int) -> str | None:
+    """The state letter /proc gives a process (R, S, Z, ...), or None once it is reaped."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return None
+    return stat.rsplit(")", 1)[1].split()[0]
+
+
+def _wait_for_states(pids: list[int], states: tuple, seconds: float) -> list:
+    deadline = time.monotonic() + seconds
+    while (current := [_process_state(pid) for pid in pids]) and time.monotonic() < deadline:
+        if all(state in states for state in current):
+            break
+        time.sleep(0.01)
+    return current
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states in /proc")
+def test_workers_exit_when_parent_is_killed():
+    # a worker learns that its parent is gone when its next send fails;
+    # a reaped worker has no /proc entry, and an orphan no process reaps
+    # stays a zombie
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    with subprocess.Popen([sys.executable, "-c", _PARENT_DEATH_SCRIPT], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        try:
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+            blocked = _wait_for_states(pids, ("S",), 10)
+        finally:
+            proc.kill()
+        exited = _wait_for_states(pids, (None, "Z"), 10)
+        for pid, state in zip(pids, exited):
+            if state not in (None, "Z"):
+                os.kill(pid, signal.SIGKILL)
+        err = proc.stderr.read()
+    assert len(pids) == 2 and blocked == ["S", "S"], err
+    assert all(state in (None, "Z") for state in exited), exited
 
 
 # Runs in a fresh interpreter, where _tally has not yet set glibc's
