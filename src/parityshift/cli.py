@@ -271,8 +271,8 @@ def _make_spec(spec_kwargs: dict) -> ExperimentSpec:
 def _cmd_kernels(args, argv) -> int:
     start = _run_start()
     params = KernelParams(args.a, rel_tol=args.rel_tol)
-    if not args.step > 0.0:
-        raise ConfigError(f"step: must be positive, got {args.step!r}")
+    if not (args.step > 0.0 and math.isfinite(args.step)):
+        raise ConfigError(f"step: must be positive and finite, got {args.step!r}")
     for name in ("xmin", "xmax"):
         # NaN fails every comparison below, so it is named here
         if not math.isfinite(value := getattr(args, name)):
@@ -283,9 +283,12 @@ def _cmd_kernels(args, argv) -> int:
         raise ConfigError(
             f"xmin/xmax: grid must stay within |x| <= x_max - a = {params.x_max - params.a:g}"
         )
+    try:
+        xs = np.arange(args.xmin, args.xmax + 0.5 * args.step, args.step)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"step: {args.step!r} is too small for the grid ({exc})") from exc
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    xs = np.arange(args.xmin, args.xmax + 0.5 * args.step, args.step)
     lines = ["x,p,g,gamma,phi,fp_residual"]
     worst = 0.0
     for x in xs:

@@ -25,16 +25,16 @@ once per process (``_keep_freed_heap``), so memory a block frees is
 reused by the next block instead of being handed back to the kernel and
 faulted in again.
 
-Attacked statistics are derived by the exact integer-shift construction
-(a +-a shift moves the bin index by exactly one).  thm1-detectable and
-the two thm2 runs re-verify them per trial by direct binning of
-x + theta; both sides are integer label sums, so the flip identity is
-asserted with zero tolerance.  A coordinate stays only inside the
-central bin, label +1, so under the coupling s_post = 2 * zero_count -
-s_pre: thm2-undetectable checks this on every trial, and the cube sweep
-and thm1-undetectable's records take s_post from it.  thm1-undetectable
-rolls the die on central-bin coordinates only, so its records carry no
-theta_rle.
+Every attack leaves only +1-labelled coordinates unmoved and moves each
+other one bin (+-a), flipping its label: coupling stays lie in the
+central bin, the optimal evader keeps +1 labels, and Theorem 1's full
+cube keeps none.  So every reported attacked label sum is
+s_post = 2 * kept - s_pre, kept being the unmoved count (for the evader,
+``_evaded_sum``'s closed form).  Direct binning of the attacked sample
+appears only in the flip_violations counters of thm1-detectable and the
+two thm2 runs, which check the identity on every trial with zero
+tolerance.  thm1-undetectable rolls the die on central-bin coordinates
+only, so its records carry no theta_rle.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import math
 import mmap
 import warnings
 from collections.abc import Callable, Iterator
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -405,10 +405,14 @@ def _summary(operation: str, spec: ExperimentSpec, rates: dict[str, tuple[int, i
     )
 
 
-def _require_regime(spec: ExperimentSpec, regime: str, operation: str) -> None:
+def _require(spec: ExperimentSpec, regime: str, operation: str, *unread: str) -> None:
+    # the regime an operation runs in, and the optional fields it never reads
     if spec.regime != regime:
         raise SpecValidationError(
             f"regime: {operation} requires the {regime} regime, got {spec.regime!r}")
+    for name in unread:
+        if getattr(spec, name) is not None:
+            raise SpecValidationError(f"{name}: {operation} does not take {name}")
 
 
 def _note_alpha_target(out: ExperimentSummary, spec: ExperimentSpec) -> ExperimentSummary:
@@ -438,7 +442,7 @@ def run_coupling_validation(
     the pooled zero-fraction against G(a), and the per-trial Hoeffding
     tail frequency P(sr >= G + eps) against exp(-2 n eps^2).
     """
-    _require_regime(spec, "fixed_a", "run_coupling_validation")
+    _require(spec, "fixed_a", "run_coupling_validation", "t", "alpha")
     a, n, trials = spec.effective_a, spec.n, spec.trials
     big_g = big_g_value(a)
     params = KernelParams(a, rel_tol=spec.rel_tol)
@@ -454,8 +458,7 @@ def run_coupling_validation(
         rows = None
         if on_trial is not None:
             _, s_pre = accel.parity_labels_and_sum(x, a)
-            _, s_post = accel.parity_labels_and_sum(x_post, a)
-            rows = _record_rows(start, s_pre, s_post, zc, True, True, theta.row)
+            rows = _record_rows(start, s_pre, 2 * zc - s_pre, zc, True, True, theta.row)
         return {"zero_total": zc, "tail_count": zc / n >= big_g + spec.epsilon}, rows
 
     (tally,) = _tally(_Job(spec, reduce_block, uniforms=True, on_trial=on_trial))
@@ -500,7 +503,7 @@ def run_thm1_undetectable(
     chain bound (1 - (4/pi) n^(-pi^2/(2 c^2)))^n, and a Monte Carlo
     estimate whose Wilson interval must contain the exact value.
     """
-    _require_regime(spec, "cube_scaling", "run_thm1_undetectable")
+    _require(spec, "cube_scaling", "run_thm1_undetectable", "t", "alpha")
     c, n, trials = float(spec.c), spec.n, spec.trials
     a = spec.effective_a
     c_crit = math.pi / math.sqrt(2.0)
@@ -531,8 +534,6 @@ def run_thm1_undetectable(
         zc = np.bincount(stays // n, minlength=len(x))
         rows = None
         if on_trial is not None:
-            # every stay keeps the central bin's label +1 and every +-a
-            # move flips a label, so s_post = zc - (s_pre - zc)
             _, s_pre = accel.parity_labels_and_sum(x, a)
             rows = _record_rows(start, s_pre, 2 * zc - s_pre, zc, True, True, lambda r: None)
         return {"zero_free": zc == 0}, rows
@@ -568,11 +569,12 @@ def run_thm1_detectable(
     """Cube regime, large c: the zero test beats the full hypercube attack.
 
     Premises (recorded, not enforced): c > pi, G(a) > n^(-pi^2/(2 c^2)),
-    n^(1 - pi^2/c^2) > lambda^2.  Each accepted sample receives the
-    all-coordinates +a attack; the attacked parity sum must equal the
-    exact negation, so no attacked sample is ever accepted.
+    n^(1 - pi^2/c^2) > lambda^2.  Every sample receives the
+    all-coordinates +a attack, which flips every label, so the attacked
+    label sum is the exact negation and no sample is accepted both
+    before and after the attack.
     """
-    _require_regime(spec, "cube_scaling", "run_thm1_detectable")
+    _require(spec, "cube_scaling", "run_thm1_detectable", "t")
     c, n, trials, lam = float(spec.c), spec.n, spec.trials, spec.lam
     a = spec.effective_a
     big_g = big_g_value(a)
@@ -591,21 +593,18 @@ def run_thm1_detectable(
     s_min = min_accepted_sum(DetectorConfig(a, lam, "zero"), n)
 
     def reduce_block(start, x, u):
+        # full hypercube attack: every coordinate shifted by +a (parity
+        # is sign-blind, so one sign pattern suffices) and none kept
         _, s_pre = accel.parity_labels_and_sum(x, a)
+        _, s_direct = accel.parity_labels_and_sum(x + a, a)
         accept_pre = s_pre >= s_min
-        # only accepted samples are attacked; the rest keep s_post = s_pre
-        s_post = s_pre.copy()
-        if accept_pre.any():
-            # full hypercube attack: every coordinate shifted by +a
-            # (parity is sign-blind, so one sign pattern suffices)
-            _, s_post[accept_pre] = accel.parity_labels_and_sum(x[accept_pre] + a, a)
-        accept_post = s_post >= s_min
+        accept_post = -s_pre >= s_min
         rows = None
         if on_trial is not None:
-            rows = _record_rows(start, s_pre, s_post, 0, accept_pre, accept_post,
-                                lambda r: [[1, n]] if accept_pre[r] else None)
+            rows = _record_rows(start, s_pre, -s_pre, 0, accept_pre, accept_post,
+                                lambda r: [[1, n]])
         return {"accept_pre": accept_pre, "overlap": accept_pre & accept_post,
-                "flip_violations": accept_pre & (s_post != -s_pre)}, rows
+                "flip_violations": s_direct != -s_pre}, rows
 
     (tally,) = _tally(_Job(spec, reduce_block, on_trial=on_trial))
     accept_pre_count, overlap = tally["accept_pre"], tally["overlap"]
@@ -645,11 +644,13 @@ def run_thm2_undetectable(
     >= 1 - exp(-2 n eps^2) and that the attacked acceptance rate trails
     the null acceptance rate by at most that bound plus MC slack.
     """
-    _require_regime(spec, "fixed_a", "run_thm2_undetectable")
+    _require(spec, "fixed_a", "run_thm2_undetectable")
     a, n, trials, lam = spec.effective_a, spec.n, spec.trials, spec.lam
     big_g = big_g_value(a)
     t = spec.t if spec.t is not None else big_g + spec.epsilon
     budget = sparsity_budget(t, n)
+    if budget < 0:
+        raise SpecValidationError(f"t: t = {t!r} leaves no admissible perturbation")
     params = KernelParams(a, rel_tol=spec.rel_tol)
     s_min = min_accepted_sum(DetectorConfig(a, lam), n)
 
@@ -658,14 +659,15 @@ def run_thm2_undetectable(
         zc = theta.zero_count
         in_family = zc <= budget
         _, s_pre = accel.parity_labels_and_sum(x, a)
-        _, s_post = accel.parity_labels_and_sum(x_post, a)
+        s_post = 2 * zc - s_pre
+        _, s_direct = accel.parity_labels_and_sum(x_post, a)
         accept_pre = s_pre >= s_min
         accept_post = s_post >= s_min
         rows = None
         if on_trial is not None:
             rows = _record_rows(start, s_pre, s_post, zc, accept_pre, accept_post, theta.row)
         return {"accept_pre": accept_pre, "success": accept_post & in_family,
-                "in_family": in_family, "flip_violations": s_post != 2 * zc - s_pre}, rows
+                "in_family": in_family, "flip_violations": s_direct != s_post}, rows
 
     (tally,) = _tally(_Job(spec, reduce_block, uniforms=True, on_trial=on_trial))
     accept_pre_count, success_count = tally["accept_pre"], tally["success"]
@@ -725,7 +727,7 @@ def run_thm2_detectable(
     whenever the clean sample is accepted, the attacked one must be
     rejected -- an exact implication, checked with zero tolerance.
     """
-    _require_regime(spec, "fixed_a", "run_thm2_detectable")
+    _require(spec, "fixed_a", "run_thm2_detectable")
     a, n, trials, lam, eps = spec.effective_a, spec.n, spec.trials, spec.lam, spec.epsilon
     min_n, threshold = _min_admissible_n(lam, eps)
     if n < min_n:
@@ -801,14 +803,13 @@ def sweep_phase_transition(
     cells share trial substreams, so the success count is exactly
     monotone in t, which the success_monotone_in_t check asserts.
     cube_scaling: sweeps c (default 1..4 in 13 steps) with the coupling
-    attack against the zero-variant test.  The spec must not set t, and
-    only the spec's regime's grid may be given, with at least one value.
+    attack against the zero-variant test.  The spec must not set t or
+    alpha, which no cell reads, and only the spec's regime's grid may be
+    given, with at least one value.
 
     Returns a summary whose ``rows`` hold one dict per cell, in grid order.
     """
-    if spec.t is not None:
-        raise SpecValidationError(
-            "t: a sweep does not take t; a fixed_a sweep sets t = G(a) + each t_offsets entry")
+    _require(spec, spec.regime, "sweep_phase_transition", "t", "alpha")
     grid, values, other, other_values = (
         ("t_offsets", t_offsets, "c_values", c_values) if spec.regime == "fixed_a"
         else ("c_values", c_values, "t_offsets", t_offsets))
@@ -870,8 +871,6 @@ def sweep_phase_transition(
             theta, _ = couple_perturb(x, params, u)
             zc = theta.zero_count
             _, s_pre = accel.parity_labels_and_sum(x, a)
-            # a coordinate stays only inside the central bin, label +1,
-            # and every +-a move flips a label
             s_post = 2 * zc - s_pre
             accept_pre = s_pre >= s_min
             accept_post = s_post >= s_min
@@ -881,10 +880,7 @@ def sweep_phase_transition(
 
         return _Job(cell, reduce_block, uniforms=True)
 
-    cells = [ExperimentSpec(
-        regime="cube_scaling", n=n, trials=trials, master_seed=spec.master_seed,
-        c=float(c), epsilon=spec.epsilon, lam=spec.lam, rel_tol=spec.rel_tol,
-    ) for c in c_values]
+    cells = [replace(spec, c=float(c)) for c in c_values]
     big_gs = [big_g_value(cell.effective_a) for cell in cells]
     tallies = _tally(*(cell_job(cell) for cell in cells))
     for cell, big_g, tally in zip(cells, big_gs, tallies):

@@ -357,6 +357,13 @@ class TestIgnoredInput:
         (["sweep"], {"operation": "thm1_detectable", "regime": "cube_scaling", "c": 4.0,
                      "n": 300}, "operation"),
         (["experiment", "--preset", "sweep-t"], {}, "operation"),
+        # t and alpha where the operation never reads them
+        (["experiment", "--preset", "thm1-undetectable", "--t", "0.3"], {}, "t"),
+        (["experiment", "--preset", "thm1-detectable", "--t", "0.3"], {}, "t"),
+        (["experiment", "--preset", "coupling-a2"], {"t": 0.3}, "t"),
+        (["experiment", "--preset", "coupling-a2", "--alpha", "0.01"], {}, "alpha"),
+        (["experiment", "--preset", "thm1-undetectable"], {"alpha": 0.01}, "alpha"),
+        (["sweep", "--preset", "sweep-t", "--alpha", "0.01"], {}, "alpha"),
     ])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, argv, config, field):
         path = tmp_path / "extra.json"
@@ -400,6 +407,10 @@ class TestBadNumericInput:
         (["experiment", "--preset", "thm2-detectable", "--t", "0"], "t"),
         (["experiment", "--preset", "thm2-undetectable", "--operation", "thm1_undetectable"],
          "regime"),
+        (["kernels", "--a", "1", "--step", "inf"], "step"),
+        # about 1e299 grid points, more than numpy can index
+        (["kernels", "--a", "1", "--xmin", "0", "--xmax", "0.1", "--step", "1e-300"], "step"),
+        (["experiment", "--preset", "thm2-undetectable", "--t", "0"], "t"),
     ])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, argv, field):
         if argv[0] == "experiment":

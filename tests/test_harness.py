@@ -311,6 +311,26 @@ class TestOnTrial:
         assert [rec.trial_index for rec in recs] == list(range(spec.trials))
         # recording never changes what the run reports
         assert streamed.to_dict() == run(spec).to_dict()
+        # every attack keeps only +1 labels unmoved and flips the rest
+        for rec in recs:
+            s_pre = round(rec.statistic_pre * spec.n)
+            assert round(rec.statistic_post * spec.n) == 2 * rec.zero_count - s_pre
+
+    def test_thm1_detectable_attacks_rejected_trials(self):
+        # c = 4 at n = 50 misses two premises, so some null samples are rejected
+        spec = ExperimentSpec(regime="cube_scaling", c=4.0, n=50, trials=200, master_seed=7)
+        recs = []
+        out = run_thm1_detectable(spec, on_trial=recs.append)
+        rec = recs[129]
+        assert not rec.accepted_pre and round(rec.statistic_pre * spec.n) == -2
+        assert round(rec.statistic_post * spec.n) == 2
+        assert rec.accepted_post
+        assert all(r.theta_rle == [[1, 50]] for r in recs)
+        # the summary counts only accepted trials as attacked, as before
+        assert out.passed
+        assert out.counts == {"attacked": 198, "overlap_count": 0, "flip_violations": 0}
+        assert {name: r["count"] for name, r in out.rates.items()} == {
+            "null_accept": 198, "overlap": 0}
 
 
 def _per_trial_coupling_records(spec):
