@@ -1,12 +1,13 @@
 """Array kernels: agreement with the scalar reference."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from parityshift import accel
-from parityshift.kernels import KernelParams, eval_gamma, eval_phi
+from parityshift.kernels import KernelParams, KernelRangeError, eval_gamma, eval_phi
 
 A_VALUES = [0.3, 0.494, 0.7, 1.0, math.sqrt(math.pi), 2.0, 3.0, 8.0, 30.0]
 
@@ -94,12 +95,81 @@ def test_phi_gamma_bits_match_boolean_mask(a, use_dual):
     assert (np.abs(cases["all central"]) < half).all()
 
 
-def test_outputs_clamped(a=1.0):
-    x = grid_for(a, np.random.default_rng(17))
-    phi, gamma = accel.phi_gamma(x, plan := accel.plan_for(a))
-    for arr in (phi, gamma):
-        assert arr.min() >= 0.0 and arr.max() <= 1.0
-    assert np.all(phi + gamma <= 1.0 + plan.band)
+def test_outputs_clamped():
+    # both routes; the clip runs only when a bound is crossed
+    for a in A_VALUES:
+        x = grid_for(a, np.random.default_rng(17))
+        phi, gamma = accel.phi_gamma(x, plan := accel.plan_for(a))
+        for arr in (phi, gamma):
+            assert arr.min() >= 0.0 and arr.max() <= 1.0, a
+        assert np.all(phi + gamma <= 1.0 + plan.band), a
+
+
+# the sweep-c widths c / sqrt(ln 2000), c = 1, 1.25, ..., 4, then wider dual widths
+DUAL_WIDTHS = [(1.0 + 0.25 * j) / math.sqrt(math.log(2000)) for j in range(13)] + [
+    1.6,
+    1.7,
+    float(np.nextafter(math.sqrt(math.pi), 0.0)),
+]
+# largest gap to the per-term cosine sum, in ulps of the largest gamma in
+# the bin, by dual term count.  Two terms match bit for bit.  A third moves
+# about 1 in 1e7 sums at c = 4, a fourth a few in 1e5 below sqrt(pi).  Near
+# the bin edges gamma falls to 0 while each per-term cosine keeps the
+# rounding of its own argument m pi x / a, so the gap is not counted in
+# ulps of gamma itself there.
+DUAL_ULPS = {2: 0, 3: 1, 4: 8}
+
+
+@pytest.mark.parametrize("a", DUAL_WIDTHS, ids=lambda a: f"{a:.6f}")
+def test_dual_recurrence_matches_per_term_cosines(a):
+    plan = accel.plan_for(a)
+    assert plan.use_dual
+    x = np.random.default_rng(303).uniform(-a / 2, a / 2, 100_000)
+    gamma = accel.phi_gamma(x, plan)[1]
+    expected = _phi_gamma_boolean_mask(x, plan)[1]
+    gap = np.abs(gamma - expected).max()
+    assert gap <= DUAL_ULPS[plan.dual_coef.size] * np.spacing(expected.max())
+
+
+def test_dual_widths_reach_every_term_count():
+    assert {accel.plan_for(a).dual_coef.size for a in DUAL_WIDTHS} == set(DUAL_ULPS)
+
+
+@pytest.mark.parametrize(
+    "a, field, corrupt, x, bad",
+    [
+        # primal route outside the central bin: phi = 10 e^{-2|x|} for x >= 0
+        # and 1 - 10 e^{-2|x|} below, out of range for |x| < ln(10) / 2
+        (2.0, "phi_coef", lambda coef: np.array([10.0]),
+         [-3.0, -1.2, -1.1, -1.0, 1.0, 1.05, 1.2, 3.0], 4),
+        # dual route, every coordinate central: gamma 1000 times too large
+        # everywhere, and phi = 1 - gamma - forward below zero for x < 0
+        (1.0, "dual_coef", lambda coef: 1000.0 * coef, [-0.3, -0.1, 0.0, 0.2, 0.4], 7),
+        # the same at x >= 0, where phi is forward and stays in range
+        (1.0, "dual_coef", lambda coef: 1000.0 * coef, [0.0, 0.2, 0.4], 3),
+    ],
+    ids=["phi", "phi-and-gamma", "gamma"],
+)
+def test_range_check_counts_bad_coordinates(a, field, corrupt, x, bad):
+    plan = accel.plan_for(a)
+    corrupted = dataclasses.replace(plan, **{field: corrupt(getattr(plan, field))})
+    with pytest.raises(KernelRangeError, match=rf"^{bad} coordinate\(s\) outside"):
+        accel.phi_gamma(np.array(x), corrupted)
+
+
+def test_in_band_excursions_are_clipped():
+    plan = accel.plan_for(2.0)
+    # phi's forward series is 1 + 5e-12 at |x| = 1.5, so phi is
+    # 1 + 5e-12 there and 1 - (1 + 5e-12) at x = -1.5; both within the band
+    phi_only = dataclasses.replace(plan, phi_coef=np.array([(1.0 + 5e-12) * math.exp(3.0)]))
+    for x, expected in ((-1.5, 0.0), (1.5, 1.0)):
+        phi, gamma = accel.phi_gamma(np.array([x]), phi_only)
+        assert phi.tolist() == [expected] and gamma.tolist() == [0.0]
+    # one dual term makes gamma(0) = sqrt(2 pi) * coef
+    dual = accel.plan_for(1.0)
+    for coef, expected in ((1.0 + 5e-12, 1.0), (-5e-12, 0.0)):
+        one_term = dataclasses.replace(dual, dual_coef=np.array([coef / accel.SQRT_TWO_PI]))
+        assert accel.phi_gamma(np.array([0.0]), one_term)[1].tolist() == [expected]
 
 
 def test_parity_labels():
