@@ -177,8 +177,12 @@ def sparsity_budget(t: float, n: int) -> int:
     """The largest m with m / n < t, or -1 if there is none.
 
     ceil(t n) - 1 is one too many where t n rounds up onto an integer
-    (0.28 * 25 = 7.000000000000001, yet 7 / 25 is not < 0.28).
+    (0.28 * 25 = 7.000000000000001, yet 7 / 25 is not < 0.28).  t must
+    lie in [0, 1], which keeps m within 0..n and the search at one or
+    two steps.
     """
+    if not (0.0 <= t <= 1.0):
+        raise ValueError(f"t must lie in [0, 1], got {t!r}")
     m = math.ceil(t * n)
     while m >= 0 and m / n >= t:
         m -= 1
@@ -201,9 +205,7 @@ def optimal_parity_evasion(z, a: float, t: float, n: int) -> PerturbationVector:
         raise ValueError(f"z must be a 1-d array of length n={n}, or a block of such rows")
     if not ((z == 1) | (z == -1)).all():
         raise ValueError("z entries must be +-1")
-    if not (0.0 <= t <= 1.0):
-        raise ValueError(f"t must lie in [0, 1], got {t!r}")
-    budget = sparsity_budget(t, n)
+    budget = sparsity_budget(t, n)  # raises for t outside [0, 1]
     if budget < 0:
         raise ValueError(
             f"no perturbation has sparsity ratio < {t!r}; the constrained family is empty"

@@ -28,13 +28,18 @@ faulted in again.
 Every attack leaves only +1-labelled coordinates unmoved and moves each
 other one bin (+-a), flipping its label: coupling stays lie in the
 central bin, the optimal evader keeps +1 labels, and Theorem 1's full
-cube keeps none.  So every reported attacked label sum is
-s_post = 2 * kept - s_pre, kept being the unmoved count (for the evader,
-``_evaded_sum``'s closed form).  Direct binning of the attacked sample
-appears only in the flip_violations counters of thm1-detectable and the
-two thm2 runs, which check the identity on every trial with zero
-tolerance.  thm1-undetectable rolls the die on central-bin coordinates
-only, so its records carry no theta_rle.
+cube keeps none.  So every attacked label sum is s_post = 2 * kept -
+s_pre, kept being the unmoved count, and ``_accepts`` is the one
+acceptance rule of every run and sweep cell.  Two block reducers give
+kept: the evader's (``_evasion_job``) for thm2-detectable, thm1-detectable
+(budget 0) and the t-sweep, and the coupling die's (``_coupling_job``)
+for thm2-undetectable and the c-sweep.  Coupling validation, which pools
+x', and thm1-undetectable, whose die runs on central-bin coordinates
+only (so its records carry no theta_rle), keep their own.  ``_tally``
+builds every trial record from a reducer's kept and attack.  Direct
+binning of the attacked sample appears only in the flip_violations
+counters of thm1-detectable and the two thm2 runs, which check the
+identity on every trial with zero tolerance.
 """
 
 from __future__ import annotations
@@ -240,11 +245,15 @@ def trial_rng(
 
 @dataclass(frozen=True)
 class _Job:
-    """One run's trials: reduce_block(start, x, u) -> (counters, record rows or None)."""
+    """One run's trials: reduce_block(start, x, u) -> (counters, kept, theta).
+
+    s_min, the least label sum the run's test accepts (None: no test), is read by the records only.
+    """
 
     spec: ExperimentSpec
-    reduce_block: Callable[..., tuple[dict, list | None]]
+    reduce_block: Callable[..., tuple[dict, Any, Any]]
     uniforms: bool = False
+    s_min: int | None = None
     on_trial: OnTrial | None = None
 
     @property
@@ -303,7 +312,8 @@ def _tally(*jobs: _Job) -> list[dict[str, Any]]:
     reduce_block(start, x, u) returns per-row counters (bool or integer
     arrays of shape (m,) or (m, cells)), each summed over rows and blocks
     and returned as a Python int, or a list of ints per cell, together
-    with the block's record rows (``_record_rows``) or None.  Tasks of
+    with each row's kept count and its attack theta, from which the
+    block's record rows are built when the job has on_trial.  Tasks of
     _TASK_BLOCKS blocks run in forked workers when every worker gets at
     least _MIN_WORKER_BLOCKS blocks, else in this process; either way
     their results are consumed in task order, so each job's on_trial
@@ -329,11 +339,12 @@ def _tally(*jobs: _Job) -> list[dict[str, Any]]:
         j, first, stop = task
         counts: dict[str, Any] = {}
         records: list = []
-        for block in _blocks(jobs[j].spec, first, stop, bit_generator, x, u):
-            counters, rows = jobs[j].reduce_block(*block)
+        for start, xb, ub in _blocks(jobs[j].spec, first, stop, bit_generator, x, u):
+            counters, kept, theta = jobs[j].reduce_block(start, xb, ub)
             for name, per_row in counters.items():
                 counts[name] = counts.get(name, 0) + per_row.sum(axis=0)
-            records += rows or []
+            if jobs[j].on_trial is not None:
+                records += _record_rows(jobs[j], start, xb, kept, theta)
         return j, counts, records
 
     # one worker would add only a fork, and perfbench's tracer sees this process alone
@@ -357,21 +368,36 @@ def _tally(*jobs: _Job) -> list[dict[str, Any]]:
     return [{name: total.tolist() for name, total in job_totals.items()} for job_totals in totals]
 
 
-def _record_rows(start: int, s_pre, s_post, zero_count, accepted_pre, accepted_post,
-                 theta: Callable[[int], PerturbationVector | list | None]) -> list[tuple]:
+def _accepts(s_pre: np.ndarray, kept, s_min: int) -> dict[str, np.ndarray]:
+    """Each row's acceptance before the attack, after it, and both.
+
+    The test accepts a label sum of at least s_min, and the attacked sum
+    is 2 * kept - s_pre.  kept holds one count per row, or one column per
+    cell (the t-sweep's budgets), whose shape accept_post and overlap take.
+    """
+    col = (slice(None),) + (None,) * (kept.ndim - 1)
+    accept_pre = s_pre >= s_min
+    accept_post = 2 * kept - s_pre[col] >= s_min
+    return {"accept_pre": accept_pre, "accept_post": accept_post,
+            "overlap": accept_pre[col] & accept_post}
+
+
+def _record_rows(job: _Job, start: int, x: np.ndarray, kept, theta) -> list[tuple]:
     """A block's record rows, one tuple per row, in trial order.
 
-    A row is (trial index, s_pre, s_post, zero count, accepted_pre,
-    accepted_post, theta).  Each per-row value passed in is an array with
-    one entry per row or a scalar shared by every row.  theta(r) gives row r's theta_rle, or the
-    PerturbationVector that ``_tally`` encodes into it just before handing
-    on_trial the row's TrialRecord: a task's run-length lists are never
-    alive together, so the cyclic collector does not rescan them.
+    A row is (trial index, s_pre, 2 * kept - s_pre, kept, accepted_pre,
+    accepted_post, theta); a run without a test accepts every row (every
+    label sum is at least -n).  theta is a block PerturbationVector, whose
+    row ``_tally`` encodes into theta_rle just before handing on_trial the
+    row's TrialRecord (a task's run-length lists are never alive together,
+    so the cyclic collector does not rescan them), or one value all rows share.
     """
-    m = len(s_pre)
-    cols = [np.broadcast_to(v, (m,)).tolist()
-            for v in (s_pre, s_post, zero_count, accepted_pre, accepted_post)]
-    return [(start + r, *row, theta(r)) for r, row in enumerate(zip(*cols))]
+    _, s_pre = accel.parity_labels_and_sum(x, job.spec.effective_a)
+    accepts = _accepts(s_pre, kept, -job.spec.n if job.s_min is None else job.s_min)
+    cols = [v.tolist() for v in
+            (s_pre, 2 * kept - s_pre, kept, accepts["accept_pre"], accepts["accept_post"])]
+    rows = theta.row if isinstance(theta, PerturbationVector) else lambda r: theta
+    return [(start + r, *row, rows(r)) for r, row in enumerate(zip(*cols))]
 
 
 def _check(passed, observed, limit, note: str = "") -> dict:
@@ -415,6 +441,16 @@ def _require(spec: ExperimentSpec, regime: str, operation: str, *unread: str) ->
             raise SpecValidationError(f"{name}: {operation} does not take {name}")
 
 
+def _budget(t: float, n: int, name: str = "t") -> int:
+    # sparsity_budget(t, n) of a t that must admit a perturbation; name is the field t came from
+    if not (0.0 <= t <= 1.0):
+        raise SpecValidationError(f"{name}: t = {t!r} outside [0, 1]")
+    budget = sparsity_budget(t, n)
+    if budget < 0:
+        raise SpecValidationError(f"{name}: t = {t!r} leaves no admissible perturbation")
+    return budget
+
+
 def _note_alpha_target(out: ExperimentSummary, spec: ExperimentSpec) -> ExperimentSummary:
     # alpha is the false-alarm budget; lambda meets it when e^{-lam^2/2} <= alpha
     if spec.alpha is not None:
@@ -423,10 +459,61 @@ def _note_alpha_target(out: ExperimentSummary, spec: ExperimentSpec) -> Experime
     return out
 
 
-def _evaded_sum(s_pre, n: int, budget):
-    # the label sum after optimal_parity_evasion, which keeps min(budget,
-    # #{z = +1}) = min(budget, (n + s_pre) / 2) coordinates and flips the rest
-    return 2 * np.minimum((n + s_pre) // 2, budget) - s_pre
+def _evasion_job(spec: ExperimentSpec, s_min: int, budget, t: float | None = None,
+                 on_trial: OnTrial | None = None) -> _Job:
+    """A job of the optimal evader's reducer, at one budget or a row of budgets.
+
+    The evader keeps min(budget, #{z = +1}) = min(budget, (n + s_pre) / 2)
+    coordinates and moves the rest; a row of budgets (the t-sweep) gives
+    kept one column per budget.  At one budget the attacked sample is also
+    binned directly for flip_violations: optimal_parity_evasion's at t, or
+    with t None and budget 0, Theorem 1's full cube x + a.
+    """
+    a, n, budget = spec.effective_a, spec.n, np.asarray(budget)
+
+    def reduce_block(start, x, u):
+        z, s_pre = accel.parity_labels_and_sum(x, a)
+        kept = np.minimum.outer((n + s_pre) // 2, budget)
+        counters = _accepts(s_pre, kept, s_min)
+        if budget.ndim:
+            return counters, kept, None
+        if t is None:
+            # parity is sign-blind, so +a by convention; every row shares theta
+            theta, x_post = [[1, n]], x + a
+        else:
+            theta = optimal_parity_evasion(z, a, t, n)
+            x_post = x + theta.signs * a
+        _, s_direct = accel.parity_labels_and_sum(x_post, a)
+        counters["flip_violations"] = s_direct != 2 * kept - s_pre
+        return counters, kept, theta
+
+    return _Job(spec, reduce_block, s_min=s_min, on_trial=on_trial)
+
+
+def _coupling_job(spec: ExperimentSpec, s_min: int, budget: int | None = None,
+                  on_trial: OnTrial | None = None) -> _Job:
+    """A job of the coupling die's reducer, whose stays are the kept coordinates.
+
+    Every job counts the trials with no stay.  With a budget (Theorem 2's
+    undetectable run) it also counts the trials inside the sparsity budget,
+    those of them accepted after the attack, and flip violations by direct
+    binning of x'; a c-sweep cell has no budget.
+    """
+    a, params = spec.effective_a, KernelParams(spec.effective_a, rel_tol=spec.rel_tol)
+
+    def reduce_block(start, x, u):
+        theta, x_post = couple_perturb(x, params, u)
+        kept = theta.zero_count
+        _, s_pre = accel.parity_labels_and_sum(x, a)
+        counters = {**_accepts(s_pre, kept, s_min), "zero_free": kept == 0}
+        if budget is not None:
+            counters["in_family"] = in_family = kept <= budget
+            counters["success"] = counters["accept_post"] & in_family
+            _, s_direct = accel.parity_labels_and_sum(x_post, a)
+            counters["flip_violations"] = s_direct != 2 * kept - s_pre
+        return counters, kept, theta
+
+    return _Job(spec, reduce_block, uniforms=True, s_min=s_min, on_trial=on_trial)
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +542,7 @@ def run_coupling_validation(
         theta, x_post = couple_perturb(x, params, u)
         pool[start : start + len(x)] = x_post
         zc = theta.zero_count
-        rows = None
-        if on_trial is not None:
-            _, s_pre = accel.parity_labels_and_sum(x, a)
-            rows = _record_rows(start, s_pre, 2 * zc - s_pre, zc, True, True, theta.row)
-        return {"zero_total": zc, "tail_count": zc / n >= big_g + spec.epsilon}, rows
+        return {"zero_total": zc, "tail_count": zc / n >= big_g + spec.epsilon}, zc, theta
 
     (tally,) = _tally(_Job(spec, reduce_block, uniforms=True, on_trial=on_trial))
     zero_total, tail_count = tally["zero_total"], tally["tail_count"]
@@ -532,11 +615,7 @@ def run_thm1_undetectable(
         uc = u.ravel()[central]
         stays = central[accel.die_outcomes(phi_c, gamma_c, uc) == 0]
         zc = np.bincount(stays // n, minlength=len(x))
-        rows = None
-        if on_trial is not None:
-            _, s_pre = accel.parity_labels_and_sum(x, a)
-            rows = _record_rows(start, s_pre, 2 * zc - s_pre, zc, True, True, lambda r: None)
-        return {"zero_free": zc == 0}, rows
+        return {"zero_free": zc == 0}, zc, None
 
     (tally,) = _tally(_Job(spec, reduce_block, uniforms=True, on_trial=on_trial))
     zero_free = tally["zero_free"]
@@ -591,22 +670,8 @@ def run_thm1_detectable(
         warnings.warn(f"theorem premises not all met: {premises}; running anyway", stacklevel=2)
 
     s_min = min_accepted_sum(DetectorConfig(a, lam, "zero"), n)
-
-    def reduce_block(start, x, u):
-        # full hypercube attack: every coordinate shifted by +a (parity
-        # is sign-blind, so one sign pattern suffices) and none kept
-        _, s_pre = accel.parity_labels_and_sum(x, a)
-        _, s_direct = accel.parity_labels_and_sum(x + a, a)
-        accept_pre = s_pre >= s_min
-        accept_post = -s_pre >= s_min
-        rows = None
-        if on_trial is not None:
-            rows = _record_rows(start, s_pre, -s_pre, 0, accept_pre, accept_post,
-                                lambda r: [[1, n]])
-        return {"accept_pre": accept_pre, "overlap": accept_pre & accept_post,
-                "flip_violations": s_direct != -s_pre}, rows
-
-    (tally,) = _tally(_Job(spec, reduce_block, on_trial=on_trial))
+    # the full hypercube attack is the evader with nothing kept
+    (tally,) = _tally(_evasion_job(spec, s_min, 0, on_trial=on_trial))
     accept_pre_count, overlap = tally["accept_pre"], tally["overlap"]
     flip_violations = tally["flip_violations"]
 
@@ -648,28 +713,9 @@ def run_thm2_undetectable(
     a, n, trials, lam = spec.effective_a, spec.n, spec.trials, spec.lam
     big_g = big_g_value(a)
     t = spec.t if spec.t is not None else big_g + spec.epsilon
-    budget = sparsity_budget(t, n)
-    if budget < 0:
-        raise SpecValidationError(f"t: t = {t!r} leaves no admissible perturbation")
-    params = KernelParams(a, rel_tol=spec.rel_tol)
+    budget = _budget(t, n)
     s_min = min_accepted_sum(DetectorConfig(a, lam), n)
-
-    def reduce_block(start, x, u):
-        theta, x_post = couple_perturb(x, params, u)
-        zc = theta.zero_count
-        in_family = zc <= budget
-        _, s_pre = accel.parity_labels_and_sum(x, a)
-        s_post = 2 * zc - s_pre
-        _, s_direct = accel.parity_labels_and_sum(x_post, a)
-        accept_pre = s_pre >= s_min
-        accept_post = s_post >= s_min
-        rows = None
-        if on_trial is not None:
-            rows = _record_rows(start, s_pre, s_post, zc, accept_pre, accept_post, theta.row)
-        return {"accept_pre": accept_pre, "success": accept_post & in_family,
-                "in_family": in_family, "flip_violations": s_direct != s_post}, rows
-
-    (tally,) = _tally(_Job(spec, reduce_block, uniforms=True, on_trial=on_trial))
+    (tally,) = _tally(_coupling_job(spec, s_min, budget, on_trial))
     accept_pre_count, success_count = tally["accept_pre"], tally["success"]
     in_family_count, flip_violations = tally["in_family"], tally["flip_violations"]
 
@@ -738,26 +784,9 @@ def run_thm2_detectable(
     big_g = big_g_value(a)
     t = spec.t if spec.t is not None else big_g - eps
     premise_t = t <= big_g - eps + 1e-12
-    budget = sparsity_budget(t, n)
-    if budget < 0:
-        raise SpecValidationError(f"t: t = {t!r} leaves no admissible perturbation")
+    budget = _budget(t, n)
     s_min = min_accepted_sum(DetectorConfig(a, lam), n)
-
-    def reduce_block(start, x, u):
-        z, s_pre = accel.parity_labels_and_sum(x, a)
-        theta = optimal_parity_evasion(z, a, t, n)
-        s_post = _evaded_sum(s_pre, n, budget)
-        _, s_direct = accel.parity_labels_and_sum(x + theta.signs * a, a)
-        accept_pre = s_pre >= s_min
-        accept_post = s_post >= s_min
-        rows = None
-        if on_trial is not None:
-            rows = _record_rows(start, s_pre, s_post, theta.zero_count, accept_pre, accept_post,
-                                theta.row)
-        return {"accept_pre": accept_pre, "accept_post": accept_post,
-                "overlap": accept_pre & accept_post, "flip_violations": s_direct != s_post}, rows
-
-    (tally,) = _tally(_Job(spec, reduce_block, on_trial=on_trial))
+    (tally,) = _tally(_evasion_job(spec, s_min, budget, t, on_trial))
     accept_pre_count, accept_post_count = tally["accept_pre"], tally["accept_post"]
     overlap, flip_violations = tally["overlap"], tally["flip_violations"]
 
@@ -824,32 +853,15 @@ def sweep_phase_transition(
         if t_offsets is None:
             t_offsets = [round(-0.15 + 0.025 * j, 6) for j in range(13)]
         ts = [big_g + off for off in t_offsets]
-        budgets = [sparsity_budget(t, n) for t in ts]
-        for t, budget in zip(ts, budgets):
-            if not (0.0 <= t <= 1.0):
-                raise SpecValidationError(
-                    f"t_offsets: t = {t!r} outside [0, 1]; shrink the offset grid")
-            if budget < 0:
-                raise SpecValidationError(
-                    f"t_offsets: t = {t!r} leaves no admissible perturbation")
-        budget_row = np.array(budgets)
+        budgets = [_budget(t, n, "t_offsets") for t in ts]
         s_min = min_accepted_sum(DetectorConfig(a, lam), n)
-
-        def reduce_block(start, x, u):
-            _, s_pre = accel.parity_labels_and_sum(x, a)
-            s_post = _evaded_sum(s_pre[:, None], n, budget_row)  # one column per budget
-            accept_pre = s_pre >= s_min
-            accept_post = s_post >= s_min
-            return {"pre_accepts": accept_pre, "success": accept_post,
-                    "overlaps": accept_pre[:, None] & accept_post}, None
-
-        (tally,) = _tally(_Job(spec, reduce_block))
-        pre_accepts, success, overlaps = tally["pre_accepts"], tally["success"], tally["overlaps"]
+        (tally,) = _tally(_evasion_job(spec, s_min, np.array(budgets)))
+        success = tally["accept_post"]
         for j, (off, t) in enumerate(zip(t_offsets, ts)):
             rows.append({"kind": "t", "t_offset": off, "t": t, "budget": budgets[j], "big_g": big_g,
-                         "null_accept_rate": pre_accepts / trials,
+                         "null_accept_rate": tally["accept_pre"] / trials,
                          "attacker_success": _rate(success[j], trials),
-                         "overlap_rate": overlaps[j] / trials})
+                         "overlap_rate": tally["overlap"][j] / trials})
         monotone = all(c1 <= c2 for c1, c2 in zip(success, success[1:]))
         return ExperimentSummary("sweep", asdict(spec), rows=rows, passed=monotone, checks={
             "success_monotone_in_t": _check(
@@ -861,34 +873,21 @@ def sweep_phase_transition(
     n, trials = spec.n, spec.trials
     if c_values is None:
         c_values = [1.0 + 0.25 * j for j in range(13)]
-
-    def cell_job(cell: ExperimentSpec) -> _Job:
-        a = cell.effective_a
-        params = KernelParams(a, rel_tol=spec.rel_tol)
-        s_min = min_accepted_sum(DetectorConfig(a, spec.lam, "zero"), n)
-
-        def reduce_block(start, x, u):
-            theta, _ = couple_perturb(x, params, u)
-            zc = theta.zero_count
-            _, s_pre = accel.parity_labels_and_sum(x, a)
-            s_post = 2 * zc - s_pre
-            accept_pre = s_pre >= s_min
-            accept_post = s_post >= s_min
-            return {"pre_accepts": accept_pre, "post_accepts": accept_post,
-                    "overlap": accept_pre & accept_post, "zero_free": zc == 0,
-                    "wins": accept_pre & ~accept_post}, None
-
-        return _Job(cell, reduce_block, uniforms=True)
+    for c in c_values:
+        if not (c > 0.0 and math.isfinite(c)):
+            raise SpecValidationError(f"c_values: c = {c!r} must be positive and finite")
 
     cells = [replace(spec, c=float(c)) for c in c_values]
     big_gs = [big_g_value(cell.effective_a) for cell in cells]
-    tallies = _tally(*(cell_job(cell) for cell in cells))
+    tallies = _tally(*(_coupling_job(cell, min_accepted_sum(
+        DetectorConfig(cell.effective_a, spec.lam, "zero"), n)) for cell in cells))
     for cell, big_g, tally in zip(cells, big_gs, tallies):
         rows.append({"kind": "c", "c": cell.c, "a": cell.effective_a, "big_g": big_g,
                      "exact_no_stay": (1.0 - big_g) ** n,
                      "no_stay_rate": _rate(tally["zero_free"], trials),
-                     "null_accept_rate": tally["pre_accepts"] / trials,
-                     "attacker_success": _rate(tally["post_accepts"], trials),
+                     "null_accept_rate": tally["accept_pre"] / trials,
+                     "attacker_success": _rate(tally["accept_post"], trials),
                      "overlap_rate": tally["overlap"] / trials,
-                     "detector_win_rate": tally["wins"] / trials})
+                     # the test wins where it accepts x and rejects the attacked x'
+                     "detector_win_rate": (tally["accept_pre"] - tally["overlap"]) / trials})
     return ExperimentSummary("sweep", asdict(spec), rows=rows)

@@ -246,6 +246,13 @@ class TestOptimalParityEvasion:
         assert sparsity_budget(1e-12, 7) == 0
         assert sparsity_budget(1.0, 7) == 6
 
+    # no t outside [0, 1] has a budget in -1..n, and the search for one
+    # at t = 1e300 would not end
+    @pytest.mark.parametrize("t", [-0.5, -1e-300, 1.5, 1e300, math.inf, -math.inf, math.nan])
+    def test_budget_rejects_t_outside_unit_interval(self, t):
+        with pytest.raises(ValueError, match=r"^t must lie in \[0, 1\]"):
+            sparsity_budget(t, 10)
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("t", [0.2, 0.5, 0.8, 1.0])
     def test_brute_force_optimality_small(self, n, t):

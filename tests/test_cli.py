@@ -315,6 +315,21 @@ class TestSweepCommand:
         assert capsys.readouterr().err.startswith("error: t_offsets:")
         assert not (tmp_path / "run").exists()
 
+    # JSON numbers a config file may hold that no cell can take
+    @pytest.mark.parametrize("preset, grid, text", [
+        ("sweep-t", "t_offsets", "1e300"), ("sweep-t", "t_offsets", "Infinity"),
+        ("sweep-t", "t_offsets", "NaN"), ("sweep-c", "c_values", "-1"),
+        ("sweep-c", "c_values", "NaN"),
+    ])
+    def test_bad_grid_value_exits_2(self, tmp_path, capsys, preset, grid, text):
+        config = tmp_path / "grid.json"
+        config.write_text(f'{{"{grid}": [{text}]}}')
+        code = run_cli(["sweep", "--preset", preset, "--config", str(config), "--trials", "5",
+                        "--seed", SEED, "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {grid}:")
+        assert not (tmp_path / "run").exists()
+
     def test_runs_sweep_without_preset(self, tmp_path, capsys):
         # sweep has one operation, so flags alone name the run; experiment has five
         code = run_cli(["sweep", "--a", "2", "--n", "300", "--trials", "5", "--seed", "1",

@@ -17,7 +17,7 @@ import pytest
 
 from parityshift import accel, harness
 from parityshift.attack import couple_perturb, optimal_parity_evasion
-from parityshift.detector import big_g_value
+from parityshift.detector import DetectorConfig, big_g_value, decide
 from parityshift.harness import (
     ExperimentSpec,
     SpecValidationError,
@@ -266,20 +266,25 @@ class TestThm2Detectable:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_evaded_sum_matches_constructed_evasion(self, n):
-        # the closed form the run and the t-sweep use, against direct
-        # binning of x + theta at every budget; the last two rows are all
-        # +1 (central bin) and all -1 (the bins next to it)
+        # the evasion reducer's closed-form kept count, at one budget as
+        # the run uses it and at a row of budgets as the t-sweep does,
+        # gives 2 * kept - s_pre equal to direct binning of x + theta at
+        # every budget; the last two rows are all +1 (central bin) and
+        # all -1 (the bins next to it)
         a = 2.0
         x = np.vstack([np.random.default_rng(n).standard_normal((6, n)) * 3.0,
                        np.zeros(n), np.full(n, a)])
         z, s_pre = accel.parity_labels_and_sum(x, a)
         assert (z[-2] == 1).all() and (z[-1] == -1).all()
-        per_budget = harness._evaded_sum(s_pre[:, None], n, np.arange(n))
+        spec = ExperimentSpec(regime="fixed_a", a=a, n=n, trials=len(x), master_seed=SEED)
+        _, per_budget, _ = harness._evasion_job(spec, 0, np.arange(n)).reduce_block(0, x, None)
         for budget in range(n):
-            theta = optimal_parity_evasion(z, a, (budget + 0.5) / n, n)  # ceil(t n) - 1 = budget
+            t = (budget + 0.5) / n  # ceil(t n) - 1 = budget
+            theta = optimal_parity_evasion(z, a, t, n)
             _, s_direct = accel.parity_labels_and_sum(x + theta.signs * a, a)
-            assert harness._evaded_sum(s_pre, n, budget).tolist() == s_direct.tolist()
-            assert per_budget[:, budget].tolist() == s_direct.tolist()
+            _, kept, _ = harness._evasion_job(spec, 0, budget, t).reduce_block(0, x, None)
+            assert (2 * kept - s_pre).tolist() == s_direct.tolist()
+            assert (2 * per_budget[:, budget] - s_pre).tolist() == s_direct.tolist()
 
     def test_out_of_theorem_budget_overlaps(self):
         t = big_g_value(2.0) + 0.1
@@ -460,6 +465,35 @@ class TestSweep:
         # large-c cell: the full flip makes accepted-then-accepted impossible
         assert rows[-1]["overlap_rate"] == 0.0 or rows[-1]["big_g"] > 0
 
+    def test_cube_sweep_matches_per_trial_loop(self):
+        # each cell's counts against one trial at a time: one draw, one
+        # couple_perturb, and the zero test decided on x and on x' by
+        # direct binning; n is odd, so that a label sum of 1 exists
+        spec = ExperimentSpec(regime="cube_scaling", c=1.0, n=301, trials=60, master_seed=SEED)
+        c_values = [1.0, 2.0, 3.0, 4.0]
+        rows = sweep_phase_transition(spec, c_values=c_values).rows
+        totals = np.zeros(5, dtype=int)
+        for c, row in zip(c_values, rows):
+            a = dataclasses.replace(spec, c=c).effective_a
+            params = KernelParams(a, rel_tol=spec.rel_tol)
+            config = DetectorConfig(a, spec.lam, "zero")
+            counts = np.zeros(5, dtype=int)  # null accept, success, overlap, no stay, win
+            for i in range(spec.trials):
+                rng = trial_rng(spec.seed64, i)
+                x = rng.standard_normal(spec.n)
+                theta, x_post = couple_perturb(x, params, rng.random(spec.n))
+                pre, post = decide(x, config).accept_h0, decide(x_post, config).accept_h0
+                counts += [pre, post, pre and post, theta.zero_count == 0, pre and not post]
+            null, success, overlap, no_stay, wins = counts.tolist()
+            assert row["null_accept_rate"] == null / spec.trials
+            assert row["attacker_success"]["count"] == success
+            assert row["overlap_rate"] == overlap / spec.trials
+            assert row["no_stay_rate"]["count"] == no_stay
+            assert row["detector_win_rate"] == wins / spec.trials
+            totals += counts
+        # the grid reaches every outcome, and some but not all trials stay
+        assert (totals > 0).all() and totals[3] < spec.trials * len(c_values)
+
     @pytest.mark.parametrize("spec, grid, field", [
         (ExperimentSpec(regime="fixed_a", a=2.0, n=300, trials=5, master_seed=SEED, t=0.3),
          {}, "t"),
@@ -477,6 +511,13 @@ class TestSweep:
          {"t_offsets": []}, "t_offsets"),
         (ExperimentSpec(regime="cube_scaling", c=1.0, n=300, trials=5, master_seed=SEED),
          {"c_values": []}, "c_values"),
+        # each grid value is checked, naming its grid, before anything is
+        # computed from it: sparsity_budget would not return at t = 1e300,
+        # inf overflows ceil(t n), and a bad c would name the spec's c
+        *[(ExperimentSpec(regime="fixed_a", a=2.0, n=300, trials=5, master_seed=SEED),
+           {"t_offsets": [0.0, off]}, "t_offsets") for off in (1e300, math.inf, math.nan)],
+        *[(ExperimentSpec(regime="cube_scaling", c=1.0, n=300, trials=5, master_seed=SEED),
+           {"c_values": [1.0, c]}, "c_values") for c in (-1.0, 0.0, math.inf, math.nan)],
     ])
     def test_bad_input_raises_naming_the_field(self, spec, grid, field):
         with pytest.raises(SpecValidationError, match=f"^{field}:"):
