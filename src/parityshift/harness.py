@@ -8,7 +8,7 @@ holds its grid cells in ``rows`` instead of rates and bounds.  Trials
 use counter-based Philox substreams keyed by (master_seed, trial_index),
 and the whole summary is bit-reproducible for a given seed.
 
-Every run is a reducer over one trial-block engine: ``_blocks`` draws
+Every run goes through one trial-block engine: ``_blocks`` draws
 consecutive trials into the rows of an (m, n) array, each row from its
 own substream, so the kernels run once per block while every value stays
 what a lone trial would give.  ``_tally`` is the one place blocks run.
@@ -28,18 +28,20 @@ faulted in again.
 Every attack leaves only +1-labelled coordinates unmoved and moves each
 other one bin (+-a), flipping its label: coupling stays lie in the
 central bin, the optimal evader keeps +1 labels, and Theorem 1's full
-cube keeps none.  So every attacked label sum is s_post = 2 * kept -
-s_pre, kept being the unmoved count, and ``_accepts`` is the one
-acceptance rule of every run and sweep cell.  Two block reducers give
-kept: the evader's (``_evasion_job``) for thm2-detectable, thm1-detectable
-(budget 0) and the t-sweep, and the coupling die's (``_coupling_job``)
-for thm2-undetectable and the c-sweep.  Coupling validation, which pools
-x', and thm1-undetectable, whose die runs on central-bin coordinates
-only (so its records carry no theta_rle), keep their own.  ``_tally``
-builds every trial record from a reducer's kept and attack.  Direct
-binning of the attacked sample appears only in the flip_violations
-counters of thm1-detectable and the two thm2 runs, which check the
-identity on every trial with zero tolerance.
+cube keeps none.  So a trial comes down to its clean label sum s_pre
+and its kept (unmoved) count: the attacked sum is 2 * kept - s_pre, and
+Theorem 2's family (sr < t) and the Hoeffding tail (sr >= G + eps) are
+complementary events on kept.  Each run is an attack on a block that
+returns kept, and ``_count_block`` derives every counter and trial
+record from (s_pre, kept), binning x once per block and only for a test
+or records.  The evader's attack (``_evasion_job``) serves
+thm2-detectable, thm1-detectable (budget 0) and the t-sweep; the
+coupling die's (``_coupling_job``) serves coupling validation, which
+pools x', thm2-undetectable and the c-sweep.  thm1-undetectable's die
+runs on central-bin coordinates only, so its records carry no
+theta_rle.  Direct binning of the attacked sample appears only in the
+flip_violations counters of thm1-detectable and the two thm2 runs, which
+check the identity on every trial with zero tolerance.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ import ctypes
 import functools
 import math
 import mmap
+import sys
 import warnings
 from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, field, replace
@@ -79,6 +82,9 @@ __all__ = [
 
 _REGIMES = ("fixed_a", "cube_scaling")
 _MASK64 = (1 << 64) - 1
+# A positive real field lies at or below it, which rules out inf, NaN and
+# integers too large to convert to a double (a JSON config may hold one).
+_DOUBLE_MAX = sys.float_info.max
 # Coordinates per trial block: max(1, _BLOCK_COORDS // n) trials a block.
 _BLOCK_COORDS = 1 << 14
 # Blocks per task, the unit _tally runs and hands on, in a worker or in-process.
@@ -136,10 +142,10 @@ class ExperimentSpec:
             raise SpecValidationError(f"trials: must be a positive integer, got {self.trials!r}")
         if type(self.master_seed) is not int:
             raise SpecValidationError(f"master_seed: must be an integer, got {self.master_seed!r}")
-        if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
+        if not (0.0 < self.epsilon <= _DOUBLE_MAX):
             raise SpecValidationError(
                 f"epsilon: must be positive and finite, got {self.epsilon!r}")
-        if not (self.lam > 0.0 and math.isfinite(self.lam)):
+        if not (0.0 < self.lam <= _DOUBLE_MAX):
             raise SpecValidationError(f"lam: must be positive and finite, got {self.lam!r}")
         if self.alpha is not None and not (0.0 < self.alpha < 1.0):
             raise SpecValidationError(f"alpha: must lie in (0, 1), got {self.alpha!r}")
@@ -148,7 +154,7 @@ class ExperimentSpec:
         if not (0.0 < self.rel_tol <= 1e-6):
             raise SpecValidationError(f"rel_tol: must lie in (0, 1e-6], got {self.rel_tol!r}")
         if self.regime == "fixed_a":
-            if self.a is None or not (self.a > 0.0 and math.isfinite(self.a)):
+            if self.a is None or not (0.0 < self.a <= _DOUBLE_MAX):
                 raise SpecValidationError(
                     f"a: the fixed_a regime requires a positive finite a, got {self.a!r}")
             if self.c is not None:
@@ -160,7 +166,7 @@ class ExperimentSpec:
                     f"got G({self.a}) = {big_g!r}, eps = {self.epsilon!r}"
                 )
         else:
-            if self.c is None or not (self.c > 0.0 and math.isfinite(self.c)):
+            if self.c is None or not (0.0 < self.c <= _DOUBLE_MAX):
                 raise SpecValidationError(
                     f"c: the cube_scaling regime requires a positive finite c, got {self.c!r}")
             if self.a is not None:
@@ -245,15 +251,18 @@ def trial_rng(
 
 @dataclass(frozen=True)
 class _Job:
-    """One run's trials: reduce_block(start, x, u) -> (counters, kept, theta).
+    """One run's trials: attack(start, x, u, z, s_pre) -> (kept, theta, x_post).
 
-    s_min, the least label sum the run's test accepts (None: no test), is read by the records only.
+    s_min is the least label sum the run's test accepts and budget the
+    most kept coordinates its sparsity family allows (None: no test, no
+    family).  theta and x_post may be None.
     """
 
     spec: ExperimentSpec
-    reduce_block: Callable[..., tuple[dict, Any, Any]]
+    attack: Callable[..., tuple[Any, Any, np.ndarray | None]]
     uniforms: bool = False
     s_min: int | None = None
+    budget: int | None = None
     on_trial: OnTrial | None = None
 
     @property
@@ -309,17 +318,16 @@ def _keep_freed_heap() -> None:
 def _tally(*jobs: _Job) -> list[dict[str, Any]]:
     """Total each job's integer counters over its trial blocks.
 
-    reduce_block(start, x, u) returns per-row counters (bool or integer
+    ``_count_block`` gives each block's per-row counters (bool or integer
     arrays of shape (m,) or (m, cells)), each summed over rows and blocks
-    and returned as a Python int, or a list of ints per cell, together
-    with each row's kept count and its attack theta, from which the
-    block's record rows are built when the job has on_trial.  Tasks of
-    _TASK_BLOCKS blocks run in forked workers when every worker gets at
-    least _MIN_WORKER_BLOCKS blocks, else in this process; either way
-    their results are consumed in task order, so each job's on_trial
-    sees its records in trial order.  A buffer that reduce_block fills
-    for the caller must be a shared mapping made before the call, since
-    a forked worker writes only its own copy of a private array.
+    and returned as a Python int, or a list of ints per cell, and, when
+    the job has on_trial, its record rows.  Tasks of _TASK_BLOCKS blocks
+    run in forked workers when every worker gets at least
+    _MIN_WORKER_BLOCKS blocks, else in this process; either way their
+    results are consumed in task order, so each job's on_trial sees its
+    records in trial order.  A buffer that an attack fills for the
+    caller must be a shared mapping made before the call, since a forked
+    worker writes only its own copy of a private array.
     """
     # One Philox, re-keyed for every trial, and one pair of block arrays
     # serve every task in a process (forked workers write their own
@@ -340,11 +348,10 @@ def _tally(*jobs: _Job) -> list[dict[str, Any]]:
         counts: dict[str, Any] = {}
         records: list = []
         for start, xb, ub in _blocks(jobs[j].spec, first, stop, bit_generator, x, u):
-            counters, kept, theta = jobs[j].reduce_block(start, xb, ub)
+            counters, rows = _count_block(jobs[j], start, xb, ub)
             for name, per_row in counters.items():
                 counts[name] = counts.get(name, 0) + per_row.sum(axis=0)
-            if jobs[j].on_trial is not None:
-                records += _record_rows(jobs[j], start, xb, kept, theta)
+            records += rows
         return j, counts, records
 
     # one worker would add only a fork, and perfbench's tracer sees this process alone
@@ -368,36 +375,47 @@ def _tally(*jobs: _Job) -> list[dict[str, Any]]:
     return [{name: total.tolist() for name, total in job_totals.items()} for job_totals in totals]
 
 
-def _accepts(s_pre: np.ndarray, kept, s_min: int) -> dict[str, np.ndarray]:
-    """Each row's acceptance before the attack, after it, and both.
+def _count_block(job: _Job, start: int, x: np.ndarray,
+                 u: np.ndarray | None) -> tuple[dict[str, np.ndarray], list[tuple]]:
+    """A block's per-row counters and, under on_trial, its record rows.
 
-    The test accepts a label sum of at least s_min, and the attacked sum
-    is 2 * kept - s_pre.  kept holds one count per row, or one column per
-    cell (the t-sweep's budgets), whose shape accept_post and overlap take.
+    x is binned once, and only for a test or records.  kept gives
+    zero_free, zero_total and, with a budget, in_family (kept <= budget:
+    sr < t); with s_pre it gives s_post = 2 * kept - s_pre, acceptance
+    before the attack, after it and both (a run without a test accepts
+    every sum, each being at least -n) and, with a budget, success.  kept
+    is one count per row or one column per t-sweep budget.  An attack
+    returns x' only in a run with a test, for flip_violations.  A record
+    row is (trial index, s_pre, s_post, kept, accepted_pre, accepted_post,
+    theta), theta being a block PerturbationVector whose row ``_tally``
+    encodes into theta_rle just before on_trial gets it (so a task's
+    run-length lists are never alive together and the cyclic collector
+    does not rescan them), or one value all rows share.
     """
+    a, budget = job.spec.effective_a, job.budget
+    binned = job.s_min is not None or job.on_trial is not None
+    z, s_pre = accel.parity_labels_and_sum(x, a) if binned else (None, None)
+    kept, theta, x_post = job.attack(start, x, u, z, s_pre)
+    counters = {"zero_free": kept == 0, "zero_total": kept}
+    if budget is not None:
+        counters["in_family"] = kept <= budget
+    if not binned:
+        return counters, []
     col = (slice(None),) + (None,) * (kept.ndim - 1)
-    accept_pre = s_pre >= s_min
-    accept_post = 2 * kept - s_pre[col] >= s_min
-    return {"accept_pre": accept_pre, "accept_post": accept_post,
-            "overlap": accept_pre[col] & accept_post}
-
-
-def _record_rows(job: _Job, start: int, x: np.ndarray, kept, theta) -> list[tuple]:
-    """A block's record rows, one tuple per row, in trial order.
-
-    A row is (trial index, s_pre, 2 * kept - s_pre, kept, accepted_pre,
-    accepted_post, theta); a run without a test accepts every row (every
-    label sum is at least -n).  theta is a block PerturbationVector, whose
-    row ``_tally`` encodes into theta_rle just before handing on_trial the
-    row's TrialRecord (a task's run-length lists are never alive together,
-    so the cyclic collector does not rescan them), or one value all rows share.
-    """
-    _, s_pre = accel.parity_labels_and_sum(x, job.spec.effective_a)
-    accepts = _accepts(s_pre, kept, -job.spec.n if job.s_min is None else job.s_min)
-    cols = [v.tolist() for v in
-            (s_pre, 2 * kept - s_pre, kept, accepts["accept_pre"], accepts["accept_post"])]
+    s_min = -job.spec.n if job.s_min is None else job.s_min
+    s_post = 2 * kept - s_pre[col]
+    accept_pre, accept_post = s_pre >= s_min, s_post >= s_min
+    counters.update(accept_pre=accept_pre, accept_post=accept_post,
+                    overlap=accept_pre[col] & accept_post)
+    if budget is not None:
+        counters["success"] = accept_post & counters["in_family"]
+    if x_post is not None:
+        counters["flip_violations"] = accel.parity_labels_and_sum(x_post, a)[1] != s_post
+    if job.on_trial is None:
+        return counters, []
+    cols = [v.tolist() for v in (s_pre, s_post, kept, accept_pre, accept_post)]
     rows = theta.row if isinstance(theta, PerturbationVector) else lambda r: theta
-    return [(start + r, *row, rows(r)) for r, row in enumerate(zip(*cols))]
+    return counters, [(start + r, *row, rows(r)) for r, row in enumerate(zip(*cols))]
 
 
 def _check(passed, observed, limit, note: str = "") -> dict:
@@ -461,59 +479,47 @@ def _note_alpha_target(out: ExperimentSummary, spec: ExperimentSpec) -> Experime
 
 def _evasion_job(spec: ExperimentSpec, s_min: int, budget, t: float | None = None,
                  on_trial: OnTrial | None = None) -> _Job:
-    """A job of the optimal evader's reducer, at one budget or a row of budgets.
+    """A job of the optimal evader, at one budget or a row of budgets.
 
     The evader keeps min(budget, #{z = +1}) = min(budget, (n + s_pre) / 2)
     coordinates and moves the rest; a row of budgets (the t-sweep) gives
-    kept one column per budget.  At one budget the attacked sample is also
-    binned directly for flip_violations: optimal_parity_evasion's at t, or
-    with t None and budget 0, Theorem 1's full cube x + a.
+    kept one column per budget.  At one budget the attack also returns x'
+    for the flip check: optimal_parity_evasion's at t, or with t None and
+    budget 0, Theorem 1's full cube x + a.
     """
     a, n, budget = spec.effective_a, spec.n, np.asarray(budget)
 
-    def reduce_block(start, x, u):
-        z, s_pre = accel.parity_labels_and_sum(x, a)
+    def attack(start, x, u, z, s_pre):
         kept = np.minimum.outer((n + s_pre) // 2, budget)
-        counters = _accepts(s_pre, kept, s_min)
         if budget.ndim:
-            return counters, kept, None
+            return kept, None, None
         if t is None:
             # parity is sign-blind, so +a by convention; every row shares theta
-            theta, x_post = [[1, n]], x + a
-        else:
-            theta = optimal_parity_evasion(z, a, t, n)
-            x_post = x + theta.signs * a
-        _, s_direct = accel.parity_labels_and_sum(x_post, a)
-        counters["flip_violations"] = s_direct != 2 * kept - s_pre
-        return counters, kept, theta
+            return kept, [[1, n]], x + a
+        theta = optimal_parity_evasion(z, a, t, n)
+        return kept, theta, x + theta.signs * a
 
-    return _Job(spec, reduce_block, s_min=s_min, on_trial=on_trial)
+    return _Job(spec, attack, s_min=s_min, on_trial=on_trial)
 
 
-def _coupling_job(spec: ExperimentSpec, s_min: int, budget: int | None = None,
-                  on_trial: OnTrial | None = None) -> _Job:
-    """A job of the coupling die's reducer, whose stays are the kept coordinates.
+def _coupling_job(spec: ExperimentSpec, s_min: int | None, budget: int | None = None,
+                  on_trial: OnTrial | None = None, pool: np.ndarray | None = None) -> _Job:
+    """A job of the coupling die, whose stays are the kept coordinates.
 
-    Every job counts the trials with no stay.  With a budget (Theorem 2's
-    undetectable run) it also counts the trials inside the sparsity budget,
-    those of them accepted after the attack, and flip violations by direct
-    binning of x'; a c-sweep cell has no budget.
+    Given a pool (coupling validation), the attack writes each trial's x'
+    into its row.  Otherwise it returns x' for the flip check when there
+    is a budget (Theorem 2's undetectable run); a c-sweep cell has none.
     """
-    a, params = spec.effective_a, KernelParams(spec.effective_a, rel_tol=spec.rel_tol)
+    params = KernelParams(spec.effective_a, rel_tol=spec.rel_tol)
 
-    def reduce_block(start, x, u):
+    def attack(start, x, u, z, s_pre):
         theta, x_post = couple_perturb(x, params, u)
-        kept = theta.zero_count
-        _, s_pre = accel.parity_labels_and_sum(x, a)
-        counters = {**_accepts(s_pre, kept, s_min), "zero_free": kept == 0}
-        if budget is not None:
-            counters["in_family"] = in_family = kept <= budget
-            counters["success"] = counters["accept_post"] & in_family
-            _, s_direct = accel.parity_labels_and_sum(x_post, a)
-            counters["flip_violations"] = s_direct != 2 * kept - s_pre
-        return counters, kept, theta
+        if pool is not None:
+            pool[start : start + len(x)] = x_post
+            return theta.zero_count, theta, None
+        return theta.zero_count, theta, None if budget is None else x_post
 
-    return _Job(spec, reduce_block, uniforms=True, s_min=s_min, on_trial=on_trial)
+    return _Job(spec, attack, uniforms=True, s_min=s_min, budget=budget, on_trial=on_trial)
 
 
 # ---------------------------------------------------------------------------
@@ -532,20 +538,13 @@ def run_coupling_validation(
     _require(spec, "fixed_a", "run_coupling_validation", "t", "alpha")
     a, n, trials = spec.effective_a, spec.n, spec.trials
     big_g = big_g_value(a)
-    params = KernelParams(a, rel_tol=spec.rel_tol)
     total = trials * n
     # rows written by forked workers land in this process's pool through
     # an anonymous shared mapping
     pool = np.frombuffer(mmap.mmap(-1, 8 * total), dtype=np.float64).reshape(trials, n)
-
-    def reduce_block(start, x, u):
-        theta, x_post = couple_perturb(x, params, u)
-        pool[start : start + len(x)] = x_post
-        zc = theta.zero_count
-        return {"zero_total": zc, "tail_count": zc / n >= big_g + spec.epsilon}, zc, theta
-
-    (tally,) = _tally(_Job(spec, reduce_block, uniforms=True, on_trial=on_trial))
-    zero_total, tail_count = tally["zero_total"], tally["tail_count"]
+    # the Hoeffding tail sr >= G + eps is the complement of the family sr < G + eps
+    (tally,) = _tally(_coupling_job(spec, None, _budget(big_g + spec.epsilon, n), on_trial, pool))
+    zero_total, tail_count = tally["zero_total"], trials - tally["in_family"]
     mean, var, skew = sample_moments(pool.reshape(-1))
     ks = ks_distance_standard_normal(pool.reshape(-1), overwrite_input=True)
     hoeffding_bound = math.exp(-2.0 * n * spec.epsilon * spec.epsilon)
@@ -605,7 +604,7 @@ def run_thm1_undetectable(
 
     plan = accel.plan_for(a, spec.rel_tol)
 
-    def reduce_block(start, x, u):
+    def attack(start, x, u, z, s_pre):
         # Only coordinates inside the central bin can stay (the stay
         # probability vanishes elsewhere), so the die runs on that
         # subset alone; same draws, same outcomes.  The fraction of
@@ -614,10 +613,9 @@ def run_thm1_undetectable(
         phi_c, gamma_c = accel.phi_gamma(x.ravel()[central], plan)
         uc = u.ravel()[central]
         stays = central[accel.die_outcomes(phi_c, gamma_c, uc) == 0]
-        zc = np.bincount(stays // n, minlength=len(x))
-        return {"zero_free": zc == 0}, zc, None
+        return np.bincount(stays // n, minlength=len(x)), None, None
 
-    (tally,) = _tally(_Job(spec, reduce_block, uniforms=True, on_trial=on_trial))
+    (tally,) = _tally(_Job(spec, attack, uniforms=True, on_trial=on_trial))
     zero_free = tally["zero_free"]
     lo, hi = wilson_interval(zero_free, trials)
     return _summary(
@@ -852,7 +850,8 @@ def sweep_phase_transition(
         big_g = big_g_value(a)
         if t_offsets is None:
             t_offsets = [round(-0.15 + 0.025 * j, 6) for j in range(13)]
-        ts = [big_g + off for off in t_offsets]
+        # an offset beyond the largest double is as far outside [0, 1] on its own
+        ts = [big_g + off if abs(off) <= _DOUBLE_MAX else off for off in t_offsets]
         budgets = [_budget(t, n, "t_offsets") for t in ts]
         s_min = min_accepted_sum(DetectorConfig(a, lam), n)
         (tally,) = _tally(_evasion_job(spec, s_min, np.array(budgets)))
@@ -874,7 +873,7 @@ def sweep_phase_transition(
     if c_values is None:
         c_values = [1.0 + 0.25 * j for j in range(13)]
     for c in c_values:
-        if not (c > 0.0 and math.isfinite(c)):
+        if not (0.0 < c <= _DOUBLE_MAX):
             raise SpecValidationError(f"c_values: c = {c!r} must be positive and finite")
 
     cells = [replace(spec, c=float(c)) for c in c_values]

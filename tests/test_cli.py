@@ -439,6 +439,24 @@ class TestBadNumericInput:
         assert "[PASS]" not in captured.out
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, config, field", [
+        (["experiment", "--preset", "thm1-detectable"], {"c": 10**400}, "c"),
+        (["experiment", "--preset", "thm2-undetectable"], {"a": 10**400}, "a"),
+        (["experiment", "--preset", "thm2-undetectable"], {"epsilon": 10**400}, "epsilon"),
+        (["experiment", "--preset", "thm2-undetectable"], {"lam": 10**400}, "lam"),
+        (["sweep", "--preset", "sweep-c"], {"c_values": [1.0, 10**400]}, "c_values"),
+        (["sweep", "--preset", "sweep-t"], {"t_offsets": [0.0, -10**400]}, "t_offsets"),
+    ])
+    def test_integer_too_large_for_a_double(self, tmp_path, capsys, argv, config, field):
+        # JSON integers have no size limit; one beyond the largest double is
+        # named like any other bad value, not raised as an OverflowError
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out" / "run"
+        assert run_cli(argv + ["--config", str(path), "--seed", SEED, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}:")
+        assert not out.parent.exists()
+
 
 class TestDemoCommands:
     def test_attack_demo(self, capsys):

@@ -136,6 +136,18 @@ class TestCouplingValidation:
         rec = recs[0]
         assert rec.zero_count == sum(c for s, c in rec.theta_rle if s == 0)
 
+    def test_hoeffding_tail_is_the_family_complement(self):
+        # at a = 2, n = 50 the exact tail P(sr >= G + eps) is about 0.19, so
+        # the count is mid-range; the run counts it as the trials outside
+        # Theorem 2's family sr < G + eps
+        spec = ExperimentSpec(regime="fixed_a", a=2.0, n=50, trials=400, master_seed=3)
+        tail = run_coupling_validation(spec).counts["tail_count"]
+        limit = big_g_value(2.0) + spec.epsilon
+        assert tail == sum(_zero_count_for_trial(spec, i) / spec.n >= limit
+                           for i in range(spec.trials))
+        assert tail == spec.trials - run_thm2_undetectable(spec).rates["in_family"]["count"]
+        assert 0.1 * spec.trials < tail < 0.3 * spec.trials
+
 
 class TestThm1Undetectable:
     def test_small_run(self):
@@ -266,7 +278,7 @@ class TestThm2Detectable:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_evaded_sum_matches_constructed_evasion(self, n):
-        # the evasion reducer's closed-form kept count, at one budget as
+        # the evasion attack's closed-form kept count, at one budget as
         # the run uses it and at a row of budgets as the t-sweep does,
         # gives 2 * kept - s_pre equal to direct binning of x + theta at
         # every budget; the last two rows are all +1 (central bin) and
@@ -277,12 +289,13 @@ class TestThm2Detectable:
         z, s_pre = accel.parity_labels_and_sum(x, a)
         assert (z[-2] == 1).all() and (z[-1] == -1).all()
         spec = ExperimentSpec(regime="fixed_a", a=a, n=n, trials=len(x), master_seed=SEED)
-        _, per_budget, _ = harness._evasion_job(spec, 0, np.arange(n)).reduce_block(0, x, None)
+        per_budget, _, _ = harness._evasion_job(spec, 0, np.arange(n)).attack(
+            0, x, None, z, s_pre)
         for budget in range(n):
             t = (budget + 0.5) / n  # ceil(t n) - 1 = budget
             theta = optimal_parity_evasion(z, a, t, n)
             _, s_direct = accel.parity_labels_and_sum(x + theta.signs * a, a)
-            _, kept, _ = harness._evasion_job(spec, 0, budget, t).reduce_block(0, x, None)
+            kept, _, _ = harness._evasion_job(spec, 0, budget, t).attack(0, x, None, z, s_pre)
             assert (2 * kept - s_pre).tolist() == s_direct.tolist()
             assert (2 * per_budget[:, budget] - s_pre).tolist() == s_direct.tolist()
 
@@ -422,6 +435,32 @@ class TestTrialBlocks:
         assert (bounds["pool_mean"], bounds["pool_var"]) == sample_moments(pool)[:2]
 
 
+@pytest.mark.filterwarnings("ignore:theorem premises not all met")
+class TestLabelPasses:
+    # passes of the bin-parity labels over every trial's n coordinates, with
+    # records and without: x is binned once for a test or records, and x'
+    # once more where a run checks the flip identity
+    @pytest.mark.parametrize("run, kwargs, recorded, json_only", [
+        (*run_kwargs, *passes) for run_kwargs, passes in
+        zip(SMALL_RUNS, [(1, 0), (1, 0), (2, 2), (2, 2), (2, 2)])
+    ], ids=[run.__name__ for run, _ in SMALL_RUNS])
+    def test_coordinates_binned(self, monkeypatch, run, kwargs, recorded, json_only):
+        spec = ExperimentSpec(**kwargs, trials=7, master_seed=SEED)
+        binned = []
+        real = accel.parity_labels_and_sum
+
+        def counted(x, a):
+            binned.append(np.size(x))
+            return real(x, a)
+
+        monkeypatch.setattr(accel, "parity_labels_and_sum", counted)
+        run(spec, on_trial=lambda rec: None)
+        assert sum(binned) == recorded * spec.trials * spec.n
+        binned.clear()
+        run(spec)
+        assert sum(binned) == json_only * spec.trials * spec.n
+
+
 class TestDeterminism:
     def test_bit_identical_summaries(self):
         spec = ExperimentSpec(regime="fixed_a", a=2.0, n=1000, trials=60, master_seed=SEED)
@@ -518,6 +557,11 @@ class TestSweep:
            {"t_offsets": [0.0, off]}, "t_offsets") for off in (1e300, math.inf, math.nan)],
         *[(ExperimentSpec(regime="cube_scaling", c=1.0, n=300, trials=5, master_seed=SEED),
            {"c_values": [1.0, c]}, "c_values") for c in (-1.0, 0.0, math.inf, math.nan)],
+        # a JSON integer too large for a double is named too, not an OverflowError
+        *[(ExperimentSpec(regime="fixed_a", a=2.0, n=300, trials=5, master_seed=SEED),
+           {"t_offsets": [0.0, off]}, "t_offsets") for off in (10**400, -10**400)],
+        (ExperimentSpec(regime="cube_scaling", c=1.0, n=300, trials=5, master_seed=SEED),
+         {"c_values": [1.0, 10**400]}, "c_values"),
     ])
     def test_bad_input_raises_naming_the_field(self, spec, grid, field):
         with pytest.raises(SpecValidationError, match=f"^{field}:"):
