@@ -218,7 +218,8 @@ def _build_spec(args) -> tuple[str, dict, dict]:
             raise ConfigError(f"config: no such file: {path}")
         try:
             loaded = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
+            # JSONDecodeError, or an integer past the 4300-digit conversion limit
             raise ConfigError(f"config: invalid JSON ({exc})") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config: top level must be a JSON object")

@@ -136,10 +136,12 @@ class ExperimentSpec:
                 raise SpecValidationError(f"{name}: must be a real number, got {value!r}")
         if self.regime not in _REGIMES:
             raise SpecValidationError(f"regime: must be one of {_REGIMES}, got {self.regime!r}")
-        if not (type(self.n) is int and self.n >= 1):
-            raise SpecValidationError(f"n: must be a positive integer, got {self.n!r}")
-        if not (type(self.trials) is int and self.trials >= 1):
-            raise SpecValidationError(f"trials: must be a positive integer, got {self.trials!r}")
+        for name in ("n", "trials"):
+            if not (type(value := getattr(self, name)) is int and value >= 1):
+                raise SpecValidationError(f"{name}: must be a positive integer, got {value!r}")
+            if value > _DOUBLE_MAX:
+                raise SpecValidationError(
+                    f"{name}: must not exceed the largest double, got {value!r}")
         if type(self.master_seed) is not int:
             raise SpecValidationError(f"master_seed: must be an integer, got {self.master_seed!r}")
         if not (0.0 < self.epsilon <= _DOUBLE_MAX):

@@ -23,6 +23,14 @@ normal bin masses -- used as the anti-drift reference for `eval_big_g`.
 All exponents are assembled before exponentiation (no density ratios),
 so no intermediate overflows for any ``a > 0``.
 
+All five series (primal and dual g, G(a), primal gamma and phi's
+forward series) obey one truncation rule, applied by ``_sum_series``.
+Each series is a generator of ``(term count, value, tail)`` steps, where
+tail bounds everything after the step.  Summing stops at the first step
+whose tail is at most ``rel_tol * max(|value|, 1e-300)`` and reports that
+tail as ``est_error``; a step that would take the count past
+``max_terms`` raises ``SeriesConvergenceError`` instead.
+
 Importing the package or its CLI loads numpy and ``scipy.special`` only.
 mpmath loads on the first call of ``big_g_oracle`` and ``scipy.optimize``
 on the first call of ``solve_a_for_g``; no CLI command calls either, so
@@ -59,6 +67,8 @@ MODE_CROSSOVER_A = math.sqrt(math.pi)
 # Denormal floor used in relative stopping rules so that series whose true
 # value is ~0 (e.g. g at a bin edge) still terminate via term underflow.
 _TINY = 1e-300
+
+_FOUR_OVER_PI = 4.0 / math.pi
 
 
 class SeriesConvergenceError(RuntimeError):
@@ -125,64 +135,83 @@ def normal_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / SQRT_TWO_PI
 
 
+def _sum_series(steps, params: KernelParams, scale: float, what: tuple) -> tuple:
+    """Sum ``(term count, value, tail)`` steps under the one truncation rule.
+
+    Returns ``(total, terms, tail)`` at the first step whose tail is at
+    most ``rel_tol * max(scale * |total|, 1e-300)``; a series yields an
+    infinite tail for a step that must not end it.  ``what`` is the
+    series name, optionally followed by a coordinate's name and value,
+    for the ``SeriesConvergenceError`` raised when the next step would
+    take the term count past ``max_terms``.
+    """
+    rel_tol, max_terms = params.rel_tol, params.max_terms
+    total = 0.0
+    terms = 0
+    for count, value, tail in steps:
+        if terms + count > max_terms:
+            name, *where = what
+            at = f"{where[0]}={where[1]!r}, " if where else ""
+            raise SeriesConvergenceError(
+                f"{name}: no convergence within {max_terms} terms ({at}a={params.a!r})"
+            )
+        total += value
+        terms += count
+        if tail <= rel_tol * max(scale * abs(total), _TINY):
+            return total, terms, tail
+
+
 def _g_primal(x: float, params: KernelParams) -> KernelEval:
     """Translate-sum route for g, summed in rings around the nearest translate.
 
     Ring magnitudes decay by at least exp(-a^2) per step once past the
     center, which gives the geometric tail certificate.
     """
-    a = params.a
+    total, terms, tail = _sum_series(
+        _g_primal_steps(x, params.a), params, 1.0, ("primal g series", "x", x))
+    return KernelEval(total / SQRT_TWO_PI, terms, "primal", tail / SQRT_TWO_PI)
+
+
+def _g_primal_steps(x: float, a: float):
+    # Ring d holds translates k0 + d and k0 - d, of one parity; each ring's
+    # magnitude is the previous ring's tail before the geometric factor.
     k0 = -round(x / a)
     geom = 1.0 / (1.0 - math.exp(-a * a)) if a * a < 700 else 1.0
 
-    def signed_term(k: int) -> float:
+    def translate(k: int) -> float:
         u = x + k * a
-        t = math.exp(-0.5 * u * u)
-        return -t if (k & 1) else t
+        return math.exp(-0.5 * u * u)
 
-    total = signed_term(k0)
-    terms = 1
-    d = 0
+    # the nearest translate alone carries no tail bound
+    yield 1, -translate(k0) if (k0 & 1) else translate(k0), math.inf
+    d = 1
+    ring = translate(k0 + 1) + translate(k0 - 1)
     while True:
+        nxt = translate(k0 + d + 1) + translate(k0 - d - 1)
+        yield 2, -ring if ((k0 + d) & 1) else ring, nxt * geom
         d += 1
-        total += signed_term(k0 + d) + signed_term(k0 - d)
-        terms += 2
-        up = x + (k0 + d + 1) * a
-        um = x + (k0 - d - 1) * a
-        tail = (math.exp(-0.5 * up * up) + math.exp(-0.5 * um * um)) * geom
-        if tail <= params.rel_tol * max(abs(total), _TINY):
-            return KernelEval(total / SQRT_TWO_PI, terms, "primal", tail / SQRT_TWO_PI)
-        if terms + 2 > params.max_terms:
-            raise SeriesConvergenceError(
-                f"primal g series: no convergence within {params.max_terms} terms "
-                f"(x={x!r}, a={a!r})"
-            )
+        ring = nxt
 
 
 def _g_dual(x: float, params: KernelParams) -> KernelEval:
     """Poisson-summed cosine route for g over odd frequencies."""
-    a = params.a
+    scale = 2.0 / params.a
+    total, terms, tail = _sum_series(
+        _g_dual_steps(x, params.a, scale), params, scale, ("dual g series", "x", x))
+    return KernelEval(scale * total, terms, "dual", tail)
+
+
+def _g_dual_steps(x: float, a: float, scale: float):
     beta = math.pi * math.pi / (2.0 * a * a)
-    scale = 2.0 / a
     # Successive odd-term magnitude ratios are <= exp(-8 beta).
-    q = math.exp(-8.0 * beta)
-    geom = 1.0 / (1.0 - q)
-    total = 0.0
-    terms = 0
+    geom = 1.0 / (1.0 - math.exp(-8.0 * beta))
     m = 1
+    weight = math.exp(-beta * m * m)
     while True:
-        total += math.exp(-beta * m * m) * math.cos(m * math.pi * x / a)
-        terms += 1
         nxt = m + 2
-        tail = scale * math.exp(-beta * nxt * nxt) * geom
-        if tail <= params.rel_tol * max(scale * abs(total), _TINY):
-            return KernelEval(scale * total, terms, "dual", tail)
-        if terms + 1 > params.max_terms:
-            raise SeriesConvergenceError(
-                f"dual g series: no convergence within {params.max_terms} terms "
-                f"(x={x!r}, a={a!r})"
-            )
-        m = nxt
+        weight_nxt = math.exp(-beta * nxt * nxt)
+        yield 1, weight * math.cos(m * math.pi * x / a), scale * weight_nxt * geom
+        m, weight = nxt, weight_nxt
 
 
 def eval_g(x: float, params: KernelParams, mode: str | None = None) -> KernelEval:
@@ -212,26 +241,21 @@ def eval_big_g(params: KernelParams) -> KernelEval:
     Alternating with strictly decreasing terms, so the remainder is
     bounded by the first omitted term.
     """
-    a = params.a
+    total, terms, tail = _sum_series(
+        _big_g_steps(params.a), params, _FOUR_OVER_PI, ("G(a) series",))
+    return KernelEval(_FOUR_OVER_PI * total, terms, "dual", tail)
+
+
+def _big_g_steps(a: float):
     beta = math.pi * math.pi / (2.0 * a * a)
-    four_over_pi = 4.0 / math.pi
-    total = 0.0
-    terms = 0
-    k = 0
+    odd = 1
+    sign = 1.0
+    weight = math.exp(-beta * odd * odd)
     while True:
-        odd = 1 + 2 * k
-        t = math.exp(-beta * odd * odd) / odd
-        total += t if (k % 2 == 0) else -t
-        terms += 1
-        nxt = 3 + 2 * k
-        tail = four_over_pi * math.exp(-beta * nxt * nxt) / nxt
-        if tail <= params.rel_tol * max(four_over_pi * abs(total), _TINY):
-            return KernelEval(four_over_pi * total, terms, "dual", tail)
-        if terms + 1 > params.max_terms:
-            raise SeriesConvergenceError(
-                f"G(a) series: no convergence within {params.max_terms} terms (a={a!r})"
-            )
-        k += 1
+        nxt = odd + 2
+        weight_nxt = math.exp(-beta * nxt * nxt)
+        yield 1, sign * (weight / odd), _FOUR_OVER_PI * weight_nxt / nxt
+        odd, sign, weight = nxt, -sign, weight_nxt
 
 
 def big_g_oracle(params: KernelParams) -> float:
@@ -281,30 +305,26 @@ def _gamma_raw(x: float, params: KernelParams) -> float:
     if params.mode == "dual":
         ge = _g_dual(x, params)
         return ge.value * SQRT_TWO_PI * math.exp(0.5 * x * x)
+    return _sum_series(_gamma_primal_steps(x, a), params, 1.0,
+                       ("primal gamma series", "x", x))[0]
 
+
+def _gamma_primal_steps(x: float, a: float):
     geom = 1.0 / (1.0 - math.exp(-a * a)) if a * a < 700 else 1.0
-    total = 1.0
-    terms = 1
+    # the k = 0 term alone carries no tail bound
+    yield 1, 1.0, math.inf
     k = 0
     while True:
         k += 1
         pair = math.exp(-k * a * x - 0.5 * k * k * a * a) + math.exp(
             k * a * x - 0.5 * k * k * a * a
         )
-        total += pair if (k % 2 == 0) else -pair
-        terms += 2
         kn = k + 1
         tail = (
             math.exp(-kn * a * x - 0.5 * kn * kn * a * a)
             + math.exp(kn * a * x - 0.5 * kn * kn * a * a)
         ) * geom
-        if tail <= params.rel_tol * max(abs(total), _TINY):
-            return total
-        if terms + 2 > params.max_terms:
-            raise SeriesConvergenceError(
-                f"primal gamma series: no convergence within {params.max_terms} terms "
-                f"(x={x!r}, a={a!r})"
-            )
+        yield 2, pair if (k % 2 == 0) else -pair, tail
 
 
 def _check_range(raw: float, params: KernelParams, what: str, x: float) -> None:
@@ -337,25 +357,19 @@ def _phi_forward_raw(y: float, params: KernelParams) -> float:
     monotonically, and the alternating remainder is bounded by the first
     omitted term.
     """
-    a = params.a
-    total = 0.0
-    terms = 0
+    return _sum_series(_phi_forward_steps(y, params.a), params, 1.0,
+                       ("up-shift series", "y", y))[0]
+
+
+def _phi_forward_steps(y: float, a: float):
     k = 0
     sign = 1.0
     while True:
         k += 1
-        total += sign * math.exp(-k * a * y - 0.5 * k * k * a * a)
-        sign = -sign
-        terms += 1
         kn = k + 1
-        tail = math.exp(-kn * a * y - 0.5 * kn * kn * a * a)
-        if tail <= params.rel_tol * max(abs(total), _TINY):
-            return total
-        if terms + 1 > params.max_terms:
-            raise SeriesConvergenceError(
-                f"up-shift series: no convergence within {params.max_terms} terms "
-                f"(y={y!r}, a={a!r})"
-            )
+        yield (1, sign * math.exp(-k * a * y - 0.5 * k * k * a * a),
+               math.exp(-kn * a * y - 0.5 * kn * kn * a * a))
+        sign = -sign
 
 
 def _phi_raw(x: float, params: KernelParams) -> float:

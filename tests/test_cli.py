@@ -114,6 +114,16 @@ class TestExperimentCommand:
         assert code == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_config_integer_past_digit_limit_exits_2(self, tmp_path, capsys):
+        # json.dumps refuses an integer of more than 4300 digits, so the text is written out
+        config = tmp_path / "spec.json"
+        config.write_text('{"c": 1' + "0" * 5000 + "}")
+        code = run_cli(["experiment", "--preset", "thm1-detectable", "--config", str(config),
+                        "--seed", SEED, "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: config: invalid JSON (")
+        assert not (tmp_path / "run").exists()
+
     def test_config_bool_n_exits_2(self, tmp_path, capsys):
         config = tmp_path / "spec.json"
         config.write_text(json.dumps({
@@ -252,6 +262,7 @@ codes = [
              "--format", "json,jsonl", "--out", out + "/experiment"]),
     run_cli(["sweep", "--preset", "sweep-c", "--trials", "5", "--seed", "1",
              "--out", out + "/sweep"]),
+    run_cli(["kernels", "--a", "0.3", "--out", out + "/kernels"]),
 ]
 loaded = sorted(m for m in ("mpmath", "scipy.optimize", "scipy.linalg") if m in sys.modules)
 
@@ -270,7 +281,7 @@ class TestImportFootprint:
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.splitlines()[-1])
-        assert result["codes"] == [0, 0]
+        assert result["codes"] == [0, 0, 0]
         assert result["loaded"] == []
         # the first call of each function imports what it needs
         assert result["big_g_1"] == pytest.approx(0.0091569902897607558, abs=1e-12)
@@ -446,6 +457,8 @@ class TestBadNumericInput:
         (["experiment", "--preset", "thm2-undetectable"], {"lam": 10**400}, "lam"),
         (["sweep", "--preset", "sweep-c"], {"c_values": [1.0, 10**400]}, "c_values"),
         (["sweep", "--preset", "sweep-t"], {"t_offsets": [0.0, -10**400]}, "t_offsets"),
+        (["experiment", "--preset", "thm1-detectable"], {"n": 10**400}, "n"),
+        (["experiment", "--preset", "thm1-detectable"], {"trials": 10**400}, "trials"),
     ])
     def test_integer_too_large_for_a_double(self, tmp_path, capsys, argv, config, field):
         # JSON integers have no size limit; one beyond the largest double is

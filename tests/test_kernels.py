@@ -1,6 +1,7 @@
 """Kernel series: frozen oracle values, identities, range and mode tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -104,11 +105,24 @@ class TestEvalG:
                 assert e.est_error <= p.rel_tol * max(abs(e.value), 1e-300)
                 assert e.terms_used <= p.max_terms
 
-    def test_nonconvergence_raises(self):
+    @pytest.mark.parametrize("series, call", [
         # primal route forced far below the crossover: O(1) alternating
         # translates need far more than 8 terms
-        with pytest.raises(SeriesConvergenceError):
-            eval_g(0.11, KernelParams(0.3, max_terms=8), mode="primal")
+        pytest.param("primal g", lambda: eval_g(0.11, KernelParams(0.3, max_terms=8),
+                                                mode="primal"), id="primal-g"),
+        # dual route forced far above it: the cosine weights barely decay
+        pytest.param("dual g", lambda: eval_g(0.3, KernelParams(10.0, max_terms=8),
+                                              mode="dual"), id="dual-g"),
+        pytest.param("G(a)", lambda: eval_big_g(KernelParams(12.0, max_terms=8)), id="big-g"),
+        pytest.param("primal gamma", lambda: eval_gamma(0.1, KernelParams(1.8, max_terms=8)),
+                     id="primal-gamma"),
+        pytest.param("up-shift", lambda: eval_phi(0.1, KernelParams(0.3, max_terms=8)),
+                     id="phi-forward"),
+    ])
+    def test_nonconvergence_raises(self, series, call):
+        # every series meets the same term cap and names itself when it does
+        with pytest.raises(SeriesConvergenceError, match=rf"^{re.escape(series)} series: "):
+            call()
 
 
 class TestEvalBigG:

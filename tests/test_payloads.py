@@ -1,4 +1,4 @@
-"""Golden payloads: every CLI preset at --seed 42 --trials 200.
+"""Golden payloads: every CLI preset at --seed 42 --trials 200, and kernels.csv.
 
 The sha256 values were recorded from the per-trial harness, before trials
 ran in blocks, so they pin that the block engine reproduces every
@@ -16,6 +16,16 @@ thm1-undetectable's trials.jsonl was re-recorded when its records came
 to be built from the run's central-bin die: each record's theta_rle
 became null, and every other field kept its value.  Its summary.json
 hash, which covers that same path, was not changed.
+
+The kernels.csv hashes (``kernels --a A --xmin -3 --xmax 3 --step 0.005``)
+were recorded before the five scalar series of kernels.py came to share
+one truncation rule in ``_sum_series``, so they pin that the rewrite kept
+every bit of g, gamma, phi and the identity residual.  The values of A
+cover the dual route (0.05, 0.3, 1.2), the primal route just past the
+sqrt(pi) = 1.77245 crossover (1.7725) and beyond it (2.5, 30), and both
+extremes (0.05, 30).  They assume that ``math.exp`` and ``math.cos``
+come from the C library, glibc 2.36 where they were recorded; another
+libm may round the last bit differently.
 """
 
 import hashlib
@@ -64,6 +74,16 @@ GOLDEN = {
     },
 }
 
+# a -> sha256 of kernels.csv over x in [-3, 3] at step 0.005
+KERNELS_GOLDEN = {
+    "0.05": "e427ab7fb0c07509504563d437d6353e699d2ab790157534688ec5ed9b36cbbe",
+    "0.3": "5fb542044bf1dad83f6f9c2fa61ce69a3f70bccb16fbdaf944ab57a6f84f0ed0",
+    "1.2": "02ea322314f129b446fe970345db5b412f1e6d251fef80d1129667373b857750",
+    "1.7725": "6c3776e2fddd137aa5880c31103b914b84910153e97f0e4f0cad449789e96e75",
+    "2.5": "91779b97c3f7aaeb18d2eed24583cbb69b1a5473de6f3a0d015ed1ae1bdf010e",
+    "30": "75a492f9e870c9120d46d26b227c59156411d1729714bd67ae3b26e16b165f82",
+}
+
 # coupling preset -> (recorded pool_skew, recorded pool_var, sha256 of
 # summary.json written without the two moments and their checks' observed)
 COUPLING_SUMMARY = {
@@ -104,3 +124,10 @@ def test_payload_bytes(preset, tmp_path):
         assert summary["checks"]["pool_var_4se"].pop("observed") == abs(got_var - 1.0)
         text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
         assert _sha256(text.encode()) == digest
+
+
+@pytest.mark.parametrize("a", list(KERNELS_GOLDEN))
+def test_kernels_csv_bytes(a, tmp_path):
+    argv = ["kernels", "--a", a, "--xmin", "-3", "--xmax", "3", "--step", "0.005"]
+    assert run_cli(argv + ["--out", str(tmp_path)]) == 0
+    assert _sha256((tmp_path / "kernels.csv").read_bytes()) == KERNELS_GOLDEN[a]
