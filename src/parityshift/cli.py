@@ -350,19 +350,12 @@ def _run_streaming_records(run, spec: ExperimentSpec, path: Path) -> harness.Exp
 
     Records go to ``<path>.partial``, renamed to ``path`` only once the run
     has returned, so a run that raises leaves no file that looks complete.
-    ``vars`` gives the record's fields without the deep copy of the RLE
-    list that ``dataclasses.asdict`` makes; the JSON text is the same.  A
-    record is flat scalars plus one list of [sign, count] pairs, so it
-    cannot refer to itself and the encoder's circular-reference check is
-    skipped.
+    Each line is ``TrialRecord.json_line``: canonical JSON with sorted keys.
     """
     partial = path.with_name(path.name + ".partial")
     try:
         with partial.open("w") as fh:
-            def write(rec: harness.TrialRecord) -> None:
-                fh.write(json.dumps(vars(rec), sort_keys=True, check_circular=False) + "\n")
-
-            summary = run(spec, on_trial=write)
+            summary = run(spec, on_trial=lambda rec: fh.write(rec.json_line()))
     except BaseException:
         partial.unlink(missing_ok=True)
         raise

@@ -67,7 +67,8 @@ def forked_map(fn: Callable[[Any], Any], tasks: Sequence, workers: int) -> Itera
             theirs.close()
             procs.append((ours, proc, len(worker_peaks)))
             worker_peaks.append(0)
-        for i in range(len(tasks)):
+        # enumerate, not len: a range of tasks may be longer than len can report
+        for i, _ in enumerate(tasks):
             yield _receive(*procs[i % workers])
     finally:
         # after an error, or once the consumer stops, busy workers are

@@ -46,9 +46,11 @@ check the identity on every trial with zero tolerance.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import ctypes
 import functools
+import itertools
 import math
 import mmap
 import sys
@@ -93,6 +95,11 @@ _TASK_BLOCKS = 8
 # workers, their first result and reaping them cost 30-40 ms on a 2-core
 # machine, the time of about 64 of the cheapest (parity-only) blocks.
 _MIN_WORKER_BLOCKS = 64
+# Run lengths whose [sign, count] text TrialRecord.json_line takes from a
+# table.  Coupling runs are at most a few dozen coordinates long; a longer
+# one, such as Theorem 1's full cube (one run of n) or the optimal
+# evader's tail, is formatted directly.
+_PAIR_TEXT_COUNTS = 256
 # glibc's mallopt parameters.  At their 128 KiB defaults a block's
 # temporaries (up to 128 KiB each) can come from the top of the heap,
 # which glibc then hands back to the kernel after each block, and the
@@ -190,7 +197,7 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One Monte Carlo trial, serializable to a JSONL row."""
+    """One Monte Carlo trial, serializable to a JSONL row (``json_line``)."""
 
     trial_index: int
     statistic_pre: float
@@ -200,6 +207,39 @@ class TrialRecord:
     accepted_post: bool
     zero_count: int
     theta_rle: list | None = None
+
+    def json_line(self) -> str:
+        """The record as one line of JSON text, newline included.
+
+        The text is ``json.dumps(vars(self), sort_keys=True)`` + "\\n":
+        keys sorted, ", " and ": " separators, floats by repr.  Each
+        [sign, count] pair of theta_rle is looked up in ``_pair_texts``,
+        or formatted directly if its count is past the table.
+        """
+        if self.theta_rle is None:
+            rle = "null"
+        else:
+            texts = _pair_texts()
+            rle = "[" + ", ".join([texts[s][c] if c < _PAIR_TEXT_COUNTS else f"[{s}, {c}]"
+                                   for s, c in self.theta_rle]) + "]"
+        # float.__repr__, as json does, also for a float subclass such as np.float64
+        return (f'{{"accepted_post": {"true" if self.accepted_post else "false"}, '
+                f'"accepted_pre": {"true" if self.accepted_pre else "false"}, '
+                f'"sr": {float.__repr__(self.sr)}, '
+                f'"statistic_post": {float.__repr__(self.statistic_post)}, '
+                f'"statistic_pre": {float.__repr__(self.statistic_pre)}, "theta_rle": {rle}, '
+                f'"trial_index": {self.trial_index!r}, "zero_count": {self.zero_count!r}}}\n')
+
+
+@functools.cache
+def _pair_texts() -> list[list[str]]:
+    """The JSON text "[s, c]" of every pair whose count c is below _PAIR_TEXT_COUNTS.
+
+    Indexed [s][c]: the rows are signs 0, +1 and -1, so s = -1 picks the
+    last.  Built on the first record, so a run that writes none pays
+    nothing.
+    """
+    return [[f"[{s}, {c}]" for c in range(_PAIR_TEXT_COUNTS)] for s in (0, 1, -1)]
 
 
 OnTrial = Callable[[TrialRecord], None]
@@ -327,9 +367,11 @@ def _tally(*jobs: _Job) -> list[dict[str, Any]]:
     run in forked workers when every worker gets at least
     _MIN_WORKER_BLOCKS blocks, else in this process; either way their
     results are consumed in task order, so each job's on_trial sees its
-    records in trial order.  A buffer that an attack fills for the
-    caller must be a shared mapping made before the call, since a forked
-    worker writes only its own copy of a private array.
+    records in trial order.  The tasks are a range of ids, each decoded
+    into its job and blocks where it runs, so no list of them is built
+    and a run of any size starts at once.  A buffer that an attack fills
+    for the caller must be a shared mapping made before the call, since a
+    forked worker writes only its own copy of a private array.
     """
     # One Philox, re-keyed for every trial, and one pair of block arrays
     # serve every task in a process (forked workers write their own
@@ -341,12 +383,16 @@ def _tally(*jobs: _Job) -> list[dict[str, Any]]:
     x = np.empty((jobs[0].rows_per_block, jobs[0].spec.n))
     u = np.empty_like(x) if jobs[0].uniforms else None
     workers = min(worker_count(), sum(job.block_count for job in jobs) // _MIN_WORKER_BLOCKS)
-    tasks = [(j, first, min(first + _TASK_BLOCKS, job.block_count))
-             for j, job in enumerate(jobs) for first in range(0, job.block_count, _TASK_BLOCKS)]
+    # task ids offsets[j] .. offsets[j + 1] - 1 are job j's, in block order
+    offsets = list(itertools.accumulate((-(-job.block_count // _TASK_BLOCKS) for job in jobs),
+                                        initial=0))
+    tasks = range(offsets[-1])
 
     def run_task(task):
-        # blocks first..stop-1 of job j: j, counters summed over rows, and record rows
-        j, first, stop = task
+        # the task's blocks first..stop-1 of job j: j, counters summed over rows, and record rows
+        j = bisect.bisect_right(offsets, task) - 1
+        first = (task - offsets[j]) * _TASK_BLOCKS
+        stop = min(first + _TASK_BLOCKS, jobs[j].block_count)
         counts: dict[str, Any] = {}
         records: list = []
         for start, xb, ub in _blocks(jobs[j].spec, first, stop, bit_generator, x, u):

@@ -14,13 +14,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from parityshift import accel, harness
-from parityshift.attack import couple_perturb, optimal_parity_evasion
+from parityshift import accel, forked, harness
+from parityshift.attack import PerturbationVector, couple_perturb, optimal_parity_evasion
 from parityshift.detector import DetectorConfig, big_g_value, decide
 from parityshift.harness import (
     ExperimentSpec,
     SpecValidationError,
+    TrialRecord,
     run_coupling_validation,
     run_thm1_detectable,
     run_thm1_undetectable,
@@ -349,6 +352,74 @@ class TestOnTrial:
         assert out.counts == {"attacked": 198, "overlap_count": 0, "flip_violations": 0}
         assert {name: r["count"] for name, r in out.rates.items()} == {
             "null_accept": 198, "overlap": 0}
+
+    @pytest.mark.parametrize("run, kwargs", SMALL_RUNS, ids=lambda v: getattr(v, "__name__", ""))
+    def test_json_line_of_every_run(self, run, kwargs):
+        spec = ExperimentSpec(**kwargs, trials=7, master_seed=SEED)
+        recs = []
+        run(spec, on_trial=recs.append)
+        assert [rec.json_line() for rec in recs] == [_dumped(rec) for rec in recs]
+
+
+def _dumped(rec: TrialRecord) -> str:
+    # the reference: json's own encoding of the record's fields
+    return json.dumps(vars(rec), sort_keys=True, check_circular=False) + "\n"
+
+
+def _record(**fields) -> TrialRecord:
+    return TrialRecord(**{"trial_index": 3, "statistic_pre": 0.25, "statistic_post": -0.5,
+                          "sr": 0.125, "accepted_pre": True, "accepted_post": False,
+                          "zero_count": 7, "theta_rle": [[0, 4], [1, 1]], **fields})
+
+
+# counts up to BOUND - 1 come from json_line's table, the rest are formatted directly
+BOUND = harness._PAIR_TEXT_COUNTS
+
+
+class TestJsonLine:
+    @pytest.mark.parametrize("theta_rle", [
+        None, [], [[1, 10 * BOUND + 3]], [[0, BOUND - 1]], [[0, BOUND]], [[0, BOUND + 1]],
+        [[-1, BOUND - 1], [1, BOUND], [-1, BOUND + 1]],
+        [[0, 1], [1, 2], [0, 3], [-1, 1], [1, 40], [-1, 255]],
+    ])
+    def test_theta_rle(self, theta_rle):
+        rec = _record(theta_rle=theta_rle)
+        assert rec.json_line() == _dumped(rec)
+
+    @pytest.mark.parametrize("fields", [
+        {"statistic_pre": -0.0, "statistic_post": 0.0, "sr": 0.0},
+        {"statistic_pre": 1 / 3, "statistic_post": -1e-300, "sr": 5e-324},
+        {"statistic_pre": np.float64(0.1), "sr": np.float64(-0.0)},
+        {"accepted_pre": False, "accepted_post": True},
+        {"accepted_pre": True, "accepted_post": True},
+        {"accepted_pre": False, "accepted_post": False},
+        {"trial_index": 10**30 + 7, "zero_count": 0},
+    ])
+    def test_scalars(self, fields):
+        rec = _record(**fields)
+        assert rec.json_line() == _dumped(rec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from([-1, 0, 1]), st.integers(1, 2 * BOUND)),
+                 max_size=12),
+        st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(0.0, 1.0),
+        st.booleans(), st.booleans(), st.integers(0, 2**64),
+    )
+    def test_random_sign_rows(self, runs, pre, post, sr, accepted_pre, accepted_post, index):
+        # runs of random signs and lengths joined into one int8 row; equal
+        # neighbours merge, so to_rle sees runs up to 4 * BOUND long
+        signs = np.repeat(np.array([s for s, _ in runs], dtype=np.int8),
+                          [c for _, c in runs])
+        rec = _record(statistic_pre=pre, statistic_post=post, sr=sr, accepted_pre=accepted_pre,
+                      accepted_post=accepted_post, trial_index=index, zero_count=index // 3,
+                      theta_rle=PerturbationVector(signs, 1.0).to_rle())
+        assert rec.json_line() == _dumped(rec)
+
+    def test_template_names_every_field(self):
+        # a field TrialRecord gains must enter json_line's template too
+        keys = list(json.loads(_record().json_line()))
+        assert keys == sorted(field.name for field in dataclasses.fields(TrialRecord))
 
 
 def _per_trial_coupling_records(spec):
@@ -821,3 +892,43 @@ def test_freed_block_memory_is_reused():
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["workers"] == 0  # below the shard threshold: every block ran in-process
     assert result["faults"] <= 20 * 125
+
+
+# A thm1-detectable run of 10**12 or more trials, one a block, stopped
+# by on_trial at its first record under a 2 GiB address-space limit.
+_HUGE_RUN_SCRIPT = """
+import json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from parityshift import forked
+from parityshift.harness import ExperimentSpec, run_thm1_detectable
+
+class FirstRecord(Exception):
+    pass
+
+def on_trial(rec):
+    raise FirstRecord(rec.trial_index)
+
+spec = ExperimentSpec(regime="cube_scaling", c=4.0, n=10000, trials=int(sys.argv[1]),
+                      master_seed=1)
+t0 = time.monotonic()
+try:
+    run_thm1_detectable(spec, on_trial=on_trial)
+except FirstRecord as stop:
+    print(json.dumps({"first": stop.args[0], "seconds": time.monotonic() - t0,
+                      "workers": len(forked.worker_peaks)}))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="limits the address space with RLIMIT_AS")
+@pytest.mark.parametrize("trials", [10**12, 10**30])
+def test_huge_run_reaches_first_record(trials):
+    # 10**30 trials make more tasks than len() of a range can report
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _HUGE_RUN_SCRIPT, str(trials)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["first"] == 0
+    assert result["seconds"] < 30
+    assert result["workers"] == (forked.worker_count() if forked.worker_count() > 1 else 0)
