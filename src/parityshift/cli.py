@@ -25,6 +25,7 @@ import json
 import math
 import platform
 import resource
+import signal
 import sys
 import time
 from pathlib import Path
@@ -139,11 +140,9 @@ def _write_meta(out_dir: Path, command: str, argv: list[str], seed: int | None,
                 start: tuple[float, int, int, int]) -> None:
     """Write run_meta.json for a run that began at start (``_run_start``).
 
-    The scipy and mpmath versions come from the installed distributions'
-    metadata: importing mpmath here would load it into every run.
+    ``versions`` names the python and numpy a run uses: no CLI run loads
+    scipy or mpmath, so neither is recorded.
     """
-    from importlib.metadata import version
-
     t0, started, faults, children_faults = start
     usage = resource.getrusage(resource.RUSAGE_SELF)
     children_faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - children_faults
@@ -168,8 +167,6 @@ def _write_meta(out_dir: Path, command: str, argv: list[str], seed: int | None,
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": version("scipy"),
-            "mpmath": version("mpmath"),
         },
     }
     (out_dir / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
@@ -350,17 +347,26 @@ def _run_streaming_records(run, spec: ExperimentSpec, path: Path) -> harness.Exp
 
     Records go to ``<path>.partial``, renamed to ``path`` only once the run
     has returned, so a run that raises leaves no file that looks complete.
-    Each line is ``TrialRecord.json_line``: canonical JSON with sorted keys.
+    While the run lasts, SIGTERM raises SystemExit(143), so a terminated
+    run removes the partial file too.  Each line is
+    ``TrialRecord.json_line``: canonical JSON with sorted keys.
     """
     partial = path.with_name(path.name + ".partial")
+    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     try:
         with partial.open("w") as fh:
             summary = run(spec, on_trial=lambda rec: fh.write(rec.json_line()))
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     partial.replace(path)
     return summary
+
+
+def _exit_on_sigterm(signum, frame) -> None:
+    raise SystemExit(128 + signum)  # the status a shell reports for a SIGTERM death
 
 
 def _cmd_run(args, argv) -> int:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import accel
 from .attack import PerturbationVector
@@ -89,15 +88,16 @@ def bin_prob(k: int, a: float) -> float:
     """Standard normal mass of bin k: Phi(ka + a/2) - Phi(ka - a/2).
 
     Evaluated in whichever tail is further from the origin so the
-    difference never cancels against saturated CDF values.
+    difference never cancels against saturated CDF values, with
+    Phi(x) = 0.5 erfc(-x / sqrt 2).
     """
     if not (a > 0.0):
         raise ValueError(f"a must be positive, got {a!r}")
     lo = k * a - 0.5 * a
     hi = k * a + 0.5 * a
     if lo >= 0.0:
-        return float(ndtr(-lo) - ndtr(-hi))
-    return float(ndtr(hi) - ndtr(lo))
+        return 0.5 * (math.erfc(lo / math.sqrt(2.0)) - math.erfc(hi / math.sqrt(2.0)))
+    return 0.5 * (math.erfc(-hi / math.sqrt(2.0)) - math.erfc(-lo / math.sqrt(2.0)))
 
 
 def min_accepted_sum(config: DetectorConfig, n: int) -> int:

@@ -98,7 +98,9 @@ def _serve(fn: Callable[[Any], Any], tasks: Sequence, conn, parent_ends: list) -
 
     The worker first closes the read ends of every worker's pipe that the
     fork copied, so that its send fails once the parent exits, however it
-    exits, and leaves Ctrl-C to the parent, which stops every worker.
+    exits, and leaves Ctrl-C to the parent, which stops every worker.  It
+    dies on SIGTERM, as ``forked_map`` expects, whatever handler the
+    parent had installed.
     It stops after sending an exception, since the parent raises it.
     Each message starts with the worker's ru_maxrss so far.
     """
@@ -107,6 +109,7 @@ def _serve(fn: Callable[[Any], Any], tasks: Sequence, conn, parent_ends: list) -
     for end in parent_ends:
         end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     for task in tasks:
         try:
             reply = (True, fn(task))

@@ -60,6 +60,9 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
 import numpy as np
+# numpy loads numpy.random on first use; importing it here keeps that
+# import out of the first run's time
+from numpy.random import Generator, Philox
 
 from . import accel
 from .attack import PerturbationVector, couple_perturb, optimal_parity_evasion, sparsity_budget
@@ -267,8 +270,8 @@ class ExperimentSummary:
 
 
 def trial_rng(
-    master_seed: int, trial_index: int, bit_generator: np.random.Philox | None = None
-) -> np.random.Generator:
+    master_seed: int, trial_index: int, bit_generator: Philox | None = None
+) -> Generator:
     """Counter-based substream: a pure function of (master_seed, trial_index).
 
     Without bit_generator a fresh Philox is built for the key.  Given a
@@ -279,7 +282,7 @@ def trial_rng(
     """
     key = np.array([master_seed & _MASK64, trial_index & _MASK64], dtype=np.uint64)
     if bit_generator is None:
-        return np.random.Generator(np.random.Philox(key=key))
+        return Generator(Philox(key=key))
     bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
@@ -288,7 +291,7 @@ def trial_rng(
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return np.random.Generator(bit_generator)
+    return Generator(bit_generator)
 
 
 @dataclass(frozen=True)
@@ -317,7 +320,7 @@ class _Job:
 
 
 def _blocks(
-    spec: ExperimentSpec, first: int, stop: int, bit_generator: np.random.Philox,
+    spec: ExperimentSpec, first: int, stop: int, bit_generator: Philox,
     x: np.ndarray, u: np.ndarray | None,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
     """Yield (first trial index, x, u) for blocks first..stop-1 of a run's trials.
@@ -379,7 +382,7 @@ def _tally(*jobs: _Job) -> list[dict[str, Any]]:
     if len({(job.rows_per_block, job.spec.n, job.uniforms) for job in jobs}) != 1:
         raise ValueError("the jobs of one tally must share one block shape")
     _keep_freed_heap()
-    bit_generator = np.random.Philox(0)
+    bit_generator = Philox(0)
     x = np.empty((jobs[0].rows_per_block, jobs[0].spec.n))
     u = np.empty_like(x) if jobs[0].uniforms else None
     workers = min(worker_count(), sum(job.block_count for job in jobs) // _MIN_WORKER_BLOCKS)

@@ -31,10 +31,10 @@ whose tail is at most ``rel_tol * max(|value|, 1e-300)`` and reports that
 tail as ``est_error``; a step that would take the count past
 ``max_terms`` raises ``SeriesConvergenceError`` instead.
 
-Importing the package or its CLI loads numpy and ``scipy.special`` only.
-mpmath loads on the first call of ``big_g_oracle`` and ``scipy.optimize``
-on the first call of ``solve_a_for_g``; no CLI command calls either, so
-a run loads neither package.
+Importing the package or its CLI loads numpy only.  mpmath loads on the
+first call of ``big_g_oracle`` and ``scipy.optimize`` on the first call
+of ``solve_a_for_g``; no CLI command calls either, so a run loads
+neither package.
 """
 
 from __future__ import annotations

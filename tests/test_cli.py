@@ -3,14 +3,15 @@
 import dataclasses
 import json
 import os
+import platform
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
-import scipy
 
 from parityshift import cli, forked, harness
 from parityshift.cli import run_cli
@@ -24,6 +25,12 @@ SEED = "424242"
 
 def read(path):
     return path.read_bytes()
+
+
+def _src_env() -> dict:
+    # a child interpreter's environment, importing parityshift from this checkout
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
 
 
 class TestKernelsCommand:
@@ -152,11 +159,9 @@ class TestExperimentCommand:
         run_cli([*argv, "--out", str(tmp_path / "in_process")])
         meta = json.loads((tmp_path / "in_process" / "run_meta.json").read_text())
         assert meta["master_seed"] == int(SEED)
-        # read from package metadata, not by importing scipy or mpmath
-        assert meta["versions"]["numpy"] == np.__version__
-        assert meta["versions"]["scipy"] == scipy.__version__
-        assert meta["versions"]["mpmath"] == mpmath.__version__
-        # decimal MB: this process holds numpy and scipy (tens of MB), not 10 GB
+        # no run loads scipy or mpmath, so neither is recorded
+        assert meta["versions"] == {"python": platform.python_version(), "numpy": np.__version__}
+        # decimal MB: this process holds tens of MB, not 10 GB
         assert 10.0 < meta["peak_rss_mb"] < 1e4
         assert type(meta["minor_faults"]) is int and meta["minor_faults"] >= 0
         assert meta["workers"] == 0
@@ -169,7 +174,7 @@ class TestExperimentCommand:
         run_cli([*argv, "--out", str(tmp_path / "sharded")])
         meta = json.loads((tmp_path / "sharded" / "run_meta.json").read_text())
         assert meta["workers"] == 2
-        # each forked worker held numpy and scipy too
+        # each forked worker held what this process held
         assert 10.0 < meta["workers_peak_rss_mb"] < 1e4
         assert type(meta["minor_faults"]) is int and meta["minor_faults"] >= 0
         # a forked worker faults in at least the pages it writes
@@ -239,23 +244,55 @@ class TestTrialRecords:
                      "--format", "json,jsonl"])
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc for the workers")
+    def test_sigterm_leaves_no_partial_file_or_worker(self, tmp_path):
+        out = tmp_path / "run"
+        partial = out / "trials.jsonl.partial"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "parityshift", "experiment", "--preset", "thm1-detectable",
+             "--trials", "1000000000000", "--seed", SEED, "--format", "json,jsonl",
+             "--out", str(out)],
+            env=_src_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        try:
+            deadline = time.monotonic() + 60.0
+            while not (partial.exists() and partial.stat().st_size > 0):
+                assert proc.poll() is None, proc.stderr.read()
+                assert time.monotonic() < deadline, "no trial record within 60 s"
+                time.sleep(0.02)
+            # the forked trial-block workers, none on a single core
+            children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+            workers = children.read_text().split() if children.exists() else []
+            proc.send_signal(signal.SIGTERM)
+            proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+        assert proc.returncode == 143
+        assert not list(tmp_path.rglob("*.partial"))
+        # forked_map terminated and reaped every worker before the CLI exited
+        assert [pid for pid in workers if Path(f"/proc/{pid}").exists()] == []
+
 
 class TestModuleEntryPoint:
     def test_python_m_help(self):
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-m", "parityshift", "--help"],
-                              capture_output=True, text=True, env=env, timeout=60)
+                              capture_output=True, text=True, env=_src_env(), timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert "experiment" in proc.stdout
 
 
 # Runs in a fresh interpreter: the test process has already imported
-# mpmath and scipy.optimize through the kernel tests.
+# mpmath and scipy through the kernel and statistics tests.
 _FOOTPRINT_SCRIPT = """
 import json, sys
+
+def unwanted():
+    return sorted(m for m in sys.modules if m == "mpmath" or m.split(".")[0] == "scipy")
+
 from parityshift.cli import run_cli
 
+on_import = unwanted()
 out = sys.argv[1]
 codes = [
     run_cli(["experiment", "--preset", "coupling-a1", "--trials", "20", "--seed", "1",
@@ -264,24 +301,23 @@ codes = [
              "--out", out + "/sweep"]),
     run_cli(["kernels", "--a", "0.3", "--out", out + "/kernels"]),
 ]
-loaded = sorted(m for m in ("mpmath", "scipy.optimize", "scipy.linalg") if m in sys.modules)
+loaded = unwanted()
 
 from parityshift.kernels import KernelParams, big_g_oracle, solve_a_for_g
 
-print(json.dumps({"codes": codes, "loaded": loaded,
+print(json.dumps({"codes": codes, "on_import": on_import, "loaded": loaded,
                   "big_g_1": big_g_oracle(KernelParams(1.0)), "a_half": solve_a_for_g(0.5)}))
 """
 
 
 class TestImportFootprint:
-    def test_runs_load_neither_mpmath_nor_scipy_optimize(self, tmp_path):
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    def test_import_and_runs_load_neither_mpmath_nor_scipy(self, tmp_path):
         proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_SCRIPT, str(tmp_path)],
-                              capture_output=True, text=True, env=env, timeout=120)
+                              capture_output=True, text=True, env=_src_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result["codes"] == [0, 0, 0]
+        assert result["on_import"] == []
         assert result["loaded"] == []
         # the first call of each function imports what it needs
         assert result["big_g_1"] == pytest.approx(0.0091569902897607558, abs=1e-12)

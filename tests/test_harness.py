@@ -830,6 +830,17 @@ def _wait_for_states(pids: list[int], states: tuple, seconds: float) -> list:
     return current
 
 
+def test_workers_take_sigterm_default_action():
+    # forked_map stops its workers with SIGTERM; a handler the parent has
+    # installed (the CLI's, while it writes trials.jsonl) must not run in them
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+    try:
+        handlers = list(forked.forked_map(lambda _: signal.getsignal(signal.SIGTERM), range(2), 2))
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert handlers == [signal.SIG_DFL, signal.SIG_DFL]
+
+
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states in /proc")
 def test_workers_exit_when_parent_is_killed():
     # a worker learns that its parent is gone when its next send fails;

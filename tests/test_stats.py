@@ -1,15 +1,16 @@
-"""Pooled statistics: the chunked KS distance and the chunked moment triple."""
+"""Pooled statistics: the normal CDF, the chunked KS distance and the chunked moment triple."""
 
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
 from parityshift import harness, stats
 from parityshift.harness import ExperimentSpec, run_coupling_validation, trial_rng
-from parityshift.stats import ks_distance_standard_normal, sample_moments
+from parityshift.stats import ks_distance_standard_normal, normal_cdf, sample_moments
 
 
 def _peak_traced_bytes(fn, *args) -> int:
@@ -37,17 +38,56 @@ def _ks_one_shot(sample: np.ndarray) -> float:
     # the whole-array formula the chunked evaluation replaces
     s = np.sort(sample)
     n = s.size
-    cdf = stats.ndtr(s)
+    cdf = stats.normal_cdf(s)
     steps = np.arange(1, n + 1, dtype=np.float64) / n
     return max(float(np.max(steps - cdf)), float(np.max(cdf - (steps - 1.0 / n))))
+
+
+class TestNormalCdf:
+    # two ulps of a value in [1/2, 1): the largest gap between two results
+    # that each lie within an ulp of Phi
+    TOL = 2.3e-16
+
+    def test_matches_mpmath(self):
+        xs = np.linspace(-38.0, 38.0, 201)
+        with mpmath.workdps(40):
+            exact = [mpmath.ncdf(mpmath.mpf(float(v))) for v in xs]
+        errors = [abs(mpmath.mpf(float(got)) - want) for got, want in zip(normal_cdf(xs), exact)]
+        assert float(max(errors)) <= self.TOL
+
+    def test_matches_scipy_ndtr(self):
+        x = trial_rng(11, 0).standard_normal(1_000_000) * 4.0
+        assert float(np.max(np.abs(normal_cdf(x) - ndtr(x)))) <= self.TOL
+
+    def test_infinities_and_nan(self):
+        got = normal_cdf(np.array([-np.inf, np.inf, np.nan, -1e300, 1e300]))
+        assert got[0] == 0.0 and got[1] == 1.0 and math.isnan(got[2])
+        assert got[3] == 0.0 and got[4] == 1.0
+
+    def test_no_monotonicity_drop_above_1e_15(self):
+        # a dense grid across the clipping edges at +-39, and each midpoint
+        # between grid points, where the nearest point switches, with its
+        # neighbouring floats
+        mid = (np.arange(-39 * 64, 39 * 64) + 0.5) / 64
+        x = np.sort(np.concatenate([np.linspace(-40.0, 40.0, 2_000_001), mid,
+                                    np.nextafter(mid, -np.inf), np.nextafter(mid, np.inf)]))
+        cdf = normal_cdf(x)
+        assert float(np.max(cdf[:-1] - cdf[1:])) <= 1e-15
+
+    def test_input_kept(self):
+        x = np.array([0.3, -1.7, np.inf, np.nan])
+        normal_cdf(x)
+        assert x[:3].tolist() == [0.3, -1.7, np.inf] and math.isnan(x[3])
 
 
 class TestKsChunks:
     @pytest.mark.parametrize(
         "size",
-        # 196731 = 3 * 2**16 + 123: hundreds of chunks and a partial last one
+        # 511-513 end at a chunk boundary and 1659 = 12 * 128 + 123 = 3 * 512 + 123
+        # inside a chunk, at chunk sizes 128 and 512 alike; 196731 = 3 * 2**16 + 123:
+        # hundreds of chunks and a partial last one
         [1, 2, 1000, stats._KS_CHUNK - 1, stats._KS_CHUNK, stats._KS_CHUNK + 1,
-         3 * stats._KS_CHUNK + 123, 196_731],
+         511, 512, 513, 1659, 196_731],
     )
     def test_bit_identical_to_one_shot(self, size):
         sample = trial_rng(2718, size).standard_normal(size)
@@ -79,11 +119,11 @@ class TestKsChunks:
         expected = _ks_one_shot(sample)
         seen = []
 
-        def counting_ndtr(v):
+        def counting_cdf(v):
             seen.append(np.size(v))
-            return ndtr(v)
+            return normal_cdf(v)
 
-        monkeypatch.setattr(stats, "ndtr", counting_ndtr)
+        monkeypatch.setattr(stats, "normal_cdf", counting_cdf)
         assert ks_distance_standard_normal(sample) == expected
         assert sum(seen) < sample.size / 2
 
@@ -94,15 +134,15 @@ class TestKsChunks:
         expected = _ks_one_shot(sample)
         calls = []
 
-        def counting_ndtr(v):
+        def counting_cdf(v):
             calls.append(np.size(v))
-            return ndtr(v)
+            return normal_cdf(v)
 
-        monkeypatch.setattr(stats, "ndtr", counting_ndtr)
+        monkeypatch.setattr(stats, "normal_cdf", counting_cdf)
         assert ks_distance_standard_normal(sample) == expected
         assert len(calls) <= sample.size / stats._KS_SCAN + 3
 
-    @pytest.mark.parametrize("size", [2, 3 * stats._KS_CHUNK + 123])
+    @pytest.mark.parametrize("size", [2, 1659])
     def test_nan_raises(self, size):
         sample = trial_rng(7, 5).standard_normal(size)
         sample[size // 3] = np.nan
