@@ -20,21 +20,7 @@ import numpy as np
 from . import accel
 from .kernels import KernelParams
 
-__all__ = [
-    "PerturbationVector",
-    "InvalidProbabilitiesError",
-    "sample_die",
-    "couple_perturb",
-    "sparsity_ratio",
-    "sparsity_budget",
-    "optimal_parity_evasion",
-]
-
-_PROB_SLACK = 1e-9
-
-
-class InvalidProbabilitiesError(ValueError):
-    """Die probabilities are negative or sum beyond 1 + 1e-9."""
+__all__ = ["PerturbationVector", "couple_perturb", "sparsity_budget", "optimal_parity_evasion"]
 
 
 @dataclass(frozen=True)
@@ -42,10 +28,10 @@ class PerturbationVector:
     """A perturbation with every entry exactly -a, 0 or +a.
 
     ``signs`` holds the entries in units of a (int8 in {-1, 0, +1}), so
-    membership is exact by construction and ``values`` reproduces the
-    float entries as signs * a.  A 2-d ``signs`` is a trial block, one
-    perturbation per row; ``n`` is the row length and ``zero_count`` an
-    int64 array of per-row counts.
+    membership is exact by construction and the float entries are
+    signs * a.  A 2-d ``signs`` is a trial block, one perturbation per
+    row; ``n`` is the row length and ``zero_count`` an int64 array of
+    per-row counts.
     """
 
     signs: np.ndarray
@@ -61,24 +47,9 @@ class PerturbationVector:
             raise ValueError("every entry must be -a, 0 or +a")
         object.__setattr__(self, "signs", signs)
 
-    @classmethod
-    def from_values(cls, values, a: float) -> "PerturbationVector":
-        values = np.asarray(values, dtype=np.float64)
-        signs = np.zeros(values.shape, dtype=np.int8)
-        signs[values == a] = 1
-        signs[values == -a] = -1
-        ok = (values == a) | (values == -a) | (values == 0.0)
-        if not ok.all():
-            raise ValueError("entries must be exactly -a, 0 or +a")
-        return cls(signs, a)
-
     @property
     def n(self) -> int:
         return int(self.signs.shape[-1])
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.signs * self.a
 
     @property
     def zero_count(self) -> int | np.ndarray:
@@ -88,9 +59,6 @@ class PerturbationVector:
     def row(self, i: int) -> "PerturbationVector":
         """The perturbation of trial row i of a block."""
         return PerturbationVector(self.signs[i], self.a)
-
-    def sparsity_ratio(self) -> float:
-        return sparsity_ratio(self)
 
     def to_rle(self) -> list[list[int]]:
         """Run-length encoding as [sign, count] pairs (signs in units of a)."""
@@ -103,31 +71,6 @@ class PerturbationVector:
         starts = np.concatenate(([0], breaks))
         ends = np.concatenate((breaks, [s.size]))
         return np.column_stack((s[starts], ends - starts)).tolist()
-
-    @classmethod
-    def from_rle(cls, rle, a: float) -> "PerturbationVector":
-        parts = [np.full(int(count), int(sign), dtype=np.int8) for sign, count in rle]
-        signs = np.concatenate(parts) if parts else np.empty(0, dtype=np.int8)
-        return cls(signs, a)
-
-
-def sample_die(p1: float, p2: float, a: float, u: float) -> float:
-    """One three-sided die roll: +a on u < p1, 0 on p1 <= u < p1+p2, else -a.
-
-    Tiny negative probabilities (>= -1e-9) are clamped to zero; anything
-    worse, or p1 + p2 > 1 + 1e-9, raises InvalidProbabilitiesError.
-    """
-    if p1 < -_PROB_SLACK or p2 < -_PROB_SLACK:
-        raise InvalidProbabilitiesError(f"negative die probabilities: p1={p1!r}, p2={p2!r}")
-    if p1 + p2 > 1.0 + _PROB_SLACK:
-        raise InvalidProbabilitiesError(f"die probabilities exceed 1: p1+p2={p1 + p2!r}")
-    p1 = max(0.0, p1)
-    p2 = max(0.0, p2)
-    if u < p1:
-        return a
-    if u < min(p1 + p2, 1.0):
-        return 0.0
-    return -a
 
 
 def couple_perturb(
@@ -160,17 +103,6 @@ def couple_perturb(
     signs = accel.die_outcomes(phi, gamma, u)
     theta = PerturbationVector(signs, params.a)
     return theta, x + signs * params.a
-
-
-def sparsity_ratio(theta: PerturbationVector) -> float:
-    """Fraction of untouched coordinates, #{i: theta_i = 0} / n.
-
-    Membership in the budget-t family is the strict predicate
-    sparsity_ratio < t.
-    """
-    if theta.n == 0:
-        raise ValueError("sparsity ratio of an empty perturbation is undefined")
-    return theta.zero_count / theta.n
 
 
 def sparsity_budget(t: float, n: int) -> int:

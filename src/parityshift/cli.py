@@ -1,11 +1,9 @@
-"""Command-line front end: kernel dumps, demos, experiments and sweeps.
+"""Command-line front end: kernel dumps, experiments and sweeps.
 
 Subcommands
 -----------
 kernels     dump x, p(x), g(x), gamma(x), phi(x) and the identity
             residual over a grid to kernels.csv
-attack      single-shot coupling demo on one sample
-detect      single-shot detector demo on one null sample
 experiment  run a harness operation (by preset and/or flags), write
             summary.json (+ trials.jsonl, one record per trial as it
             finishes), print per-check pass/fail
@@ -32,10 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import accel, forked, harness
-from .attack import couple_perturb
-from .detector import DetectorConfig, big_g_value, decide, flip_identity_check
-from .harness import ExperimentSpec, SpecValidationError, trial_rng
+from . import forked, harness
+from .harness import ExperimentSpec, SpecValidationError
 from .kernels import KernelParams, eval_g, eval_gamma, eval_phi, fp_residual, normal_pdf
 
 __all__ = ["main", "run_cli", "PRESETS"]
@@ -266,6 +262,14 @@ def _make_spec(spec_kwargs: dict) -> ExperimentSpec:
         raise ConfigError(f"spec: {exc}") from exc
 
 
+def _make_out_dir(out_dir: Path) -> None:
+    """Make --out and its parents; a path that is, or lies under, a file is bad config."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out: cannot make the output directory ({exc})") from exc
+
+
 def _cmd_kernels(args, argv) -> int:
     start = _run_start()
     params = KernelParams(args.a, rel_tol=args.rel_tol)
@@ -286,7 +290,7 @@ def _cmd_kernels(args, argv) -> int:
     except (ValueError, MemoryError) as exc:
         raise ConfigError(f"step: {args.step!r} is too small for the grid ({exc})") from exc
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
     lines = ["x,p,g,gamma,phi,fp_residual"]
     worst = 0.0
     for x in xs:
@@ -309,37 +313,6 @@ def _cmd_kernels(args, argv) -> int:
     print(f"[{'PASS' if ok else 'FAIL'}] max_abs_fp_residual: observed={worst:.6g} limit=1e-09")
     print(f"wrote {out_dir / 'kernels.csv'} ({xs.size} rows)")
     return 0 if ok else 1
-
-
-def _cmd_attack(args, argv) -> int:
-    if args.n < 1:
-        raise ConfigError(f"n: must be a positive integer, got {args.n!r}")
-    params = KernelParams(args.a, rel_tol=args.rel_tol)
-    rng = trial_rng(args.seed, 0)
-    x = rng.standard_normal(args.n)
-    theta, x_post = couple_perturb(x, params, rng.random(args.n))
-    a_pre = accel.parity_labels_and_sum(x, args.a)[1] / args.n
-    a_post = accel.parity_labels_and_sum(x_post, args.a)[1] / args.n
-    resid = flip_identity_check(x, theta, args.a)
-    print(f"n={args.n} a={args.a} seed={args.seed}")
-    print(f"sparsity_ratio={theta.sparsity_ratio():.6g} zero_count={theta.zero_count}")
-    print(f"A_pre={a_pre:.6g} A_post={a_post:.6g} flip_identity_residual={resid:.6g}")
-    ok = resid == 0.0
-    print(f"[{'PASS' if ok else 'FAIL'}] flip_identity_zero: observed={resid:.6g} limit=0")
-    return 0 if ok else 1
-
-
-def _cmd_detect(args, argv) -> int:
-    if args.n < 1:
-        raise ConfigError(f"n: must be a positive integer, got {args.n!r}")
-    config = DetectorConfig(a=args.a, lam=args.lam, variant=args.variant)
-    rng = trial_rng(args.seed, 0)
-    x = rng.standard_normal(args.n)
-    result = decide(x, config)
-    print(f"n={args.n} a={args.a} lambda={args.lam} variant={args.variant} seed={args.seed}")
-    print(f"A={result.statistic_a:.6g} G(a)={big_g_value(args.a):.17g}")
-    print(f"accept_h0={result.accept_h0}")
-    return 0
 
 
 def _run_streaming_records(run, spec: ExperimentSpec, path: Path) -> harness.ExperimentSummary:
@@ -389,7 +362,7 @@ def _cmd_run(args, argv) -> int:
     # the directories made here, deepest first, removed again while
     # still empty if the run raises
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
     run = _OPERATIONS[operation]
     try:
         if "jsonl" in formats:
@@ -450,19 +423,6 @@ def _parser() -> argparse.ArgumentParser:
     pk.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-12)
     pk.add_argument("--out", default=".")
 
-    pa = sub.add_parser("attack", help="single-shot coupling demo")
-    pa.add_argument("--a", type=float, required=True)
-    pa.add_argument("--n", type=int, default=1000)
-    pa.add_argument("--seed", type=int, required=True)
-    pa.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-12)
-
-    pd = sub.add_parser("detect", help="single-shot detector demo")
-    pd.add_argument("--a", type=float, required=True)
-    pd.add_argument("--n", type=int, default=1000)
-    pd.add_argument("--seed", type=int, required=True)
-    pd.add_argument("--lambda", dest="lam", type=float, default=3.0)
-    pd.add_argument("--variant", choices=("thresholded", "zero"), default="thresholded")
-
     def add_spec_flags(p):
         p.add_argument("--preset", default=None)
         p.add_argument("--config", default=None, help="JSON file mirroring ExperimentSpec")
@@ -494,8 +454,6 @@ def run_cli(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     handlers = {
         "kernels": _cmd_kernels,
-        "attack": _cmd_attack,
-        "detect": _cmd_detect,
         "experiment": _cmd_run,
         "sweep": _cmd_run,
     }

@@ -68,7 +68,7 @@ from . import accel
 from .attack import PerturbationVector, couple_perturb, optimal_parity_evasion, sparsity_budget
 from .detector import DetectorConfig, big_g_value, min_accepted_sum
 from .forked import forked_map, worker_count
-from .kernels import KernelParams
+from .kernels import KernelParams, square_underflows
 from .stats import binomial_se, ks_distance_standard_normal, sample_moments, wilson_interval
 
 __all__ = [
@@ -186,6 +186,10 @@ class ExperimentSpec:
             if self.n < 3:
                 raise SpecValidationError(
                     f"n: the cube_scaling regime requires n >= 3, got {self.n!r}")
+            if square_underflows(self.effective_a):
+                raise SpecValidationError(
+                    f"c: {self.c!r} is too small, a = c / sqrt(ln n) = {self.effective_a!r} "
+                    "has a square that underflows")
 
     @property
     def effective_a(self) -> float:
@@ -927,7 +931,10 @@ def sweep_phase_transition(
         if not (0.0 < c <= _DOUBLE_MAX):
             raise SpecValidationError(f"c_values: c = {c!r} must be positive and finite")
 
-    cells = [replace(spec, c=float(c)) for c in c_values]
+    try:
+        cells = [replace(spec, c=float(c)) for c in c_values]
+    except SpecValidationError as exc:
+        raise SpecValidationError(f"c_values: {exc}") from exc
     big_gs = [big_g_value(cell.effective_a) for cell in cells]
     tallies = _tally(*(_coupling_job(cell, min_accepted_sum(
         DetectorConfig(cell.effective_a, spec.lam, "zero"), n)) for cell in cells))

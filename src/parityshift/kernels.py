@@ -40,6 +40,7 @@ neither package.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -48,6 +49,7 @@ __all__ = [
     "SeriesConvergenceError",
     "KernelRangeError",
     "MODE_CROSSOVER_A",
+    "square_underflows",
     "normal_pdf",
     "eval_g",
     "eval_big_g",
@@ -84,6 +86,17 @@ class KernelRangeError(RuntimeError):
     """
 
 
+def square_underflows(a: float) -> bool:
+    """Whether a * a falls below the smallest normal double.
+
+    The dual series take pi^2 / (2 a^2), which divides by zero once a * a
+    underflows to 0.  ``KernelParams``, ``accel.plan_for`` and the
+    harness's ``ExperimentSpec`` reject every such bin width (a below
+    1.4917e-154) before any series runs.
+    """
+    return a * a < sys.float_info.min
+
+
 @dataclass(frozen=True)
 class KernelParams:
     """Evaluation parameters: bin half-width pairing and truncation control.
@@ -100,6 +113,8 @@ class KernelParams:
     def __post_init__(self) -> None:
         if not (isinstance(self.a, (int, float)) and math.isfinite(self.a) and self.a > 0):
             raise ValueError(f"a must be a positive finite real, got {self.a!r}")
+        if square_underflows(self.a):
+            raise ValueError(f"a: {self.a!r} is too small, its square underflows")
         if not (0.0 < self.rel_tol <= 1e-6):
             raise ValueError(f"rel_tol must lie in (0, 1e-6], got {self.rel_tol!r}")
         if not (isinstance(self.max_terms, int) and self.max_terms >= 8):

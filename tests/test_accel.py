@@ -212,6 +212,9 @@ def test_plan_validation():
         accel.plan_for(-1.0)
     with pytest.raises(ValueError):
         accel.plan_for(1.0, rel_tol=1e-3)
+    # a * a underflows: the dual coefficients would divide by zero
+    with pytest.raises(ValueError, match="underflow"):
+        accel.plan_for(1e-300)
 
 
 def test_plan_extreme_widths():

@@ -10,9 +10,10 @@ import time
 import numpy as np
 import pytest
 
+from oracles import flip_identity_check, sparsity_ratio
 from parityshift import accel
-from parityshift.attack import PerturbationVector, optimal_parity_evasion, sparsity_ratio
-from parityshift.detector import big_g_value, flip_identity_check
+from parityshift.attack import PerturbationVector, optimal_parity_evasion
+from parityshift.detector import big_g_value
 from parityshift.harness import (
     ExperimentSpec,
     run_coupling_validation,

@@ -279,7 +279,8 @@ class TestModuleEntryPoint:
         proc = subprocess.run([sys.executable, "-m", "parityshift", "--help"],
                               capture_output=True, text=True, env=_src_env(), timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert "experiment" in proc.stdout
+        # the three commands, and no others
+        assert "{kernels,experiment,sweep}" in proc.stdout
 
 
 # Runs in a fresh interpreter: the test process has already imported
@@ -324,6 +325,48 @@ class TestImportFootprint:
         assert result["a_half"] == pytest.approx(2.2979465162993065, abs=1e-9)
 
 
+# Also in a fresh interpreter: importing the package loads no submodule,
+# and the scalar kernels load without the harness, the CLI or scipy.
+_IMPORT_SCRIPT = """
+import json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.startswith("parityshift.") or m.split(".")[0] == "scipy")
+
+import parityshift
+package = loaded()
+import parityshift.kernels
+print(json.dumps({"package": package, "kernels": loaded()}))
+"""
+
+
+class TestImportScope:
+    def test_package_and_kernels_load_only_themselves(self):
+        proc = subprocess.run([sys.executable, "-c", _IMPORT_SCRIPT],
+                              capture_output=True, text=True, env=_src_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"package": [], "kernels": ["parityshift.kernels"]}
+
+
+class TestOutPath:
+    @pytest.mark.parametrize("argv", [
+        ["kernels", "--a", "1"],
+        ["experiment", "--preset", "coupling-a1", "--trials", "5", "--seed", SEED],
+        ["sweep", "--preset", "sweep-c", "--trials", "5", "--seed", SEED],
+    ], ids=["kernels", "experiment", "sweep"])
+    @pytest.mark.parametrize("under", [False, True], ids=["is-a-file", "under-a-file"])
+    def test_out_on_a_file_exits_2(self, tmp_path, capsys, argv, under):
+        # mkdir raises FileExistsError on the file itself, NotADirectoryError below it
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / "run" if under else afile
+        assert run_cli(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: out:")
+        assert afile.read_text() == "kept\n"
+        assert list(tmp_path.iterdir()) == [afile]
+
+
 class TestSweepCommand:
     def test_writes_csv_and_monotone(self, tmp_path, capsys):
         code = run_cli(["sweep", "--preset", "sweep-t", "--trials", "120",
@@ -366,7 +409,7 @@ class TestSweepCommand:
     @pytest.mark.parametrize("preset, grid, text", [
         ("sweep-t", "t_offsets", "1e300"), ("sweep-t", "t_offsets", "Infinity"),
         ("sweep-t", "t_offsets", "NaN"), ("sweep-c", "c_values", "-1"),
-        ("sweep-c", "c_values", "NaN"),
+        ("sweep-c", "c_values", "NaN"), ("sweep-c", "c_values", "1e-300"),
     ])
     def test_bad_grid_value_exits_2(self, tmp_path, capsys, preset, grid, text):
         config = tmp_path / "grid.json"
@@ -454,8 +497,10 @@ class TestBadNumericInput:
     @pytest.mark.parametrize("argv, field", [
         (["kernels", "--a", "1.2", "--step", "0"], "step"),
         (["kernels", "--a", "1.2", "--step", "-0.01"], "step"),
-        (["attack", "--a", "1", "--n", "0", "--seed", "3"], "n"),
-        (["detect", "--a", "2", "--n", "-3", "--seed", "3"], "n"),
+        # a bin width whose square underflows, given directly here and
+        # through c = 1e-300 in the last row
+        (["kernels", "--a", "1e-300"], "a"),
+        (["experiment", "--preset", "thm2-undetectable", "--a", "1e-300"], "a"),
         (["kernels", "--a", "1", "--xmin", "nan"], "xmin"),
         (["kernels", "--a", "1", "--xmax", "nan"], "xmax"),
         # ExperimentSpec and the harness name the spec field too
@@ -473,14 +518,13 @@ class TestBadNumericInput:
         # about 1e299 grid points, more than numpy can index
         (["kernels", "--a", "1", "--xmin", "0", "--xmax", "0.1", "--step", "1e-300"], "step"),
         (["experiment", "--preset", "thm2-undetectable", "--t", "0"], "t"),
+        (["experiment", "--preset", "thm1-undetectable", "--c", "1e-300"], "c"),
     ])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, argv, field):
         if argv[0] == "experiment":
             argv = argv + ["--seed", SEED, "--format", "json,jsonl"]
         # neither --out nor its parent exists yet; a run that raises leaves neither
-        out = (["--out", str(tmp_path / "out" / "run")] if argv[0] in ("kernels", "experiment")
-               else [])
-        assert run_cli(argv + out) == 2
+        assert run_cli(argv + ["--out", str(tmp_path / "out" / "run")]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {field}:")
         assert "[PASS]" not in captured.out
@@ -505,17 +549,6 @@ class TestBadNumericInput:
         assert run_cli(argv + ["--config", str(path), "--seed", SEED, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {field}:")
         assert not out.parent.exists()
-
-
-class TestDemoCommands:
-    def test_attack_demo(self, capsys):
-        assert run_cli(["attack", "--a", "1", "--n", "50", "--seed", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "sparsity_ratio=" in out and "[PASS] flip_identity_zero" in out
-
-    def test_detect_demo(self, capsys):
-        assert run_cli(["detect", "--a", "2", "--n", "500", "--seed", "3"]) == 0
-        assert "accept_h0=" in capsys.readouterr().out
 
 
 class TestFiniteGuard:

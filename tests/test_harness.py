@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import decide
 from parityshift import accel, forked, harness
 from parityshift.attack import PerturbationVector, couple_perturb, optimal_parity_evasion
-from parityshift.detector import DetectorConfig, big_g_value, decide
+from parityshift.detector import DetectorConfig, big_g_value
 from parityshift.harness import (
     ExperimentSpec,
     SpecValidationError,

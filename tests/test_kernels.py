@@ -57,11 +57,19 @@ class TestKernelParams:
             {"a": 1.0, "rel_tol": 0.0},
             {"a": 1.0, "rel_tol": 1e-5},
             {"a": 1.0, "max_terms": 7},
+            {"a": 1e-300},
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             KernelParams(**kwargs)
+
+    def test_smallest_width(self):
+        # a * a must be a normal double: the dual series divide by it
+        assert KernelParams(1.5e-154).a == 1.5e-154
+        assert eval_big_g(KernelParams(1.5e-154)).value == 0.0
+        with pytest.raises(ValueError, match=r"^a: 1\.4e-154 is too small"):
+            KernelParams(1.4e-154)
 
 
 class TestEvalG:
