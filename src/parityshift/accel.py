@@ -17,7 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import MODE_CROSSOVER_A, SQRT_TWO_PI, KernelRangeError, square_underflows
+from .kernels import (MODE_CROSSOVER_A, SQRT_TWO_PI, KernelParams, KernelRangeError,
+                      square_underflows)
 
 __all__ = [
     "SeriesPlan",
@@ -54,12 +55,16 @@ def plan_for(a: float, rel_tol: float = 1e-12) -> SeriesPlan:
     if not (a > 0.0 and math.isfinite(a)):
         raise ValueError(f"a must be positive and finite, got {a!r}")
     if square_underflows(a):
-        raise ValueError(f"a must be large enough that a * a does not underflow, got {a!r}")
+        raise ValueError(f"a: {a!r} is too small, its square underflows")
     if not (0.0 < rel_tol <= 1e-6):
         raise ValueError(f"rel_tol must lie in (0, 1e-6], got {rel_tol!r}")
     target = -math.log(rel_tol * 1e-3)
 
     k_phi = max(2, math.ceil(math.sqrt(2.0 * target) / a) + 1)
+    # no more terms than the scalar reference may sum: a >= 0.0326 at rel_tol 1e-12
+    if k_phi > KernelParams.max_terms:
+        raise ValueError(f"a: {a!r} is too small, phi's series would take {k_phi:.3g} terms, "
+                         f"more than the {KernelParams.max_terms} the scalar reference allows")
     ks = np.arange(1, k_phi + 1, dtype=np.float64)
     phi_coef = np.exp(-0.5 * (ks * a) ** 2)
 

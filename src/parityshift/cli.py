@@ -32,7 +32,8 @@ import numpy as np
 
 from . import forked, harness
 from .harness import ExperimentSpec, SpecValidationError
-from .kernels import KernelParams, eval_g, eval_gamma, eval_phi, fp_residual, normal_pdf
+from .kernels import (KernelParams, SeriesConvergenceError, eval_g, eval_gamma, eval_phi,
+                      fp_residual, normal_pdf)
 
 __all__ = ["main", "run_cli", "PRESETS"]
 
@@ -121,34 +122,28 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _run_start() -> tuple[float, int, int, int]:
-    """What _write_meta measures a run from, taken as the run starts.
-
-    The time, len(forked.worker_peaks), and the minor page faults so far
-    of this process and of its reaped child processes.
-    """
-    return (time.time(), len(forked.worker_peaks),
-            resource.getrusage(resource.RUSAGE_SELF).ru_minflt,
-            resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt)
+def _run_start() -> tuple[float, int, int]:
+    """What _write_meta measures a run from, taken as the run starts: the
+    time, len(forked.worker_usage) and this process's minor page faults so far."""
+    return (time.time(), len(forked.worker_usage),
+            resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
 
 
 def _write_meta(out_dir: Path, command: str, argv: list[str], seed: int | None,
-                start: tuple[float, int, int, int]) -> None:
+                start: tuple[float, int, int]) -> None:
     """Write run_meta.json for a run that began at start (``_run_start``).
 
     ``versions`` names the python and numpy a run uses: no CLI run loads
     scipy or mpmath, so neither is recorded.
     """
-    t0, started, faults, children_faults = start
+    t0, started, faults = start
     usage = resource.getrusage(resource.RUSAGE_SELF)
-    children_faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - children_faults
     # ru_maxrss is in KiB on Linux and in bytes on macOS, reported here
     # in decimal MB: this process's peak resident set so far and, if the
-    # run forked trial-block workers, the largest peak they reported.
-    # A fault count is a sum, so the children's delta covers only this
-    # run's workers, all reaped by forked_map before this is written.
+    # run forked trial-block workers, the largest peak among them.  Every
+    # worker of this run was reaped by forked_map before this is written.
     to_mb = (1 if sys.platform == "darwin" else 1024) / 1e6
-    peaks = forked.worker_peaks[started:]
+    workers = forked.worker_usage[started:]
     meta = {
         "command": command,
         "argv": argv,
@@ -156,9 +151,9 @@ def _write_meta(out_dir: Path, command: str, argv: list[str], seed: int | None,
         "wall_time_s": time.time() - t0,
         "peak_rss_mb": usage.ru_maxrss * to_mb,
         "minor_faults": usage.ru_minflt - faults,
-        "workers": len(peaks),
-        "workers_peak_rss_mb": max(peaks) * to_mb if peaks else None,
-        "workers_minor_faults": children_faults if peaks else None,
+        "workers": len(workers),
+        "workers_peak_rss_mb": max(w.ru_maxrss for w in workers) * to_mb if workers else None,
+        "workers_minor_faults": sum(w.ru_minflt for w in workers) if workers else None,
         "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "versions": {
             "python": platform.python_version(),
@@ -289,24 +284,22 @@ def _cmd_kernels(args, argv) -> int:
         xs = np.arange(args.xmin, args.xmax + 0.5 * args.step, args.step)
     except (ValueError, MemoryError) as exc:
         raise ConfigError(f"step: {args.step!r} is too small for the grid ({exc})") from exc
-    out_dir = Path(args.out)
-    _make_out_dir(out_dir)
     lines = ["x,p,g,gamma,phi,fp_residual"]
     worst = 0.0
     for x in xs:
         x = float(x)
-        row = (
-            x,
-            normal_pdf(x),
-            eval_g(x, params).value,
-            eval_gamma(x, params),
-            eval_phi(x, params),
-            fp_residual(x, params),
-        )
+        try:
+            row = (x, normal_pdf(x), eval_g(x, params).value, eval_gamma(x, params),
+                   eval_phi(x, params), fp_residual(x, params))
+        except SeriesConvergenceError as exc:
+            raise ConfigError(
+                f"a: {args.a!r} is too small, a series stopped at x={x!r} ({exc})") from exc
         worst = max(worst, abs(row[5]))
         if not all(math.isfinite(v) for v in row):
             raise AssertionError(f"non-finite kernel value at x={x!r}")
         lines.append(",".join(_fmt(v) for v in row))
+    out_dir = Path(args.out)
+    _make_out_dir(out_dir)
     (out_dir / "kernels.csv").write_text("\n".join(lines) + "\n")
     _write_meta(out_dir, "kernels", argv, None, start)
     ok = worst <= 1e-9

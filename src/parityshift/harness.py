@@ -68,7 +68,7 @@ from . import accel
 from .attack import PerturbationVector, couple_perturb, optimal_parity_evasion, sparsity_budget
 from .detector import DetectorConfig, big_g_value, min_accepted_sum
 from .forked import forked_map, worker_count
-from .kernels import KernelParams, square_underflows
+from .kernels import KernelParams
 from .stats import binomial_se, ks_distance_standard_normal, sample_moments, wilson_interval
 
 __all__ = [
@@ -186,10 +186,11 @@ class ExperimentSpec:
             if self.n < 3:
                 raise SpecValidationError(
                     f"n: the cube_scaling regime requires n >= 3, got {self.n!r}")
-            if square_underflows(self.effective_a):
-                raise SpecValidationError(
-                    f"c: {self.c!r} is too small, a = c / sqrt(ln n) = {self.effective_a!r} "
-                    "has a square that underflows")
+            try:
+                accel.plan_for(self.effective_a, self.rel_tol)
+            except ValueError as exc:
+                raise SpecValidationError(f"c: {self.c!r} is too small at n = {self.n}, "
+                                          f"a = c / sqrt(ln n) ({exc})") from None
 
     @property
     def effective_a(self) -> float:

@@ -90,9 +90,9 @@ def square_underflows(a: float) -> bool:
     """Whether a * a falls below the smallest normal double.
 
     The dual series take pi^2 / (2 a^2), which divides by zero once a * a
-    underflows to 0.  ``KernelParams``, ``accel.plan_for`` and the
-    harness's ``ExperimentSpec`` reject every such bin width (a below
-    1.4917e-154) before any series runs.
+    underflows to 0.  ``KernelParams`` and ``accel.plan_for`` (and through
+    it the harness's ``ExperimentSpec``) reject every such bin width (a
+    below 1.4917e-154) before any series runs.
     """
     return a * a < sys.float_info.min
 

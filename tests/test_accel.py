@@ -215,6 +215,10 @@ def test_plan_validation():
     # a * a underflows: the dual coefficients would divide by zero
     with pytest.raises(ValueError, match="underflow"):
         accel.plan_for(1e-300)
+    # phi's plan may not outgrow the scalar reference's term cap
+    assert accel.plan_for(0.0326).phi_coef.size == KernelParams.max_terms
+    with pytest.raises(ValueError, match="^a: 0.0325 is too small, phi's series would take 257"):
+        accel.plan_for(0.0325)
 
 
 def test_plan_extreme_widths():

@@ -53,6 +53,19 @@ class TestKernelsCommand:
         run_cli(args + [str(tmp_path / "two")])
         assert read(tmp_path / "one" / "kernels.csv") == read(tmp_path / "two" / "kernels.csv")
 
+    @pytest.mark.parametrize("a, x", [(0.02, "-2.96"), (0.01, "-4.0")])
+    def test_small_width_names_a_and_x(self, tmp_path, capsys, a, x):
+        # phi's up-shift series needs more than max_terms terms there
+        assert run_cli(["kernels", "--a", str(a), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: a: {a!r} is too small, a series stopped at x={x}")
+        assert not (tmp_path / "run").exists()
+
+    def test_smallest_default_grid_width(self, tmp_path):
+        # a = 0.03 still sums every series on the default grid
+        assert run_cli(["kernels", "--a", "0.03", "--out", str(tmp_path)]) == 0
+        assert len((tmp_path / "kernels.csv").read_text().splitlines()) == 802
+
     def test_grid_outside_domain_rejected(self, tmp_path):
         code = run_cli(["kernels", "--a", "1.0", "--xmin", "-40", "--xmax", "40",
                         "--step", "1", "--out", str(tmp_path)])
@@ -325,6 +338,32 @@ class TestImportFootprint:
         assert result["a_half"] == pytest.approx(2.2979465162993065, abs=1e-9)
 
 
+# A two-worker run in a fresh interpreter: forking the trial-block
+# workers loads no multiprocessing, socket, selectors or subprocess.
+_SHARDED_IMPORTS_SCRIPT = """
+import json, sys
+from parityshift import cli, harness
+
+harness.worker_count = lambda: 2
+harness._BLOCK_COORDS = 1
+harness._MIN_WORKER_BLOCKS = 1
+code = cli.run_cli(["experiment", "--preset", "thm2-undetectable", "--trials", "20", "--n", "200",
+                    "--seed", "1", "--out", sys.argv[1]])
+print(json.dumps({"code": code, "loaded": sorted(
+    m for m in sys.modules
+    if m.split(".")[0] in ("multiprocessing", "socket", "selectors", "subprocess"))}))
+"""
+
+
+class TestShardedImports:
+    def test_sharded_run_loads_no_multiprocessing(self, tmp_path):
+        proc = subprocess.run([sys.executable, "-c", _SHARDED_IMPORTS_SCRIPT, str(tmp_path)],
+                              capture_output=True, text=True, env=_src_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == {"code": 0, "loaded": []}
+        assert json.loads((tmp_path / "run_meta.json").read_text())["workers"] == 2
+
+
 # Also in a fresh interpreter: importing the package loads no submodule,
 # and the scalar kernels load without the harness, the CLI or scipy.
 _IMPORT_SCRIPT = """
@@ -410,6 +449,7 @@ class TestSweepCommand:
         ("sweep-t", "t_offsets", "1e300"), ("sweep-t", "t_offsets", "Infinity"),
         ("sweep-t", "t_offsets", "NaN"), ("sweep-c", "c_values", "-1"),
         ("sweep-c", "c_values", "NaN"), ("sweep-c", "c_values", "1e-300"),
+        ("sweep-c", "c_values", "1e-3"),
     ])
     def test_bad_grid_value_exits_2(self, tmp_path, capsys, preset, grid, text):
         config = tmp_path / "grid.json"
@@ -519,6 +559,10 @@ class TestBadNumericInput:
         (["kernels", "--a", "1", "--xmin", "0", "--xmax", "0.1", "--step", "1e-300"], "step"),
         (["experiment", "--preset", "thm2-undetectable", "--t", "0"], "t"),
         (["experiment", "--preset", "thm1-undetectable", "--c", "1e-300"], "c"),
+        # phi's array plan would take more terms than the scalar series may
+        (["experiment", "--preset", "thm1-undetectable", "--c", "1e-100"], "c"),
+        (["experiment", "--preset", "thm1-undetectable", "--c", "1e-3"], "c"),
+        (["sweep", "--preset", "sweep-c", "--c", "1e-3", "--seed", SEED], "c"),
     ])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, argv, field):
         if argv[0] == "experiment":

@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import math
-import multiprocessing
 import os
 import platform
 import signal
@@ -48,6 +47,14 @@ class TestExperimentSpec:
     def test_cube_derives_a(self):
         spec = ExperimentSpec(regime="cube_scaling", c=1.5, n=10_000, trials=10, master_seed=1)
         assert spec.effective_a == pytest.approx(0.49425767173669561, abs=1e-15)
+
+    def test_cube_width_bounded_by_phi_terms(self):
+        # a = c / sqrt(ln n): 0.0326 plans 256 phi terms, 0.0325 would plan 257
+        n = 10_000
+        root = math.sqrt(math.log(n))
+        ExperimentSpec(regime="cube_scaling", c=0.0326 * root, n=n, trials=1, master_seed=1)
+        with pytest.raises(SpecValidationError, match="^c: .* phi's series would take 257"):
+            ExperimentSpec(regime="cube_scaling", c=0.0325 * root, n=n, trials=1, master_seed=1)
 
     def test_epsilon_window_rejected(self):
         # G(5) ~ 0.975: G + eps >= 1
@@ -677,6 +684,12 @@ def shard(monkeypatch):
     return set_workers
 
 
+def _children() -> list[int]:
+    """The pids of this process's children, zombies included, as /proc lists them."""
+    return [int(pid) for tasks in Path("/proc/self/task").glob("*/children")
+            for pid in tasks.read_text().split()]
+
+
 def _raise_in_worker(exc_factory):
     # a couple_perturb that fails in a forked worker and works in this process
     parent = os.getpid()
@@ -706,7 +719,7 @@ class TestSharding:
         assert recs == ref_recs
         assert run(spec).to_dict() == ref
         assert shard.calls == [workers, workers]
-        assert multiprocessing.active_children() == []
+        assert _children() == []
 
     @pytest.mark.parametrize("spec, grid", [
         (ExperimentSpec(regime="fixed_a", a=2.0, n=300, trials=20, master_seed=SEED),
@@ -736,7 +749,7 @@ class TestSharding:
         assert run_coupling_validation(spec, on_trial=recs.append).to_dict() == ref
         assert recs == ref_recs
         assert shard.calls == [workers]
-        assert multiprocessing.active_children() == []
+        assert _children() == []
 
     def test_thm1_records_match_per_trial_loop(self, shard):
         spec = ExperimentSpec(regime="cube_scaling", c=2.2, n=200, trials=7, master_seed=SEED)
@@ -755,7 +768,7 @@ class TestSharding:
             run_coupling_validation(spec)
         assert "raised in worker process" in str(info.value.__cause__)
         assert shard.calls == [2]
-        assert multiprocessing.active_children() == []
+        assert _children() == []
 
     def test_unpicklable_exception_keeps_type_name_and_message(self, shard, monkeypatch):
         class LocalError(Exception):  # a local class cannot be pickled
@@ -767,7 +780,7 @@ class TestSharding:
         spec = ExperimentSpec(regime="fixed_a", a=2.0, n=100, trials=20, master_seed=SEED)
         with pytest.raises(RuntimeError, match="LocalError: series diverged"):
             run_coupling_validation(spec)
-        assert multiprocessing.active_children() == []
+        assert _children() == []
 
     def test_dead_worker_raises(self, shard, monkeypatch):
         shard(2)
@@ -775,7 +788,7 @@ class TestSharding:
         spec = ExperimentSpec(regime="fixed_a", a=2.0, n=100, trials=20, master_seed=SEED)
         with pytest.raises(RuntimeError, match="exited with code 3"):
             run_coupling_validation(spec)
-        assert multiprocessing.active_children() == []
+        assert _children() == []
 
     def test_record_consumer_exception_stops_workers(self, shard):
         shard(2)
@@ -787,14 +800,15 @@ class TestSharding:
 
         with pytest.raises(ValueError, match="disk full"):
             run_thm2_undetectable(spec, on_trial=fail_at_trial_5)
-        assert multiprocessing.active_children() == []
+        assert _children() == []
 
 
 # A sharded run whose consumer takes a second a record, so the workers
 # fill their pipes (about 90 KB a task) and block in send.  It prints
 # the worker pids once the first record arrives.
 _PARENT_DEATH_SCRIPT = """
-import multiprocessing, time
+import time
+from pathlib import Path
 from parityshift import harness
 from parityshift.harness import ExperimentSpec, run_thm2_undetectable
 
@@ -805,7 +819,8 @@ harness._MIN_WORKER_BLOCKS = 1
 
 def on_trial(rec):
     if rec.trial_index == 0:
-        print(*(child.pid for child in multiprocessing.active_children()), flush=True)
+        print(*(pid for tasks in Path("/proc/self/task").glob("*/children")
+                for pid in tasks.read_text().split()), flush=True)
     time.sleep(1)
 
 spec = ExperimentSpec(regime="fixed_a", a=2.0, n=30000, trials=40, master_seed=1)
@@ -840,6 +855,21 @@ def test_workers_take_sigterm_default_action():
     finally:
         signal.signal(signal.SIGTERM, previous)
     assert handlers == [signal.SIG_DFL, signal.SIG_DFL]
+
+
+class _ExitWhenPickled:
+    """A result whose pickling kills the worker with exit code 5."""
+
+    def __reduce__(self):
+        os._exit(5)
+
+
+def test_worker_dying_mid_result_raises():
+    # the 200 kB come first and are more than a pipe holds, so the
+    # worker dies only after this process has read part of its result
+    with pytest.raises(RuntimeError, match="exited with code 5"):
+        list(forked.forked_map(lambda _: [bytes(200_000), _ExitWhenPickled()], range(4), 2))
+    assert _children() == []
 
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states in /proc")
@@ -886,7 +916,7 @@ spec = ExperimentSpec(regime="fixed_a", a=2.0, n=2000, trials=1000, master_seed=
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 run_thm2_undetectable(spec)
 print(json.dumps({"faults": resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before,
-                  "workers": len(forked.worker_peaks)}))
+                  "workers": len(forked.worker_usage)}))
 """
 
 
@@ -927,7 +957,7 @@ try:
     run_thm1_detectable(spec, on_trial=on_trial)
 except FirstRecord as stop:
     print(json.dumps({"first": stop.args[0], "seconds": time.monotonic() - t0,
-                      "workers": len(forked.worker_peaks)}))
+                      "workers": len(forked.worker_usage)}))
 """
 
 
