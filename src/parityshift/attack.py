@@ -5,8 +5,9 @@ coordinate by -a, 0 or +a using the three-sided die driven by the
 stay/up-shift probabilities and the caller's uniforms, which leaves the
 standard normal law of every coordinate intact.  ``optimal_parity_evasion``
 is the worst-case sparsity-constrained adversary against the bin-parity
-detector: it keeps (leaves untouched) as many +1-labelled coordinates as
-the sparsity budget allows and flips everything else.  Both take one
+detector: given its budget, the most coordinates a sparsity ratio below
+t allows (``sparsity_budget``), it keeps (leaves untouched) up to that
+many +1-labelled coordinates and flips everything else.  Both take one
 sample or a 2-d trial block (one trial per row) and validate a block once.
 """
 
@@ -121,27 +122,25 @@ def sparsity_budget(t: float, n: int) -> int:
     return m
 
 
-def optimal_parity_evasion(z, a: float, t: float, n: int) -> PerturbationVector:
+def optimal_parity_evasion(z, a: float, budget: int) -> PerturbationVector:
     """Best evasion against the parity statistic under a sparsity budget.
 
     With z the pre-attack parity labels, the attacked statistic is
     A' = -A + (2/n) * sum of z over untouched coordinates, so the optimum
-    keeps up to m = sparsity_budget(t, n) coordinates (the strict budget)
-    chosen among those with z = +1 (fewer if fewer exist, lowest index
-    first) and shifts every other coordinate by +a (parity is sign-blind;
-    +a by convention).  A 2-d z is a trial block: each row is attacked on
-    its own and the result is a block perturbation.
+    keeps up to budget coordinates (the most a sparsity ratio below t
+    allows, ``sparsity_budget(t, n)``) chosen among those with z = +1
+    (fewer if fewer exist, lowest index first) and shifts every other
+    coordinate by +a (parity is sign-blind; +a by convention).  At budget
+    0 it is Theorem 1's full cube.  A 2-d z is a trial block: each row is
+    attacked on its own and the result is a block perturbation.
     """
     z = np.asarray(z, dtype=np.int8)
-    if z.ndim not in (1, 2) or z.shape[-1] != n or n <= 0:
-        raise ValueError(f"z must be a 1-d array of length n={n}, or a block of such rows")
+    if z.ndim not in (1, 2) or z.shape[-1] == 0:
+        raise ValueError("z must be a nonempty 1-d array or a block of such rows")
     if not ((z == 1) | (z == -1)).all():
         raise ValueError("z entries must be +-1")
-    budget = sparsity_budget(t, n)  # raises for t outside [0, 1]
     if budget < 0:
-        raise ValueError(
-            f"no perturbation has sparsity ratio < {t!r}; the constrained family is empty"
-        )
+        raise ValueError(f"budget {budget!r} is negative; the constrained family is empty")
     plus = z == 1
     keep = plus & (np.cumsum(plus, axis=-1) <= budget)
     return PerturbationVector((~keep).view(np.int8), a)

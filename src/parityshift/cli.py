@@ -19,6 +19,7 @@ timestamps live only in the run_meta.json sidecar.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import platform
@@ -97,8 +98,7 @@ PRESETS: dict[str, dict] = {
     },
 }
 
-_SPEC_FIELDS = ("regime", "n", "trials", "master_seed", "a", "c", "t",
-                "epsilon", "lam", "alpha", "rel_tol")
+_SPEC_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentSpec))
 
 
 def _fmt(v: float) -> str:
@@ -220,12 +220,9 @@ def _build_spec(args) -> tuple[str, dict, dict]:
                 extras[key] = _grid(key, loaded.pop(key))
             else:
                 raise ConfigError(f"config: unknown field {key!r}")
-    flag_map = {
-        "a": "a", "c": "c", "n": "n", "t": "t", "epsilon": "epsilon",
-        "lam": "lam", "alpha": "alpha", "trials": "trials", "seed": "master_seed",
-    }
-    for flag, field_name in flag_map.items():
-        value = getattr(args, flag, None)
+    # every flag's dest is the spec field it sets
+    for field_name in _SPEC_FIELDS:
+        value = getattr(args, field_name, None)
         if value is not None:
             spec[field_name] = value
             given.add(field_name)
@@ -427,7 +424,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--lambda", dest="lam", type=float, default=None)
         p.add_argument("--alpha", type=float, default=None)
         p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", dest="master_seed", metavar="SEED", type=int, default=None)
         p.add_argument("--out", default=".")
 
     pe = sub.add_parser("experiment", help="run one harness operation")

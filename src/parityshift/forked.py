@@ -42,10 +42,10 @@ def worker_count() -> int:
 def forked_map(fn: Callable[[Any], Any], tasks: Sequence, workers: int) -> Iterator:
     """Yield fn(task) for every task, in task order, from `workers` forked processes.
 
-    An exception fn raises in a worker is raised here, caused by a
-    RuntimeError holding the worker's traceback; a worker that dies
-    raises RuntimeError.  Once the generator ends, raises or is closed,
-    no worker is left running.
+    An exception fn raises in a worker, or one raised pickling its
+    result, is raised here, caused by a RuntimeError holding the
+    worker's traceback; a worker that dies raises RuntimeError.  Once
+    the generator ends, raises or is closed, no worker is left running.
     """
     procs: list = []  # (buffered read end of the worker's pipe, worker pid), by worker
     try:
@@ -87,6 +87,10 @@ def _receive(reader, pid: int) -> Any:
 def _serve(fn: Callable[[Any], Any], tasks: Sequence, fd: int, parent_ends: list[int]) -> NoReturn:
     """A forked worker: pickle fn(task) onto the pipe fd for each of its tasks, in order.
 
+    Each reply is pickled whole before any of it is written, so a result
+    that cannot be pickled reaches the parent as an exception of fn does,
+    and the pipe holds part of a reply only if the worker dies writing it.
+
     The worker first closes the read ends of every worker's pipe that the
     fork copied, so that its write fails once the parent exits, however
     it exits, and leaves Ctrl-C to the parent, which stops every worker.
@@ -103,22 +107,24 @@ def _serve(fn: Callable[[Any], Any], tasks: Sequence, fd: int, parent_ends: list
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         out = open(fd, "wb")
         for task in tasks:
+            ok = True
             try:
-                reply = (True, fn(task))
-            except Exception as exc:
+                reply = pickle.dumps((True, fn(task)), pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:  # of fn, or pickling its result
                 try:
                     pickle.loads(pickle.dumps(exc))
                 except Exception:  # the parent could not rebuild it: keep type name and message
                     exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-                reply = (False, exc, traceback.format_exc())
-            pickle.dump(reply, out, pickle.HIGHEST_PROTOCOL)
+                ok, reply = False, pickle.dumps((False, exc, traceback.format_exc()),
+                                                pickle.HIGHEST_PROTOCOL)
+            out.write(reply)
             out.flush()
-            if not reply[0]:
+            if not ok:
                 break
         code = 0
     except BrokenPipeError:  # the parent is gone
         code = 0
-    except BaseException:  # the parent reports only the exit code
+    except BaseException:  # such as a failed write; the parent reports only the exit code
         traceback.print_exc()
         raise
     finally:

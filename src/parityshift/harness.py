@@ -66,9 +66,9 @@ from numpy.random import Generator, Philox
 
 from . import accel
 from .attack import PerturbationVector, couple_perturb, optimal_parity_evasion, sparsity_budget
-from .detector import DetectorConfig, big_g_value, min_accepted_sum
+from .detector import ZERO_TEST_MIN_SUM, big_g_value, min_accepted_sum
 from .forked import forked_map, worker_count
-from .kernels import KernelParams
+from .kernels import KernelParams, square_underflows
 from .stats import binomial_se, ks_distance_standard_normal, sample_moments, wilson_interval
 
 __all__ = [
@@ -95,8 +95,12 @@ _BLOCK_COORDS = 1 << 14
 # Blocks per task, the unit _tally runs and hands on, in a worker or in-process.
 _TASK_BLOCKS = 8
 # Blocks each worker must get before a run is sharded.  Forking two
-# workers, their first result and reaping them cost 30-40 ms on a 2-core
-# machine, the time of about 64 of the cheapest (parity-only) blocks.
+# workers, their first result and reaping them took 5.5-7.1 ms on a
+# 2-core machine (the first forked_map after importing parityshift.cli,
+# 5 fresh interpreters), the time of 10-14 parity-only blocks of
+# thm2-detectable (about 0.5 ms each).  The value 64 dates from a
+# 30-40 ms fork under multiprocessing; below 32 it would also shard
+# coupling-a1's 63 blocks.
 _MIN_WORKER_BLOCKS = 64
 # Run lengths whose [sign, count] text TrialRecord.json_line takes from a
 # table.  Coupling runs are at most a few dozen coordinates long; a longer
@@ -157,8 +161,14 @@ class ExperimentSpec:
         if not (0.0 < self.epsilon <= _DOUBLE_MAX):
             raise SpecValidationError(
                 f"epsilon: must be positive and finite, got {self.epsilon!r}")
+        # the bounds take eps^2 and lambda^2 (exp(-2 n eps^2), lambda^2 / eps^2)
+        if square_underflows(float(self.epsilon)):
+            raise SpecValidationError(
+                f"epsilon: {self.epsilon!r} is too small, its square underflows")
         if not (0.0 < self.lam <= _DOUBLE_MAX):
             raise SpecValidationError(f"lam: must be positive and finite, got {self.lam!r}")
+        if math.isinf(float(self.lam) * float(self.lam)):
+            raise SpecValidationError(f"lam: {self.lam!r} is too large, its square overflows")
         if self.alpha is not None and not (0.0 < self.alpha < 1.0):
             raise SpecValidationError(f"alpha: must lie in (0, 1), got {self.alpha!r}")
         if self.t is not None and not (0.0 <= self.t <= 1.0):
@@ -533,15 +543,16 @@ def _note_alpha_target(out: ExperimentSummary, spec: ExperimentSpec) -> Experime
     return out
 
 
-def _evasion_job(spec: ExperimentSpec, s_min: int, budget, t: float | None = None,
+def _evasion_job(spec: ExperimentSpec, s_min: int, budget,
                  on_trial: OnTrial | None = None) -> _Job:
     """A job of the optimal evader, at one budget or a row of budgets.
 
     The evader keeps min(budget, #{z = +1}) = min(budget, (n + s_pre) / 2)
     coordinates and moves the rest; a row of budgets (the t-sweep) gives
     kept one column per budget.  At one budget the attack also returns x'
-    for the flip check: optimal_parity_evasion's at t, or with t None and
-    budget 0, Theorem 1's full cube x + a.
+    for the flip check, optimal_parity_evasion's.  At budget 0 (Theorem
+    1's full cube) the evader moves every coordinate by +a, so x' is
+    x + a and every row shares theta [[1, n]], both built without it.
     """
     a, n, budget = spec.effective_a, spec.n, np.asarray(budget)
 
@@ -549,10 +560,9 @@ def _evasion_job(spec: ExperimentSpec, s_min: int, budget, t: float | None = Non
         kept = np.minimum.outer((n + s_pre) // 2, budget)
         if budget.ndim:
             return kept, None, None
-        if t is None:
-            # parity is sign-blind, so +a by convention; every row shares theta
+        if budget == 0:
             return kept, [[1, n]], x + a
-        theta = optimal_parity_evasion(z, a, t, n)
+        theta = optimal_parity_evasion(z, a, budget)
         return kept, theta, x + theta.signs * a
 
     return _Job(spec, attack, s_min=s_min, on_trial=on_trial)
@@ -723,9 +733,8 @@ def run_thm1_detectable(
     if not all(premises.values()):
         warnings.warn(f"theorem premises not all met: {premises}; running anyway", stacklevel=2)
 
-    s_min = min_accepted_sum(DetectorConfig(a, lam, "zero"), n)
     # the full hypercube attack is the evader with nothing kept
-    (tally,) = _tally(_evasion_job(spec, s_min, 0, on_trial=on_trial))
+    (tally,) = _tally(_evasion_job(spec, ZERO_TEST_MIN_SUM, 0, on_trial))
     accept_pre_count, overlap = tally["accept_pre"], tally["overlap"]
     flip_violations = tally["flip_violations"]
 
@@ -768,7 +777,7 @@ def run_thm2_undetectable(
     big_g = big_g_value(a)
     t = spec.t if spec.t is not None else big_g + spec.epsilon
     budget = _budget(t, n)
-    s_min = min_accepted_sum(DetectorConfig(a, lam), n)
+    s_min = min_accepted_sum(a, lam, n)
     (tally,) = _tally(_coupling_job(spec, s_min, budget, on_trial))
     accept_pre_count, success_count = tally["accept_pre"], tally["success"]
     in_family_count, flip_violations = tally["in_family"], tally["flip_violations"]
@@ -811,6 +820,9 @@ def _min_admissible_n(lam: float, eps: float) -> tuple[int, float]:
     # threshold within 1e-9 of an integer is treated as that integer
     # (float(9/0.0025) lands just below 3600 otherwise).
     threshold = (lam * lam) / (eps * eps)
+    if math.isinf(threshold):
+        raise SpecValidationError(
+            f"n: no n exceeds lambda^2/eps^2, which overflows at lambda = {lam!r}, eps = {eps!r}")
     snapped = round(threshold)
     if abs(threshold - snapped) <= 1e-9 * max(1.0, abs(snapped)):
         threshold = float(snapped)
@@ -839,8 +851,8 @@ def run_thm2_detectable(
     t = spec.t if spec.t is not None else big_g - eps
     premise_t = t <= big_g - eps + 1e-12
     budget = _budget(t, n)
-    s_min = min_accepted_sum(DetectorConfig(a, lam), n)
-    (tally,) = _tally(_evasion_job(spec, s_min, budget, t, on_trial))
+    s_min = min_accepted_sum(a, lam, n)
+    (tally,) = _tally(_evasion_job(spec, s_min, budget, on_trial))
     accept_pre_count, accept_post_count = tally["accept_pre"], tally["accept_post"]
     overlap, flip_violations = tally["overlap"], tally["flip_violations"]
 
@@ -886,7 +898,7 @@ def sweep_phase_transition(
     cells share trial substreams, so the success count is exactly
     monotone in t, which the success_monotone_in_t check asserts.
     cube_scaling: sweeps c (default 1..4 in 13 steps) with the coupling
-    attack against the zero-variant test.  The spec must not set t or
+    attack against the zero test (A > 0).  The spec must not set t or
     alpha, which no cell reads, and only the spec's regime's grid may be
     given, with at least one value.
 
@@ -909,7 +921,7 @@ def sweep_phase_transition(
         # an offset beyond the largest double is as far outside [0, 1] on its own
         ts = [big_g + off if abs(off) <= _DOUBLE_MAX else off for off in t_offsets]
         budgets = [_budget(t, n, "t_offsets") for t in ts]
-        s_min = min_accepted_sum(DetectorConfig(a, lam), n)
+        s_min = min_accepted_sum(a, lam, n)
         (tally,) = _tally(_evasion_job(spec, s_min, np.array(budgets)))
         success = tally["accept_post"]
         for j, (off, t) in enumerate(zip(t_offsets, ts)):
@@ -937,8 +949,7 @@ def sweep_phase_transition(
     except SpecValidationError as exc:
         raise SpecValidationError(f"c_values: {exc}") from exc
     big_gs = [big_g_value(cell.effective_a) for cell in cells]
-    tallies = _tally(*(_coupling_job(cell, min_accepted_sum(
-        DetectorConfig(cell.effective_a, spec.lam, "zero"), n)) for cell in cells))
+    tallies = _tally(*(_coupling_job(cell, ZERO_TEST_MIN_SUM) for cell in cells))
     for cell, big_g, tally in zip(cells, big_gs, tallies):
         rows.append({"kind": "c", "c": cell.c, "a": cell.effective_a, "big_g": big_g,
                      "exact_no_stay": (1.0 - big_g) ** n,

@@ -17,7 +17,7 @@ import numpy as np
 
 from parityshift import accel
 from parityshift.attack import PerturbationVector
-from parityshift.detector import DetectorConfig, min_accepted_sum
+from parityshift.detector import ZERO_TEST_MIN_SUM, min_accepted_sum
 
 _PROB_SLACK = 1e-9
 
@@ -65,14 +65,14 @@ def parity_statistic(x, a: float) -> float:
     return s / x.size
 
 
-def decide(x, config: DetectorConfig) -> DetectionResult:
-    """Run the configured acceptance test on a sample."""
+def decide(x, a: float, lam: float, zero: bool = False) -> DetectionResult:
+    """Run the zero test (A > 0) on a sample if zero, else the thresholded test."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.size == 0:
         raise ValueError("cannot decide on an empty sample")
     n = x.size
-    _, s = accel.parity_labels_and_sum(x, config.a)
-    accept = s >= min_accepted_sum(config, n)
+    _, s = accel.parity_labels_and_sum(x, a)
+    accept = s >= (ZERO_TEST_MIN_SUM if zero else min_accepted_sum(a, lam, n))
     return DetectionResult(statistic_a=s / n, accept_h0=accept, n=n)
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from oracles import flip_identity_check, sparsity_ratio
 from parityshift import accel
-from parityshift.attack import PerturbationVector, optimal_parity_evasion
+from parityshift.attack import PerturbationVector, optimal_parity_evasion, sparsity_budget
 from parityshift.detector import big_g_value
 from parityshift.harness import (
     ExperimentSpec,
@@ -227,7 +227,7 @@ def test_c9_small_instance_oracle():
             candidates.append(np.ones(n, dtype=np.int8))
             candidates.append(-np.ones(n, dtype=np.int8))
             for z in candidates:
-                theta = optimal_parity_evasion(z, 1.0, t, n)
+                theta = optimal_parity_evasion(z, 1.0, sparsity_budget(t, n))
                 assert sparsity_ratio(theta) < t
                 ours = float(np.where(theta.signs == 0, z, -z).mean())
                 assert ours == brute_force_max_statistic(z, t)

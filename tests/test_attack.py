@@ -197,26 +197,26 @@ def brute_force_best_attacked_statistic(z: np.ndarray, t: float) -> float:
 class TestOptimalParityEvasion:
     def test_no_positive_labels_to_keep(self):
         z = np.array([-1, -1, -1, -1], dtype=np.int8)
-        theta = optimal_parity_evasion(z, 1.0, 0.5, 4)
+        theta = optimal_parity_evasion(z, 1.0, sparsity_budget(0.5, 4))
         assert theta.zero_count == 0
         z_post = np.where(theta.signs == 0, z, -z)
         assert z_post.mean() == 1.0
 
     def test_keeps_both_positives(self):
         z = np.array([1, 1, -1, -1], dtype=np.int8)
-        theta = optimal_parity_evasion(z, 1.0, 0.6, 4)
+        theta = optimal_parity_evasion(z, 1.0, sparsity_budget(0.6, 4))
         assert theta.signs.tolist() == [0, 0, 1, 1]
         z_post = np.where(theta.signs == 0, z, -z)
         assert z_post.mean() == 1.0
 
     def test_ties_break_low_index(self):
         z = np.array([1, 1, 1, 1], dtype=np.int8)
-        theta = optimal_parity_evasion(z, 1.0, 0.6, 4)
+        theta = optimal_parity_evasion(z, 1.0, sparsity_budget(0.6, 4))
         assert theta.signs.tolist() == [0, 0, 1, 1]
 
     def test_empty_family_raises(self):
-        with pytest.raises(ValueError):
-            optimal_parity_evasion(np.array([1, -1], dtype=np.int8), 1.0, 0.0, 2)
+        with pytest.raises(ValueError, match="family is empty"):
+            optimal_parity_evasion(np.array([1, -1], dtype=np.int8), 1.0, sparsity_budget(0.0, 2))
 
     @given(
         st.integers(min_value=1, max_value=8).flatmap(
@@ -233,7 +233,7 @@ class TestOptimalParityEvasion:
         z = np.array(z, dtype=np.int8)
         if math.ceil(t * n) - 1 < 0:
             return
-        theta = optimal_parity_evasion(z, 1.0, t, n)
+        theta = optimal_parity_evasion(z, 1.0, sparsity_budget(t, n))
         assert sparsity_ratio(theta) < t
 
     # t * n rounds up onto an integer here (0.28 * 25 = 7.000000000000001),
@@ -242,7 +242,7 @@ class TestOptimalParityEvasion:
     def test_budget_strict_where_t_n_rounds_up(self, t, n, budget):
         assert sparsity_budget(t, n) == budget
         assert budget / n < t <= (budget + 1) / n
-        theta = optimal_parity_evasion(np.ones(n, np.int8), 1.0, t, n)
+        theta = optimal_parity_evasion(np.ones(n, np.int8), 1.0, budget)
         assert theta.zero_count == budget
         assert sparsity_ratio(theta) < t
 
@@ -266,7 +266,7 @@ class TestOptimalParityEvasion:
             z = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
             if math.ceil(t * n) - 1 < 0:
                 continue
-            theta = optimal_parity_evasion(z, 1.0, t, n)
+            theta = optimal_parity_evasion(z, 1.0, sparsity_budget(t, n))
             z_post = np.where(theta.signs == 0, z, -z)
             ours = float(z_post.mean())
             best = brute_force_best_attacked_statistic(z, t)

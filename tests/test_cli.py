@@ -563,6 +563,14 @@ class TestBadNumericInput:
         (["experiment", "--preset", "thm1-undetectable", "--c", "1e-100"], "c"),
         (["experiment", "--preset", "thm1-undetectable", "--c", "1e-3"], "c"),
         (["sweep", "--preset", "sweep-c", "--c", "1e-3", "--seed", SEED], "c"),
+        # eps^2 underflows, lambda^2 overflows, or lambda^2 / eps^2 does
+        (["experiment", "--preset", "thm2-detectable", "--trials", "2", "--epsilon", "1e-300"],
+         "epsilon"),
+        (["experiment", "--preset", "thm2-detectable", "--trials", "2", "--lambda", "1e300"],
+         "lam"),
+        (["experiment", "--preset", "thm1-detectable", "--lambda", "1e300"], "lam"),
+        (["experiment", "--preset", "thm2-detectable", "--trials", "2", "--lambda", "1e150",
+          "--epsilon", "1e-150"], "n"),
     ])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, argv, field):
         if argv[0] == "experiment":

@@ -20,7 +20,7 @@ from oracles import (
     perturbation_values,
 )
 from parityshift.attack import PerturbationVector
-from parityshift.detector import DetectorConfig, big_g_value, min_accepted_sum
+from parityshift.detector import ZERO_TEST_MIN_SUM, big_g_value, min_accepted_sum
 from parityshift.harness import trial_rng
 from parityshift.kernels import KernelParams, eval_big_g
 
@@ -90,29 +90,28 @@ class TestBinProb:
 class TestDecide:
     def test_threshold_boundary_accepts(self):
         # A == G(a) exactly: 0 > -lambda
-        config = DetectorConfig(a=1.0, lam=3.0, variant="thresholded")
+        lam = 3.0
         g = big_g_value(1.0)
         n = 100
         # synthetic sample engineered to land every point in bin 0
         x = np.zeros(n)
-        result = decide(x, config)
+        result = decide(x, 1.0, lam)
         assert result.accept_h0 and result.statistic_a == 1.0
-        assert math.sqrt(n) * (g - g) > -config.lam
+        assert math.sqrt(n) * (g - g) > -lam
 
     def test_zero_variant_rejects_negative(self):
-        config = DetectorConfig(a=1.0, variant="zero")
         x = np.array([0.3, 0.6, -1.2])  # A = -1/3
-        result = decide(x, config)
+        result = decide(x, 1.0, 3.0, zero=True)
         assert not result.accept_h0
 
     def test_false_alarm_rate_thresholded(self):
-        config = DetectorConfig(a=2.0, lam=3.0, variant="thresholded")
+        lam = 3.0
         trials, n = 4000, 2000
         rejections = 0
         for i in range(trials):
             x = trial_rng(20240811, i).standard_normal(n)
-            rejections += not decide(x, config).accept_h0
-        bound = math.exp(-config.lam**2 / 2.0)
+            rejections += not decide(x, 2.0, lam).accept_h0
+        bound = math.exp(-lam**2 / 2.0)
         limit = bound + 3.0 * math.sqrt(bound * (1.0 - bound) / trials)
         assert rejections / trials <= limit
 
@@ -130,12 +129,12 @@ class TestDecide:
         assert hits / trials <= bound + 3.0 * math.sqrt(bound * (1.0 - bound) / trials)
 
     def test_config_validation(self):
+        # a bad a raises through big_g_value
         with pytest.raises(ValueError):
-            DetectorConfig(a=-1.0)
-        with pytest.raises(ValueError):
-            DetectorConfig(a=1.0, lam=0.0)
-        with pytest.raises(ValueError):
-            DetectorConfig(a=1.0, variant="weird")
+            min_accepted_sum(-1.0, 3.0, 10)
+        for lam in (0.0, -3.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="lambda must be positive and finite"):
+                min_accepted_sum(1.0, lam, 10)
 
 
 class TestMinAcceptedSum:
@@ -143,23 +142,19 @@ class TestMinAcceptedSum:
     @pytest.mark.parametrize("lam", [0.5, 3.0, 7.0])
     def test_thresholded_matches_float_rule(self, a, lam):
         g = big_g_value(a)
-        config = DetectorConfig(a=a, lam=lam, variant="thresholded")
         for n in (1, 2, 7, 1000, 5000):
-            s_min = min_accepted_sum(config, n)
+            s_min = min_accepted_sum(a, lam, n)
             for s in range(-n, n + 1):
                 assert (s >= s_min) == (math.sqrt(n) * (s / n - g) > -lam), (n, s)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 1000, 5000])
-    def test_zero_is_positive_sum(self, n, monkeypatch):
-        # the zero test never needs G(a)
-        monkeypatch.setattr("parityshift.detector.big_g_value", None)
-        s_min = min_accepted_sum(DetectorConfig(a=2.0, variant="zero"), n)
-        assert all((s >= s_min) == (s > 0) for s in range(-n, n + 1))
+    def test_zero_is_positive_sum(self, n):
+        assert all((s >= ZERO_TEST_MIN_SUM) == (s > 0) for s in range(-n, n + 1))
 
     @pytest.mark.parametrize("n", [0, -3, 2.0])
     def test_bad_n_raises(self, n):
         with pytest.raises(ValueError):
-            min_accepted_sum(DetectorConfig(a=1.0), n)
+            min_accepted_sum(1.0, 3.0, n)
 
 
 class TestFlipIdentity:

@@ -8,6 +8,7 @@ import platform
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -18,8 +19,9 @@ from hypothesis import strategies as st
 
 from oracles import decide
 from parityshift import accel, forked, harness
-from parityshift.attack import PerturbationVector, couple_perturb, optimal_parity_evasion
-from parityshift.detector import DetectorConfig, big_g_value
+from parityshift.attack import (PerturbationVector, couple_perturb, optimal_parity_evasion,
+                                sparsity_budget)
+from parityshift.detector import big_g_value
 from parityshift.harness import (
     ExperimentSpec,
     SpecValidationError,
@@ -304,9 +306,10 @@ class TestThm2Detectable:
             0, x, None, z, s_pre)
         for budget in range(n):
             t = (budget + 0.5) / n  # ceil(t n) - 1 = budget
-            theta = optimal_parity_evasion(z, a, t, n)
+            assert sparsity_budget(t, n) == budget
+            theta = optimal_parity_evasion(z, a, budget)
             _, s_direct = accel.parity_labels_and_sum(x + theta.signs * a, a)
-            kept, _, _ = harness._evasion_job(spec, 0, budget, t).attack(0, x, None, z, s_pre)
+            kept, _, _ = harness._evasion_job(spec, 0, budget).attack(0, x, None, z, s_pre)
             assert (2 * kept - s_pre).tolist() == s_direct.tolist()
             assert (2 * per_budget[:, budget] - s_pre).tolist() == s_direct.tolist()
 
@@ -594,13 +597,12 @@ class TestSweep:
         for c, row in zip(c_values, rows):
             a = dataclasses.replace(spec, c=c).effective_a
             params = KernelParams(a, rel_tol=spec.rel_tol)
-            config = DetectorConfig(a, spec.lam, "zero")
             counts = np.zeros(5, dtype=int)  # null accept, success, overlap, no stay, win
             for i in range(spec.trials):
                 rng = trial_rng(spec.seed64, i)
                 x = rng.standard_normal(spec.n)
                 theta, x_post = couple_perturb(x, params, rng.random(spec.n))
-                pre, post = decide(x, config).accept_h0, decide(x_post, config).accept_h0
+                pre, post = (decide(v, a, spec.lam, zero=True).accept_h0 for v in (x, x_post))
                 counts += [pre, post, pre and post, theta.zero_count == 0, pre and not post]
             null, success, overlap, no_stay, wins = counts.tolist()
             assert row["null_accept_rate"] == null / spec.trials
@@ -865,10 +867,38 @@ class _ExitWhenPickled:
 
 
 def test_worker_dying_mid_result_raises():
-    # the 200 kB come first and are more than a pipe holds, so the
-    # worker dies only after this process has read part of its result
+    # the worker dies while pickling its result; a reply is pickled whole
+    # before any of it is written, so this process finds the pipe closed
     with pytest.raises(RuntimeError, match="exited with code 5"):
         list(forked.forked_map(lambda _: [bytes(200_000), _ExitWhenPickled()], range(4), 2))
+    assert _children() == []
+
+
+def test_worker_dying_mid_write_raises():
+    # worker 0's reply to task 2 is 200 kB, more than a pipe holds, and
+    # this process reads none of it until both workers have exited, so
+    # worker 0 dies blocked in its write and leaves part of a reply
+    def fn(task):
+        if task == 2:
+            threading.Timer(0.2, os._exit, (5,)).start()
+            return bytes(200_000)
+        return task
+
+    results = forked.forked_map(fn, range(4), 2)
+    assert [next(results), next(results)] == [0, 1]
+    assert _wait_for_states(_children(), ("Z",), 30) == ["Z", "Z"]
+    with pytest.raises(RuntimeError, match="exited with code 5"):
+        next(results)
+    assert _children() == []
+
+
+def test_unpicklable_result_raises_in_parent(capfd):
+    # the worker's failure to pickle a result reaches this process as an
+    # exception of fn does, and the worker prints nothing
+    with pytest.raises(TypeError, match="cannot pickle '_thread.lock' object") as info:
+        list(forked.forked_map(lambda _: threading.Lock(), range(2), 2))
+    assert "raised in worker process" in str(info.value.__cause__)
+    assert "Traceback" not in capfd.readouterr().err
     assert _children() == []
 
 
