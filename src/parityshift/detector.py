@@ -27,7 +27,7 @@ ZERO_TEST_MIN_SUM = 1
 @lru_cache(maxsize=128)
 def big_g_value(a: float) -> float:
     """G(a) at rel_tol 1e-12, cached; the thresholded test's centering."""
-    return eval_big_g(KernelParams(a, rel_tol=1e-12, max_terms=512)).value
+    return eval_big_g(KernelParams(a, rel_tol=1e-12)).value
 
 
 def min_accepted_sum(a: float, lam: float, n: int) -> int:

@@ -398,8 +398,10 @@ def _tally(*jobs: _Job) -> list[dict[str, Any]]:
         raise ValueError("the jobs of one tally must share one block shape")
     _keep_freed_heap()
     bit_generator = Philox(0)
-    x = np.empty((jobs[0].rows_per_block, jobs[0].spec.n))
-    u = np.empty_like(x) if jobs[0].uniforms else None
+    shape = (jobs[0].rows_per_block, jobs[0].spec.n)
+    with _n_limits_memory(*shape):
+        x = np.empty(shape)
+        u = np.empty_like(x) if jobs[0].uniforms else None
     workers = min(worker_count(), sum(job.block_count for job in jobs) // _MIN_WORKER_BLOCKS)
     # task ids offsets[j] .. offsets[j + 1] - 1 are job j's, in block order
     offsets = list(itertools.accumulate((-(-job.block_count // _TASK_BLOCKS) for job in jobs),
@@ -413,11 +415,12 @@ def _tally(*jobs: _Job) -> list[dict[str, Any]]:
         stop = min(first + _TASK_BLOCKS, jobs[j].block_count)
         counts: dict[str, Any] = {}
         records: list = []
-        for start, xb, ub in _blocks(jobs[j].spec, first, stop, bit_generator, x, u):
-            counters, rows = _count_block(jobs[j], start, xb, ub)
-            for name, per_row in counters.items():
-                counts[name] = counts.get(name, 0) + per_row.sum(axis=0)
-            records += rows
+        with _n_limits_memory(*shape):
+            for start, xb, ub in _blocks(jobs[j].spec, first, stop, bit_generator, x, u):
+                counters, rows = _count_block(jobs[j], start, xb, ub)
+                for name, per_row in counters.items():
+                    counts[name] = counts.get(name, 0) + per_row.sum(axis=0)
+                records += rows
         return j, counts, records
 
     # one worker would add only a fork, and perfbench's tracer sees this process alone
@@ -439,6 +442,19 @@ def _tally(*jobs: _Job) -> list[dict[str, Any]]:
                     accepted_pre=ap, accepted_post=ao, zero_count=zc, theta_rle=theta,
                 ))
     return [{name: total.tolist() for name, total in job_totals.items()} for job_totals in totals]
+
+
+@contextlib.contextmanager
+def _n_limits_memory(rows: int, n: int) -> Iterator[None]:
+    """Raise a MemoryError in a trial block as a SpecValidationError naming n.
+
+    Each of a block's arrays holds rows x n <= max(n, _BLOCK_COORDS) values.
+    """
+    try:
+        yield
+    except MemoryError as exc:
+        raise SpecValidationError(
+            f"n: a trial block of {rows} x {n} values does not fit in memory: {exc}") from None
 
 
 def _count_block(job: _Job, start: int, x: np.ndarray,
@@ -607,7 +623,12 @@ def run_coupling_validation(
     total = trials * n
     # rows written by forked workers land in this process's pool through
     # an anonymous shared mapping
-    pool = np.frombuffer(mmap.mmap(-1, 8 * total), dtype=np.float64).reshape(trials, n)
+    try:
+        pool = np.frombuffer(mmap.mmap(-1, 8 * total), dtype=np.float64).reshape(trials, n)
+    except (OSError, OverflowError):
+        raise SpecValidationError(
+            f"trials: the pool of x' holds trials x n = {total} values, "
+            f"{8.0 * trials * n / 2**30:.3g} GiB, more than this process can map") from None
     # the Hoeffding tail sr >= G + eps is the complement of the family sr < G + eps
     (tally,) = _tally(_coupling_job(spec, None, _budget(big_g + spec.epsilon, n), on_trial, pool))
     zero_total, tail_count = tally["zero_total"], trials - tally["in_family"]

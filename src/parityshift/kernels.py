@@ -16,32 +16,27 @@ Each of ``g`` and ``gamma`` has two independent series representations:
 translate sums over ``k`` ("primal", terms decay like ``exp(-k^2 a^2/2)``)
 and Poisson-summed cosine series ("dual", terms decay like
 ``exp(-m^2 pi^2 / (2 a^2))``).  The decay rates coincide at
-``a = sqrt(pi)``, which is the mode crossover.  ``big_g_oracle`` provides
-a third route for ``G(a)`` -- the arbitrary-precision alternating sum of
-normal bin masses -- used as the anti-drift reference for `eval_big_g`.
+``a = sqrt(pi)``, which is the mode crossover.  ``G(a)`` likewise has a
+dual series and a primal one, the alternating sum of normal bin masses;
+their rates coincide at ``a = sqrt(2 pi)``, ``BIG_G_CROSSOVER_A``.
 
 All exponents are assembled before exponentiation (no density ratios),
 so no intermediate overflows for any ``a > 0``.
 
-All five series (primal and dual g, G(a), primal gamma and phi's
-forward series) obey one truncation rule, applied by ``_sum_series``.
+All six series (primal and dual g, both routes of G(a), primal gamma
+and phi's forward series) obey one truncation rule, applied by ``_sum_series``.
 Each series is a generator of ``(term count, value, tail)`` steps, where
 tail bounds everything after the step.  Summing stops at the first step
 whose tail is at most ``rel_tol * max(|value|, 1e-300)`` and reports that
 tail as ``est_error``; a step that would take the count past
 ``max_terms`` raises ``SeriesConvergenceError`` instead.
-
-Importing the package or its CLI loads numpy only.  mpmath loads on the
-first call of ``big_g_oracle`` and ``scipy.optimize`` on the first call
-of ``solve_a_for_g``; no CLI command calls either, so a run loads
-neither package.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 __all__ = [
     "KernelParams",
@@ -49,15 +44,14 @@ __all__ = [
     "SeriesConvergenceError",
     "KernelRangeError",
     "MODE_CROSSOVER_A",
+    "BIG_G_CROSSOVER_A",
     "square_underflows",
     "normal_pdf",
     "eval_g",
     "eval_big_g",
-    "big_g_oracle",
     "eval_gamma",
     "eval_phi",
     "fp_residual",
-    "solve_a_for_g",
 ]
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -65,6 +59,10 @@ SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 #: Mode crossover: primal terms decay like exp(-k^2 a^2 / 2), dual terms
 #: like exp(-m^2 pi^2 / (2 a^2)); the rates are equal at a = sqrt(pi).
 MODE_CROSSOVER_A = math.sqrt(math.pi)
+
+#: G(a)'s route crossover: dual terms decay like exp(-(2k)^2 pi^2 / (2 a^2)),
+#: bin-mass terms like exp(-j^2 a^2 / 2); the rates are equal at a = sqrt(2 pi).
+BIG_G_CROSSOVER_A = math.sqrt(2.0 * math.pi)
 
 # Denormal floor used in relative stopping rules so that series whose true
 # value is ~0 (e.g. g at a bin edge) still terminate via term underflow.
@@ -249,16 +247,40 @@ def eval_g(x: float, params: KernelParams, mode: str | None = None) -> KernelEva
 
 
 def eval_big_g(params: KernelParams) -> KernelEval:
-    """Central-bin mass G(a) via the Poisson-summed series.
+    """Central-bin mass G(a), from whichever of its two series decays faster.
 
-    G(a) = (4/pi) sum_{k>=0} (-1)^k / (1+2k) * exp(-(1+2k)^2 pi^2 / (2 a^2))
+    Below ``BIG_G_CROSSOVER_A`` the Poisson-summed series
 
-    Alternating with strictly decreasing terms, so the remainder is
-    bounded by the first omitted term.
+        G(a) = (4/pi) sum_{k>=0} (-1)^k / (1+2k) * exp(-(1+2k)^2 pi^2 / (2 a^2)),
+
+    from it on the alternating sum of normal bin masses (the translate
+    sum of g integrated over the bin)
+
+        G(a) = 1 - 2 sum_{j>=0} (-1)^j erfc((j + 1/2) a / sqrt 2).
+
+    Both alternate with strictly decreasing terms, so each remainder is
+    bounded by the first omitted term.  At large a the dual series would
+    need about a terms, meet only rel_tol and so leave [0, 1] (1 + 7e-13
+    at a = 38); the bin-mass one rounds to 1 exactly from a ~ 17 on.
     """
+    if params.a < BIG_G_CROSSOVER_A:
+        return _big_g_dual(params)
+    return _big_g_bins(params)
+
+
+def _big_g_dual(params: KernelParams) -> KernelEval:
     total, terms, tail = _sum_series(
         _big_g_steps(params.a), params, _FOUR_OVER_PI, ("G(a) series",))
     return KernelEval(_FOUR_OVER_PI * total, terms, "dual", tail)
+
+
+def _big_g_bins(params: KernelParams) -> KernelEval:
+    # its terms fall like exp(-j^2 a^2 / 2), so summing them to half an
+    # ulp (2^-53) rather than to rel_tol costs at most one more term
+    total, terms, tail = _sum_series(
+        _big_g_bin_steps(params.a), replace(params, rel_tol=min(params.rel_tol, 2.0**-53)),
+        1.0, ("G(a) bin-mass series",))
+    return KernelEval(total, terms, "primal", tail)
 
 
 def _big_g_steps(a: float):
@@ -273,37 +295,16 @@ def _big_g_steps(a: float):
         odd, sign, weight = nxt, -sign, weight_nxt
 
 
-def big_g_oracle(params: KernelParams) -> float:
-    """Independent route for G(a): an alternating sum of normal bin masses.
-
-    Integrating the translate sum of g term by term over [-a/2, a/2]
-    gives G(a) = sum_k (-1)^k [Phi((k+1/2)a) - Phi((k-1/2)a)], the
-    alternating mass of the bins of width a.  It is summed in mpmath
-    arbitrary precision from upper-tail masses erfc((k+1/2) a / sqrt 2),
-    with working digits scaled to resolve G(a) ~ exp(-pi^2/(2 a^2)) down
-    to a -> 0; the Poisson-summed series of eval_big_g never enters.
-    Serves as the anti-drift reference for eval_big_g; absolute accuracy
-    far exceeds 1e-12.
-    """
-    import mpmath
-
-    a = params.a
-    dps = 25 + int(math.pi * math.pi / (2.0 * a * a) / math.log(10.0)) + 10
-    with mpmath.workdps(dps):
-        am = mpmath.mpf(a)
-        # keep bins while their tail mass can exceed 10^-(dps+8); the
-        # omitted remainder is below the last tail kept
-        reach = mpmath.sqrt(2 * (dps + 8) * mpmath.log(10))
-        kmax = int(mpmath.ceil((reach + am / 2) / am)) + 2
-        scale = am / mpmath.sqrt(2)
-        # tails[j] = 2 P(X > (j + 1/2) a), the mass outside the bins |k| <= j
-        tails = [mpmath.erfc((j + mpmath.mpf(1) / 2) * scale) for j in range(kmax + 1)]
-        total = 1 - tails[0]
-        for k in range(1, kmax + 1):
-            # bins k and -k together hold tails[k-1] - tails[k]
-            bins = tails[k - 1] - tails[k]
-            total += -bins if (k & 1) else bins
-        return float(total)
+def _big_g_bin_steps(a: float):
+    # Step j adds -+2 erfc((j + 1/2) a / sqrt 2), twice the normal mass
+    # outside the bins -j..j; step 0 also carries the 1.
+    h = a / math.sqrt(2.0)
+    value = 1.0 - 2.0 * math.erfc(0.5 * h)
+    sign, j = 2.0, 1
+    while True:
+        nxt = math.erfc((j + 0.5) * h)
+        yield 1, value, 2.0 * nxt
+        value, sign, j = sign * nxt, -sign, j + 1
 
 
 def _gamma_raw(x: float, params: KernelParams) -> float:
@@ -436,27 +437,3 @@ def fp_residual(x: float, params: KernelParams) -> float:
         + (1.0 - eval_phi(x + a, params) - eval_gamma(x + a, params)) * normal_pdf(x + a)
         - normal_pdf(x)
     )
-
-
-def solve_a_for_g(target: float, rel_tol: float = 1e-9) -> float:
-    """Invert G: find a with |G(a) - target| <= rel_tol.
-
-    Valid for target in (1e-12, 1 - 1e-12); G is strictly increasing, so
-    a bracketed root search on [0.2, 16] (where G spans far past both
-    target bounds) converges unconditionally.
-    """
-    from scipy.optimize import brentq
-
-    if not (1e-12 < target < 1.0 - 1e-12):
-        raise ValueError(f"target must lie in (1e-12, 1 - 1e-12), got {target!r}")
-
-    def objective(a: float) -> float:
-        return eval_big_g(KernelParams(a, rel_tol=1e-13, max_terms=512)).value - target
-
-    a = float(brentq(objective, 0.2, 16.0, xtol=1e-13, rtol=8.9e-16))
-    achieved = objective(a)
-    if abs(achieved) > rel_tol:
-        raise SeriesConvergenceError(
-            f"root search left |G(a) - target| = {abs(achieved)!r} > {rel_tol!r}"
-        )
-    return a

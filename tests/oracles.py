@@ -6,6 +6,8 @@ normal mass of a bin, the parity statistic and the acceptance decision
 on one sample, the flip identity, one roll of the three-sided die, and
 the float view, run-length decoding and sparsity ratio of a
 ``PerturbationVector``.  The tests hold the array path to these.
+``big_g_oracle`` is the arbitrary-precision reference that
+``kernels.eval_big_g`` is held to.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from parityshift import accel
@@ -54,6 +57,35 @@ def bin_prob(k: int, a: float) -> float:
     if lo >= 0.0:
         return 0.5 * (math.erfc(lo / math.sqrt(2.0)) - math.erfc(hi / math.sqrt(2.0)))
     return 0.5 * (math.erfc(-hi / math.sqrt(2.0)) - math.erfc(-lo / math.sqrt(2.0)))
+
+
+def big_g_oracle(a: float) -> float:
+    """Central-bin mass G(a) as an alternating sum of normal bin masses.
+
+    Integrating the translate sum of g term by term over [-a/2, a/2]
+    gives G(a) = sum_k (-1)^k [Phi((k+1/2)a) - Phi((k-1/2)a)], the
+    alternating mass of the bins of width a.  It is summed in mpmath
+    arbitrary precision from upper-tail masses erfc((k+1/2) a / sqrt 2),
+    with working digits scaled to resolve G(a) ~ exp(-pi^2/(2 a^2)) down
+    to a -> 0, and rounded to a double once; no float64 series of
+    ``kernels`` enters.  mpmath's erfc overflows a float beyond a ~ 1e155.
+    """
+    dps = 25 + int(math.pi * math.pi / (2.0 * a * a) / math.log(10.0)) + 10
+    with mpmath.workdps(dps):
+        am = mpmath.mpf(a)
+        # keep bins while their tail mass can exceed 10^-(dps+8); the
+        # omitted remainder is below the last tail kept
+        reach = mpmath.sqrt(2 * (dps + 8) * mpmath.log(10))
+        kmax = int(mpmath.ceil((reach + am / 2) / am)) + 2
+        scale = am / mpmath.sqrt(2)
+        # tails[j] = 2 P(X > (j + 1/2) a), the mass outside the bins |k| <= j
+        tails = [mpmath.erfc((j + mpmath.mpf(1) / 2) * scale) for j in range(kmax + 1)]
+        total = 1 - tails[0]
+        for k in range(1, kmax + 1):
+            # bins k and -k together hold tails[k-1] - tails[k]
+            bins = tails[k - 1] - tails[k]
+            total += -bins if (k & 1) else bins
+        return float(total)
 
 
 def parity_statistic(x, a: float) -> float:

@@ -1,9 +1,11 @@
 """CLI: exit codes, output files, byte-stability, config layering."""
 
+import ast
 import dataclasses
 import json
 import os
 import platform
+import re
 import signal
 import subprocess
 import sys
@@ -315,12 +317,7 @@ codes = [
              "--out", out + "/sweep"]),
     run_cli(["kernels", "--a", "0.3", "--out", out + "/kernels"]),
 ]
-loaded = unwanted()
-
-from parityshift.kernels import KernelParams, big_g_oracle, solve_a_for_g
-
-print(json.dumps({"codes": codes, "on_import": on_import, "loaded": loaded,
-                  "big_g_1": big_g_oracle(KernelParams(1.0)), "a_half": solve_a_for_g(0.5)}))
+print(json.dumps({"codes": codes, "on_import": on_import, "loaded": unwanted()}))
 """
 
 
@@ -333,9 +330,33 @@ class TestImportFootprint:
         assert result["codes"] == [0, 0, 0]
         assert result["on_import"] == []
         assert result["loaded"] == []
-        # the first call of each function imports what it needs
-        assert result["big_g_1"] == pytest.approx(0.0091569902897607558, abs=1e-12)
-        assert result["a_half"] == pytest.approx(2.2979465162993065, abs=1e-9)
+
+
+def _third_party_imports() -> set[str]:
+    # top-level package of every absolute import in src/parityshift, at
+    # module level or inside a function, less the standard library's
+    names = set()
+    for path in (SRC / "parityshift").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"parityshift"}
+
+
+class TestRuntimeDependencies:
+    def test_numpy_is_the_only_third_party_import(self):
+        assert _third_party_imports() == {"numpy"}
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+    def test_project_dependencies_are_the_imports(self):
+        import tomllib
+
+        project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]
+        names = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower()
+                 for dep in project["dependencies"]}
+        assert names == _third_party_imports()
 
 
 # A two-worker run in a fresh interpreter: forking the trial-block
@@ -601,6 +622,51 @@ class TestBadNumericInput:
         assert run_cli(argv + ["--config", str(path), "--seed", SEED, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {field}:")
         assert not out.parent.exists()
+
+
+class TestLargeInput:
+    @pytest.mark.filterwarnings("ignore:c = .* theorem hypothesis violated:UserWarning")
+    @pytest.mark.parametrize("preset", ["thm1-detectable", "thm1-undetectable"])
+    def test_cube_c_1e5_runs_or_names_c(self, tmp_path, capsys, preset):
+        # a = c / sqrt(ln n) ~ 3.3e4, where G(a)'s dual series would need
+        # tens of thousands of terms; the bin-mass series gives G = 1
+        code = run_cli(["experiment", "--preset", preset, "--c", "1e5", "--trials", "2",
+                        "--seed", "1", "--out", str(tmp_path)])
+        if code == 2:
+            assert capsys.readouterr().err.startswith("error: c:")
+        else:
+            assert code == 0
+            bounds = json.loads((tmp_path / "summary.json").read_text())["bounds"]
+            assert 0.0 <= bounds["big_g"] <= 1.0
+
+    # Each command runs in a child that caps its own address space first,
+    # so an allocation too large for it fails there instead of being
+    # overcommitted and filling this machine's memory.
+    _LIMITED_SCRIPT = """
+import resource, runpy, sys
+limit = int(sys.argv.pop(1))
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.argv[0] = "parityshift"
+runpy.run_module("parityshift", run_name="__main__")
+"""
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds allocations on Linux")
+    @pytest.mark.parametrize("argv, field", [
+        # the pooled x' of 1e8 trials of n = 2000 would take 1.5 TiB
+        (["--preset", "hoeffding", "--trials", "100000000"], "trials"),
+        # one block row of n = 1e9 normals would take 7.45 GiB
+        (["--preset", "thm2-detectable", "--n", "1000000000", "--trials", "1"], "n"),
+        # a 1.5 GiB row fits, but the parity labels' arrays do not
+        (["--preset", "thm2-detectable", "--n", "200000000", "--trials", "1"], "n"),
+    ], ids=["pool", "block", "kernel"])
+    def test_allocation_failure_exits_2_naming_the_field(self, tmp_path, argv, field):
+        proc = subprocess.run(
+            [sys.executable, "-c", self._LIMITED_SCRIPT, str(2 << 30), "experiment", *argv,
+             "--seed", "1", "--out", str(tmp_path / "run")],
+            capture_output=True, text=True, env=_src_env(), timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"error: {field}:")
+        assert not (tmp_path / "run").exists()
 
 
 class TestFiniteGuard:

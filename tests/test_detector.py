@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    big_g_oracle,
     bin_index,
     bin_prob,
     decide,
@@ -22,9 +23,34 @@ from oracles import (
 from parityshift.attack import PerturbationVector
 from parityshift.detector import ZERO_TEST_MIN_SUM, big_g_value, min_accepted_sum
 from parityshift.harness import trial_rng
-from parityshift.kernels import KernelParams, eval_big_g
+from parityshift.kernels import BIG_G_CROSSOVER_A, KernelParams, eval_big_g
 
 BIG_G_2 = 0.37077742979952391  # quadrature oracle, frozen
+
+
+# Every bin width a spec admits, from the cube regime's least (0.0326) to
+# 1e300, on a log grid; a linear one over 1..20, where G(a) climbs to 1;
+# both sides of G's route crossover; and the widths where the dual series
+# alone left [0, 1] (a = 30, 37, 38).
+BIG_G_GRID = sorted([*np.geomspace(0.0326, 1e300, 401).tolist(),
+                     *np.linspace(1.0, 20.0, 77).tolist(), 30.0, 37.0, 38.0,
+                     BIG_G_CROSSOVER_A * (1.0 - 1e-12), BIG_G_CROSSOVER_A,
+                     BIG_G_CROSSOVER_A * (1.0 + 1e-12)])
+
+
+class TestBigGValue:
+    def test_in_unit_interval_and_nondecreasing(self):
+        values = [big_g_value(a) for a in BIG_G_GRID]
+        assert all(0.0 <= v <= 1.0 for v in values)
+        assert all(v1 <= v2 for v1, v2 in zip(values, values[1:]))
+        assert values[0] == 0.0 and values[-1] == 1.0
+
+    def test_bin_mass_route_matches_oracle(self):
+        # G(a) rounds to 1 from a ~ 17 on; mpmath's erfc slows past
+        # a ~ 1e80 and overflows a float near 1e155
+        for a in BIG_G_GRID:
+            if BIG_G_CROSSOVER_A <= a <= 1e60:
+                assert abs(big_g_value(a) - big_g_oracle(a)) <= 1e-15, a
 
 
 class TestBinIndex:

@@ -7,18 +7,18 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from oracles import big_g_oracle
 from parityshift.kernels import (
     KernelParams,
     KernelRangeError,
     SeriesConvergenceError,
-    big_g_oracle,
     eval_big_g,
     eval_g,
     eval_gamma,
     eval_phi,
     fp_residual,
     normal_pdf,
-    solve_a_for_g,
+    _big_g_dual,
     _gamma_raw,
     _phi_raw,
 )
@@ -121,7 +121,8 @@ class TestEvalG:
         # dual route forced far above it: the cosine weights barely decay
         pytest.param("dual g", lambda: eval_g(0.3, KernelParams(10.0, max_terms=8),
                                               mode="dual"), id="dual-g"),
-        pytest.param("G(a)", lambda: eval_big_g(KernelParams(12.0, max_terms=8)), id="big-g"),
+        # G(a)'s dual route forced far above its crossover, like dual g
+        pytest.param("G(a)", lambda: _big_g_dual(KernelParams(12.0, max_terms=8)), id="big-g"),
         pytest.param("primal gamma", lambda: eval_gamma(0.1, KernelParams(1.8, max_terms=8)),
                      id="primal-gamma"),
         pytest.param("up-shift", lambda: eval_phi(0.1, KernelParams(0.3, max_terms=8)),
@@ -157,13 +158,13 @@ class TestEvalBigG:
 class TestBigGOracle:
     @pytest.mark.parametrize("a", sorted(BIG_G_ORACLE))
     def test_dual_route_agreement(self, a):
-        assert abs(eval_big_g(KernelParams(a)).value - big_g_oracle(KernelParams(a))) <= 1e-10
+        assert abs(eval_big_g(KernelParams(a)).value - big_g_oracle(a)) <= 1e-10
 
     def test_frozen_regression_a2(self):
-        assert big_g_oracle(KernelParams(2.0)) == pytest.approx(0.37077742979952391, abs=1e-14)
+        assert big_g_oracle(2.0) == pytest.approx(0.37077742979952391, abs=1e-14)
 
     def test_vanishing_limit(self):
-        v = big_g_oracle(KernelParams(0.1))
+        v = big_g_oracle(0.1)
         assert v < 1e-200
 
 
@@ -289,25 +290,6 @@ class TestNormalization:
         )
         assert err < 1e-11
         assert abs(val - eval_big_g(p).value) <= 1e-10
-
-
-class TestSolveAForG:
-    def test_round_trip_a2(self):
-        target = eval_big_g(KernelParams(2.0)).value
-        assert solve_a_for_g(target) == pytest.approx(2.0, abs=1e-9)
-
-    def test_half_target(self):
-        a = solve_a_for_g(0.5)
-        assert abs(eval_big_g(KernelParams(a)).value - 0.5) <= 1e-9
-        assert a == pytest.approx(2.2979465162993065, abs=1e-9)
-
-    def test_inverse_of_a1_constant(self):
-        assert solve_a_for_g(0.009157) == pytest.approx(1.0, abs=1e-3)
-
-    @pytest.mark.parametrize("target", [0.0, 1.0, 1e-13, 1.0 - 1e-13, -0.2, 2.0])
-    def test_out_of_range(self, target):
-        with pytest.raises(ValueError):
-            solve_a_for_g(target)
 
 
 class TestRangeGuard:
