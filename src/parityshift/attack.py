@@ -57,21 +57,25 @@ class PerturbationVector:
         counts = np.count_nonzero(self.signs == 0, axis=-1)
         return int(counts) if self.signs.ndim == 1 else counts
 
-    def row(self, i: int) -> "PerturbationVector":
-        """The perturbation of trial row i of a block."""
-        return PerturbationVector(self.signs[i], self.a)
+    def to_rle(self, row: int | None = None) -> np.ndarray:
+        """Run-length encoding: a (k, 2) int64 array of [sign, count] rows (signs in units of a).
 
-    def to_rle(self) -> list[list[int]]:
-        """Run-length encoding as [sign, count] pairs (signs in units of a)."""
-        if self.signs.ndim != 1:
-            raise ValueError("run-length encode one row of a block at a time")
-        if self.n == 0:
-            return []
-        s = self.signs
-        breaks = np.flatnonzero(s[1:] != s[:-1]) + 1
-        starts = np.concatenate(([0], breaks))
-        ends = np.concatenate((breaks, [s.size]))
-        return np.column_stack((s[starts], ends - starts)).tolist()
+        A block is encoded one row at a time: pass the row's index.
+        """
+        s = self.signs if row is None else self.signs[row]
+        if s.ndim != 1:
+            raise ValueError("run-length encode a 1-d perturbation or one row of a block")
+        if s.size == 0:
+            return np.empty((0, 2), dtype=np.int64)
+        # run starts and the end: 0, every index whose sign differs from its left neighbour, n
+        edges = (s[1:] != s[:-1]).nonzero()[0]
+        bounds = np.empty(edges.size + 2, dtype=np.int64)
+        bounds[0], bounds[-1] = 0, s.size
+        np.add(edges, 1, out=bounds[1:-1])
+        rle = np.empty((edges.size + 1, 2), dtype=np.int64)
+        rle[:, 0] = s[bounds[:-1]]
+        np.subtract(bounds[1:], bounds[:-1], out=rle[:, 1])
+        return rle
 
 
 def couple_perturb(

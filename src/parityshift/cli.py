@@ -318,7 +318,7 @@ def _run_streaming_records(run, spec: ExperimentSpec, path: Path) -> harness.Exp
     previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     try:
         with partial.open("w") as fh:
-            summary = run(spec, on_trial=lambda rec: fh.write(rec.json_line()))
+            summary = run(spec, on_trial=fh.write)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise

@@ -18,8 +18,11 @@ worker process per core this process may use (``os.sched_getaffinity``)
 when the run is large enough, else in this process.  ``taskset -c 0``
 thus runs everything on one core.  Every counter is an integer sum, so
 no payload depends on the worker count.  An optional ``on_trial``
-callback receives each trial's TrialRecord in trial order, from the
-parent; no record is held by the run beyond the few tasks in flight.
+callback receives each trial's record as one line of JSON text
+(``TrialRecord.json_line``), in trial order.  The line is built in the
+process that ran the trial, a worker or this one, so sharding spreads
+record building too; no record is held by the run beyond the few tasks
+in flight.
 Before the first block, glibc's heap trim and mmap thresholds are set
 once per process (``_keep_freed_heap``), so memory a block frees is
 reused by the next block instead of being handed back to the kernel and
@@ -94,14 +97,17 @@ _DOUBLE_MAX = sys.float_info.max
 _BLOCK_COORDS = 1 << 14
 # Blocks per task, the unit _tally runs and hands on, in a worker or in-process.
 _TASK_BLOCKS = 8
-# Blocks each worker must get before a run is sharded.  Forking two
-# workers, their first result and reaping them took 5.5-7.1 ms on a
-# 2-core machine (the first forked_map after importing parityshift.cli,
-# 5 fresh interpreters), the time of 10-14 parity-only blocks of
-# thm2-detectable (about 0.5 ms each).  The value 64 dates from a
-# 30-40 ms fork under multiprocessing; below 32 it would also shard
-# coupling-a1's 63 blocks.
-_MIN_WORKER_BLOCKS = 64
+# Blocks each worker must get before a run is sharded, so two workers
+# need 32.  Forking two workers, their first result and reaping them
+# took 5.5-7.1 ms on a 2-core machine (the first forked_map after
+# importing parityshift.cli, 5 fresh interpreters), the time of 10-14
+# parity-only blocks of thm2-detectable (about 0.5 ms each).  There, in
+# 5 fresh interpreters a side on a loaded machine, thm2-detectable took
+# 32-40 ms sharded against 22-38 ms in-process at 32 blocks, and broke
+# even at 64; coupling-a1's 63 blocks, which now shard, took a median
+# 140 ms against 158 ms, and with records, whose lines its workers
+# build, 37% less time.
+_MIN_WORKER_BLOCKS = 16
 # Run lengths whose [sign, count] text TrialRecord.json_line takes from a
 # table.  Coupling runs are at most a few dozen coordinates long; a longer
 # one, such as Theorem 1's full cube (one run of n) or the optimal
@@ -224,22 +230,29 @@ class TrialRecord:
     accepted_pre: bool
     accepted_post: bool
     zero_count: int
-    theta_rle: list | None = None
+    theta_rle: np.ndarray | None = None
 
     def json_line(self) -> str:
         """The record as one line of JSON text, newline included.
 
-        The text is ``json.dumps(vars(self), sort_keys=True)`` + "\\n":
-        keys sorted, ", " and ": " separators, floats by repr.  Each
-        [sign, count] pair of theta_rle is looked up in ``_pair_texts``,
-        or formatted directly if its count is past the table.
+        theta_rle is ``PerturbationVector.to_rle``'s (k, 2) integer array
+        of [sign, count] rows, or None.  The text is
+        ``json.dumps(vars(self), sort_keys=True)`` + "\\n", with
+        theta_rle as its list of pairs: keys sorted, ", " and ": "
+        separators, floats by repr.  The pairs' texts are taken from
+        ``_pair_texts`` in one ``take``, and a pair whose count is past
+        the table is formatted directly.
         """
         if self.theta_rle is None:
             rle = "null"
         else:
-            texts = _pair_texts()
-            rle = "[" + ", ".join([texts[s][c] if c < _PAIR_TEXT_COUNTS else f"[{s}, {c}]"
-                                   for s, c in self.theta_rle]) + "]"
+            signs, counts = self.theta_rle[:, 0], self.theta_rle[:, 1]
+            index = signs * _PAIR_TEXT_COUNTS + counts
+            texts = _pair_texts().take(index, mode="wrap").tolist()
+            # a pair past the table took another pair's text, which is replaced
+            for i in (counts >= _PAIR_TEXT_COUNTS).nonzero()[0].tolist():
+                texts[i] = f"[{signs[i]}, {counts[i]}]"
+            rle = "[" + ", ".join(texts) + "]"
         # float.__repr__, as json does, also for a float subclass such as np.float64
         return (f'{{"accepted_post": {"true" if self.accepted_post else "false"}, '
                 f'"accepted_pre": {"true" if self.accepted_pre else "false"}, '
@@ -250,17 +263,20 @@ class TrialRecord:
 
 
 @functools.cache
-def _pair_texts() -> list[list[str]]:
+def _pair_texts() -> np.ndarray:
     """The JSON text "[s, c]" of every pair whose count c is below _PAIR_TEXT_COUNTS.
 
-    Indexed [s][c]: the rows are signs 0, +1 and -1, so s = -1 picks the
-    last.  Built on the first record, so a run that writes none pays
-    nothing.
+    A flat object array indexed s * _PAIR_TEXT_COUNTS + c: its thirds
+    are signs 0, +1 and -1, so s = -1 gives a negative index, which wraps
+    into the last.  Built on the first record, so a run that writes none
+    pays nothing.
     """
-    return [[f"[{s}, {c}]" for c in range(_PAIR_TEXT_COUNTS)] for s in (0, 1, -1)]
+    return np.array([f"[{s}, {c}]" for s in (0, 1, -1) for c in range(_PAIR_TEXT_COUNTS)],
+                    dtype=object)
 
 
-OnTrial = Callable[[TrialRecord], None]
+# Receives each trial's record as ``TrialRecord.json_line`` text.
+OnTrial = Callable[[str], None]
 
 
 @dataclass
@@ -381,11 +397,12 @@ def _tally(*jobs: _Job) -> list[dict[str, Any]]:
     ``_count_block`` gives each block's per-row counters (bool or integer
     arrays of shape (m,) or (m, cells)), each summed over rows and blocks
     and returned as a Python int, or a list of ints per cell, and, when
-    the job has on_trial, its record rows.  Tasks of _TASK_BLOCKS blocks
-    run in forked workers when every worker gets at least
+    the job has on_trial, its records' JSON lines.  Tasks of _TASK_BLOCKS
+    blocks run in forked workers when every worker gets at least
     _MIN_WORKER_BLOCKS blocks, else in this process; either way their
-    results are consumed in task order, so each job's on_trial sees its
-    records in trial order.  The tasks are a range of ids, each decoded
+    results are consumed in task order, and each line is passed to its
+    job's on_trial as it arrives, so on_trial sees the lines in trial
+    order.  The tasks are a range of ids, each decoded
     into its job and blocks where it runs, so no list of them is built
     and a run of any size starts at once.  A buffer that an attack fills
     for the caller must be a shared mapping made before the call, since a
@@ -409,19 +426,19 @@ def _tally(*jobs: _Job) -> list[dict[str, Any]]:
     tasks = range(offsets[-1])
 
     def run_task(task):
-        # the task's blocks first..stop-1 of job j: j, counters summed over rows, and record rows
+        # the task's blocks first..stop-1 of job j: j, counters summed over rows, and record lines
         j = bisect.bisect_right(offsets, task) - 1
         first = (task - offsets[j]) * _TASK_BLOCKS
         stop = min(first + _TASK_BLOCKS, jobs[j].block_count)
         counts: dict[str, Any] = {}
-        records: list = []
+        lines: list[str] = []
         with _n_limits_memory(*shape):
             for start, xb, ub in _blocks(jobs[j].spec, first, stop, bit_generator, x, u):
-                counters, rows = _count_block(jobs[j], start, xb, ub)
+                counters, block_lines = _count_block(jobs[j], start, xb, ub)
                 for name, per_row in counters.items():
                     counts[name] = counts.get(name, 0) + per_row.sum(axis=0)
-                records += rows
-        return j, counts, records
+                lines += block_lines
+        return j, counts, lines
 
     # one worker would add only a fork, and perfbench's tracer sees this process alone
     if workers > 1:
@@ -430,17 +447,11 @@ def _tally(*jobs: _Job) -> list[dict[str, Any]]:
         results = (run_task(task) for task in tasks)
     totals: list[dict[str, Any]] = [{} for _ in jobs]
     with contextlib.closing(results):
-        for j, counters, records in results:
+        for j, counters, lines in results:
             for name, total in counters.items():
                 totals[j][name] = totals[j].get(name, 0) + total
-            n, on_trial = jobs[j].spec.n, jobs[j].on_trial
-            for index, sp, so, zc, ap, ao, theta in records:
-                if isinstance(theta, PerturbationVector):
-                    theta = theta.to_rle()
-                on_trial(TrialRecord(
-                    trial_index=index, statistic_pre=sp / n, statistic_post=so / n, sr=zc / n,
-                    accepted_pre=ap, accepted_post=ao, zero_count=zc, theta_rle=theta,
-                ))
+            for line in lines:
+                jobs[j].on_trial(line)
     return [{name: total.tolist() for name, total in job_totals.items()} for job_totals in totals]
 
 
@@ -458,8 +469,8 @@ def _n_limits_memory(rows: int, n: int) -> Iterator[None]:
 
 
 def _count_block(job: _Job, start: int, x: np.ndarray,
-                 u: np.ndarray | None) -> tuple[dict[str, np.ndarray], list[tuple]]:
-    """A block's per-row counters and, under on_trial, its record rows.
+                 u: np.ndarray | None) -> tuple[dict[str, np.ndarray], list[str]]:
+    """A block's per-row counters and, under on_trial, its records' JSON lines.
 
     x is binned once, and only for a test or records.  kept gives
     zero_free, zero_total and, with a budget, in_family (kept <= budget:
@@ -467,12 +478,11 @@ def _count_block(job: _Job, start: int, x: np.ndarray,
     before the attack, after it and both (a run without a test accepts
     every sum, each being at least -n) and, with a budget, success.  kept
     is one count per row or one column per t-sweep budget.  An attack
-    returns x' only in a run with a test, for flip_violations.  A record
-    row is (trial index, s_pre, s_post, kept, accepted_pre, accepted_post,
-    theta), theta being a block PerturbationVector whose row ``_tally``
-    encodes into theta_rle just before on_trial gets it (so a task's
-    run-length lists are never alive together and the cyclic collector
-    does not rescan them), or one value all rows share.
+    returns x' only in a run with a test, for flip_violations.  Each
+    row's record is built and formatted here (``TrialRecord.json_line``),
+    in the process that ran the block, so only text leaves a worker.  Its
+    theta_rle is ``theta.to_rle(row)`` where theta is a block
+    PerturbationVector, else theta itself, one value all rows share.
     """
     a, budget = job.spec.effective_a, job.budget
     binned = job.s_min is not None or job.on_trial is not None
@@ -495,9 +505,12 @@ def _count_block(job: _Job, start: int, x: np.ndarray,
         counters["flip_violations"] = accel.parity_labels_and_sum(x_post, a)[1] != s_post
     if job.on_trial is None:
         return counters, []
+    n = job.spec.n
     cols = [v.tolist() for v in (s_pre, s_post, kept, accept_pre, accept_post)]
-    rows = theta.row if isinstance(theta, PerturbationVector) else lambda r: theta
-    return counters, [(start + r, *row, rows(r)) for r, row in enumerate(zip(*cols))]
+    rle = theta.to_rle if isinstance(theta, PerturbationVector) else lambda r: theta
+    return counters, [
+        TrialRecord(start + r, sp / n, so / n, zc / n, ap, ao, zc, rle(r)).json_line()
+        for r, (sp, so, zc, ap, ao) in enumerate(zip(*cols))]
 
 
 def _check(passed, observed, limit, note: str = "") -> dict:
@@ -568,16 +581,18 @@ def _evasion_job(spec: ExperimentSpec, s_min: int, budget,
     kept one column per budget.  At one budget the attack also returns x'
     for the flip check, optimal_parity_evasion's.  At budget 0 (Theorem
     1's full cube) the evader moves every coordinate by +a, so x' is
-    x + a and every row shares theta [[1, n]], both built without it.
+    x + a and every row shares the run lengths [[1, n]], both built
+    without it.
     """
     a, n, budget = spec.effective_a, spec.n, np.asarray(budget)
+    full_cube = np.array([[1, n]], dtype=np.int64)
 
     def attack(start, x, u, z, s_pre):
         kept = np.minimum.outer((n + s_pre) // 2, budget)
         if budget.ndim:
             return kept, None, None
         if budget == 0:
-            return kept, [[1, n]], x + a
+            return kept, full_cube, x + a
         theta = optimal_parity_evasion(z, a, budget)
         return kept, theta, x + theta.signs * a
 

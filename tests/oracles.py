@@ -6,8 +6,9 @@ normal mass of a bin, the parity statistic and the acceptance decision
 on one sample, the flip identity, one roll of the three-sided die, and
 the float view, run-length decoding and sparsity ratio of a
 ``PerturbationVector``.  The tests hold the array path to these.
-``big_g_oracle`` is the arbitrary-precision reference that
-``kernels.eval_big_g`` is held to.
+``big_g_oracle`` and ``phi_oracle`` are the arbitrary-precision
+references that ``kernels.eval_big_g`` and both evaluations of phi
+(``kernels.eval_phi``, ``accel.phi_gamma``) are held to.
 """
 
 from __future__ import annotations
@@ -68,8 +69,16 @@ def big_g_oracle(a: float) -> float:
     arbitrary precision from upper-tail masses erfc((k+1/2) a / sqrt 2),
     with working digits scaled to resolve G(a) ~ exp(-pi^2/(2 a^2)) down
     to a -> 0, and rounded to a double once; no float64 series of
-    ``kernels`` enters.  mpmath's erfc overflows a float beyond a ~ 1e155.
+    ``kernels`` enters.
+
+    The sum is 1 - G(a) = 2 (t0 - t1 + t2 - ...) with t_j the decreasing
+    tails below, so 0 <= 1 - G(a) <= 2 t0, and t0 = erfc(a / (2 sqrt 2))
+    <= exp(-a^2 / 8).  Once that bound is at most 2^-55, 1 - G(a) is at
+    most 2^-54, half the gap below 1.0, and G(a) rounds to 1.0, which is
+    returned without the sum (mpmath's erfc overflows beyond a ~ 1e155).
     """
+    if a * a / 8.0 >= 55.0 * math.log(2.0):
+        return 1.0
     dps = 25 + int(math.pi * math.pi / (2.0 * a * a) / math.log(10.0)) + 10
     with mpmath.workdps(dps):
         am = mpmath.mpf(a)
@@ -85,6 +94,42 @@ def big_g_oracle(a: float) -> float:
             # bins k and -k together hold tails[k-1] - tails[k]
             bins = tails[k - 1] - tails[k]
             total += -bins if (k & 1) else bins
+        return float(total)
+
+
+def phi_oracle(x: float, a: float) -> float:
+    """Up-shift probability phi(x) from its forward series, in mpmath.
+
+    phi(x) = sum_{k>=1} (-1)^(k+1) [1 - gamma(x + k a)] exp(-k a x - k^2 a^2 / 2),
+    the unrolled recurrence phi(x) p(x) = [1 - gamma(x+a) - phi(x+a)] p(x+a),
+    with the stay probability gamma(y) = sum_{j in Z} (-1)^j
+    exp(-j a y - j^2 a^2 / 2) on |y| < a/2 and 0 elsewhere.  Both series
+    are summed at 50 digits at every x, the negative x where a float sum
+    would cancel (``kernels`` takes the mirrored series there) included,
+    until their terms fall below 10^-60 past their largest, and the sum is
+    rounded to a double once; no float64 series of ``kernels`` enters.
+    """
+    with mpmath.workdps(50):
+        xm, am = mpmath.mpf(x), mpmath.mpf(a)
+        floor = -60 * mpmath.log(10)  # terms of smaller exponent are left out
+
+        def gamma(y):
+            if abs(y) >= am / 2:
+                return mpmath.mpf(0)
+            total, j = mpmath.mpf(1), 1
+            # the pair of terms +-j decreases with j; its larger exponent is j a |y| - half
+            while j * am * abs(y) - (half := j * j * am * am / 2) >= floor:
+                pair = mpmath.exp(-j * am * y - half) + mpmath.exp(j * am * y - half)
+                total += -pair if (j & 1) else pair
+                j += 1
+            return total
+
+        total, k = mpmath.mpf(0), 1
+        # the terms grow while k a < -x, then decrease
+        while (exponent := -k * am * xm - k * k * am * am / 2) >= floor or k * am <= -xm:
+            term = (1 - gamma(xm + k * am)) * mpmath.exp(exponent)
+            total += term if (k & 1) else -term
+            k += 1
         return float(total)
 
 

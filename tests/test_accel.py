@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import phi_oracle
 from parityshift import accel
 from parityshift.kernels import KernelParams, KernelRangeError, eval_gamma, eval_phi
 
@@ -35,6 +36,19 @@ def test_phi_gamma_matches_scalar(a):
     for i in idx:
         assert abs(phi[i] - eval_phi(float(x[i]), params)) <= 2e-12
         assert abs(gamma[i] - eval_gamma(float(x[i]), params)) <= 2e-12
+
+
+# a below sqrt(pi) takes the dual route for gamma (phi's mirrored series
+# at x < 0 uses it), 2.5 the primal one
+@pytest.mark.parametrize("a", [0.3, 1.2, 2.5])
+def test_phi_matches_mpmath_oracle(a):
+    # the scalar series stops at a tail of 1e-12 relative, and the array
+    # plan leaves out tails below 1e-15
+    x = np.linspace(-4.0, 4.0, 161)
+    expected = np.array([phi_oracle(float(v), a) for v in x])
+    scalar = np.array([eval_phi(float(v), KernelParams(a)) for v in x])
+    assert np.abs(scalar - expected).max() <= 1e-12
+    assert np.abs(accel.phi_gamma(x, accel.plan_for(a))[0] - expected).max() <= 1e-15
 
 
 def _phi_gamma_boolean_mask(x, plan):

@@ -80,24 +80,35 @@ class TestPerturbationVector:
     def test_rle_roundtrip(self):
         theta = PerturbationVector(np.array([0, 0, 1, 1, 1, -1, 0], dtype=np.int8), 1.5)
         rle = theta.to_rle()
-        assert rle == [[0, 2], [1, 3], [-1, 1], [0, 1]]
+        assert rle.tolist() == [[0, 2], [1, 3], [-1, 1], [0, 1]]
         back = perturbation_from_rle(rle, 1.5)
         assert (back.signs == theta.signs).all()
 
     def test_rle_elements_are_python_ints(self):
-        # the pairs go straight into json.dumps, which rejects numpy scalars
+        # one int64 [sign, count] row a run, as TrialRecord.json_line reads
+        # them; tolist gives the pairs as lists of Python ints
         theta = PerturbationVector(np.array([-1, -1, 0, 1, 0, 0], dtype=np.int8), 1.0)
         rle = theta.to_rle()
-        assert rle == [[-1, 2], [0, 1], [1, 1], [0, 2]]
-        assert all(type(pair) is list for pair in rle)
-        assert all(type(v) is int for pair in rle for v in pair)
-        assert PerturbationVector(np.empty(0, dtype=np.int8), 1.0).to_rle() == []
+        assert rle.dtype == np.int64 and rle.shape == (4, 2)
+        assert rle.tolist() == [[-1, 2], [0, 1], [1, 1], [0, 2]]
+        assert all(type(v) is int for pair in rle.tolist() for v in pair)
+        empty = PerturbationVector(np.empty(0, dtype=np.int8), 1.0).to_rle()
+        assert empty.dtype == np.int64 and empty.shape == (0, 2)
+
+    def test_rle_of_a_block_row(self):
+        signs = np.array([[1, 1, 0, -1], [0, 0, 0, 0], [-1, 1, -1, 1]], dtype=np.int8)
+        block = PerturbationVector(signs, 1.0)
+        for r, row in enumerate(signs):
+            assert block.to_rle(r).tolist() == PerturbationVector(row, 1.0).to_rle().tolist()
+        with pytest.raises(ValueError, match="one row of a block"):
+            block.to_rle()
 
     @given(st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=60))
     def test_rle_roundtrip_property(self, signs):
         theta = PerturbationVector(np.array(signs, dtype=np.int8), 1.0)
         # loop reference for the vectorised encoder
-        assert theta.to_rle() == [[s, len(list(run))] for s, run in itertools.groupby(signs)]
+        assert theta.to_rle().tolist() == [[s, len(list(run))]
+                                           for s, run in itertools.groupby(signs)]
         back = perturbation_from_rle(theta.to_rle(), 1.0)
         assert (back.signs == theta.signs).all()
 

@@ -229,26 +229,32 @@ SMALL_CONFIGS = {
 class TestTrialRecords:
     @pytest.mark.parametrize("operation", sorted(SMALL_CONFIGS))
     def test_lines_match_asdict(self, operation, tmp_path):
+        # trials.jsonl holds the lines the run passes to on_trial, each
+        # json's own encoding of a dict of every TrialRecord field
         config = tmp_path / "spec.json"
         config.write_text(json.dumps({"operation": operation, **SMALL_CONFIGS[operation],
                                       "trials": 6, "master_seed": 5}))
         run_cli(["experiment", "--config", str(config), "--out", str(tmp_path),
                  "--format", "json,jsonl"])
-        lines = (tmp_path / "trials.jsonl").read_text().splitlines()
+        lines = (tmp_path / "trials.jsonl").read_text().splitlines(keepends=True)
         spec = json.loads((tmp_path / "summary.json").read_text())["spec"]
         recs = []
         cli._OPERATIONS[operation](ExperimentSpec(**spec), on_trial=recs.append)
-        assert lines == [json.dumps(dataclasses.asdict(rec), sort_keys=True) for rec in recs]
+        assert lines == recs
+        assert lines == [json.dumps(json.loads(line), sort_keys=True) + "\n" for line in lines]
+        fields = sorted(field.name for field in dataclasses.fields(harness.TrialRecord))
+        assert [list(json.loads(line)) for line in lines] == [fields] * 6
+        assert [json.loads(line)["trial_index"] for line in lines] == list(range(6))
         assert not (tmp_path / "trials.jsonl.partial").exists()
 
     def test_raising_run_leaves_no_trials_file(self, tmp_path, monkeypatch):
         real = cli._OPERATIONS["thm2_undetectable"]
 
         def crash_on_third_trial(spec, on_trial):
-            def record(rec):
-                if rec.trial_index == 2:
+            def record(line):
+                if json.loads(line)["trial_index"] == 2:
                     raise RuntimeError("trial 2 failed")
-                on_trial(rec)
+                on_trial(line)
 
             return real(spec, on_trial=record)
 

@@ -46,10 +46,10 @@ class TestBigGValue:
         assert values[0] == 0.0 and values[-1] == 1.0
 
     def test_bin_mass_route_matches_oracle(self):
-        # G(a) rounds to 1 from a ~ 17 on; mpmath's erfc slows past
-        # a ~ 1e80 and overflows a float near 1e155
+        # G(a) rounds to 1 from a ~ 17 on, where the oracle returns 1.0
+        # without summing
         for a in BIG_G_GRID:
-            if BIG_G_CROSSOVER_A <= a <= 1e60:
+            if BIG_G_CROSSOVER_A <= a <= 1e300:
                 assert abs(big_g_value(a) - big_g_oracle(a)) <= 1e-15, a
 
 

@@ -143,11 +143,11 @@ class TestCouplingValidation:
     def test_trial_records(self):
         spec = ExperimentSpec(regime="fixed_a", a=1.0, n=50, trials=4, master_seed=SEED,
                               epsilon=0.004)
-        recs = []
-        run_coupling_validation(spec, on_trial=recs.append)
-        assert len(recs) == 4
-        rec = recs[0]
-        assert rec.zero_count == sum(c for s, c in rec.theta_rle if s == 0)
+        lines = []
+        run_coupling_validation(spec, on_trial=lines.append)
+        assert len(lines) == 4
+        rec = json.loads(lines[0])
+        assert rec["zero_count"] == sum(c for s, c in rec["theta_rle"] if s == 0)
 
     def test_hoeffding_tail_is_the_family_complement(self):
         # at a = 2, n = 50 the exact tail P(sr >= G + eps) is about 0.19, so
@@ -338,26 +338,28 @@ class TestOnTrial:
     @pytest.mark.parametrize("run, kwargs", SMALL_RUNS, ids=lambda v: getattr(v, "__name__", ""))
     def test_once_per_trial_in_order(self, run, kwargs):
         spec = ExperimentSpec(**kwargs, trials=7, master_seed=SEED)
-        recs = []
-        streamed = run(spec, on_trial=recs.append)
-        assert [rec.trial_index for rec in recs] == list(range(spec.trials))
+        lines = []
+        streamed = run(spec, on_trial=lines.append)
+        recs = [json.loads(line) for line in lines]
+        assert [rec["trial_index"] for rec in recs] == list(range(spec.trials))
         # recording never changes what the run reports
         assert streamed.to_dict() == run(spec).to_dict()
         # every attack keeps only +1 labels unmoved and flips the rest
         for rec in recs:
-            s_pre = round(rec.statistic_pre * spec.n)
-            assert round(rec.statistic_post * spec.n) == 2 * rec.zero_count - s_pre
+            s_pre = round(rec["statistic_pre"] * spec.n)
+            assert round(rec["statistic_post"] * spec.n) == 2 * rec["zero_count"] - s_pre
 
     def test_thm1_detectable_attacks_rejected_trials(self):
         # c = 4 at n = 50 misses two premises, so some null samples are rejected
         spec = ExperimentSpec(regime="cube_scaling", c=4.0, n=50, trials=200, master_seed=7)
-        recs = []
-        out = run_thm1_detectable(spec, on_trial=recs.append)
+        lines = []
+        out = run_thm1_detectable(spec, on_trial=lines.append)
+        recs = [json.loads(line) for line in lines]
         rec = recs[129]
-        assert not rec.accepted_pre and round(rec.statistic_pre * spec.n) == -2
-        assert round(rec.statistic_post * spec.n) == 2
-        assert rec.accepted_post
-        assert all(r.theta_rle == [[1, 50]] for r in recs)
+        assert not rec["accepted_pre"] and round(rec["statistic_pre"] * spec.n) == -2
+        assert round(rec["statistic_post"] * spec.n) == 2
+        assert rec["accepted_post"]
+        assert all(r["theta_rle"] == [[1, 50]] for r in recs)
         # the summary counts only accepted trials as attacked, as before
         assert out.passed
         assert out.counts == {"attacked": 198, "overlap_count": 0, "flip_violations": 0}
@@ -366,21 +368,33 @@ class TestOnTrial:
 
     @pytest.mark.parametrize("run, kwargs", SMALL_RUNS, ids=lambda v: getattr(v, "__name__", ""))
     def test_json_line_of_every_run(self, run, kwargs):
+        # each line is json's own encoding of the record it holds, and
+        # holds every field of a TrialRecord
         spec = ExperimentSpec(**kwargs, trials=7, master_seed=SEED)
-        recs = []
-        run(spec, on_trial=recs.append)
-        assert [rec.json_line() for rec in recs] == [_dumped(rec) for rec in recs]
+        lines = []
+        run(spec, on_trial=lines.append)
+        assert lines == [json.dumps(json.loads(line), sort_keys=True) + "\n" for line in lines]
+        fields = sorted(field.name for field in dataclasses.fields(TrialRecord))
+        assert all(list(json.loads(line)) == fields for line in lines)
 
 
 def _dumped(rec: TrialRecord) -> str:
-    # the reference: json's own encoding of the record's fields
-    return json.dumps(vars(rec), sort_keys=True, check_circular=False) + "\n"
+    # the reference: json's own encoding of the record's fields, the
+    # run lengths as a list of [sign, count] pairs
+    rle = None if rec.theta_rle is None else rec.theta_rle.tolist()
+    return json.dumps({**vars(rec), "theta_rle": rle}, sort_keys=True,
+                      check_circular=False) + "\n"
+
+
+def _rle(pairs) -> np.ndarray:
+    # run lengths as to_rle returns them: a (k, 2) int64 array
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def _record(**fields) -> TrialRecord:
     return TrialRecord(**{"trial_index": 3, "statistic_pre": 0.25, "statistic_post": -0.5,
                           "sr": 0.125, "accepted_pre": True, "accepted_post": False,
-                          "zero_count": 7, "theta_rle": [[0, 4], [1, 1]], **fields})
+                          "zero_count": 7, "theta_rle": _rle([[0, 4], [1, 1]]), **fields})
 
 
 # counts up to BOUND - 1 come from json_line's table, the rest are formatted directly
@@ -394,7 +408,7 @@ class TestJsonLine:
         [[0, 1], [1, 2], [0, 3], [-1, 1], [1, 40], [-1, 255]],
     ])
     def test_theta_rle(self, theta_rle):
-        rec = _record(theta_rle=theta_rle)
+        rec = _record(theta_rle=None if theta_rle is None else _rle(theta_rle))
         assert rec.json_line() == _dumped(rec)
 
     @pytest.mark.parametrize("fields", [
@@ -435,7 +449,8 @@ class TestJsonLine:
 
 def _per_trial_coupling_records(spec):
     # record fields as a one-trial-at-a-time loop makes them: one draw,
-    # one couple_perturb, one parity pass per sample
+    # one couple_perturb, one parity pass per sample; theta_rle as its
+    # JSON line holds it
     a, n = spec.effective_a, spec.n
     params = KernelParams(a, rel_tol=spec.rel_tol)
     out = []
@@ -445,24 +460,25 @@ def _per_trial_coupling_records(spec):
         theta, x_post = couple_perturb(x, params, rng.random(n))
         _, s_pre = accel.parity_labels_and_sum(x, a)
         _, s_post = accel.parity_labels_and_sum(x_post, a)
-        out.append((i, s_pre / n, s_post / n, theta.zero_count, theta.to_rle()))
+        out.append((i, s_pre / n, s_post / n, theta.zero_count, theta.to_rle().tolist()))
     return out
 
 
 def _record_fields(recs):
-    return [(r.trial_index, r.statistic_pre, r.statistic_post, r.zero_count, r.theta_rle)
-            for r in recs]
+    return [(r["trial_index"], r["statistic_pre"], r["statistic_post"], r["zero_count"],
+             r["theta_rle"]) for r in recs]
 
 
-def _check_thm1_records(spec, recs):
+def _check_thm1_records(spec, lines):
     # thm1-undetectable's records come from its central-bin die and the
     # flip identity; they must equal the full coupling and direct binning
     # of x + theta, trial by trial, and carry no theta_rle
+    recs = [json.loads(line) for line in lines]
     expected = [(i, s_pre, s_post, zc, None)
                 for i, s_pre, s_post, zc, _ in _per_trial_coupling_records(spec)]
     assert _record_fields(recs) == expected
     for rec in recs:
-        assert rec.sr == rec.zero_count / spec.n
+        assert rec["sr"] == rec["zero_count"] / spec.n
 
 
 @pytest.mark.filterwarnings("ignore:theorem premises not all met")
@@ -488,20 +504,21 @@ class TestTrialBlocks:
     @pytest.mark.parametrize("n, trials", [(200, 7), (200, 1), (harness._BLOCK_COORDS + 50, 2)])
     def test_records_match_per_trial_loop(self, run, n, trials):
         spec = ExperimentSpec(regime="fixed_a", a=2.0, n=n, trials=trials, master_seed=SEED)
-        recs = []
-        run(spec, on_trial=recs.append)
+        lines = []
+        run(spec, on_trial=lines.append)
+        recs = [json.loads(line) for line in lines]
         assert _record_fields(recs) == _per_trial_coupling_records(spec)
         for rec in recs:
-            assert rec.sr == rec.zero_count / n
+            assert rec["sr"] == rec["zero_count"] / n
 
     @pytest.mark.parametrize("n, trials", [(200, 7), (200, 1), (harness._BLOCK_COORDS + 50, 2)])
     def test_thm1_records_match_per_trial_loop(self, n, trials):
         # c just below pi/sqrt(2): some trials keep a coordinate in place
         spec = ExperimentSpec(regime="cube_scaling", c=2.2, n=n, trials=trials, master_seed=SEED)
-        recs = []
-        run_thm1_undetectable(spec, on_trial=recs.append)
-        _check_thm1_records(spec, recs)
-        assert any(rec.zero_count for rec in recs)
+        lines = []
+        run_thm1_undetectable(spec, on_trial=lines.append)
+        _check_thm1_records(spec, lines)
+        assert any(json.loads(line)["zero_count"] for line in lines)
 
     def test_pool_matches_per_trial_concatenation(self):
         spec = ExperimentSpec(regime="fixed_a", a=2.0, n=300, trials=9, master_seed=SEED)
@@ -739,9 +756,9 @@ class TestSharding:
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_records_larger_than_a_pipe(self, shard, workers):
-        # a task's three theta rows of 30,000 signs pickle to about 90 KB,
-        # more than a 64 KiB pipe holds, so each worker blocks in send
-        # until this process reads its result
+        # a task's three record lines of 30,000 coordinates, about
+        # 170 KB of text each, are more than a 64 KiB pipe holds, so each
+        # worker blocks in send until this process reads its result
         spec = ExperimentSpec(regime="fixed_a", a=2.0, n=30_000, trials=20, master_seed=SEED)
         shard(1)
         ref_recs = []
@@ -751,6 +768,26 @@ class TestSharding:
         assert run_coupling_validation(spec, on_trial=recs.append).to_dict() == ref
         assert recs == ref_recs
         assert shard.calls == [workers]
+        assert _children() == []
+
+    @pytest.mark.parametrize("blocks, trials, workers", [(31, 124, 0), (32, 125, 2)])
+    def test_shard_threshold(self, monkeypatch, blocks, trials, workers):
+        # at n = 4096 a block holds 4 trials, so 124 trials are 31 blocks
+        # and 125 are 32, the fewest that two workers of at least 16
+        # blocks each can share
+        if workers > forked.worker_count():
+            pytest.skip(f"needs {workers} cores")
+        spec = ExperimentSpec(regime="fixed_a", a=2.0, n=4096, trials=trials, master_seed=SEED)
+        assert -(-trials // (harness._BLOCK_COORDS // spec.n)) == blocks
+        with monkeypatch.context() as one_core:
+            one_core.setattr(harness, "worker_count", lambda: 1)
+            ref_lines = []
+            ref = run_coupling_validation(spec, on_trial=ref_lines.append).to_dict()
+        reaped = len(forked.worker_usage)
+        lines = []
+        assert run_coupling_validation(spec, on_trial=lines.append).to_dict() == ref
+        assert lines == ref_lines
+        assert len(forked.worker_usage) - reaped == workers
         assert _children() == []
 
     def test_thm1_records_match_per_trial_loop(self, shard):
@@ -796,8 +833,8 @@ class TestSharding:
         shard(2)
         spec = ExperimentSpec(regime="fixed_a", a=2.0, n=100, trials=20, master_seed=SEED)
 
-        def fail_at_trial_5(rec):
-            if rec.trial_index == 5:
+        def fail_at_trial_5(line):
+            if json.loads(line)["trial_index"] == 5:
                 raise ValueError("disk full")
 
         with pytest.raises(ValueError, match="disk full"):
@@ -806,10 +843,10 @@ class TestSharding:
 
 
 # A sharded run whose consumer takes a second a record, so the workers
-# fill their pipes (about 90 KB a task) and block in send.  It prints
-# the worker pids once the first record arrives.
+# fill their pipes (about 500 KB of record lines a task) and block in
+# send.  It prints the worker pids once the first record arrives.
 _PARENT_DEATH_SCRIPT = """
-import time
+import json, time
 from pathlib import Path
 from parityshift import harness
 from parityshift.harness import ExperimentSpec, run_thm2_undetectable
@@ -819,8 +856,8 @@ harness._BLOCK_COORDS = 1
 harness._TASK_BLOCKS = 3
 harness._MIN_WORKER_BLOCKS = 1
 
-def on_trial(rec):
-    if rec.trial_index == 0:
+def on_trial(line):
+    if json.loads(line)["trial_index"] == 0:
         print(*(pid for tasks in Path("/proc/self/task").glob("*/children")
                 for pid in tasks.read_text().split()), flush=True)
     time.sleep(1)
@@ -931,12 +968,16 @@ def test_workers_exit_when_parent_is_killed():
 # them at their start-up values, 128 KiB each, as in a process without
 # that history.  An import can also leave a free hole in the heap that
 # holds a block's temporaries, so they never reach the top of the heap;
-# the live fill arrays of 120,000 B use up such holes.
+# the live fill arrays of 120,000 B use up such holes.  The script runs
+# on one CPU, so that its 125 blocks run in-process, where its page
+# faults are counted.
 _FAULTS_SCRIPT = """
-import ctypes, json, resource
+import ctypes, json, os, resource
 import numpy as np
 from parityshift import forked
 from parityshift.harness import ExperimentSpec, run_thm2_undetectable
+
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 mallopt = ctypes.CDLL(None).mallopt
 mallopt(-1, 128 << 10)  # M_TRIM_THRESHOLD
@@ -962,7 +1003,7 @@ def test_freed_block_memory_is_reused():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["workers"] == 0  # below the shard threshold: every block ran in-process
+    assert result["workers"] == 0  # on one CPU: every block ran in-process
     assert result["faults"] <= 20 * 125
 
 
@@ -977,8 +1018,8 @@ from parityshift.harness import ExperimentSpec, run_thm1_detectable
 class FirstRecord(Exception):
     pass
 
-def on_trial(rec):
-    raise FirstRecord(rec.trial_index)
+def on_trial(line):
+    raise FirstRecord(json.loads(line)["trial_index"])
 
 spec = ExperimentSpec(regime="cube_scaling", c=4.0, n=10000, trials=int(sys.argv[1]),
                       master_seed=1)
