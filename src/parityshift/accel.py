@@ -17,8 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import (MODE_CROSSOVER_A, SQRT_TWO_PI, KernelParams, KernelRangeError,
-                      square_underflows)
+from .kernels import MODE_CROSSOVER_A, SQRT_TWO_PI, KernelParams, KernelRangeError
 
 __all__ = [
     "SeriesPlan",
@@ -51,13 +50,8 @@ class SeriesPlan:
 
 @lru_cache(maxsize=64)
 def plan_for(a: float, rel_tol: float = 1e-12) -> SeriesPlan:
-    """Build (and cache) the term plan for bin width a."""
-    if not (a > 0.0 and math.isfinite(a)):
-        raise ValueError(f"a must be positive and finite, got {a!r}")
-    if square_underflows(a):
-        raise ValueError(f"a: {a!r} is too small, its square underflows")
-    if not (0.0 < rel_tol <= 1e-6):
-        raise ValueError(f"rel_tol must lie in (0, 1e-6], got {rel_tol!r}")
+    """Build (and cache) the term plan for bin width a; ``KernelParams`` checks a and rel_tol."""
+    KernelParams(a, rel_tol)
     target = -math.log(rel_tol * 1e-3)
 
     k_phi = max(2, math.ceil(math.sqrt(2.0 * target) / a) + 1)
@@ -66,7 +60,11 @@ def plan_for(a: float, rel_tol: float = 1e-12) -> SeriesPlan:
         raise ValueError(f"a: {a!r} is too small, phi's series would take {k_phi:.3g} terms, "
                          f"more than the {KernelParams.max_terms} the scalar reference allows")
     ks = np.arange(1, k_phi + 1, dtype=np.float64)
-    phi_coef = np.exp(-0.5 * (ks * a) ** 2)
+    # From a = 40 on, every coefficient but gamma's first (1) is exp(-800)
+    # or less, which is 0; a capped at 40 gives the same bits without
+    # overflowing a^2, which a huge cube-regime c would.
+    a_exp = min(a, 40.0)
+    phi_coef = np.exp(-0.5 * (ks * a_exp) ** 2)
 
     use_dual = a < MODE_CROSSOVER_A
     if use_dual:
@@ -83,7 +81,7 @@ def plan_for(a: float, rel_tol: float = 1e-12) -> SeriesPlan:
         disc = 1.0 + 8.0 * (target + math.log(2.0)) / (a * a)
         k_gamma = max(2, math.ceil(0.5 * (-1.0 + math.sqrt(disc))) + 1)
         kg = np.arange(1, k_gamma + 1, dtype=np.float64)
-        gamma_coef = np.exp(-0.5 * kg * (kg - 1.0) * a * a)
+        gamma_coef = np.exp(-0.5 * kg * (kg - 1.0) * a_exp * a_exp)
         dual_coef = np.empty(0, dtype=np.float64)
         dual_freq = np.empty(0, dtype=np.float64)
 

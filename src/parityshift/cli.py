@@ -10,10 +10,12 @@ experiment  run a harness operation (by preset and/or flags), write
 sweep       run the sweep operation the same way, write summary.json
             and sweep.csv
 
-Configuration layers, later wins: preset -> --config JSON -> flags.
-Exit codes: 0 all run-level assertions pass, 1 assertion failure,
-2 bad configuration.  Payload files are byte-stable for a fixed seed;
-timestamps live only in the run_meta.json sidecar.
+Configuration layers, later wins: preset -> --config JSON -> flags; a
+preset is the flat object a config file holds.  Exit codes: 0 every
+check passes, 1 a check failed (never a crash), 2 bad configuration,
+with ``error: <field>:`` naming the field.  Payload files are
+byte-stable for a fixed seed; timestamps live only in the run_meta.json
+sidecar.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from pathlib import Path
 import numpy as np
 
 from . import forked, harness
-from .harness import ExperimentSpec, SpecValidationError
-from .kernels import (KernelParams, SeriesConvergenceError, eval_g, eval_gamma, eval_phi,
-                      fp_residual, normal_pdf)
+from .harness import ExperimentSpec
+from .kernels import (POSITIVE_FINITE, KernelParams, SeriesConvergenceError, check_real, eval_g,
+                      eval_gamma, eval_phi, fp_residual, normal_pdf)
 
 __all__ = ["main", "run_cli", "PRESETS"]
 
@@ -52,53 +54,37 @@ _OPERATIONS = {
     "sweep": harness.sweep_phase_transition,
 }
 
-# Acceptance-grade parameter sets, runnable by name.
+# Acceptance-grade parameter sets, runnable by name.  Each is the flat
+# JSON object a --config file holds: operation, spec fields and grid.
 PRESETS: dict[str, dict] = {
-    "coupling-a1": {
-        "operation": "coupling_validation",
-        # G(1) ~ 9.16e-3, so the epsilon window must sit below it
-        "spec": {"regime": "fixed_a", "a": 1.0, "n": 1000, "trials": 1000, "epsilon": 0.005},
-    },
-    "coupling-a2": {
-        "operation": "coupling_validation",
-        "spec": {"regime": "fixed_a", "a": 2.0, "n": 1000, "trials": 1000, "epsilon": 0.05},
-    },
-    "hoeffding": {
-        "operation": "coupling_validation",
-        "spec": {"regime": "fixed_a", "a": 2.0, "n": 2000, "trials": 10000, "epsilon": 0.05},
-    },
-    "thm1-undetectable": {
-        "operation": "thm1_undetectable",
-        "spec": {"regime": "cube_scaling", "c": 1.5, "n": 10000, "trials": 10000},
-    },
-    "thm1-detectable": {
-        "operation": "thm1_detectable",
-        "spec": {"regime": "cube_scaling", "c": 4.0, "n": 10000, "trials": 10000, "lam": 3.0},
-    },
-    "thm2-undetectable": {
-        "operation": "thm2_undetectable",
-        "spec": {"regime": "fixed_a", "a": 2.0, "n": 2000, "trials": 10000,
-                 "epsilon": 0.05, "lam": 3.0},
-    },
-    "thm2-detectable": {
-        "operation": "thm2_detectable",
-        "spec": {"regime": "fixed_a", "a": 2.0, "n": 5000, "trials": 10000,
-                 "epsilon": 0.05, "lam": 3.0},
-    },
-    "sweep-t": {
-        "operation": "sweep",
-        "spec": {"regime": "fixed_a", "a": 2.0, "n": 2000, "trials": 10000,
-                 "epsilon": 0.05, "lam": 3.0},
-        "t_offsets": [-0.15, -0.1, -0.05, 0.0, 0.05, 0.1, 0.15],
-    },
-    "sweep-c": {
-        "operation": "sweep",
-        "spec": {"regime": "cube_scaling", "c": 1.0, "n": 2000, "trials": 1000},
-        "c_values": [1.0 + 0.25 * j for j in range(13)],
-    },
+    # G(1) ~ 9.16e-3, so the epsilon window must sit below it
+    "coupling-a1": {"operation": "coupling_validation", "regime": "fixed_a", "a": 1.0,
+                    "n": 1000, "trials": 1000, "epsilon": 0.005},
+    "coupling-a2": {"operation": "coupling_validation", "regime": "fixed_a", "a": 2.0,
+                    "n": 1000, "trials": 1000, "epsilon": 0.05},
+    "hoeffding": {"operation": "coupling_validation", "regime": "fixed_a", "a": 2.0,
+                  "n": 2000, "trials": 10000, "epsilon": 0.05},
+    "thm1-undetectable": {"operation": "thm1_undetectable", "regime": "cube_scaling", "c": 1.5,
+                          "n": 10000, "trials": 10000},
+    "thm1-detectable": {"operation": "thm1_detectable", "regime": "cube_scaling", "c": 4.0,
+                        "n": 10000, "trials": 10000, "lam": 3.0},
+    "thm2-undetectable": {"operation": "thm2_undetectable", "regime": "fixed_a", "a": 2.0,
+                          "n": 2000, "trials": 10000, "epsilon": 0.05, "lam": 3.0},
+    "thm2-detectable": {"operation": "thm2_detectable", "regime": "fixed_a", "a": 2.0,
+                        "n": 5000, "trials": 10000, "epsilon": 0.05, "lam": 3.0},
+    "sweep-t": {"operation": "sweep", "regime": "fixed_a", "a": 2.0, "n": 2000, "trials": 10000,
+                "epsilon": 0.05, "lam": 3.0,
+                "t_offsets": [-0.15, -0.1, -0.05, 0.0, 0.05, 0.1, 0.15]},
+    "sweep-c": {"operation": "sweep", "regime": "cube_scaling", "c": 1.0, "n": 2000,
+                "trials": 1000, "c_values": [1.0 + 0.25 * j for j in range(13)]},
 }
 
 _SPEC_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentSpec))
+_GRIDS = ("t_offsets", "c_values")
+# Rows a kernels table may have.  Each row sums the scalar series, which
+# took 50 us at a = 1 and 1 ms at a = 0.0326 on a 2-core machine, and a
+# table is built in memory before it is written.
+_MAX_KERNEL_ROWS = 100_000
 
 
 def _fmt(v: float) -> str:
@@ -182,24 +168,21 @@ def _grid(key: str, value) -> list:
 
 
 def _build_spec(args) -> tuple[str, dict, dict]:
-    """Layer preset -> config file -> flags into (operation, spec kwargs, extras).
+    """Merge preset -> config file -> flags into (operation, spec kwargs, grids).
 
-    A non-null bin width of the other regime (c under fixed_a, a under
-    cube_scaling) is an error when the config file or a flag gives it; a
-    preset's is dropped, since a later layer may change the regime.
+    Each layer is a flat object of operation, spec fields and grid, and a
+    later layer's value wins.  A required spec field that no layer gives
+    stays None, which ExperimentSpec names.  A non-null bin width of the
+    other regime (c under fixed_a, a under cube_scaling) is an error when
+    the config file or a flag gives it; a preset's is dropped, since a
+    later layer may change the regime.
     """
-    operation = None
-    spec: dict = {}
-    extras: dict = {}
-    given: set[str] = set()  # spec fields set by the config file or a flag
+    layers = []  # (values, whether the config file or a flag gave them)
     if args.preset:
         if args.preset not in PRESETS:
             raise ConfigError(f"preset: unknown preset {args.preset!r} "
                               f"(choose from {sorted(PRESETS)})")
-        preset = PRESETS[args.preset]
-        operation = preset["operation"]
-        spec.update(preset["spec"])
-        extras = {k: v for k, v in preset.items() if k not in ("operation", "spec")}
+        layers.append((PRESETS[args.preset], False))
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.is_file():
@@ -211,47 +194,42 @@ def _build_spec(args) -> tuple[str, dict, dict]:
             raise ConfigError(f"config: invalid JSON ({exc})") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config: top level must be a JSON object")
-        operation = loaded.pop("operation", operation)
-        for key in list(loaded):
-            if key in _SPEC_FIELDS:
-                spec[key] = loaded.pop(key)
-                given.add(key)
-            elif key in ("t_offsets", "c_values"):
-                extras[key] = _grid(key, loaded.pop(key))
-            else:
+        layers.append((loaded, True))
+    # every flag's dest is the field it sets
+    layers.append(({name: value for name in ("operation", *_SPEC_FIELDS)
+                    if (value := getattr(args, name, None)) is not None}, True))
+    merged: dict = dict.fromkeys(("regime", "n", "trials"))
+    given: set[str] = set()
+    for values, user in layers:
+        for key, value in values.items():
+            if key in _GRIDS:
+                value = _grid(key, value)
+            elif key != "operation" and key not in _SPEC_FIELDS:
                 raise ConfigError(f"config: unknown field {key!r}")
-    # every flag's dest is the spec field it sets
-    for field_name in _SPEC_FIELDS:
-        value = getattr(args, field_name, None)
-        if value is not None:
-            spec[field_name] = value
-            given.add(field_name)
-    if "regime" not in spec:
-        if spec.get("c") is not None:
-            spec["regime"] = "cube_scaling"
-        elif spec.get("a") is not None:
-            spec["regime"] = "fixed_a"
-    unused = {"fixed_a": "c", "cube_scaling": "a"}.get(spec.get("regime"))
-    if unused is not None:
-        if spec.get(unused) is not None and unused in given:
-            raise ConfigError(f"{unused}: the {spec['regime']} regime does not take {unused}")
-        spec.pop(unused, None)
-    if getattr(args, "operation", None):
-        operation = args.operation
-    if operation is None and args.command == "sweep":
-        operation = "sweep"
-    if operation is None:
-        raise ConfigError("no operation: give --preset, --operation or a config file")
-    if spec.get("master_seed") is None:
+            merged[key] = value
+            if user:
+                given.add(key)
+    # sweep has one operation, so flags alone name the run; a null one is named as unknown
+    if "operation" not in merged:
+        if args.command != "sweep":
+            raise ConfigError("no operation: give --preset, --operation or a config file")
+        merged["operation"] = "sweep"
+    operation = merged.pop("operation")
+    grids = {key: merged.pop(key) for key in _GRIDS if key in merged}
+    if merged["regime"] is None:
+        if merged.get("c") is not None:
+            merged["regime"] = "cube_scaling"
+        elif merged.get("a") is not None:
+            merged["regime"] = "fixed_a"
+    # compared, not looked up: a config's regime may be any JSON value
+    for regime, unused in (("fixed_a", "c"), ("cube_scaling", "a")):
+        if merged["regime"] == regime:
+            if merged.get(unused) is not None and unused in given:
+                raise ConfigError(f"{unused}: the {regime} regime does not take {unused}")
+            merged.pop(unused, None)
+    if merged.get("master_seed") is None:
         raise ConfigError("master_seed: stochastic commands need --seed (or master_seed in config)")
-    return operation, spec, extras
-
-
-def _make_spec(spec_kwargs: dict) -> ExperimentSpec:
-    try:
-        return ExperimentSpec(**spec_kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"spec: {exc}") from exc
+    return operation, merged, grids
 
 
 def _make_out_dir(out_dir: Path) -> None:
@@ -265,22 +243,17 @@ def _make_out_dir(out_dir: Path) -> None:
 def _cmd_kernels(args, argv) -> int:
     start = _run_start()
     params = KernelParams(args.a, rel_tol=args.rel_tol)
-    if not (args.step > 0.0 and math.isfinite(args.step)):
-        raise ConfigError(f"step: must be positive and finite, got {args.step!r}")
+    check_real("step", args.step, POSITIVE_FINITE)
+    limit = params.x_max - params.a
     for name in ("xmin", "xmax"):
-        # NaN fails every comparison below, so it is named here
-        if not math.isfinite(value := getattr(args, name)):
-            raise ConfigError(f"{name}: must be a finite number, got {value!r}")
+        check_real(name, getattr(args, name),
+                   (f"lie within |x| <= x_max - a = {limit:g}", lambda x: abs(x) <= limit))
     if args.xmax < args.xmin:
         raise ConfigError("xmax: must be >= xmin")
-    if max(abs(args.xmin), abs(args.xmax)) > params.x_max - params.a:
-        raise ConfigError(
-            f"xmin/xmax: grid must stay within |x| <= x_max - a = {params.x_max - params.a:g}"
-        )
-    try:
-        xs = np.arange(args.xmin, args.xmax + 0.5 * args.step, args.step)
-    except (ValueError, MemoryError) as exc:
-        raise ConfigError(f"step: {args.step!r} is too small for the grid ({exc})") from exc
+    if (args.xmax - args.xmin) / args.step >= _MAX_KERNEL_ROWS:
+        raise ConfigError(f"step: {args.step!r} is too small for the grid, "
+                          f"which would pass {_MAX_KERNEL_ROWS} rows")
+    xs = np.arange(args.xmin, args.xmax + 0.5 * args.step, args.step)
     lines = ["x,p,g,gamma,phi,fp_residual"]
     worst = 0.0
     for x in xs:
@@ -335,18 +308,19 @@ def _exit_on_sigterm(signum, frame) -> None:
 def _cmd_run(args, argv) -> int:
     """Run one operation: ``experiment`` runs all but the sweep, ``sweep`` only the sweep."""
     start = _run_start()
-    operation, spec_kwargs, extras = _build_spec(args)
-    if operation not in _OPERATIONS:
+    operation, spec_kwargs, grids = _build_spec(args)
+    # a list, not the dict: a config's operation may be any JSON value, hashable or not
+    if operation not in list(_OPERATIONS):
         raise ConfigError(f"operation: unknown operation {operation!r}")
     if (operation == "sweep") != (args.command == "sweep"):
         raise ConfigError(f"operation: {operation!r} does not run under `{args.command}`; "
                           "`sweep` runs operation sweep and `experiment` the others")
-    if extras and operation != "sweep":
-        raise ConfigError(f"{', '.join(sorted(extras))}: only the `sweep` subcommand takes a grid")
+    if grids and operation != "sweep":
+        raise ConfigError(f"{min(grids)}: only the `sweep` subcommand takes a grid")
     formats = set((getattr(args, "format", None) or "json").split(","))
     if not formats <= {"json", "jsonl"}:
         raise ConfigError(f"format: must be a subset of json,jsonl, got {args.format!r}")
-    spec = _make_spec(spec_kwargs)
+    spec = ExperimentSpec(**spec_kwargs)
 
     out_dir = Path(args.out)
     # the directories made here, deepest first, removed again while
@@ -358,7 +332,7 @@ def _cmd_run(args, argv) -> int:
         if "jsonl" in formats:
             summary = _run_streaming_records(run, spec, out_dir / "trials.jsonl")
         else:
-            summary = run(spec, **extras)
+            summary = run(spec, **grids)
         _write_json(out_dir / "summary.json", summary.to_dict())
         if summary.rows is not None:
             (out_dir / "sweep.csv").write_text("\n".join(_sweep_csv_lines(summary.rows)) + "\n")
@@ -415,7 +389,7 @@ def _parser() -> argparse.ArgumentParser:
 
     def add_spec_flags(p):
         p.add_argument("--preset", default=None)
-        p.add_argument("--config", default=None, help="JSON file mirroring ExperimentSpec")
+        p.add_argument("--config", default=None, help="JSON object of operation, spec fields and grid, as a preset is")
         p.add_argument("--a", type=float, default=None)
         p.add_argument("--c", type=float, default=None)
         p.add_argument("--n", type=int, default=None)
@@ -449,7 +423,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args, argv)
-    except (ConfigError, SpecValidationError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and SpecValidationError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

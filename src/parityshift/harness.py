@@ -71,7 +71,7 @@ from . import accel
 from .attack import PerturbationVector, couple_perturb, optimal_parity_evasion, sparsity_budget
 from .detector import ZERO_TEST_MIN_SUM, big_g_value, min_accepted_sum
 from .forked import forked_map, worker_count
-from .kernels import KernelParams, square_underflows
+from .kernels import POSITIVE_FINITE, KernelParams, check_real, square_underflows
 from .stats import binomial_se, ks_distance_standard_normal, sample_moments, wilson_interval
 
 __all__ = [
@@ -89,9 +89,19 @@ __all__ = [
 ]
 
 _REGIMES = ("fixed_a", "cube_scaling")
+# The domains of the real fields ExperimentSpec checks itself
+# (``check_real``); KernelParams checks a and rel_tol.  c, t and alpha may
+# be None: c is then checked as the regime's bin width, and t and alpha
+# are unset.
+_REAL_DOMAINS = {
+    "c": POSITIVE_FINITE,
+    "t": ("lie in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    "epsilon": POSITIVE_FINITE,
+    "lam": POSITIVE_FINITE,
+    "alpha": ("lie in (0, 1)", lambda v: 0.0 < v < 1.0),
+}
+_UNSET_REALS = ("c", "t", "alpha")
 _MASK64 = (1 << 64) - 1
-# A positive real field lies at or below it, which rules out inf, NaN and
-# integers too large to convert to a double (a JSON config may hold one).
 _DOUBLE_MAX = sys.float_info.max
 # Coordinates per trial block: max(1, _BLOCK_COORDS // n) trials a block.
 _BLOCK_COORDS = 1 << 14
@@ -150,63 +160,50 @@ class ExperimentSpec:
     rel_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        # bool is a subclass of int, but True is not a count, a seed or a real number
-        for name in ("a", "c", "t", "epsilon", "lam", "alpha", "rel_tol"):
-            if isinstance(value := getattr(self, name), bool):
-                raise SpecValidationError(f"{name}: must be a real number, got {value!r}")
         if self.regime not in _REGIMES:
             raise SpecValidationError(f"regime: must be one of {_REGIMES}, got {self.regime!r}")
-        for name in ("n", "trials"):
+        # bool is a subclass of int, but True is not a count or a seed; n is
+        # an array length, so at most numpy's largest index
+        for name, most in (("n", 2**63 - 1), ("trials", _DOUBLE_MAX)):
             if not (type(value := getattr(self, name)) is int and value >= 1):
                 raise SpecValidationError(f"{name}: must be a positive integer, got {value!r}")
-            if value > _DOUBLE_MAX:
-                raise SpecValidationError(
-                    f"{name}: must not exceed the largest double, got {value!r}")
+            if value > most:
+                raise SpecValidationError(f"{name}: must be at most {most:.6g}, got {value!r}")
         if type(self.master_seed) is not int:
             raise SpecValidationError(f"master_seed: must be an integer, got {self.master_seed!r}")
-        if not (0.0 < self.epsilon <= _DOUBLE_MAX):
-            raise SpecValidationError(
-                f"epsilon: must be positive and finite, got {self.epsilon!r}")
+        for name, domain in _REAL_DOMAINS.items():
+            if (value := getattr(self, name)) is not None or name not in _UNSET_REALS:
+                check_real(name, value, domain, SpecValidationError)
         # the bounds take eps^2 and lambda^2 (exp(-2 n eps^2), lambda^2 / eps^2)
         if square_underflows(float(self.epsilon)):
             raise SpecValidationError(
                 f"epsilon: {self.epsilon!r} is too small, its square underflows")
-        if not (0.0 < self.lam <= _DOUBLE_MAX):
-            raise SpecValidationError(f"lam: must be positive and finite, got {self.lam!r}")
         if math.isinf(float(self.lam) * float(self.lam)):
             raise SpecValidationError(f"lam: {self.lam!r} is too large, its square overflows")
-        if self.alpha is not None and not (0.0 < self.alpha < 1.0):
-            raise SpecValidationError(f"alpha: must lie in (0, 1), got {self.alpha!r}")
-        if self.t is not None and not (0.0 <= self.t <= 1.0):
-            raise SpecValidationError(f"t: must lie in [0, 1], got {self.t!r}")
-        if not (0.0 < self.rel_tol <= 1e-6):
-            raise SpecValidationError(f"rel_tol: must lie in (0, 1e-6], got {self.rel_tol!r}")
+        width, other = ("a", "c") if self.regime == "fixed_a" else ("c", "a")
+        if getattr(self, other) is not None:
+            raise SpecValidationError(f"{other}: the {self.regime} regime must not set {other}")
+        if getattr(self, width) is None:
+            raise SpecValidationError(f"{width}: the {self.regime} regime requires {width}")
+        if self.regime == "cube_scaling" and self.n < 3:
+            raise SpecValidationError(
+                f"n: the cube_scaling regime requires n >= 3, got {self.n!r}")
+        try:
+            # KernelParams checks a and rel_tol, a's type before plan_for hashes it
+            KernelParams(self.a if self.regime == "fixed_a" else self.effective_a, self.rel_tol)
+            accel.plan_for(self.effective_a, self.rel_tol)
+        except ValueError as exc:
+            if self.regime == "cube_scaling" and str(exc).startswith("a:"):
+                raise SpecValidationError(f"c: {self.c!r} is too small at n = {self.n}, "
+                                          f"a = c / sqrt(ln n) ({exc})") from None
+            raise SpecValidationError(str(exc)) from None
         if self.regime == "fixed_a":
-            if self.a is None or not (0.0 < self.a <= _DOUBLE_MAX):
-                raise SpecValidationError(
-                    f"a: the fixed_a regime requires a positive finite a, got {self.a!r}")
-            if self.c is not None:
-                raise SpecValidationError("c: the fixed_a regime must not set c")
-            big_g = big_g_value(self.a)
+            big_g = big_g_value(self.effective_a)
             if not (0.0 < big_g - self.epsilon and big_g + self.epsilon < 1.0):
                 raise SpecValidationError(
                     f"epsilon: window violated: need 0 < G(a) - eps and G(a) + eps < 1, "
                     f"got G({self.a}) = {big_g!r}, eps = {self.epsilon!r}"
                 )
-        else:
-            if self.c is None or not (0.0 < self.c <= _DOUBLE_MAX):
-                raise SpecValidationError(
-                    f"c: the cube_scaling regime requires a positive finite c, got {self.c!r}")
-            if self.a is not None:
-                raise SpecValidationError("a: the cube_scaling regime must not set a")
-            if self.n < 3:
-                raise SpecValidationError(
-                    f"n: the cube_scaling regime requires n >= 3, got {self.n!r}")
-            try:
-                accel.plan_for(self.effective_a, self.rel_tol)
-            except ValueError as exc:
-                raise SpecValidationError(f"c: {self.c!r} is too small at n = {self.n}, "
-                                          f"a = c / sqrt(ln n) ({exc})") from None
 
     @property
     def effective_a(self) -> float:
@@ -416,7 +413,8 @@ def _tally(*jobs: _Job) -> list[dict[str, Any]]:
     _keep_freed_heap()
     bit_generator = Philox(0)
     shape = (jobs[0].rows_per_block, jobs[0].spec.n)
-    with _n_limits_memory(*shape):
+    # numpy raises ValueError for an array too large to index
+    with _n_limits_memory(*shape, ValueError):
         x = np.empty(shape)
         u = np.empty_like(x) if jobs[0].uniforms else None
     workers = min(worker_count(), sum(job.block_count for job in jobs) // _MIN_WORKER_BLOCKS)
@@ -456,14 +454,14 @@ def _tally(*jobs: _Job) -> list[dict[str, Any]]:
 
 
 @contextlib.contextmanager
-def _n_limits_memory(rows: int, n: int) -> Iterator[None]:
-    """Raise a MemoryError in a trial block as a SpecValidationError naming n.
+def _n_limits_memory(rows: int, n: int, *also: type[Exception]) -> Iterator[None]:
+    """Raise a MemoryError, or one of ``also``, in a trial block as an error naming n.
 
     Each of a block's arrays holds rows x n <= max(n, _BLOCK_COORDS) values.
     """
     try:
         yield
-    except MemoryError as exc:
+    except (MemoryError, *also) as exc:
         raise SpecValidationError(
             f"n: a trial block of {rows} x {n} values does not fit in memory: {exc}") from None
 
@@ -556,9 +554,10 @@ def _require(spec: ExperimentSpec, regime: str, operation: str, *unread: str) ->
 
 def _budget(t: float, n: int, name: str = "t") -> int:
     # sparsity_budget(t, n) of a t that must admit a perturbation; name is the field t came from
-    if not (0.0 <= t <= 1.0):
-        raise SpecValidationError(f"{name}: t = {t!r} outside [0, 1]")
-    budget = sparsity_budget(t, n)
+    try:
+        budget = sparsity_budget(t, n)
+    except ValueError as exc:
+        raise SpecValidationError(f"{name}: {exc}") from None
     if budget < 0:
         raise SpecValidationError(f"{name}: t = {t!r} leaves no admissible perturbation")
     return budget
@@ -976,18 +975,14 @@ def sweep_phase_transition(
     n, trials = spec.n, spec.trials
     if c_values is None:
         c_values = [1.0 + 0.25 * j for j in range(13)]
-    for c in c_values:
-        if not (0.0 < c <= _DOUBLE_MAX):
-            raise SpecValidationError(f"c_values: c = {c!r} must be positive and finite")
-
     try:
-        cells = [replace(spec, c=float(c)) for c in c_values]
+        cells = [replace(spec, c=c) for c in c_values]
     except SpecValidationError as exc:
-        raise SpecValidationError(f"c_values: {exc}") from exc
+        raise SpecValidationError(f"c_values: {exc}") from None
     big_gs = [big_g_value(cell.effective_a) for cell in cells]
     tallies = _tally(*(_coupling_job(cell, ZERO_TEST_MIN_SUM) for cell in cells))
     for cell, big_g, tally in zip(cells, big_gs, tallies):
-        rows.append({"kind": "c", "c": cell.c, "a": cell.effective_a, "big_g": big_g,
+        rows.append({"kind": "c", "c": float(cell.c), "a": cell.effective_a, "big_g": big_g,
                      "exact_no_stay": (1.0 - big_g) ** n,
                      "no_stay_rate": _rate(tally["zero_free"], trials),
                      "null_accept_rate": tally["accept_pre"] / trials,

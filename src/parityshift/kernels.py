@@ -45,6 +45,8 @@ __all__ = [
     "KernelRangeError",
     "MODE_CROSSOVER_A",
     "BIG_G_CROSSOVER_A",
+    "POSITIVE_FINITE",
+    "check_real",
     "square_underflows",
     "normal_pdf",
     "eval_g",
@@ -84,12 +86,32 @@ class KernelRangeError(RuntimeError):
     """
 
 
+#: A positive real's domain, as ``check_real`` takes it: at most the
+#: largest double, which rules out inf, NaN and integers too large to
+#: convert to a double (a JSON config may hold one).
+POSITIVE_FINITE = ("be positive and finite", lambda v: 0.0 < v <= sys.float_info.max)
+
+
+def check_real(name: str, value, domain: tuple, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless value is a real number inside domain.
+
+    domain is ``(text, inside)``: the message "name: must <text>, got
+    value" and the predicate the value must pass.  A bool, a string,
+    None or a list is not a real number, and is named as such first;
+    an int is compared exactly, never converted.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise error(f"{name}: must be a real number, got {value!r}")
+    text, inside = domain
+    if not inside(value):
+        raise error(f"{name}: must {text}, got {value!r}")
+
+
 def square_underflows(a: float) -> bool:
     """Whether a * a falls below the smallest normal double.
 
     The dual series take pi^2 / (2 a^2), which divides by zero once a * a
-    underflows to 0.  ``KernelParams`` and ``accel.plan_for`` (and through
-    it the harness's ``ExperimentSpec``) reject every such bin width (a
+    underflows to 0.  ``KernelParams`` rejects every such bin width (a
     below 1.4917e-154) before any series runs.
     """
     return a * a < sys.float_info.min
@@ -100,7 +122,7 @@ class KernelParams:
     """Evaluation parameters: bin half-width pairing and truncation control.
 
     a : hypercube edge half-length / bin width, dimensionless, > 0.
-    rel_tol : relative series tolerance, in (0, 1e-6].
+    rel_tol : relative series tolerance, in [1e-300, 1e-6].
     max_terms : cap on evaluated series terms, >= 8.
     """
 
@@ -109,14 +131,16 @@ class KernelParams:
     max_terms: int = 256
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.a, (int, float)) and math.isfinite(self.a) and self.a > 0):
-            raise ValueError(f"a must be a positive finite real, got {self.a!r}")
+        # the one check of a and rel_tol: accel.plan_for, the harness's
+        # ExperimentSpec and the kernels command build a KernelParams
+        check_real("a", self.a, POSITIVE_FINITE)
         if square_underflows(self.a):
             raise ValueError(f"a: {self.a!r} is too small, its square underflows")
-        if not (0.0 < self.rel_tol <= 1e-6):
-            raise ValueError(f"rel_tol must lie in (0, 1e-6], got {self.rel_tol!r}")
+        # accel.plan_for sums to rel_tol / 1000, which must not underflow to 0
+        check_real("rel_tol", self.rel_tol,
+                   ("lie in [1e-300, 1e-6]", lambda v: 1e-300 <= v <= 1e-6))
         if not (isinstance(self.max_terms, int) and self.max_terms >= 8):
-            raise ValueError(f"max_terms must be an integer >= 8, got {self.max_terms!r}")
+            raise ValueError(f"max_terms: must be an integer >= 8, got {self.max_terms!r}")
 
     @property
     def mode(self) -> str:

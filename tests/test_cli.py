@@ -3,17 +3,21 @@
 import ast
 import dataclasses
 import json
+import math
 import os
 import platform
 import re
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from parityshift import cli, forked, harness
 from parityshift.cli import run_cli
@@ -27,6 +31,18 @@ SEED = "424242"
 
 def read(path):
     return path.read_bytes()
+
+
+# Each command runs in a child that caps its own address space first, so
+# an allocation too large for it fails there instead of being
+# overcommitted and filling this machine's memory.
+_LIMITED_SCRIPT = """
+import resource, runpy, sys
+limit = int(sys.argv.pop(1))
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.argv[0] = "parityshift"
+runpy.run_module("parityshift", run_name="__main__")
+"""
 
 
 def _src_env() -> dict:
@@ -536,6 +552,9 @@ class TestIgnoredInput:
         (["experiment", "--preset", "coupling-a2", "--alpha", "0.01"], {}, "alpha"),
         (["experiment", "--preset", "thm1-undetectable"], {"alpha": 0.01}, "alpha"),
         (["sweep", "--preset", "sweep-t", "--alpha", "0.01"], {}, "alpha"),
+        # two grids on an experiment: the error names one
+        (["experiment", "--preset", "thm1-undetectable"], {"t_offsets": [0.0], "c_values": [1.0]},
+         "c_values"),
     ])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, argv, config, field):
         path = tmp_path / "extra.json"
@@ -598,6 +617,14 @@ class TestBadNumericInput:
         (["experiment", "--preset", "thm1-detectable", "--lambda", "1e300"], "lam"),
         (["experiment", "--preset", "thm2-detectable", "--trials", "2", "--lambda", "1e150",
           "--epsilon", "1e-150"], "n"),
+        # KernelParams names the kernels command's a and rel_tol
+        (["kernels", "--a", "nan"], "a"),
+        (["kernels", "--a", "1", "--rel-tol", "1"], "rel_tol"),
+        # 1e7 rows of scalar series, more than a kernels table may have
+        (["kernels", "--a", "1e5", "--xmin=-1e5", "--xmax", "1e5"], "step"),
+        # n past numpy's largest index, and a block row too large for numpy to allocate
+        (["experiment", "--preset", "thm2-detectable", "--n", str(2**64), "--trials", "1"], "n"),
+        (["experiment", "--preset", "thm2-detectable", "--n", str(2**62), "--trials", "1"], "n"),
     ])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, argv, field):
         if argv[0] == "experiment":
@@ -618,6 +645,17 @@ class TestBadNumericInput:
         (["sweep", "--preset", "sweep-t"], {"t_offsets": [0.0, -10**400]}, "t_offsets"),
         (["experiment", "--preset", "thm1-detectable"], {"n": 10**400}, "n"),
         (["experiment", "--preset", "thm1-detectable"], {"trials": 10**400}, "trials"),
+        # a value of the wrong type is named like a bad number, and a missing field too
+        (["experiment"], {"operation": ["x"]}, "operation"),
+        (["experiment", "--preset", "thm2-undetectable"], {"regime": ["fixed_a"]}, "regime"),
+        (["experiment", "--preset", "thm2-undetectable"], {"epsilon": "0.05"}, "epsilon"),
+        (["experiment", "--preset", "thm2-undetectable"], {"a": "2"}, "a"),
+        (["experiment", "--preset", "thm2-undetectable"], {"lam": None}, "lam"),
+        (["experiment", "--preset", "thm2-undetectable"], {"rel_tol": None}, "rel_tol"),
+        (["experiment"], {"operation": "coupling_validation", "regime": "fixed_a", "a": 2.0,
+                          "trials": 5}, "n"),
+        # the plan sums to rel_tol / 1000, which underflows to 0 here
+        (["experiment", "--preset", "coupling-a1"], {"rel_tol": 5e-324}, "rel_tol"),
     ])
     def test_integer_too_large_for_a_double(self, tmp_path, capsys, argv, config, field):
         # JSON integers have no size limit; one beyond the largest double is
@@ -645,17 +683,6 @@ class TestLargeInput:
             bounds = json.loads((tmp_path / "summary.json").read_text())["bounds"]
             assert 0.0 <= bounds["big_g"] <= 1.0
 
-    # Each command runs in a child that caps its own address space first,
-    # so an allocation too large for it fails there instead of being
-    # overcommitted and filling this machine's memory.
-    _LIMITED_SCRIPT = """
-import resource, runpy, sys
-limit = int(sys.argv.pop(1))
-resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-sys.argv[0] = "parityshift"
-runpy.run_module("parityshift", run_name="__main__")
-"""
-
     @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds allocations on Linux")
     @pytest.mark.parametrize("argv, field", [
         # the pooled x' of 1e8 trials of n = 2000 would take 1.5 TiB
@@ -667,7 +694,7 @@ runpy.run_module("parityshift", run_name="__main__")
     ], ids=["pool", "block", "kernel"])
     def test_allocation_failure_exits_2_naming_the_field(self, tmp_path, argv, field):
         proc = subprocess.run(
-            [sys.executable, "-c", self._LIMITED_SCRIPT, str(2 << 30), "experiment", *argv,
+            [sys.executable, "-c", _LIMITED_SCRIPT, str(2 << 30), "experiment", *argv,
              "--seed", "1", "--out", str(tmp_path / "run")],
             capture_output=True, text=True, env=_src_env(), timeout=120)
         assert proc.returncode == 2, proc.stderr
@@ -684,3 +711,103 @@ class TestFiniteGuard:
         with pytest.raises(AssertionError):
             _assert_finite({"x": {"y": float("inf")}})
         _assert_finite({"x": [1.0, 2, "s", None, True]})
+
+
+# Per-type extremes the input-space property test draws from.
+_REALS = [0.0, 5e-324, 1e-300, 1e-160, 0.0326, 1.0, 30.0, 1e5, 1e300, math.inf, -math.inf,
+          math.nan]
+_INTEGERS = [1, 2, 3, 2**31, 10**9, 2**64, 10**4299]  # the last has 4300 digits
+_CONFIG_ONLY = ["0.05", None, [1.0], True]
+# fields of experiment and sweep runs, with the flag that sets each, if any
+_INTEGER_FLAGS = {"n": "--n", "trials": "--trials", "master_seed": "--seed"}
+_REAL_FLAGS = {"a": "--a", "c": "--c", "t": "--t", "epsilon": "--epsilon", "lam": "--lambda",
+               "alpha": "--alpha", "rel_tol": None}
+_CONFIG_FIELDS = {"regime": st.sampled_from(["fixed_a", "cube_scaling"]),
+                  "operation": st.sampled_from(sorted(cli._OPERATIONS)),
+                  "t_offsets": st.lists(st.sampled_from(_REALS), min_size=1, max_size=2),
+                  "c_values": st.lists(st.sampled_from(_REALS), min_size=1, max_size=2)}
+_KERNEL_FLAGS = {"a": "--a", "xmin": "--xmin", "xmax": "--xmax", "step": "--step",
+                 "rel_tol": "--rel-tol"}
+# what an exit 2 may name: a spec field, a grid, a kernels argument or the operation
+_NAMES = {*(f.name for f in dataclasses.fields(ExperimentSpec)), *_CONFIG_FIELDS,
+          *_KERNEL_FLAGS}
+
+
+@st.composite
+def _commands(draw):
+    """(argv, config, whether trials was drawn): a command with up to three overridden fields."""
+    name = draw(st.sampled_from(["kernels", *sorted(cli.PRESETS)]))
+    if name == "kernels":
+        fields = draw(st.lists(st.sampled_from(sorted(_KERNEL_FLAGS)), max_size=3, unique=True))
+        argv = ["kernels"] + [f"{_KERNEL_FLAGS[f]}={draw(st.sampled_from(_REALS))!r}"
+                              for f in fields]
+        if "a" not in fields:
+            argv.append("--a=1.0")
+        return argv, None, False
+    command = "sweep" if cli.PRESETS[name]["operation"] == "sweep" else "experiment"
+    argv, config = [command, "--preset", name], {}
+    fields = draw(st.lists(st.sampled_from(
+        sorted({*_INTEGER_FLAGS, *_REAL_FLAGS, *_CONFIG_FIELDS})), max_size=3, unique=True))
+    for field in fields:
+        flag = _INTEGER_FLAGS.get(field) or _REAL_FLAGS.get(field)
+        typed = (st.sampled_from(_INTEGERS) if field in _INTEGER_FLAGS
+                 else _CONFIG_FIELDS.get(field, st.sampled_from(_REALS)))
+        if flag is not None and draw(st.booleans()):
+            value = draw(typed)
+            argv.append(f"{flag}={value if isinstance(value, int) else repr(value)}")
+        else:
+            config[field] = draw(st.one_of(typed, st.sampled_from(_CONFIG_ONLY)))
+    # at most 3 trials, unless the example draws trials itself
+    argv += [f"{_INTEGER_FLAGS[f]}={v}" for f, v in (("trials", 3), ("master_seed", 1))
+             if f not in fields]
+    return argv, config, "trials" in fields
+
+
+class TestInputSpace:
+    """Every input exits 0, 1 with a failed check, or 2 naming its field; none crashes.
+
+    Each example runs the CLI in a child process capped at 2 GiB of
+    address space.  A run of many trials is valid input that would take
+    hours: once such a run has made its output directory, its input
+    handling is over, and it is stopped after a few seconds.  A
+    UserWarning (a theorem premise not met) is silenced, so that an error
+    is the first thing on stderr; a RuntimeWarning is not.  tier-1
+    runs the budget of the profile tests/conftest.py loads; CI runs a
+    larger one.
+    """
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_commands())
+    def test_exits_0_1_or_2_naming_a_field(self, command):
+        argv, config, many_trials = command
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "run"
+            if config is not None:
+                (Path(tmp) / "config.json").write_text(json.dumps(config))
+                argv = argv + ["--config", str(Path(tmp) / "config.json")]
+            proc = subprocess.Popen(
+                [sys.executable, "-W", "ignore::UserWarning", "-c", _LIMITED_SCRIPT, str(2 << 30),
+                 *argv, "--out", str(out)],
+                env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                start_new_session=True)
+            try:
+                stdout, stderr = proc.communicate(timeout=5 if many_trials else 60)
+            except subprocess.TimeoutExpired:
+                # many trials, and the output directory made: input handling is over
+                started = many_trials and out.is_dir()
+                try:
+                    stdout, stderr = proc.communicate(timeout=0 if started else 55)
+                except subprocess.TimeoutExpired:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                    stderr = proc.communicate()[1]
+                    assert started, f"{argv} {config}: no exit within 60 s\n{stderr}"
+                    return
+        code = proc.returncode
+        assert "Traceback" not in stderr, f"{argv} {config}\n{stderr}"
+        if code == 1:
+            assert re.search(r"^\[FAIL\] ", stdout, re.M), f"{argv} {config}\n{stdout}{stderr}"
+        elif code == 2:
+            named = re.match(r"error: (\w+):", stderr)
+            assert named and named[1] in _NAMES, f"{argv} {config}\n{stderr}"
+        else:
+            assert code == 0, f"{argv} {config}: exit {code}\n{stdout}{stderr}"
