@@ -163,8 +163,9 @@ class ExperimentSpec:
         if self.regime not in _REGIMES:
             raise SpecValidationError(f"regime: must be one of {_REGIMES}, got {self.regime!r}")
         # bool is a subclass of int, but True is not a count or a seed; n is
-        # an array length, so at most numpy's largest index
-        for name, most in (("n", 2**63 - 1), ("trials", _DOUBLE_MAX)):
+        # an array length, so n float64 values must stay within numpy's
+        # largest array size (a block holds at most max(n, _BLOCK_COORDS))
+        for name, most in (("n", (2**63 - 1) // 8), ("trials", _DOUBLE_MAX)):
             if not (type(value := getattr(self, name)) is int and value >= 1):
                 raise SpecValidationError(f"{name}: must be a positive integer, got {value!r}")
             if value > most:
@@ -189,8 +190,10 @@ class ExperimentSpec:
             raise SpecValidationError(
                 f"n: the cube_scaling regime requires n >= 3, got {self.n!r}")
         try:
-            # KernelParams checks a and rel_tol, a's type before plan_for hashes it
-            KernelParams(self.a if self.regime == "fixed_a" else self.effective_a, self.rel_tol)
+            # plan_for's KernelParams checks a and rel_tol; a fixed a's type
+            # is checked before effective_a converts it
+            if self.regime == "fixed_a":
+                KernelParams(self.a, self.rel_tol)
             accel.plan_for(self.effective_a, self.rel_tol)
         except ValueError as exc:
             if self.regime == "cube_scaling" and str(exc).startswith("a:"):
@@ -413,8 +416,7 @@ def _tally(*jobs: _Job) -> list[dict[str, Any]]:
     _keep_freed_heap()
     bit_generator = Philox(0)
     shape = (jobs[0].rows_per_block, jobs[0].spec.n)
-    # numpy raises ValueError for an array too large to index
-    with _n_limits_memory(*shape, ValueError):
+    with _n_limits_memory(*shape):
         x = np.empty(shape)
         u = np.empty_like(x) if jobs[0].uniforms else None
     workers = min(worker_count(), sum(job.block_count for job in jobs) // _MIN_WORKER_BLOCKS)
@@ -454,14 +456,14 @@ def _tally(*jobs: _Job) -> list[dict[str, Any]]:
 
 
 @contextlib.contextmanager
-def _n_limits_memory(rows: int, n: int, *also: type[Exception]) -> Iterator[None]:
-    """Raise a MemoryError, or one of ``also``, in a trial block as an error naming n.
+def _n_limits_memory(rows: int, n: int) -> Iterator[None]:
+    """Raise a MemoryError in a trial block as a SpecValidationError naming n.
 
     Each of a block's arrays holds rows x n <= max(n, _BLOCK_COORDS) values.
     """
     try:
         yield
-    except (MemoryError, *also) as exc:
+    except MemoryError as exc:
         raise SpecValidationError(
             f"n: a trial block of {rows} x {n} values does not fit in memory: {exc}") from None
 

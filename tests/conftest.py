@@ -1,15 +1,12 @@
 """Hypothesis profiles.
 
-tier-1 loads ``tier1``: each property test draws a fixed (derandomised)
-set of examples, so a run's time and outcome do not vary.  Tests that
-set no ``max_examples`` of their own, such as the CLI's input-space test
-(``tests/test_cli.py::TestInputSpace``), take 25 examples.  CI runs the
-input-space test again under ``--hypothesis-profile=input-space``, a
-larger random budget.
+The CLI's input-space property test (``tests/test_cli.py::TestInputSpace``)
+takes 25 derandomised examples unless the profile below is loaded,
+so tier-1's time and outcome do not vary.  CI runs it again under
+``--hypothesis-profile=input-space``, a larger random budget.  The other
+property tests keep their own budgets and fresh random examples.
 """
 
 from hypothesis import settings
 
-settings.register_profile("tier1", derandomize=True, max_examples=25)
 settings.register_profile("input-space", max_examples=400)
-settings.load_profile("tier1")

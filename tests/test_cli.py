@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from parityshift import cli, forked, harness
@@ -620,9 +620,7 @@ class TestBadNumericInput:
         # KernelParams names the kernels command's a and rel_tol
         (["kernels", "--a", "nan"], "a"),
         (["kernels", "--a", "1", "--rel-tol", "1"], "rel_tol"),
-        # 1e7 rows of scalar series, more than a kernels table may have
-        (["kernels", "--a", "1e5", "--xmin=-1e5", "--xmax", "1e5"], "step"),
-        # n past numpy's largest index, and a block row too large for numpy to allocate
+        # n past the largest n whose block of float64 values numpy can size
         (["experiment", "--preset", "thm2-detectable", "--n", str(2**64), "--trials", "1"], "n"),
         (["experiment", "--preset", "thm2-detectable", "--n", str(2**62), "--trials", "1"], "n"),
     ])
@@ -731,6 +729,10 @@ _KERNEL_FLAGS = {"a": "--a", "xmin": "--xmin", "xmax": "--xmax", "step": "--step
 # what an exit 2 may name: a spec field, a grid, a kernels argument or the operation
 _NAMES = {*(f.name for f in dataclasses.fields(ExperimentSpec)), *_CONFIG_FIELDS,
           *_KERNEL_FLAGS}
+# tier-1 takes 25 fixed examples; CI, under the input-space profile of
+# tests/conftest.py, takes that profile's larger random budget
+_BUDGET = (settings() if settings.get_current_profile_name() == "input-space"
+           else settings(derandomize=True, max_examples=25))
 
 
 @st.composite
@@ -739,11 +741,14 @@ def _commands(draw):
     name = draw(st.sampled_from(["kernels", *sorted(cli.PRESETS)]))
     if name == "kernels":
         fields = draw(st.lists(st.sampled_from(sorted(_KERNEL_FLAGS)), max_size=3, unique=True))
-        argv = ["kernels"] + [f"{_KERNEL_FLAGS[f]}={draw(st.sampled_from(_REALS))!r}"
-                              for f in fields]
-        if "a" not in fields:
-            argv.append("--a=1.0")
-        return argv, None, False
+        values = {"a": 1.0} | {f: draw(st.sampled_from(_REALS)) for f in fields}
+        # A table of 1e5 to 2^28 rows is valid input that takes minutes
+        # (35 us a row at a = 1e5); a larger one cannot allocate its grid
+        # under the 2 GiB cap and exits 2 at once.
+        grid = {"xmin": -4.0, "xmax": 4.0, "step": 0.01} | values
+        rows = (grid["xmax"] - grid["xmin"]) / grid["step"] if grid["step"] else math.inf
+        assume(not 1e5 < rows < 2**28)
+        return ["kernels"] + [f"{_KERNEL_FLAGS[f]}={v!r}" for f, v in values.items()], None, False
     command = "sweep" if cli.PRESETS[name]["operation"] == "sweep" else "experiment"
     argv, config = [command, "--preset", name], {}
     fields = draw(st.lists(st.sampled_from(
@@ -771,12 +776,10 @@ class TestInputSpace:
     hours: once such a run has made its output directory, its input
     handling is over, and it is stopped after a few seconds.  A
     UserWarning (a theorem premise not met) is silenced, so that an error
-    is the first thing on stderr; a RuntimeWarning is not.  tier-1
-    runs the budget of the profile tests/conftest.py loads; CI runs a
-    larger one.
+    is the first thing on stderr; a RuntimeWarning is not.
     """
 
-    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(_BUDGET, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(_commands())
     def test_exits_0_1_or_2_naming_a_field(self, command):
         argv, config, many_trials = command
