@@ -7,8 +7,9 @@ standard normal law of every coordinate intact.  ``optimal_parity_evasion``
 is the worst-case sparsity-constrained adversary against the bin-parity
 detector: given its budget, the most coordinates a sparsity ratio below
 t allows (``sparsity_budget``), it keeps (leaves untouched) up to that
-many +1-labelled coordinates and flips everything else.  Both take one
-sample or a 2-d trial block (one trial per row) and validate a block once.
+many +1-labelled coordinates and flips everything else.  Both return
+the perturbation theta alone, take one sample or a 2-d trial block (one
+trial per row) and validate a block once.
 """
 
 from __future__ import annotations
@@ -57,36 +58,32 @@ class PerturbationVector:
         counts = np.count_nonzero(self.signs == 0, axis=-1)
         return int(counts) if self.signs.ndim == 1 else counts
 
-    def to_rle(self, row: int | None = None) -> np.ndarray:
+    def to_rle(self) -> np.ndarray:
         """Run-length encoding: a (k, 2) int64 array of [sign, count] rows (signs in units of a).
 
-        A block is encoded one row at a time: pass the row's index.
+        A block's runs follow one another in row order, and none crosses a
+        row's end, so each row's counts sum to n.
         """
-        s = self.signs if row is None else self.signs[row]
-        if s.ndim != 1:
-            raise ValueError("run-length encode a 1-d perturbation or one row of a block")
+        s = self.signs.reshape(-1)
         if s.size == 0:
             return np.empty((0, 2), dtype=np.int64)
-        # run starts and the end: 0, every index whose sign differs from its left neighbour, n
-        edges = (s[1:] != s[:-1]).nonzero()[0]
-        bounds = np.empty(edges.size + 2, dtype=np.int64)
-        bounds[0], bounds[-1] = 0, s.size
-        np.add(edges, 1, out=bounds[1:-1])
-        rle = np.empty((edges.size + 1, 2), dtype=np.int64)
-        rle[:, 0] = s[bounds[:-1]]
-        np.subtract(bounds[1:], bounds[:-1], out=rle[:, 1])
-        return rle
+        # run starts: 0 and every index whose sign differs from its left
+        # neighbour or that starts a row
+        change = s[1:] != s[:-1]
+        change[self.n - 1 :: self.n] = True
+        starts = np.concatenate(([0], change.nonzero()[0] + 1))
+        # int8 signs and int64 counts stack as int64
+        return np.column_stack((s[starts], np.diff(starts, append=s.size)))
 
 
-def couple_perturb(
-    x, params: KernelParams, u: np.ndarray
-) -> tuple[PerturbationVector, np.ndarray]:
-    """Resample every coordinate by the coupling die.
+def couple_perturb(x, params: KernelParams, u: np.ndarray) -> PerturbationVector:
+    """Resample every coordinate by the coupling die: the perturbation theta.
 
-    For each i: theta_i = die(phi(x_i), gamma(x_i)) and x'_i = x_i +
-    theta_i.  Each x'_i is again standard normal, which is the whole
-    point of the construction.  The die probabilities are nonnegative
-    and sum to at most 1 by the kernel range guarantees.
+    For each i: theta_i = die(phi(x_i), gamma(x_i)), and x'_i = x_i +
+    theta_i is again standard normal, which is the whole point of the
+    construction.  The caller builds x' where it needs it.  The die
+    probabilities are nonnegative and sum to at most 1 by the kernel range
+    guarantees.
 
     x is one sample or a 2-d trial block, and u holds the die's uniforms
     in [0, 1), shaped like x; a block's caller draws each row's uniforms
@@ -97,17 +94,15 @@ def couple_perturb(
         raise ValueError("x must be a nonempty 1-d sample or 2-d trial block")
     if np.shape(u) != x.shape:
         raise ValueError(f"u must be shaped like x {x.shape}, got {np.shape(u)}")
-    if not np.isfinite(x).all():
+    worst = float(np.max(np.abs(x)))  # NaN if any value is NaN
+    if not math.isfinite(worst):
         raise ValueError("x must be finite")
-    worst = float(np.max(np.abs(x)))
     if worst > params.x_max:
         raise ValueError(f"max|x| = {worst!r} beyond the clamp x_max = {params.x_max!r}")
 
     plan = accel.plan_for(params.a, params.rel_tol)
     phi, gamma = accel.phi_gamma(x, plan)
-    signs = accel.die_outcomes(phi, gamma, u)
-    theta = PerturbationVector(signs, params.a)
-    return theta, x + signs * params.a
+    return PerturbationVector(accel.die_outcomes(phi, gamma, u), params.a)
 
 
 def sparsity_budget(t: float, n: int) -> int:

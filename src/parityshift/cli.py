@@ -21,6 +21,7 @@ sidecar.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -29,7 +30,9 @@ import resource
 import signal
 import sys
 import time
+from collections.abc import Iterator
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -228,12 +231,50 @@ def _build_spec(args) -> tuple[str, dict, dict]:
     return operation, merged, grids
 
 
-def _make_out_dir(out_dir: Path) -> None:
-    """Make --out and its parents; a path that is, or lies under, a file is bad config."""
+@contextlib.contextmanager
+def _out_dir(out_dir: Path) -> Iterator[Path]:
+    """Make --out and its parents, removing those made, while still empty, if the body raises.
+
+    A path that is, or lies under, a file is bad config.
+    """
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"out: cannot make the output directory ({exc})") from exc
+    try:
+        yield out_dir
+    except BaseException:
+        for d in made:
+            if any(d.iterdir()):
+                break
+            d.rmdir()
+        raise
+
+
+@contextlib.contextmanager
+def _partial_file(path: Path) -> Iterator[TextIO]:
+    """Open ``<path>.partial`` for writing, renamed to ``path`` once the body returns.
+
+    A body that raises removes the partial file, so no file that looks
+    complete is left behind.  While the body lasts, SIGTERM raises
+    SystemExit(143), so a terminated run removes the partial file too.
+    """
+    partial = path.with_name(path.name + ".partial")
+    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    try:
+        with partial.open("w") as fh:
+            yield fh
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    partial.replace(path)
+
+
+def _exit_on_sigterm(signum, frame) -> None:
+    raise SystemExit(128 + signum)  # the status a shell reports for a SIGTERM death
 
 
 def _cmd_kernels(args, argv) -> int:
@@ -250,55 +291,27 @@ def _cmd_kernels(args, argv) -> int:
         xs = np.arange(args.xmin, args.xmax + 0.5 * args.step, args.step)
     except (ValueError, MemoryError) as exc:
         raise ConfigError(f"step: {args.step!r} is too small for the grid ({exc})") from exc
-    lines = ["x,p,g,gamma,phi,fp_residual"]
     worst = 0.0
-    for x in xs:
-        x = float(x)
-        try:
-            row = (x, normal_pdf(x), eval_g(x, params).value, eval_gamma(x, params),
-                   eval_phi(x, params), fp_residual(x, params))
-        except SeriesConvergenceError as exc:
-            raise ConfigError(
-                f"a: {args.a!r} is too small, a series stopped at x={x!r} ({exc})") from exc
-        worst = max(worst, abs(row[5]))
-        if not all(math.isfinite(v) for v in row):
-            raise AssertionError(f"non-finite kernel value at x={x!r}")
-        lines.append(",".join(_fmt(v) for v in row))
-    out_dir = Path(args.out)
-    _make_out_dir(out_dir)
-    (out_dir / "kernels.csv").write_text("\n".join(lines) + "\n")
+    # rows are written as they are computed, so memory does not grow with the table
+    with _out_dir(Path(args.out)) as out_dir, _partial_file(out_dir / "kernels.csv") as fh:
+        fh.write("x,p,g,gamma,phi,fp_residual\n")
+        for x in xs:
+            x = float(x)
+            try:
+                row = (x, normal_pdf(x), eval_g(x, params).value, eval_gamma(x, params),
+                       eval_phi(x, params), fp_residual(x, params))
+            except SeriesConvergenceError as exc:
+                raise ConfigError(
+                    f"a: {args.a!r} is too small, a series stopped at x={x!r} ({exc})") from exc
+            worst = max(worst, abs(row[5]))
+            if not all(math.isfinite(v) for v in row):
+                raise AssertionError(f"non-finite kernel value at x={x!r}")
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
     _write_meta(out_dir, "kernels", argv, None, start)
     ok = worst <= 1e-9
     print(f"[{'PASS' if ok else 'FAIL'}] max_abs_fp_residual: observed={worst:.6g} limit=1e-09")
     print(f"wrote {out_dir / 'kernels.csv'} ({xs.size} rows)")
     return 0 if ok else 1
-
-
-def _run_streaming_records(run, spec: ExperimentSpec, path: Path) -> harness.ExperimentSummary:
-    """Run one operation, writing each trial record to ``path`` as it finishes.
-
-    Records go to ``<path>.partial``, renamed to ``path`` only once the run
-    has returned, so a run that raises leaves no file that looks complete.
-    While the run lasts, SIGTERM raises SystemExit(143), so a terminated
-    run removes the partial file too.  Each line is
-    ``TrialRecord.json_line``: canonical JSON with sorted keys.
-    """
-    partial = path.with_name(path.name + ".partial")
-    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
-    try:
-        with partial.open("w") as fh:
-            summary = run(spec, on_trial=fh.write)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-    partial.replace(path)
-    return summary
-
-
-def _exit_on_sigterm(signum, frame) -> None:
-    raise SystemExit(128 + signum)  # the status a shell reports for a SIGTERM death
 
 
 def _cmd_run(args, argv) -> int:
@@ -318,26 +331,16 @@ def _cmd_run(args, argv) -> int:
         raise ConfigError(f"format: must be a subset of json,jsonl, got {args.format!r}")
     spec = ExperimentSpec(**spec_kwargs)
 
-    out_dir = Path(args.out)
-    # the directories made here, deepest first, removed again while
-    # still empty if the run raises
-    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
-    _make_out_dir(out_dir)
     run = _OPERATIONS[operation]
-    try:
+    with _out_dir(Path(args.out)) as out_dir:
         if "jsonl" in formats:
-            summary = _run_streaming_records(run, spec, out_dir / "trials.jsonl")
+            with _partial_file(out_dir / "trials.jsonl") as fh:
+                summary = run(spec, on_trial=fh.write)
         else:
             summary = run(spec, **grids)
         _write_json(out_dir / "summary.json", summary.to_dict())
         if summary.rows is not None:
             (out_dir / "sweep.csv").write_text("\n".join(_sweep_csv_lines(summary.rows)) + "\n")
-    except BaseException:
-        for d in made:
-            if any(d.iterdir()):
-                break
-            d.rmdir()
-        raise
     command = "sweep" if operation == "sweep" else f"experiment:{operation}"
     _write_meta(out_dir, command, argv, spec.master_seed, start)
 

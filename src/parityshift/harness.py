@@ -18,11 +18,11 @@ worker process per core this process may use (``os.sched_getaffinity``)
 when the run is large enough, else in this process.  ``taskset -c 0``
 thus runs everything on one core.  Every counter is an integer sum, so
 no payload depends on the worker count.  An optional ``on_trial``
-callback receives each trial's record as one line of JSON text
-(``TrialRecord.json_line``), in trial order.  The line is built in the
-process that ran the trial, a worker or this one, so sharding spreads
-record building too; no record is held by the run beyond the few tasks
-in flight.
+callback receives each trial's record as one line of JSON text, in
+trial order.  A block's lines are formatted together (``_record_lines``)
+in the process that ran the block, a worker or this one, so sharding
+spreads record building too; no record is held by the run beyond the
+few tasks in flight.
 Before the first block, glibc's heap trim and mmap thresholds are set
 once per process (``_keep_freed_heap``), so memory a block frees is
 reused by the next block instead of being handed back to the kernel and
@@ -35,16 +35,17 @@ cube keeps none.  So a trial comes down to its clean label sum s_pre
 and its kept (unmoved) count: the attacked sum is 2 * kept - s_pre, and
 Theorem 2's family (sr < t) and the Hoeffding tail (sr >= G + eps) are
 complementary events on kept.  Each run is an attack on a block that
-returns kept, and ``_count_block`` derives every counter and trial
-record from (s_pre, kept), binning x once per block and only for a test
-or records.  The evader's attack (``_evasion_job``) serves
-thm2-detectable, thm1-detectable (budget 0) and the t-sweep; the
-coupling die's (``_coupling_job``) serves coupling validation, which
-pools x', thm2-undetectable and the c-sweep.  thm1-undetectable's die
-runs on central-bin coordinates only, so its records carry no
-theta_rle.  Direct binning of the attacked sample appears only in the
-flip_violations counters of thm1-detectable and the two thm2 runs, which
-check the identity on every trial with zero tolerance.
+returns kept and the block's perturbation theta, and ``_count_block``
+derives every counter and trial record from (s_pre, kept) and theta,
+binning x once per block and only for a test or records.  The evader's
+attack (``_evasion_job``) serves thm2-detectable, thm1-detectable
+(budget 0) and the t-sweep; the coupling die's (``_coupling_job``)
+serves coupling validation, which pools x', thm2-undetectable and the
+c-sweep.  thm1-undetectable's die runs on central-bin coordinates only,
+so its records carry no theta_rle.  Direct binning of the attacked
+sample appears only in the flip_violations counters of thm1-detectable
+and the two thm2 runs, which check the identity on every trial with
+zero tolerance.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ from .stats import binomial_se, ks_distance_standard_normal, sample_moments, wil
 
 __all__ = [
     "ExperimentSpec",
-    "TrialRecord",
     "ExperimentSummary",
     "SpecValidationError",
     "trial_rng",
@@ -118,7 +118,7 @@ _TASK_BLOCKS = 8
 # 140 ms against 158 ms, and with records, whose lines its workers
 # build, 37% less time.
 _MIN_WORKER_BLOCKS = 16
-# Run lengths whose [sign, count] text TrialRecord.json_line takes from a
+# Run lengths whose [sign, count] text _record_lines takes from a
 # table.  Coupling runs are at most a few dozen coordinates long; a longer
 # one, such as Theorem 1's full cube (one run of n) or the optimal
 # evader's tail, is formatted directly.
@@ -219,49 +219,6 @@ class ExperimentSpec:
         return self.master_seed & _MASK64
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One Monte Carlo trial, serializable to a JSONL row (``json_line``)."""
-
-    trial_index: int
-    statistic_pre: float
-    statistic_post: float
-    sr: float
-    accepted_pre: bool
-    accepted_post: bool
-    zero_count: int
-    theta_rle: np.ndarray | None = None
-
-    def json_line(self) -> str:
-        """The record as one line of JSON text, newline included.
-
-        theta_rle is ``PerturbationVector.to_rle``'s (k, 2) integer array
-        of [sign, count] rows, or None.  The text is
-        ``json.dumps(vars(self), sort_keys=True)`` + "\\n", with
-        theta_rle as its list of pairs: keys sorted, ", " and ": "
-        separators, floats by repr.  The pairs' texts are taken from
-        ``_pair_texts`` in one ``take``, and a pair whose count is past
-        the table is formatted directly.
-        """
-        if self.theta_rle is None:
-            rle = "null"
-        else:
-            signs, counts = self.theta_rle[:, 0], self.theta_rle[:, 1]
-            index = signs * _PAIR_TEXT_COUNTS + counts
-            texts = _pair_texts().take(index, mode="wrap").tolist()
-            # a pair past the table took another pair's text, which is replaced
-            for i in (counts >= _PAIR_TEXT_COUNTS).nonzero()[0].tolist():
-                texts[i] = f"[{signs[i]}, {counts[i]}]"
-            rle = "[" + ", ".join(texts) + "]"
-        # float.__repr__, as json does, also for a float subclass such as np.float64
-        return (f'{{"accepted_post": {"true" if self.accepted_post else "false"}, '
-                f'"accepted_pre": {"true" if self.accepted_pre else "false"}, '
-                f'"sr": {float.__repr__(self.sr)}, '
-                f'"statistic_post": {float.__repr__(self.statistic_post)}, '
-                f'"statistic_pre": {float.__repr__(self.statistic_pre)}, "theta_rle": {rle}, '
-                f'"trial_index": {self.trial_index!r}, "zero_count": {self.zero_count!r}}}\n')
-
-
 @functools.cache
 def _pair_texts() -> np.ndarray:
     """The JSON text "[s, c]" of every pair whose count c is below _PAIR_TEXT_COUNTS.
@@ -275,7 +232,7 @@ def _pair_texts() -> np.ndarray:
                     dtype=object)
 
 
-# Receives each trial's record as ``TrialRecord.json_line`` text.
+# Receives each trial's record as one line of JSON text (``_record_lines``).
 OnTrial = Callable[[str], None]
 
 
@@ -331,7 +288,9 @@ class _Job:
 
     s_min is the least label sum the run's test accepts and budget the
     most kept coordinates its sparsity family allows (None: no test, no
-    family).  theta and x_post may be None.
+    family).  theta is the block's PerturbationVector, a 1-d one that
+    every row shares, or None; x_post is x + theta (``_attacked``) where
+    the run checks the flip identity, else None.
     """
 
     spec: ExperimentSpec
@@ -478,11 +437,9 @@ def _count_block(job: _Job, start: int, x: np.ndarray,
     before the attack, after it and both (a run without a test accepts
     every sum, each being at least -n) and, with a budget, success.  kept
     is one count per row or one column per t-sweep budget.  An attack
-    returns x' only in a run with a test, for flip_violations.  Each
-    row's record is built and formatted here (``TrialRecord.json_line``),
-    in the process that ran the block, so only text leaves a worker.  Its
-    theta_rle is ``theta.to_rle(row)`` where theta is a block
-    PerturbationVector, else theta itself, one value all rows share.
+    returns x' only where the run checks the flip identity, for
+    flip_violations.  Records are formatted in the process that ran the
+    block, so only text leaves a worker.
     """
     a, budget = job.spec.effective_a, job.budget
     binned = job.s_min is not None or job.on_trial is not None
@@ -503,14 +460,52 @@ def _count_block(job: _Job, start: int, x: np.ndarray,
         counters["success"] = accept_post & counters["in_family"]
     if x_post is not None:
         counters["flip_violations"] = accel.parity_labels_and_sum(x_post, a)[1] != s_post
-    if job.on_trial is None:
-        return counters, []
-    n = job.spec.n
-    cols = [v.tolist() for v in (s_pre, s_post, kept, accept_pre, accept_post)]
-    rle = theta.to_rle if isinstance(theta, PerturbationVector) else lambda r: theta
-    return counters, [
-        TrialRecord(start + r, sp / n, so / n, zc / n, ap, ao, zc, rle(r)).json_line()
-        for r, (sp, so, zc, ap, ao) in enumerate(zip(*cols))]
+    return counters, [] if job.on_trial is None else _record_lines(
+        start, job.spec.n, theta, s_pre, s_post, kept, accept_pre, accept_post)
+
+
+def _record_lines(start: int, n: int, theta: PerturbationVector | None, s_pre: np.ndarray,
+                  s_post: np.ndarray, kept: np.ndarray, accept_pre: np.ndarray,
+                  accept_post: np.ndarray) -> list[str]:
+    """A block's trial records, each ``json.dumps(record, sort_keys=True) + "\\n"``.
+
+    Row r is trial start + r; its statistics and sr are its sums and kept
+    over n.  theta_rle takes each row's [sign, count] texts from the
+    block's one ``to_rle`` through ``_pair_texts`` (a count past the table
+    is formatted directly); a 1-d theta (the full cube) and None (null)
+    give one text that every row shares.
+    """
+    if theta is None:
+        rles = ["null"] * len(kept)
+    else:
+        rle = theta.to_rle()
+        signs, counts = rle[:, 0], rle[:, 1]
+        texts = _pair_texts().take(signs * _PAIR_TEXT_COUNTS + counts, mode="wrap").tolist()
+        # a pair past the table took another pair's text, which is replaced
+        for i in (counts >= _PAIR_TEXT_COUNTS).nonzero()[0].tolist():
+            texts[i] = f"[{signs[i]}, {counts[i]}]"
+        # no run crosses a row's end, so a row's runs end where the counts reach a multiple of n
+        ends = ((np.cumsum(counts) % n == 0).nonzero()[0] + 1).tolist()
+        rles = ["[" + ", ".join(texts[lo:hi]) + "]" for lo, hi in zip([0, *ends], ends)]
+        if theta.signs.ndim == 1:
+            rles *= len(kept)
+    columns = (v.tolist() for v in (s_pre, s_post, kept, accept_pre, accept_post))
+    rows = zip(itertools.count(start), *columns, rles)
+    return [f'{{"accepted_post": {"true" if ao else "false"}, '
+            f'"accepted_pre": {"true" if ap else "false"}, "sr": {zc / n!r}, '
+            f'"statistic_post": {so / n!r}, "statistic_pre": {sp / n!r}, '
+            f'"theta_rle": {rle}, "trial_index": {i}, "zero_count": {zc}}}\n'
+            for i, sp, so, zc, ap, ao, rle in rows]
+
+
+def _attacked(x: np.ndarray, theta: PerturbationVector,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """x' = x + theta.signs * a, written into out if given; a 1-d theta shifts every row."""
+    if out is None:
+        out = np.empty_like(x)
+    np.multiply(theta.signs, theta.a, out=out)
+    out += x
+    return out
 
 
 def _check(passed, observed, limit, note: str = "") -> dict:
@@ -579,23 +574,20 @@ def _evasion_job(spec: ExperimentSpec, s_min: int, budget,
 
     The evader keeps min(budget, #{z = +1}) = min(budget, (n + s_pre) / 2)
     coordinates and moves the rest; a row of budgets (the t-sweep) gives
-    kept one column per budget.  At one budget the attack also returns x'
-    for the flip check, optimal_parity_evasion's.  At budget 0 (Theorem
-    1's full cube) the evader moves every coordinate by +a, so x' is
-    x + a and every row shares the run lengths [[1, n]], both built
-    without it.
+    kept one column per budget.  At one budget the attack also returns
+    the perturbation, optimal_parity_evasion's, and x' for the flip
+    check.  At budget 0 (Theorem 1's full cube) the evader moves every
+    coordinate by +a, so every row shares one 1-d perturbation.
     """
     a, n, budget = spec.effective_a, spec.n, np.asarray(budget)
-    full_cube = np.array([[1, n]], dtype=np.int64)
+    full_cube = PerturbationVector(np.ones(n, dtype=np.int8), a)
 
     def attack(start, x, u, z, s_pre):
         kept = np.minimum.outer((n + s_pre) // 2, budget)
         if budget.ndim:
             return kept, None, None
-        if budget == 0:
-            return kept, full_cube, x + a
-        theta = optimal_parity_evasion(z, a, budget)
-        return kept, theta, x + theta.signs * a
+        theta = full_cube if budget == 0 else optimal_parity_evasion(z, a, budget)
+        return kept, theta, _attacked(x, theta)
 
     return _Job(spec, attack, s_min=s_min, on_trial=on_trial)
 
@@ -605,17 +597,19 @@ def _coupling_job(spec: ExperimentSpec, s_min: int | None, budget: int | None = 
     """A job of the coupling die, whose stays are the kept coordinates.
 
     Given a pool (coupling validation), the attack writes each trial's x'
-    into its row.  Otherwise it returns x' for the flip check when there
-    is a budget (Theorem 2's undetectable run); a c-sweep cell has none.
+    into its row.  Otherwise it builds x' for the flip check only under a
+    budget (Theorem 2's undetectable run), never for a c-sweep cell.
     """
     params = KernelParams(spec.effective_a, rel_tol=spec.rel_tol)
 
     def attack(start, x, u, z, s_pre):
-        theta, x_post = couple_perturb(x, params, u)
+        theta = couple_perturb(x, params, u)
+        x_post = None
         if pool is not None:
-            pool[start : start + len(x)] = x_post
-            return theta.zero_count, theta, None
-        return theta.zero_count, theta, None if budget is None else x_post
+            _attacked(x, theta, out=pool[start : start + len(x)])
+        elif budget is not None:
+            x_post = _attacked(x, theta)
+        return theta.zero_count, theta, x_post
 
     return _Job(spec, attack, uniforms=True, s_min=s_min, budget=budget, on_trial=on_trial)
 

@@ -43,7 +43,8 @@ _MOMENT_CHUNK = 1 << 16
 
 
 def wilson_interval(count: int, total: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial rate; well-behaved near 0 and 1."""
+    """Wilson score interval for a binomial rate; its ends are exactly 0 at count 0 and
+    1 at count = total, where center - half and center + half miss them by rounding."""
     if total <= 0:
         raise ValueError("total must be positive")
     if not (0 <= count <= total):
@@ -53,7 +54,8 @@ def wilson_interval(count: int, total: int, z: float = _Z95) -> tuple[float, flo
     denom = 1.0 + z2 / total
     center = (p + z2 / (2.0 * total)) / denom
     half = z * math.sqrt(p * (1.0 - p) / total + z2 / (4.0 * total * total)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    return (0.0 if count == 0 else max(0.0, center - half),
+            1.0 if count == total else min(1.0, center + half))
 
 
 def binomial_se(p: float, total: int) -> float:
@@ -118,7 +120,8 @@ def ks_distance_standard_normal(sample: np.ndarray, overwrite_input: bool = Fals
     ValueError; +-inf are valid.
 
     The sorted sample is split into chunks of _KS_CHUNK, and the CDF is
-    first evaluated only at each chunk's two ends.  Both the steps
+    first evaluated only at each chunk's two ends, _KS_SCAN chunks at a
+    time, keeping only each chunk's upper bound.  Both the steps
     (i+1)/n and the CDF rise along the sorted sample, so no value inside
     a chunk exceeds max(step_last - cdf_first, cdf_last - (step_first -
     1/n)), while the differences at the ends are attained and bound the
@@ -140,18 +143,24 @@ def ks_distance_standard_normal(sample: np.ndarray, overwrite_input: bool = Fals
     if np.isnan(s[-1]):  # NaN sorts last
         raise ValueError("sample contains NaN")
     inv_n = 1.0 / n
-    first = np.arange(0, n, _KS_CHUNK)
-    cdf_first = normal_cdf(s[first])
-    cdf_last = normal_cdf(s[np.minimum(first + (_KS_CHUNK - 1), n - 1)])
-    step_first = (first + 1.0) / n
-    step_last = np.minimum(first + float(_KS_CHUNK), n) / n
-    best = max(float(np.max(step_first - cdf_first)), float(np.max(step_last - cdf_last)))
-    step_first -= inv_n  # from here on, the step below each chunk's first value
-    best = max(best, float(np.max(cdf_first - step_first)),
-               float(np.max(cdf_last - (step_last - inv_n))))
-    bound = np.maximum(step_last - cdf_first, cdf_last - step_first)
+    chunks = -(-n // _KS_CHUNK)
+    bound = np.empty(chunks)
+    best = -math.inf
+    for lo in range(0, chunks, _KS_SCAN):
+        first = np.arange(lo, min(lo + _KS_SCAN, chunks)) * _KS_CHUNK
+        cdf_first = normal_cdf(s[first])
+        cdf_last = normal_cdf(s[np.minimum(first + (_KS_CHUNK - 1), n - 1)])
+        step_first = (first + 1.0) / n
+        step_last = np.minimum(first + float(_KS_CHUNK), n) / n
+        best = max(best, float(np.max(step_first - cdf_first)),
+                   float(np.max(step_last - cdf_last)))
+        step_first -= inv_n  # from here on, the step below each chunk's first value
+        best = max(best, float(np.max(cdf_first - step_first)),
+                   float(np.max(cdf_last - (step_last - inv_n))))
+        np.maximum(step_last - cdf_first, cdf_last - step_first, out=bound[lo : lo + first.size])
+    bound += _KS_MARGIN
     slices: list[list[int]] = []
-    for lo in first[bound + _KS_MARGIN >= best].tolist():
+    for lo in (np.flatnonzero(bound >= best) * _KS_CHUNK).tolist():
         hi = min(lo + _KS_CHUNK, n)
         if slices and slices[-1][1] == lo and hi - slices[-1][0] <= _KS_SCAN:
             slices[-1][1] = hi  # extends the slice that ends where this chunk starts

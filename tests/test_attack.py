@@ -85,8 +85,8 @@ class TestPerturbationVector:
         assert (back.signs == theta.signs).all()
 
     def test_rle_elements_are_python_ints(self):
-        # one int64 [sign, count] row a run, as TrialRecord.json_line reads
-        # them; tolist gives the pairs as lists of Python ints
+        # one int64 [sign, count] row a run, as the harness's record lines
+        # read them; tolist gives the pairs as lists of Python ints
         theta = PerturbationVector(np.array([-1, -1, 0, 1, 0, 0], dtype=np.int8), 1.0)
         rle = theta.to_rle()
         assert rle.dtype == np.int64 and rle.shape == (4, 2)
@@ -95,13 +95,24 @@ class TestPerturbationVector:
         empty = PerturbationVector(np.empty(0, dtype=np.int8), 1.0).to_rle()
         assert empty.dtype == np.int64 and empty.shape == (0, 2)
 
-    def test_rle_of_a_block_row(self):
-        signs = np.array([[1, 1, 0, -1], [0, 0, 0, 0], [-1, 1, -1, 1]], dtype=np.int8)
-        block = PerturbationVector(signs, 1.0)
-        for r, row in enumerate(signs):
-            assert block.to_rle(r).tolist() == PerturbationVector(row, 1.0).to_rle().tolist()
-        with pytest.raises(ValueError, match="one row of a block"):
-            block.to_rle()
+    def test_rle_of_a_block(self):
+        # equal signs across a row's end stay two runs, one in each row
+        signs = np.array([[1, 1, 0, -1], [-1, 0, 0, 0], [0, 1, -1, 1]], dtype=np.int8)
+        rle = PerturbationVector(signs, 1.0).to_rle()
+        assert rle.dtype == np.int64
+        assert rle.tolist() == [[1, 2], [0, 1], [-1, 1], [-1, 1], [0, 3],
+                                [0, 1], [1, 1], [-1, 1], [1, 1]]
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size=n), min_size=1, max_size=8)))
+    def test_block_rle_concatenates_row_rles(self, rows):
+        signs = np.array(rows, dtype=np.int8)
+        rle = PerturbationVector(signs, 1.0).to_rle()
+        expected = [PerturbationVector(row, 1.0).to_rle() for row in signs]
+        assert rle.tolist() == np.concatenate(expected).tolist()
+        # no run crosses a row's end: the counts reach each multiple of n
+        ends = np.cumsum(rle[:, 1])
+        assert set(range(signs.shape[1], signs.size + 1, signs.shape[1])) <= set(ends.tolist())
 
     @given(st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=60))
     def test_rle_roundtrip_property(self, signs):
@@ -138,9 +149,10 @@ class TestCouplePerturb:
         params = KernelParams(1.0)
         rng = trial_rng(7, 0)
         x = rng.standard_normal(5000)
-        theta, x_post = couple_perturb(x, params, rng.random(5000))
+        theta = couple_perturb(x, params, rng.random(5000))
+        assert isinstance(theta, PerturbationVector) and theta.signs.shape == x.shape
         assert set(np.unique(theta.signs)) <= {-1, 0, 1}
-        assert np.allclose(x_post - x, theta.signs * 1.0)
+        assert theta.a == 1.0
 
     def test_zero_fraction_matches_big_g(self):
         # pooled across substreams at a = 1, N = 1e6
@@ -150,8 +162,7 @@ class TestCouplePerturb:
         for i in range(trials):
             rng = trial_rng(31337, i)
             x = rng.standard_normal(n)
-            theta, _ = couple_perturb(x, params, rng.random(n))
-            total += theta.zero_count
+            total += couple_perturb(x, params, rng.random(n)).zero_count
         big_g = big_g_value(1.0)
         se = math.sqrt(big_g * (1.0 - big_g) / (n * trials))
         assert abs(total / (n * trials) - big_g) <= 3.0 * se
@@ -162,15 +173,22 @@ class TestCouplePerturb:
         for i in range(20):
             rng = trial_rng(999, i)
             x = rng.standard_normal(10_000)
-            _, x_post = couple_perturb(x, params, rng.random(10_000))
-            pool.append(x_post)
+            pool.append(x + perturbation_values(couple_perturb(x, params, rng.random(10_000))))
         sample = np.concatenate(pool)
         assert ks_distance_standard_normal(sample) <= 1.95 / math.sqrt(sample.size)
 
     def test_rejects_out_of_clamp(self):
         params = KernelParams(1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="beyond the clamp x_max"):
             couple_perturb(np.array([0.0, params.x_max + 1.0]), params, np.full(2, 0.5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_block_holding_nonfinite_values(self, bad):
+        # one reduction over |x| finds a NaN or an infinity anywhere in a block
+        x = trial_rng(3, 1).standard_normal((4, 50))
+        x[2, 17] = bad
+        with pytest.raises(ValueError, match="^x must be finite$"):
+            couple_perturb(x, KernelParams(1.0), np.full(x.shape, 0.5))
 
     def test_rejects_misshaped_uniforms(self):
         # one row of uniforms must not broadcast across a block's rows

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,22 @@ class TestKernelsCommand:
         assert len(lines) == 162
         residuals = [abs(float(row.split(",")[5])) for row in lines[1:]]
         assert max(residuals) <= 1e-9
+        # the partial file the rows streamed to was renamed
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kernels.csv", "run_meta.json"]
+
+    def test_rows_are_not_held(self, tmp_path):
+        # rows are written as they are computed: 20,001 rows of about 120
+        # bytes of text (2.4 MB) take the traced peak to about their grid
+        # array's 160 KB, which a list of every row's text would pass
+        tracemalloc.start()
+        try:
+            assert run_cli(["kernels", "--a", "1", "--xmin=-1", "--xmax", "1",
+                            "--step", "1e-4", "--out", str(tmp_path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "kernels.csv").stat().st_size > 2_000_000
+        assert peak < 1_000_000
 
     def test_byte_identical_rerun(self, tmp_path):
         args = ["kernels", "--a", "0.9", "--xmin", "-2", "--xmax", "2",
@@ -79,6 +96,31 @@ class TestKernelsCommand:
         assert err.startswith(f"error: a: {a!r} is too small, a series stopped at x={x}")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="signals a child process")
+    def test_sigterm_leaves_no_partial_table(self, tmp_path):
+        # 1.6 million rows take about a minute; the run is terminated once rows
+        # reach kernels.csv.partial, which it removes, with the directory it made
+        out = tmp_path / "run"
+        partial = out / "kernels.csv.partial"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "parityshift", "kernels", "--a", "1", "--xmin=-8",
+             "--xmax", "8", "--step", "1e-5", "--out", str(out)],
+            env=_src_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        try:
+            deadline = time.monotonic() + 60.0
+            while not (partial.exists() and partial.stat().st_size > 0):
+                assert proc.poll() is None, proc.stderr.read()
+                assert time.monotonic() < deadline, "no kernel row within 60 s"
+                time.sleep(0.02)
+            proc.send_signal(signal.SIGTERM)
+            proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+        assert proc.returncode == 143
+        assert list(tmp_path.iterdir()) == []
+
     def test_smallest_default_grid_width(self, tmp_path):
         # a = 0.03 still sums every series on the default grid
         assert run_cli(["kernels", "--a", "0.03", "--out", str(tmp_path)]) == 0
@@ -91,6 +133,15 @@ class TestKernelsCommand:
 
 
 class TestExperimentCommand:
+    @pytest.mark.filterwarnings("ignore:c = 30.0 is not below")
+    def test_no_stay_of_exactly_zero_inside_wilson(self, tmp_path, capsys):
+        # at c = 30 every trial keeps coordinates unmoved, and the exact
+        # no-stay probability is 0.0: the Wilson interval of 0 stay-free
+        # trials in 3 must start at exactly 0
+        assert run_cli(["experiment", "--preset", "thm1-undetectable", "--c", "30",
+                        "--trials", "3", "--seed", "1", "--out", str(tmp_path)]) == 0
+        assert "[PASS] wilson_contains_exact" in capsys.readouterr().out
+
     def test_preset_runs_and_writes_summary(self, tmp_path, capsys):
         code = run_cli(["experiment", "--preset", "thm2-detectable", "--trials", "150",
                         "--seed", SEED, "--out", str(tmp_path), "--format", "json,jsonl"])
@@ -246,7 +297,7 @@ class TestTrialRecords:
     @pytest.mark.parametrize("operation", sorted(SMALL_CONFIGS))
     def test_lines_match_asdict(self, operation, tmp_path):
         # trials.jsonl holds the lines the run passes to on_trial, each
-        # json's own encoding of a dict of every TrialRecord field
+        # json's own encoding of a dict of every record key
         config = tmp_path / "spec.json"
         config.write_text(json.dumps({"operation": operation, **SMALL_CONFIGS[operation],
                                       "trials": 6, "master_seed": 5}))
@@ -258,8 +309,9 @@ class TestTrialRecords:
         cli._OPERATIONS[operation](ExperimentSpec(**spec), on_trial=recs.append)
         assert lines == recs
         assert lines == [json.dumps(json.loads(line), sort_keys=True) + "\n" for line in lines]
-        fields = sorted(field.name for field in dataclasses.fields(harness.TrialRecord))
-        assert [list(json.loads(line)) for line in lines] == [fields] * 6
+        keys = ["accepted_post", "accepted_pre", "sr", "statistic_post", "statistic_pre",
+                "theta_rle", "trial_index", "zero_count"]
+        assert [list(json.loads(line)) for line in lines] == [keys] * 6
         assert [json.loads(line)["trial_index"] for line in lines] == list(range(6))
         assert not (tmp_path / "trials.jsonl.partial").exists()
 

@@ -25,7 +25,6 @@ from parityshift.detector import big_g_value
 from parityshift.harness import (
     ExperimentSpec,
     SpecValidationError,
-    TrialRecord,
     run_coupling_validation,
     run_thm1_detectable,
     run_thm1_undetectable,
@@ -190,8 +189,7 @@ class TestThm1Undetectable:
 
             rng2 = trial_rng(spec.seed64, i)
             x2 = rng2.standard_normal(spec.n)
-            theta, _ = couple_perturb(x2, params, rng2.random(spec.n))
-            assert fast == theta.zero_count
+            assert fast == couple_perturb(x2, params, rng2.random(spec.n)).zero_count
 
     def test_vanishing_c_limit(self):
         spec = ExperimentSpec(regime="cube_scaling", c=0.1, n=100, trials=40, master_seed=SEED)
@@ -259,8 +257,7 @@ class TestThm2Undetectable:
 def _zero_count_for_trial(spec, i):
     rng = trial_rng(spec.seed64, i)
     x = rng.standard_normal(spec.n)
-    theta, _ = couple_perturb(x, KernelParams(spec.effective_a), rng.random(spec.n))
-    return theta.zero_count
+    return couple_perturb(x, KernelParams(spec.effective_a), rng.random(spec.n)).zero_count
 
 
 class TestThm2Detectable:
@@ -324,6 +321,10 @@ class TestThm2Detectable:
 
 
 # one small valid spec per operation; thm2_detectable needs n > lam^2/eps^2
+# the keys of every trial record, sorted
+RECORD_KEYS = ["accepted_post", "accepted_pre", "sr", "statistic_post", "statistic_pre",
+               "theta_rle", "trial_index", "zero_count"]
+
 SMALL_RUNS = [
     (run_coupling_validation, dict(regime="fixed_a", a=2.0, n=200)),
     (run_thm1_undetectable, dict(regime="cube_scaling", c=1.5, n=200)),
@@ -369,82 +370,118 @@ class TestOnTrial:
     @pytest.mark.parametrize("run, kwargs", SMALL_RUNS, ids=lambda v: getattr(v, "__name__", ""))
     def test_json_line_of_every_run(self, run, kwargs):
         # each line is json's own encoding of the record it holds, and
-        # holds every field of a TrialRecord
+        # holds every key of a record
         spec = ExperimentSpec(**kwargs, trials=7, master_seed=SEED)
         lines = []
         run(spec, on_trial=lines.append)
         assert lines == [json.dumps(json.loads(line), sort_keys=True) + "\n" for line in lines]
-        fields = sorted(field.name for field in dataclasses.fields(TrialRecord))
-        assert all(list(json.loads(line)) == fields for line in lines)
+        assert all(list(json.loads(line)) == RECORD_KEYS for line in lines)
 
 
-def _dumped(rec: TrialRecord) -> str:
-    # the reference: json's own encoding of the record's fields, the
-    # run lengths as a list of [sign, count] pairs
-    rle = None if rec.theta_rle is None else rec.theta_rle.tolist()
-    return json.dumps({**vars(rec), "theta_rle": rle}, sort_keys=True,
-                      check_circular=False) + "\n"
+def _block(rows, n) -> np.ndarray:
+    # int8 signs whose rows are the given run lengths, each row summing to n
+    signs = [np.repeat(np.array([s for s, _ in row], dtype=np.int8), [c for _, c in row])
+             for row in rows]
+    assert all(row.size == n for row in signs)
+    return np.array(signs, dtype=np.int8).reshape(len(rows), n)
 
 
-def _rle(pairs) -> np.ndarray:
-    # run lengths as to_rle returns them: a (k, 2) int64 array
-    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+def _columns(n, m, seed=0):
+    # integer columns of m rows as _count_block passes them: label sums
+    # before and after the attack, kept counts and both acceptances
+    g = np.random.default_rng(seed)
+    s_pre = g.integers(-n, n + 1, size=m)
+    kept = g.integers(0, n + 1, size=m)
+    return s_pre, 2 * kept - s_pre, kept, g.random(m) < 0.5, g.random(m) < 0.5
 
 
-def _record(**fields) -> TrialRecord:
-    return TrialRecord(**{"trial_index": 3, "statistic_pre": 0.25, "statistic_post": -0.5,
-                          "sr": 0.125, "accepted_pre": True, "accepted_post": False,
-                          "zero_count": 7, "theta_rle": _rle([[0, 4], [1, 1]]), **fields})
+def _check_record_lines(start, n, theta, s_pre, s_post, kept, accept_pre, accept_post):
+    # the block formatter's lines against json's own encoding of each
+    # row's record; theta_rle from each row's own 1-d to_rle, the row a
+    # 1-d theta shares, or None
+    lines = harness._record_lines(start, n, theta, s_pre, s_post, kept, accept_pre, accept_post)
+    m = len(kept)
+    if theta is None:
+        rles = [None] * m
+    elif theta.signs.ndim == 1:
+        rles = [theta.to_rle().tolist()] * m
+    else:
+        rles = [PerturbationVector(row, theta.a).to_rle().tolist() for row in theta.signs]
+    rows = zip(*(v.tolist() for v in (s_pre, s_post, kept, accept_pre, accept_post)), rles)
+    expected = [json.dumps({"accepted_post": ao, "accepted_pre": ap, "sr": zc / n,
+                            "statistic_post": so / n, "statistic_pre": sp / n, "theta_rle": rle,
+                            "trial_index": start + r, "zero_count": zc}, sort_keys=True) + "\n"
+                for r, (sp, so, zc, ap, ao, rle) in enumerate(rows)]
+    assert lines == expected
+    assert all(list(json.loads(line)) == RECORD_KEYS for line in lines)
 
 
-# counts up to BOUND - 1 come from json_line's table, the rest are formatted directly
+# counts up to BOUND - 1 come from the formatter's table, the rest are formatted directly
 BOUND = harness._PAIR_TEXT_COUNTS
 
 
 class TestJsonLine:
+    # trials.jsonl lines as harness._record_lines formats a block of them
+
     @pytest.mark.parametrize("theta_rle", [
-        None, [], [[1, 10 * BOUND + 3]], [[0, BOUND - 1]], [[0, BOUND]], [[0, BOUND + 1]],
-        [[-1, BOUND - 1], [1, BOUND], [-1, BOUND + 1]],
+        None, [[1, 4 * BOUND]], [[1, 10 * BOUND + 3]], [[0, BOUND - 1]], [[0, BOUND]],
+        [[0, BOUND + 1]], [[-1, BOUND - 1], [1, BOUND], [-1, BOUND + 1]],
         [[0, 1], [1, 2], [0, 3], [-1, 1], [1, 40], [-1, 255]],
     ])
     def test_theta_rle(self, theta_rle):
-        rec = _record(theta_rle=None if theta_rle is None else _rle(theta_rle))
-        assert rec.json_line() == _dumped(rec)
+        # None is null; the runs are every row's of a block of 3, then a
+        # 1-d theta that every row shares, as the full cube [[1, n]] is
+        if theta_rle is None:
+            _check_record_lines(3, 50, None, *_columns(50, 3))
+            return
+        n = sum(c for _, c in theta_rle)
+        signs = _block([theta_rle] * 3, n)
+        for theta in (PerturbationVector(signs, 1.5), PerturbationVector(signs[0], 1.5)):
+            _check_record_lines(3, n, theta, *_columns(n, 3))
+
+    def test_rows_with_different_runs(self):
+        # a block's rows hold different runs: each row's text is its own,
+        # though the block is encoded once
+        n = 2 * BOUND + 1
+        rows = [[[1, n]], [[0, BOUND], [1, BOUND + 1]], [[-1, 1], [0, 2 * BOUND]],
+                [[1, BOUND - 1], [-1, 1], [1, BOUND + 1]]]
+        _check_record_lines(0, n, PerturbationVector(_block(rows, n), 1.0), *_columns(n, 4))
 
     @pytest.mark.parametrize("fields", [
-        {"statistic_pre": -0.0, "statistic_post": 0.0, "sr": 0.0},
-        {"statistic_pre": 1 / 3, "statistic_post": -1e-300, "sr": 5e-324},
-        {"statistic_pre": np.float64(0.1), "sr": np.float64(-0.0)},
-        {"accepted_pre": False, "accepted_post": True},
-        {"accepted_pre": True, "accepted_post": True},
-        {"accepted_pre": False, "accepted_post": False},
-        {"trial_index": 10**30 + 7, "zero_count": 0},
+        {"n": 8, "s_pre": 0, "kept": 0},  # statistics and sr of 0.0
+        {"n": 3, "s_pre": 1, "kept": 2},  # thirds: 1/3 and (2 * 2 - 1)/3 = 1.0
+        {"n": 3, "s_pre": -1, "kept": 0, "accept_pre": False, "accept_post": True},
+        {"n": 3, "s_pre": 3, "kept": 1, "accept_pre": True, "accept_post": True},
+        {"n": 3, "s_pre": 3, "kept": 1, "accept_pre": False, "accept_post": False},
+        {"start": 10**30 + 7, "n": 7, "s_pre": -7, "kept": 0},  # an index past 64 bits
+        {"n": (2**63 - 1) // 8, "s_pre": 1, "kept": 1},  # the largest n: 1/n near 1e-18
     ])
     def test_scalars(self, fields):
-        rec = _record(**fields)
-        assert rec.json_line() == _dumped(rec)
+        # one row, its integer columns as numpy arrays, as _count_block passes them
+        row = {"start": 3, "accept_pre": True, "accept_post": False, **fields}
+        s_pre, kept = np.array([row["s_pre"]]), np.array([row["kept"]])
+        _check_record_lines(row["start"], row["n"], None, s_pre, 2 * kept - s_pre, kept,
+                            np.array([row["accept_pre"]]), np.array([row["accept_post"]]))
 
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(st.tuples(st.sampled_from([-1, 0, 1]), st.integers(1, 2 * BOUND)),
-                 max_size=12),
-        st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(0.0, 1.0),
-        st.booleans(), st.booleans(), st.integers(0, 2**64),
+                 min_size=1, max_size=12),
+        st.integers(1, 5), st.integers(0, 2**64), st.integers(0, 2**32),
     )
-    def test_random_sign_rows(self, runs, pre, post, sr, accepted_pre, accepted_post, index):
-        # runs of random signs and lengths joined into one int8 row; equal
-        # neighbours merge, so to_rle sees runs up to 4 * BOUND long
-        signs = np.repeat(np.array([s for s, _ in runs], dtype=np.int8),
-                          [c for _, c in runs])
-        rec = _record(statistic_pre=pre, statistic_post=post, sr=sr, accepted_pre=accepted_pre,
-                      accepted_post=accepted_post, trial_index=index, zero_count=index // 3,
-                      theta_rle=PerturbationVector(signs, 1.0).to_rle())
-        assert rec.json_line() == _dumped(rec)
+    def test_random_sign_rows(self, runs, m, start, seed):
+        # runs of random signs and lengths joined into one row, and m
+        # rotations of it as the block's rows; equal neighbours merge, so
+        # to_rle sees runs up to 4 * BOUND long
+        row = _block([runs], sum(c for _, c in runs))[0]
+        signs = np.stack([np.roll(row, 7 * r) for r in range(m)])
+        _check_record_lines(start, row.size, PerturbationVector(signs, 1.0),
+                            *_columns(row.size, m, seed))
 
     def test_template_names_every_field(self):
-        # a field TrialRecord gains must enter json_line's template too
-        keys = list(json.loads(_record().json_line()))
-        assert keys == sorted(field.name for field in dataclasses.fields(TrialRecord))
+        # a key the records gain must enter the formatter's template and RECORD_KEYS
+        (line,) = harness._record_lines(0, 4, None, *_columns(4, 1))
+        assert list(json.loads(line)) == RECORD_KEYS
 
 
 def _per_trial_coupling_records(spec):
@@ -457,9 +494,9 @@ def _per_trial_coupling_records(spec):
     for i in range(spec.trials):
         rng = trial_rng(spec.seed64, i)
         x = rng.standard_normal(n)
-        theta, x_post = couple_perturb(x, params, rng.random(n))
+        theta = couple_perturb(x, params, rng.random(n))
         _, s_pre = accel.parity_labels_and_sum(x, a)
-        _, s_post = accel.parity_labels_and_sum(x_post, a)
+        _, s_post = accel.parity_labels_and_sum(x + theta.signs * a, a)
         out.append((i, s_pre / n, s_post / n, theta.zero_count, theta.to_rle().tolist()))
     return out
 
@@ -527,7 +564,7 @@ class TestTrialBlocks:
         for i in range(spec.trials):
             rng = trial_rng(spec.seed64, i)
             x = rng.standard_normal(spec.n)
-            pool.append(couple_perturb(x, params, rng.random(spec.n))[1])
+            pool.append(x + couple_perturb(x, params, rng.random(spec.n)).signs * 2.0)
         pool = np.concatenate(pool)
         bounds = run_coupling_validation(spec).bounds
         assert bounds["ks_distance"] == ks_distance_standard_normal(pool)
@@ -618,7 +655,8 @@ class TestSweep:
             for i in range(spec.trials):
                 rng = trial_rng(spec.seed64, i)
                 x = rng.standard_normal(spec.n)
-                theta, x_post = couple_perturb(x, params, rng.random(spec.n))
+                theta = couple_perturb(x, params, rng.random(spec.n))
+                x_post = x + theta.signs * a
                 pre, post = (decide(v, a, spec.lam, zero=True).accept_h0 for v in (x, x_post))
                 counts += [pre, post, pre and post, theta.zero_count == 0, pre and not post]
             null, success, overlap, no_stay, wins = counts.tolist()

@@ -26,6 +26,17 @@ to be built from the run's central-bin die: each record's theta_rle
 became null, and every other field kept its value.  Its summary.json
 hash, which covers that same path, was not changed.
 
+Eight digests were re-recorded when ``stats.wilson_interval`` came to
+return exactly 0.0 as the lower end at count 0 (it had returned
+1.734723475976807e-18 at 200 trials, since center - half rounds): the
+summary.json of thm1-detectable (``rates.overlap.lo``) and
+thm2-detectable (``rates.attacked_accept.lo`` and ``rates.overlap.lo``),
+the coupling summary digests of coupling-a2 and hoeffding
+(``rates.hoeffding_tail.lo``), and both files of sweep-t
+(``attacker_success`` lo of the first two cells) and sweep-c
+(``no_stay_rate`` lo of the last seven cells).  No other value moved,
+and no trials.jsonl or kernels.csv hash changed.
+
 The kernels.csv hashes (``kernels --a A --xmin -3 --xmax 3 --step 0.005``)
 were recorded before the five scalar series of kernels.py came to share
 one truncation rule in ``_sum_series``, so they pin that the rewrite kept
@@ -53,7 +64,7 @@ GOLDEN = {
         "trials.jsonl": "3bf5c87fcd02d2cc639802bb11dc814b649d1964582bc4585b3129a411eedd8c",
     },
     "thm1-detectable": {
-        "summary.json": "3a7371b3763512737d669bf06129fb269e3d90ca193c6c280fb610d6af3942aa",
+        "summary.json": "d4d895a4a562a81cdcc7479d3fe726731ee8a5101d44e8c9b0af9d2eb85ac285",
         "trials.jsonl": "938009d3b74c3178c3822dfbffdb78276843bc056746294f9d4076c999c4f06c",
     },
     "thm2-undetectable": {
@@ -61,7 +72,7 @@ GOLDEN = {
         "trials.jsonl": "4e0083b551a263da1605110832072eaf48189436f8a812933f41e102cf931fcb",
     },
     "thm2-detectable": {
-        "summary.json": "a8ecc5a6d7ccd8913bd3992ba870c313fe23640f43d9dc1c8dfe5c96871029bc",
+        "summary.json": "5ef07b20423a069f38948ccf54c3934057cfbdf9f1601cfb6f0e2f9c6b46df3f",
         "trials.jsonl": "6a1c89eaeb8655c8eb3c4cf479d484db18ab6d7351df830270d4801095ed1c8d",
     },
     "coupling-a1": {
@@ -74,12 +85,12 @@ GOLDEN = {
         "trials.jsonl": "2a528b35a179ac62919a99e92fe87b408c4ea4668783537ef377facdcafe502c",
     },
     "sweep-t": {
-        "summary.json": "cc3ff385ea56283e63d72225657aa0d4ccd8557f80920f86fd4344686854a221",
-        "sweep.csv": "770ca311eb50265ba64daa02b1d24ae367f6b44f1b8f702a4e02e2e10c617d6e",
+        "summary.json": "815b4fc635a0b6ea34485cb21eca140ff8107babc341f945ace7862241557bb1",
+        "sweep.csv": "83ca5873f874974d9250437ce57ed5f4e1ea5b15f641d25bf08e082b7848ddce",
     },
     "sweep-c": {
-        "summary.json": "8b54bacbe22c7289b086cac9f4c872c54bae7b89708b903b6780ca8841abab56",
-        "sweep.csv": "2701923e7d545102544cd4298fe9b291b47eec0cffb4a27ce38078c6be65627c",
+        "summary.json": "de367525d3b43c1abba1737cfac5ab0a4dc8a731d15580ddc119d5c1d3f14370",
+        "sweep.csv": "a0e31e010eeb9c2cc5dbfcb8f1090677e2226d3fa4fe7bb301631ac5fcc7704a",
     },
 }
 
@@ -99,9 +110,9 @@ COUPLING_SUMMARY = {
     "coupling-a1": (-0.009487640849109212, 1.0024087264708208,
                     "1cda721333a01077325e73462d1b3ea2bcbe696e8bb24f473abc30811cc84171"),
     "coupling-a2": (-0.004417113065563041, 1.001439897597183,
-                    "2eea9863ff1d714c3b416a0a5c8317fd1d8167a6480dc63ef127e6a47d2805ff"),
+                    "a29170e37356b3de2ff65a53b21e60b8450174074f59118e285809171914fcce"),
     "hoeffding": (-0.001581461617898963, 0.9949943534211366,
-                  "192d23c69085c4f8e775b53c911e450ee04cb79fa21e109387012a879da170c2"),
+                  "c402d8591cf441af588245b135523e83609dcf20a9df7497b42a7e6cc78f2cf9"),
 }
 
 

@@ -80,6 +80,25 @@ class TestNormalCdf:
         assert x[:3].tolist() == [0.3, -1.7, np.inf] and math.isnan(x[3])
 
 
+class TestWilsonInterval:
+    @pytest.mark.parametrize("total", [1, 3, 60, 200, 300, 1000, 2000])
+    def test_exact_ends(self, total):
+        # center -+ half rounds to 5.6e-17 at count 0 of 3, and to 1 - 2.2e-16
+        # at count = total of 60, 300 and 2000
+        assert stats.wilson_interval(0, total)[0] == 0.0
+        assert stats.wilson_interval(total, total)[1] == 1.0
+        assert 0.0 < stats.wilson_interval(0, total)[1] < 1.0
+        assert 0.0 < stats.wilson_interval(total, total)[0] < 1.0
+
+    @pytest.mark.parametrize("count, total", [(1, 3), (2, 3), (17, 200), (999, 1000)])
+    def test_interior_counts_unclamped(self, count, total):
+        z = stats._Z95
+        p, z2 = count / total, z * z
+        center = (p + z2 / (2 * total)) / (1 + z2 / total)
+        half = z * math.sqrt(p * (1 - p) / total + z2 / (4 * total * total)) / (1 + z2 / total)
+        assert stats.wilson_interval(count, total) == (center - half, center + half)
+
+
 class TestKsChunks:
     @pytest.mark.parametrize(
         "size",
@@ -157,6 +176,17 @@ class TestKsChunks:
         monkeypatch.setattr(stats, "_KS_CHUNK", chunk)
         assert ks_distance_standard_normal(sample) == expected
 
+    @pytest.mark.parametrize("scan", [1, 3, 64])
+    @pytest.mark.parametrize("size", [1, 5, 12, 13, 1000, 4097])
+    def test_sliced_chunk_ends_match_full_scan(self, monkeypatch, scan, size):
+        # chunk ends are evaluated _KS_SCAN chunks at a time, so with 4-value
+        # chunks the slices split the runs of candidate chunks (every chunk
+        # of the quantiles is one) and end with a partial slice and chunk
+        monkeypatch.setattr(stats, "_KS_CHUNK", 4)
+        monkeypatch.setattr(stats, "_KS_SCAN", scan)
+        for sample in (_sorted_quantiles(size), trial_rng(8, size).standard_normal(size) + 0.02):
+            assert ks_distance_standard_normal(sample) == _ks_one_shot(sample)
+
     def test_input_not_reordered(self):
         sample = trial_rng(5, 1).standard_normal(500)
         before = sample.copy()
@@ -200,6 +230,17 @@ class TestSampleMoments:
 
 
 class TestPeakMemory:
+    def test_ks_holds_one_bound_per_chunk(self, monkeypatch):
+        # a sorted sample in place, so no copy is made: what the KS holds is
+        # one float64 bound per chunk and temporaries of up to _KS_SCAN
+        # values.  With 8-value chunks the bounds take 2 MiB; holding every
+        # chunk's ends and differences at once would take the peak past 16 MiB.
+        monkeypatch.setattr(stats, "_KS_CHUNK", 8)
+        x = np.sort(trial_rng(3, 0).standard_normal(1 << 21))
+        bounds = 8 * (x.size // 8)
+        assert (_peak_traced_bytes(ks_distance_standard_normal, x, True)
+                < bounds + 32 * 8 * stats._KS_SCAN)
+
     def test_moments_below_half_the_input(self):
         x = trial_rng(1618, 0).standard_normal(1_000_000)
         assert _peak_traced_bytes(sample_moments, x) < 0.5 * x.nbytes
