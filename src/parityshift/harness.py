@@ -580,13 +580,14 @@ def _evasion_job(spec: ExperimentSpec, s_min: int, budget,
     coordinate by +a, so every row shares one 1-d perturbation.
     """
     a, n, budget = spec.effective_a, spec.n, np.asarray(budget)
-    full_cube = PerturbationVector(np.ones(n, dtype=np.int8), a)
 
     def attack(start, x, u, z, s_pre):
         kept = np.minimum.outer((n + s_pre) // 2, budget)
         if budget.ndim:
             return kept, None, None
-        theta = full_cube if budget == 0 else optimal_parity_evasion(z, a, budget)
+        # built per block, inside the block's memory guard, and only at budget 0
+        theta = (PerturbationVector(np.ones(n, dtype=np.int8), a) if budget == 0
+                 else optimal_parity_evasion(z, a, budget))
         return kept, theta, _attacked(x, theta)
 
     return _Job(spec, attack, s_min=s_min, on_trial=on_trial)

@@ -741,7 +741,10 @@ class TestLargeInput:
         (["--preset", "thm2-detectable", "--n", "1000000000", "--trials", "1"], "n"),
         # a 1.5 GiB row fits, but the parity labels' arrays do not
         (["--preset", "thm2-detectable", "--n", "200000000", "--trials", "1"], "n"),
-    ], ids=["pool", "block", "kernel"])
+        # an evader's n = 2**31 fails in its block, not while its job is made
+        (["--preset", "thm1-detectable", "--n", "2147483648", "--trials", "1"], "n"),
+        (["--preset", "thm2-detectable", "--n", "2147483648", "--trials", "1"], "n"),
+    ], ids=["pool", "block", "kernel", "evader-full-cube", "evader-budget"])
     def test_allocation_failure_exits_2_naming_the_field(self, tmp_path, argv, field):
         proc = subprocess.run(
             [sys.executable, "-c", _LIMITED_SCRIPT, str(2 << 30), "experiment", *argv,
