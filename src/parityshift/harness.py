@@ -214,10 +214,6 @@ class ExperimentSpec:
             return float(self.a)
         return float(self.c) / math.sqrt(math.log(self.n))
 
-    @property
-    def seed64(self) -> int:
-        return self.master_seed & _MASK64
-
 
 @functools.cache
 def _pair_texts() -> np.ndarray:
@@ -327,7 +323,7 @@ def _blocks(
     for start in range(first * m, min(spec.trials, stop * m), m):
         rows = min(m, spec.trials - start)
         for r in range(rows):
-            rng = trial_rng(spec.seed64, start + r, bit_generator)
+            rng = trial_rng(spec.master_seed, start + r, bit_generator)
             rng.standard_normal(out=x[r])
             if u is not None:
                 rng.random(out=u[r])

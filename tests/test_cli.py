@@ -176,10 +176,16 @@ class TestExperimentCommand:
 
     def test_byte_identical_rerun(self, tmp_path):
         args = ["experiment", "--preset", "thm2-undetectable", "--trials", "60",
-                "--n", "500", "--seed", SEED, "--out"]
-        run_cli(args + [str(tmp_path / "one")])
-        run_cli(args + [str(tmp_path / "two")])
+                "--n", "500", "--format", "json,jsonl", "--out"]
+        for name, seed in (("one", SEED), ("two", SEED), ("low", "-1"), ("high", str(2**64 - 1))):
+            assert run_cli(args + [str(tmp_path / name), f"--seed={seed}"]) == 0
         assert read(tmp_path / "one" / "summary.json") == read(tmp_path / "two" / "summary.json")
+        # trial_rng masks the seed to 64 bits, so -1 and 2^64 - 1 draw the same
+        # trials; the summaries differ only in the seed they echo
+        low, high = (json.loads(read(tmp_path / name / "summary.json")) for name in ("low", "high"))
+        assert (low["spec"].pop("master_seed"), high["spec"].pop("master_seed")) == (-1, 2**64 - 1)
+        assert low == high
+        assert read(tmp_path / "low" / "trials.jsonl") == read(tmp_path / "high" / "trials.jsonl")
 
     def test_config_file_layering(self, tmp_path):
         config = tmp_path / "spec.json"
@@ -556,12 +562,21 @@ class TestSweepCommand:
         assert not (tmp_path / "run").exists()
 
     def test_runs_sweep_without_preset(self, tmp_path, capsys):
-        # sweep has one operation, so flags alone name the run; experiment has five
-        code = run_cli(["sweep", "--a", "2", "--n", "300", "--trials", "5", "--seed", "1",
-                        "--out", str(tmp_path / "sweep")])
-        assert code == 0
-        lines = (tmp_path / "sweep" / "sweep.csv").read_text().strip().splitlines()
-        assert len(lines) == 14  # header + the 13 offsets of the default grid
+        # sweep has one operation, so flags alone name the run; experiment has
+        # five.  With no grid given, each regime sweeps its 13 default cells
+        for flag, value, column, grid in (
+            ("--a", "2", "t_offset", [-0.15, -0.125, -0.1, -0.075, -0.05, -0.025, 0.0,
+                                      0.025, 0.05, 0.075, 0.1, 0.125, 0.15]),
+            ("--c", "1", "c", [1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5, 2.75, 3.0, 3.25, 3.5,
+                               3.75, 4.0]),
+        ):
+            out = tmp_path / column
+            assert run_cli(["sweep", flag, value, "--n", "300", "--trials", "5", "--seed", "1",
+                            "--out", str(out)]) == 0
+            header, *rows = (out / "sweep.csv").read_text().strip().splitlines()
+            at = header.split(",").index(column)
+            assert [float(row.split(",")[at]) for row in rows] == grid
+            assert [row[column] for row in json.loads(read(out / "summary.json"))["rows"]] == grid
         code = run_cli(["experiment", "--a", "2", "--n", "300", "--trials", "5", "--seed", "1",
                         "--out", str(tmp_path / "experiment")])
         assert code == 2

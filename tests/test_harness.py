@@ -179,7 +179,7 @@ class TestThm1Undetectable:
         params = KernelParams(a)
         plan = accel.plan_for(a, spec.rel_tol)
         for i in range(spec.trials):
-            rng = trial_rng(spec.seed64, i)
+            rng = trial_rng(spec.master_seed, i)
             x = rng.standard_normal(spec.n)
             u = rng.random(spec.n)
             mask = np.abs(x) < 0.5 * a
@@ -187,7 +187,7 @@ class TestThm1Undetectable:
             uc = u[mask]
             fast = int(np.count_nonzero((uc >= phi_c) & (uc < phi_c + gamma_c)))
 
-            rng2 = trial_rng(spec.seed64, i)
+            rng2 = trial_rng(spec.master_seed, i)
             x2 = rng2.standard_normal(spec.n)
             assert fast == couple_perturb(x2, params, rng2.random(spec.n)).zero_count
 
@@ -255,7 +255,7 @@ class TestThm2Undetectable:
 
 
 def _zero_count_for_trial(spec, i):
-    rng = trial_rng(spec.seed64, i)
+    rng = trial_rng(spec.master_seed, i)
     x = rng.standard_normal(spec.n)
     return couple_perturb(x, KernelParams(spec.effective_a), rng.random(spec.n)).zero_count
 
@@ -492,7 +492,7 @@ def _per_trial_coupling_records(spec):
     params = KernelParams(a, rel_tol=spec.rel_tol)
     out = []
     for i in range(spec.trials):
-        rng = trial_rng(spec.seed64, i)
+        rng = trial_rng(spec.master_seed, i)
         x = rng.standard_normal(n)
         theta = couple_perturb(x, params, rng.random(n))
         _, s_pre = accel.parity_labels_and_sum(x, a)
@@ -562,7 +562,7 @@ class TestTrialBlocks:
         params = KernelParams(2.0)
         pool = []
         for i in range(spec.trials):
-            rng = trial_rng(spec.seed64, i)
+            rng = trial_rng(spec.master_seed, i)
             x = rng.standard_normal(spec.n)
             pool.append(x + couple_perturb(x, params, rng.random(spec.n)).signs * 2.0)
         pool = np.concatenate(pool)
@@ -653,7 +653,7 @@ class TestSweep:
             params = KernelParams(a, rel_tol=spec.rel_tol)
             counts = np.zeros(5, dtype=int)  # null accept, success, overlap, no stay, win
             for i in range(spec.trials):
-                rng = trial_rng(spec.seed64, i)
+                rng = trial_rng(spec.master_seed, i)
                 x = rng.standard_normal(spec.n)
                 theta = couple_perturb(x, params, rng.random(spec.n))
                 x_post = x + theta.signs * a

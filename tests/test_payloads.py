@@ -17,9 +17,10 @@ evaluate the normal CDF with ``stats.normal_cdf`` in place of scipy's
 ``ndtr``.  The two differ by up to two ulps, and at hoeffding's maximum
 by 2.8e-17: ``bounds.ks_distance`` and its check's ``observed`` went from
 0.0011651171046252323 to 0.0011651171046252046, and nothing else moved.
-The coupling-a1 and coupling-a2 maxima kept every bit.  normal_cdf's
-table holds Phi at its grid points from ``math.erfc``, that is from the
-C library's erfc, so this digest assumes glibc's rounding as well.
+The coupling-a1 and coupling-a2 maxima kept every bit.  normal_cdf
+takes Phi from ``math.erfc``, that is from the C library's erfc, so this
+digest assumes glibc's rounding as well.  Every digest kept its bits
+when normal_cdf's Taylor table gave way to that direct erfc call.
 
 thm1-undetectable's trials.jsonl was re-recorded when its records came
 to be built from the run's central-bin die: each record's theta_rle

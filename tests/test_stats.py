@@ -65,9 +65,8 @@ class TestNormalCdf:
         assert got[3] == 0.0 and got[4] == 1.0
 
     def test_no_monotonicity_drop_above_1e_15(self):
-        # a dense grid across the clipping edges at +-39, and each midpoint
-        # between grid points, where the nearest point switches, with its
-        # neighbouring floats
+        # a dense grid across +-39, where Phi rounds to 0.0 and 1.0, and each
+        # odd multiple of 1/128 with its neighbouring floats
         mid = (np.arange(-39 * 64, 39 * 64) + 0.5) / 64
         x = np.sort(np.concatenate([np.linspace(-40.0, 40.0, 2_000_001), mid,
                                     np.nextafter(mid, -np.inf), np.nextafter(mid, np.inf)]))
@@ -78,6 +77,14 @@ class TestNormalCdf:
         x = np.array([0.3, -1.7, np.inf, np.nan])
         normal_cdf(x)
         assert x[:3].tolist() == [0.3, -1.7, np.inf] and math.isnan(x[3])
+
+    @pytest.mark.parametrize("x", [np.float64(-0.4), 1.5, np.arange(-3.0, 3.0).reshape(2, 3),
+                                   np.zeros((0, 4)), [], np.arange(4, dtype=np.float32)])
+    def test_shape_kept_as_float64(self, x):
+        got = normal_cdf(x)
+        assert type(got) is np.ndarray and got.dtype == np.float64
+        assert got.shape == np.shape(x)
+        assert got.ravel().tolist() == normal_cdf(np.ravel(x).astype(np.float64)).tolist()
 
 
 class TestWilsonInterval:
