@@ -4,9 +4,11 @@ The Monte Carlo harness evaluates the stay/up-shift probabilities, die
 outcomes and bin-parity labels across ~1e8 coordinates per experiment,
 so these are the only routines worth vectorising.  Each kernel sums the
 terms of a precomputed plan, truncated at 1e-12 relative, and agrees
-with the adaptive scalar reference in ``kernels`` within 2e-12.  The
-kernels are elementwise, so the harness calls each once per (m, n)
-trial block; the label sums are then taken per row.
+within 2e-12 with the adaptive scalar series that the tests keep as its
+reference (``tests/oracles.py``).  The kernels are elementwise, so the
+harness calls each once per (m, n) trial block; the label sums are then
+taken per row.  ``kernel_columns`` builds the ``kernels`` command's table
+from ``phi_gamma``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ __all__ = [
     "SeriesPlan",
     "plan_for",
     "phi_gamma",
+    "kernel_columns",
     "die_outcomes",
     "parity_labels_and_sum",
     "zero_signed_sum",
@@ -34,8 +37,8 @@ class SeriesPlan:
     """Fixed term counts and coefficients for array evaluation.
 
     Planned so every omitted tail is below rel_tol/1000 in absolute
-    terms, which keeps the array path within round-off of the adaptive
-    scalar reference for probabilities in [0, 1].
+    terms, which keeps the array path within round-off of the exact
+    series for probabilities in [0, 1].
     """
 
     a: float
@@ -55,10 +58,10 @@ def plan_for(a: float, rel_tol: float = 1e-12) -> SeriesPlan:
     target = -math.log(rel_tol * 1e-3)
 
     k_phi = max(2, math.ceil(math.sqrt(2.0 * target) / a) + 1)
-    # no more terms than the scalar reference may sum: a >= 0.0326 at rel_tol 1e-12
+    # a plan sums at most max_terms terms of phi's series: a >= 0.0326 at rel_tol 1e-12
     if k_phi > KernelParams.max_terms:
         raise ValueError(f"a: {a!r} is too small, phi's series would take {k_phi:.3g} terms, "
-                         f"more than the {KernelParams.max_terms} the scalar reference allows")
+                         f"more than the {KernelParams.max_terms} a series plan may take")
     ks = np.arange(1, k_phi + 1, dtype=np.float64)
     # From a = 40 on, every coefficient but gamma's first (1) is exp(-800)
     # or less, which is 0; a capped at 40 gives the same bits without
@@ -188,6 +191,38 @@ def phi_gamma(x: np.ndarray, plan: SeriesPlan) -> tuple[np.ndarray, np.ndarray]:
     if gamma_lo < 0.0 or gamma_hi > 1.0:
         np.clip(gamma_raw, 0.0, 1.0, out=gamma_raw)
     return phi_raw, gamma_raw
+
+
+def _normal_pdf(x: np.ndarray) -> np.ndarray:
+    return np.exp(-0.5 * x * x) / SQRT_TWO_PI
+
+
+def kernel_columns(x: np.ndarray, plan: SeriesPlan) -> tuple[np.ndarray, ...]:
+    """The kernel table's columns at x: p, g, gamma, phi and the identity residual.
+
+    p is the standard normal density.  g, the alternating translate sum
+    sum_k (-1)^k p(x + k a), equals gamma p on the central bin and is
+    anti-periodic, g(x + a) = -g(x), so g(x) = z p(r) gamma(r), where
+    r = x - k a is x reduced to the central bin and z = (-1)^k is x's
+    parity label.  The residual of the density-preservation identity,
+
+        phi(x-a) p(x-a) + gamma(x) p(x) + [1 - phi(x+a) - gamma(x+a)] p(x+a) - p(x),
+
+    is zero in exact arithmetic; its value reflects truncation and
+    round-off only.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    a = plan.a
+    k = np.floor(x / a + 0.5).astype(np.int64)
+    r = x - k * a
+    g = (1 - 2 * (k & 1)) * _normal_pdf(r) * phi_gamma(r, plan)[1]
+    p = _normal_pdf(x)
+    phi, gamma = phi_gamma(x, plan)
+    phi_lo = phi_gamma(x - a, plan)[0]
+    phi_hi, gamma_hi = phi_gamma(x + a, plan)
+    residual = (phi_lo * _normal_pdf(x - a) + gamma * p
+                + (1.0 - phi_hi - gamma_hi) * _normal_pdf(x + a) - p)
+    return p, g, gamma, phi, residual
 
 
 def die_outcomes(phi: np.ndarray, gamma: np.ndarray, u: np.ndarray) -> np.ndarray:

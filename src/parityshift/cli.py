@@ -36,10 +36,9 @@ from typing import TextIO
 
 import numpy as np
 
-from . import forked, harness
+from . import accel, forked, harness
 from .harness import ExperimentSpec
-from .kernels import (POSITIVE_FINITE, KernelParams, SeriesConvergenceError, check_real, eval_g,
-                      eval_gamma, eval_phi, fp_residual, normal_pdf)
+from .kernels import POSITIVE_FINITE, KernelParams, check_real
 
 __all__ = ["main", "run_cli", "PRESETS"]
 
@@ -277,9 +276,16 @@ def _exit_on_sigterm(signum, frame) -> None:
     raise SystemExit(128 + signum)  # the status a shell reports for a SIGTERM death
 
 
+# Rows of kernels.csv computed and written at a time: a block's columns
+# and text take well under 1 MB, however long the table
+_TABLE_BLOCK = 1 << 10
+_TABLE_ROW = ",".join(["%.17g"] * 6) + "\n"  # _fmt's format, for a whole row
+
+
 def _cmd_kernels(args, argv) -> int:
     start = _run_start()
     params = KernelParams(args.a, rel_tol=args.rel_tol)
+    plan = accel.plan_for(params.a, params.rel_tol)
     check_real("step", args.step, POSITIVE_FINITE)
     limit = params.x_max - params.a
     for name in ("xmin", "xmax"):
@@ -292,21 +298,16 @@ def _cmd_kernels(args, argv) -> int:
     except (ValueError, MemoryError) as exc:
         raise ConfigError(f"step: {args.step!r} is too small for the grid ({exc})") from exc
     worst = 0.0
-    # rows are written as they are computed, so memory does not grow with the table
     with _out_dir(Path(args.out)) as out_dir, _partial_file(out_dir / "kernels.csv") as fh:
         fh.write("x,p,g,gamma,phi,fp_residual\n")
-        for x in xs:
-            x = float(x)
-            try:
-                row = (x, normal_pdf(x), eval_g(x, params).value, eval_gamma(x, params),
-                       eval_phi(x, params), fp_residual(x, params))
-            except SeriesConvergenceError as exc:
-                raise ConfigError(
-                    f"a: {args.a!r} is too small, a series stopped at x={x!r} ({exc})") from exc
-            worst = max(worst, abs(row[5]))
-            if not all(math.isfinite(v) for v in row):
-                raise AssertionError(f"non-finite kernel value at x={x!r}")
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for lo in range(0, xs.size, _TABLE_BLOCK):
+            x = xs[lo:lo + _TABLE_BLOCK]
+            columns = (x, *accel.kernel_columns(x, plan))
+            finite = np.isfinite(columns).all(axis=0)
+            if not finite.all():
+                raise AssertionError(f"non-finite kernel value at x={float(x[finite.argmin()])!r}")
+            worst = max(worst, float(np.abs(columns[-1]).max()))
+            fh.writelines(map(_TABLE_ROW.__mod__, zip(*(c.tolist() for c in columns))))
     _write_meta(out_dir, "kernels", argv, None, start)
     ok = worst <= 1e-9
     print(f"[{'PASS' if ok else 'FAIL'}] max_abs_fp_residual: observed={worst:.6g} limit=1e-09")

@@ -1,6 +1,6 @@
-"""Scalar evaluation of the wrapped alternating Gaussian kernel family.
+"""Parameters, checks and the central-bin mass of the wrapped alternating Gaussian kernel.
 
-Four related quantities are evaluated with certified truncation error:
+The kernel family is:
 
 * ``g`` -- alternating sum of standard-normal translates with step ``a``;
   anti-periodic, ``g(x + a) = -g(x)``, and even in ``x``.
@@ -12,24 +12,27 @@ Four related quantities are evaluated with certified truncation error:
 * ``phi`` -- up-shift probability, the decaying solution of
   ``phi(x) p(x) = [1 - gamma(x+a) - phi(x+a)] p(x+a)``.
 
-Each of ``g`` and ``gamma`` has two independent series representations:
-translate sums over ``k`` ("primal", terms decay like ``exp(-k^2 a^2/2)``)
-and Poisson-summed cosine series ("dual", terms decay like
+``g``, ``gamma`` and ``phi`` have one implementation, on arrays, in
+``accel``; their adaptive scalar series are the tests' reference
+(``tests/oracles.py``).  This module holds what both share: the bin
+width and tolerance (``KernelParams``), the checks of a real input, the
+errors, and ``G(a)``.
+
+Each of ``g`` and ``gamma`` has two series representations: translate
+sums over ``k`` ("primal", terms decay like ``exp(-k^2 a^2/2)``) and
+Poisson-summed cosine series ("dual", terms decay like
 ``exp(-m^2 pi^2 / (2 a^2))``).  The decay rates coincide at
 ``a = sqrt(pi)``, which is the mode crossover.  ``G(a)`` likewise has a
 dual series and a primal one, the alternating sum of normal bin masses;
 their rates coincide at ``a = sqrt(2 pi)``, ``BIG_G_CROSSOVER_A``.
 
-All exponents are assembled before exponentiation (no density ratios),
-so no intermediate overflows for any ``a > 0``.
-
-All six series (primal and dual g, both routes of G(a), primal gamma
-and phi's forward series) obey one truncation rule, applied by ``_sum_series``.
-Each series is a generator of ``(term count, value, tail)`` steps, where
-tail bounds everything after the step.  Summing stops at the first step
-whose tail is at most ``rel_tol * max(|value|, 1e-300)`` and reports that
-tail as ``est_error``; a step that would take the count past
-``max_terms`` raises ``SeriesConvergenceError`` instead.
+Every scalar series, here and in the tests, obeys one truncation rule,
+applied by ``_sum_series``.  Each series is a generator of
+``(term count, value, tail)`` steps, where tail bounds everything after
+the step.  Summing stops at the first step whose tail is at most
+``rel_tol * max(|value|, 1e-300)`` and reports that tail as
+``est_error``; a step that would take the count past ``max_terms``
+raises ``SeriesConvergenceError`` instead.
 """
 
 from __future__ import annotations
@@ -48,12 +51,7 @@ __all__ = [
     "POSITIVE_FINITE",
     "check_real",
     "square_underflows",
-    "normal_pdf",
-    "eval_g",
     "eval_big_g",
-    "eval_gamma",
-    "eval_phi",
-    "fp_residual",
 ]
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -167,11 +165,6 @@ class KernelEval:
     est_error: float
 
 
-def normal_pdf(x: float) -> float:
-    """Standard normal density."""
-    return math.exp(-0.5 * x * x) / SQRT_TWO_PI
-
-
 def _sum_series(steps, params: KernelParams, scale: float, what: tuple) -> tuple:
     """Sum ``(term count, value, tail)`` steps under the one truncation rule.
 
@@ -196,78 +189,6 @@ def _sum_series(steps, params: KernelParams, scale: float, what: tuple) -> tuple
         terms += count
         if tail <= rel_tol * max(scale * abs(total), _TINY):
             return total, terms, tail
-
-
-def _g_primal(x: float, params: KernelParams) -> KernelEval:
-    """Translate-sum route for g, summed in rings around the nearest translate.
-
-    Ring magnitudes decay by at least exp(-a^2) per step once past the
-    center, which gives the geometric tail certificate.
-    """
-    total, terms, tail = _sum_series(
-        _g_primal_steps(x, params.a), params, 1.0, ("primal g series", "x", x))
-    return KernelEval(total / SQRT_TWO_PI, terms, "primal", tail / SQRT_TWO_PI)
-
-
-def _g_primal_steps(x: float, a: float):
-    # Ring d holds translates k0 + d and k0 - d, of one parity; each ring's
-    # magnitude is the previous ring's tail before the geometric factor.
-    k0 = -round(x / a)
-    geom = 1.0 / (1.0 - math.exp(-a * a)) if a * a < 700 else 1.0
-
-    def translate(k: int) -> float:
-        u = x + k * a
-        return math.exp(-0.5 * u * u)
-
-    # the nearest translate alone carries no tail bound
-    yield 1, -translate(k0) if (k0 & 1) else translate(k0), math.inf
-    d = 1
-    ring = translate(k0 + 1) + translate(k0 - 1)
-    while True:
-        nxt = translate(k0 + d + 1) + translate(k0 - d - 1)
-        yield 2, -ring if ((k0 + d) & 1) else ring, nxt * geom
-        d += 1
-        ring = nxt
-
-
-def _g_dual(x: float, params: KernelParams) -> KernelEval:
-    """Poisson-summed cosine route for g over odd frequencies."""
-    scale = 2.0 / params.a
-    total, terms, tail = _sum_series(
-        _g_dual_steps(x, params.a, scale), params, scale, ("dual g series", "x", x))
-    return KernelEval(scale * total, terms, "dual", tail)
-
-
-def _g_dual_steps(x: float, a: float, scale: float):
-    beta = math.pi * math.pi / (2.0 * a * a)
-    # Successive odd-term magnitude ratios are <= exp(-8 beta).
-    geom = 1.0 / (1.0 - math.exp(-8.0 * beta))
-    m = 1
-    weight = math.exp(-beta * m * m)
-    while True:
-        nxt = m + 2
-        weight_nxt = math.exp(-beta * nxt * nxt)
-        yield 1, weight * math.cos(m * math.pi * x / a), scale * weight_nxt * geom
-        m, weight = nxt, weight_nxt
-
-
-def eval_g(x: float, params: KernelParams, mode: str | None = None) -> KernelEval:
-    """Evaluate the alternating wrapped Gaussian g at x.
-
-    g(x) = (1/sqrt(2 pi)) sum_k (-1)^k exp(-(x + k a)^2 / 2)
-         = (2/a) sum_{m odd >= 1} exp(-m^2 pi^2 / (2 a^2)) cos(m pi x / a)
-
-    The route is picked by ``params.mode`` unless ``mode`` overrides it
-    (used by the cross-representation tests).
-
-    Raises SeriesConvergenceError if the term cap is hit.
-    """
-    mode = params.mode if mode is None else mode
-    if mode == "primal":
-        return _g_primal(x, params)
-    if mode == "dual":
-        return _g_dual(x, params)
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 def eval_big_g(params: KernelParams) -> KernelEval:
@@ -331,133 +252,3 @@ def _big_g_bin_steps(a: float):
         value, sign, j = sign * nxt, -sign, j + 1
 
 
-def _gamma_raw(x: float, params: KernelParams) -> float:
-    """Stay probability before range clamping.
-
-    Zero outside the open central bin.  Inside it, the primal route sums
-    exp(-k a x - k^2 a^2 / 2) directly; the dual route (mandatory for
-    small a, where the primal terms are O(1) and cancel catastrophically)
-    divides the dual g by the normal density.
-    """
-    a = params.a
-    if abs(x) >= 0.5 * a:
-        return 0.0
-    if params.mode == "dual":
-        ge = _g_dual(x, params)
-        return ge.value * SQRT_TWO_PI * math.exp(0.5 * x * x)
-    return _sum_series(_gamma_primal_steps(x, a), params, 1.0,
-                       ("primal gamma series", "x", x))[0]
-
-
-def _gamma_primal_steps(x: float, a: float):
-    geom = 1.0 / (1.0 - math.exp(-a * a)) if a * a < 700 else 1.0
-    # the k = 0 term alone carries no tail bound
-    yield 1, 1.0, math.inf
-    k = 0
-    while True:
-        k += 1
-        pair = math.exp(-k * a * x - 0.5 * k * k * a * a) + math.exp(
-            k * a * x - 0.5 * k * k * a * a
-        )
-        kn = k + 1
-        tail = (
-            math.exp(-kn * a * x - 0.5 * kn * kn * a * a)
-            + math.exp(kn * a * x - 0.5 * kn * kn * a * a)
-        ) * geom
-        yield 2, pair if (k % 2 == 0) else -pair, tail
-
-
-def _check_range(raw: float, params: KernelParams, what: str, x: float) -> None:
-    band = 10.0 * params.rel_tol
-    if not (-band <= raw <= 1.0 + band):
-        raise KernelRangeError(
-            f"{what}({x!r}, a={params.a!r}) = {raw!r} outside [-10 rel_tol, 1 + 10 rel_tol]"
-        )
-
-
-def eval_gamma(x: float, params: KernelParams) -> float:
-    """Stay probability gamma(x), clamped to [0, 1].
-
-    gamma(x) = sum_k (-1)^k exp(-k a x - k^2 a^2 / 2) for |x| < a/2,
-    zero otherwise; equals g(x)/p(x) on its support.  The raw value is
-    verified to lie within 10 rel_tol of [0, 1] before clamping.
-    """
-    raw = _gamma_raw(x, params)
-    _check_range(raw, params, "gamma", x)
-    return min(1.0, max(0.0, raw))
-
-
-def _phi_forward_raw(y: float, params: KernelParams) -> float:
-    """Forward up-shift series at y >= 0.
-
-    sum_{k>=1} (-1)^(k+1) [1 - gamma(y + k a)] exp(-k a y - k^2 a^2 / 2)
-
-    For y >= 0 every argument y + k a lies past a/2, so the stay-probability
-    factor is identically 1 and is left out; the terms decrease
-    monotonically, and the alternating remainder is bounded by the first
-    omitted term.
-    """
-    return _sum_series(_phi_forward_steps(y, params.a), params, 1.0,
-                       ("up-shift series", "y", y))[0]
-
-
-def _phi_forward_steps(y: float, a: float):
-    k = 0
-    sign = 1.0
-    while True:
-        k += 1
-        kn = k + 1
-        yield (1, sign * math.exp(-k * a * y - 0.5 * k * k * a * a),
-               math.exp(-kn * a * y - 0.5 * kn * kn * a * a))
-        sign = -sign
-
-
-def _phi_raw(x: float, params: KernelParams) -> float:
-    """Up-shift probability before range clamping.
-
-    x >= 0 uses the forward series directly.  x < 0 would lose ~x^2/2
-    nats to cancellation in the forward series, so the mirrored stable
-    series psi(x) = sum_{k>=1} (-1)^(k+1) [1 - gamma(x - k a)]
-    exp(k a x - k^2 a^2 / 2) is evaluated instead (term-for-term it is
-    the forward series at -x, by evenness of gamma) and
-    phi(x) = 1 - gamma(x) - psi(x).
-    """
-    if abs(x) > params.x_max:
-        raise ValueError(
-            f"|x| = {abs(x)!r} beyond the evaluation clamp x_max = {params.x_max!r}"
-        )
-    if x >= 0.0:
-        return _phi_forward_raw(x, params)
-    return 1.0 - _gamma_raw(x, params) - _phi_forward_raw(-x, params)
-
-
-def eval_phi(x: float, params: KernelParams) -> float:
-    """Up-shift probability phi(x), clamped to [0, 1].
-
-    Raises ValueError beyond the domain clamp and KernelRangeError if the
-    raw value escapes the certified range band.
-    """
-    raw = _phi_raw(x, params)
-    _check_range(raw, params, "phi", x)
-    return min(1.0, max(0.0, raw))
-
-
-def fp_residual(x: float, params: KernelParams) -> float:
-    """Residual of the density-preservation identity at x.
-
-    phi(x-a) p(x-a) + gamma(x) p(x) + [1 - phi(x+a) - gamma(x+a)] p(x+a) - p(x)
-
-    Exactly zero in exact arithmetic; the numerical value reflects series
-    truncation and round-off only.
-    """
-    a = params.a
-    if abs(x) > params.x_max - a:
-        raise ValueError(
-            f"|x| = {abs(x)!r} beyond x_max - a = {params.x_max - a!r}"
-        )
-    return (
-        eval_phi(x - a, params) * normal_pdf(x - a)
-        + eval_gamma(x, params) * normal_pdf(x)
-        + (1.0 - eval_phi(x + a, params) - eval_gamma(x + a, params)) * normal_pdf(x + a)
-        - normal_pdf(x)
-    )

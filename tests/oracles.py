@@ -6,9 +6,20 @@ normal mass of a bin, the parity statistic and the acceptance decision
 on one sample, the flip identity, one roll of the three-sided die, and
 the float view, run-length decoding and sparsity ratio of a
 ``PerturbationVector``.  The tests hold the array path to these.
+
+The adaptive scalar series of g, gamma and phi, and the
+density-preservation residual built from them (``eval_g``,
+``eval_gamma``, ``eval_phi``, ``fp_residual``), are the independent
+float64 reference for ``accel.phi_gamma`` and ``accel.kernel_columns``.
+They sum each series term by term under ``kernels._sum_series``'s
+truncation rule until the tail bound meets rel_tol, assemble every
+exponent before exponentiating (no density ratios), so no intermediate
+overflows for any a > 0, and check each raw probability against
+[-10 rel_tol, 1 + 10 rel_tol] before clamping it.
+
 ``big_g_oracle`` and ``phi_oracle`` are the arbitrary-precision
 references that ``kernels.eval_big_g`` and both evaluations of phi
-(``kernels.eval_phi``, ``accel.phi_gamma``) are held to.
+(``eval_phi`` here, ``accel.phi_gamma``) are held to.
 """
 
 from __future__ import annotations
@@ -22,6 +33,8 @@ import numpy as np
 from parityshift import accel
 from parityshift.attack import PerturbationVector
 from parityshift.detector import ZERO_TEST_MIN_SUM, min_accepted_sum
+from parityshift.kernels import (SQRT_TWO_PI, KernelEval, KernelParams, KernelRangeError,
+                                 _sum_series)
 
 _PROB_SLACK = 1e-9
 
@@ -105,9 +118,9 @@ def phi_oracle(x: float, a: float) -> float:
     with the stay probability gamma(y) = sum_{j in Z} (-1)^j
     exp(-j a y - j^2 a^2 / 2) on |y| < a/2 and 0 elsewhere.  Both series
     are summed at 50 digits at every x, the negative x where a float sum
-    would cancel (``kernels`` takes the mirrored series there) included,
+    would cancel (``eval_phi`` takes the mirrored series there) included,
     until their terms fall below 10^-60 past their largest, and the sum is
-    rounded to a double once; no float64 series of ``kernels`` enters.
+    rounded to a double once; no float64 series enters.
     """
     with mpmath.workdps(50):
         xm, am = mpmath.mpf(x), mpmath.mpf(a)
@@ -220,3 +233,212 @@ def sparsity_ratio(theta: PerturbationVector) -> float:
     if theta.n == 0:
         raise ValueError("sparsity ratio of an empty perturbation is undefined")
     return theta.zero_count / theta.n
+
+
+def normal_pdf(x: float) -> float:
+    """Standard normal density."""
+    return math.exp(-0.5 * x * x) / SQRT_TWO_PI
+
+
+def _g_primal(x: float, params: KernelParams) -> KernelEval:
+    """Translate-sum route for g, summed in rings around the nearest translate.
+
+    Ring magnitudes decay by at least exp(-a^2) per step once past the
+    center, which gives the geometric tail certificate.
+    """
+    total, terms, tail = _sum_series(
+        _g_primal_steps(x, params.a), params, 1.0, ("primal g series", "x", x))
+    return KernelEval(total / SQRT_TWO_PI, terms, "primal", tail / SQRT_TWO_PI)
+
+
+def _g_primal_steps(x: float, a: float):
+    # Ring d holds translates k0 + d and k0 - d, of one parity; each ring's
+    # magnitude is the previous ring's tail before the geometric factor.
+    k0 = -round(x / a)
+    geom = 1.0 / (1.0 - math.exp(-a * a)) if a * a < 700 else 1.0
+
+    def translate(k: int) -> float:
+        u = x + k * a
+        return math.exp(-0.5 * u * u)
+
+    # the nearest translate alone carries no tail bound
+    yield 1, -translate(k0) if (k0 & 1) else translate(k0), math.inf
+    d = 1
+    ring = translate(k0 + 1) + translate(k0 - 1)
+    while True:
+        nxt = translate(k0 + d + 1) + translate(k0 - d - 1)
+        yield 2, -ring if ((k0 + d) & 1) else ring, nxt * geom
+        d += 1
+        ring = nxt
+
+
+def _g_dual(x: float, params: KernelParams) -> KernelEval:
+    """Poisson-summed cosine route for g over odd frequencies."""
+    scale = 2.0 / params.a
+    total, terms, tail = _sum_series(
+        _g_dual_steps(x, params.a, scale), params, scale, ("dual g series", "x", x))
+    return KernelEval(scale * total, terms, "dual", tail)
+
+
+def _g_dual_steps(x: float, a: float, scale: float):
+    beta = math.pi * math.pi / (2.0 * a * a)
+    # Successive odd-term magnitude ratios are <= exp(-8 beta).
+    geom = 1.0 / (1.0 - math.exp(-8.0 * beta))
+    m = 1
+    weight = math.exp(-beta * m * m)
+    while True:
+        nxt = m + 2
+        weight_nxt = math.exp(-beta * nxt * nxt)
+        yield 1, weight * math.cos(m * math.pi * x / a), scale * weight_nxt * geom
+        m, weight = nxt, weight_nxt
+
+
+def eval_g(x: float, params: KernelParams, mode: str | None = None) -> KernelEval:
+    """Evaluate the alternating wrapped Gaussian g at x.
+
+    g(x) = (1/sqrt(2 pi)) sum_k (-1)^k exp(-(x + k a)^2 / 2)
+         = (2/a) sum_{m odd >= 1} exp(-m^2 pi^2 / (2 a^2)) cos(m pi x / a)
+
+    The route is picked by ``params.mode`` unless ``mode`` overrides it
+    (used by the cross-representation tests).
+
+    Raises SeriesConvergenceError if the term cap is hit.
+    """
+    mode = params.mode if mode is None else mode
+    if mode == "primal":
+        return _g_primal(x, params)
+    if mode == "dual":
+        return _g_dual(x, params)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def _gamma_raw(x: float, params: KernelParams) -> float:
+    """Stay probability before range clamping.
+
+    Zero outside the open central bin.  Inside it, the primal route sums
+    exp(-k a x - k^2 a^2 / 2) directly; the dual route (mandatory for
+    small a, where the primal terms are O(1) and cancel catastrophically)
+    divides the dual g by the normal density.
+    """
+    a = params.a
+    if abs(x) >= 0.5 * a:
+        return 0.0
+    if params.mode == "dual":
+        ge = _g_dual(x, params)
+        return ge.value * SQRT_TWO_PI * math.exp(0.5 * x * x)
+    return _sum_series(_gamma_primal_steps(x, a), params, 1.0,
+                       ("primal gamma series", "x", x))[0]
+
+
+def _gamma_primal_steps(x: float, a: float):
+    geom = 1.0 / (1.0 - math.exp(-a * a)) if a * a < 700 else 1.0
+    # the k = 0 term alone carries no tail bound
+    yield 1, 1.0, math.inf
+    k = 0
+    while True:
+        k += 1
+        pair = math.exp(-k * a * x - 0.5 * k * k * a * a) + math.exp(
+            k * a * x - 0.5 * k * k * a * a
+        )
+        kn = k + 1
+        tail = (
+            math.exp(-kn * a * x - 0.5 * kn * kn * a * a)
+            + math.exp(kn * a * x - 0.5 * kn * kn * a * a)
+        ) * geom
+        yield 2, pair if (k % 2 == 0) else -pair, tail
+
+
+def _check_range(raw: float, params: KernelParams, what: str, x: float) -> None:
+    band = 10.0 * params.rel_tol
+    if not (-band <= raw <= 1.0 + band):
+        raise KernelRangeError(
+            f"{what}({x!r}, a={params.a!r}) = {raw!r} outside [-10 rel_tol, 1 + 10 rel_tol]"
+        )
+
+
+def eval_gamma(x: float, params: KernelParams) -> float:
+    """Stay probability gamma(x), clamped to [0, 1].
+
+    gamma(x) = sum_k (-1)^k exp(-k a x - k^2 a^2 / 2) for |x| < a/2,
+    zero otherwise; equals g(x)/p(x) on its support.  The raw value is
+    verified to lie within 10 rel_tol of [0, 1] before clamping.
+    """
+    raw = _gamma_raw(x, params)
+    _check_range(raw, params, "gamma", x)
+    return min(1.0, max(0.0, raw))
+
+
+def _phi_forward_raw(y: float, params: KernelParams) -> float:
+    """Forward up-shift series at y >= 0.
+
+    sum_{k>=1} (-1)^(k+1) [1 - gamma(y + k a)] exp(-k a y - k^2 a^2 / 2)
+
+    For y >= 0 every argument y + k a lies past a/2, so the stay-probability
+    factor is identically 1 and is left out; the terms decrease
+    monotonically, and the alternating remainder is bounded by the first
+    omitted term.
+    """
+    return _sum_series(_phi_forward_steps(y, params.a), params, 1.0,
+                       ("up-shift series", "y", y))[0]
+
+
+def _phi_forward_steps(y: float, a: float):
+    k = 0
+    sign = 1.0
+    while True:
+        k += 1
+        kn = k + 1
+        yield (1, sign * math.exp(-k * a * y - 0.5 * k * k * a * a),
+               math.exp(-kn * a * y - 0.5 * kn * kn * a * a))
+        sign = -sign
+
+
+def _phi_raw(x: float, params: KernelParams) -> float:
+    """Up-shift probability before range clamping.
+
+    x >= 0 uses the forward series directly.  x < 0 would lose ~x^2/2
+    nats to cancellation in the forward series, so the mirrored stable
+    series psi(x) = sum_{k>=1} (-1)^(k+1) [1 - gamma(x - k a)]
+    exp(k a x - k^2 a^2 / 2) is evaluated instead (term-for-term it is
+    the forward series at -x, by evenness of gamma) and
+    phi(x) = 1 - gamma(x) - psi(x).
+    """
+    if abs(x) > params.x_max:
+        raise ValueError(
+            f"|x| = {abs(x)!r} beyond the evaluation clamp x_max = {params.x_max!r}"
+        )
+    if x >= 0.0:
+        return _phi_forward_raw(x, params)
+    return 1.0 - _gamma_raw(x, params) - _phi_forward_raw(-x, params)
+
+
+def eval_phi(x: float, params: KernelParams) -> float:
+    """Up-shift probability phi(x), clamped to [0, 1].
+
+    Raises ValueError beyond the domain clamp and KernelRangeError if the
+    raw value escapes the certified range band.
+    """
+    raw = _phi_raw(x, params)
+    _check_range(raw, params, "phi", x)
+    return min(1.0, max(0.0, raw))
+
+
+def fp_residual(x: float, params: KernelParams) -> float:
+    """Residual of the density-preservation identity at x.
+
+    phi(x-a) p(x-a) + gamma(x) p(x) + [1 - phi(x+a) - gamma(x+a)] p(x+a) - p(x)
+
+    Exactly zero in exact arithmetic; the numerical value reflects series
+    truncation and round-off only.
+    """
+    a = params.a
+    if abs(x) > params.x_max - a:
+        raise ValueError(
+            f"|x| = {abs(x)!r} beyond x_max - a = {params.x_max - a!r}"
+        )
+    return (
+        eval_phi(x - a, params) * normal_pdf(x - a)
+        + eval_gamma(x, params) * normal_pdf(x)
+        + (1.0 - eval_phi(x + a, params) - eval_gamma(x + a, params)) * normal_pdf(x + a)
+        - normal_pdf(x)
+    )

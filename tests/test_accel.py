@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import phi_oracle
+from oracles import eval_g, eval_gamma, eval_phi, fp_residual, normal_pdf, phi_oracle
 from parityshift import accel
-from parityshift.kernels import KernelParams, KernelRangeError, eval_gamma, eval_phi
+from parityshift.kernels import KernelParams, KernelRangeError
 
 A_VALUES = [0.3, 0.494, 0.7, 1.0, math.sqrt(math.pi), 2.0, 3.0, 8.0, 30.0]
 
@@ -49,6 +49,38 @@ def test_phi_matches_mpmath_oracle(a):
     scalar = np.array([eval_phi(float(v), KernelParams(a)) for v in x])
     assert np.abs(scalar - expected).max() <= 1e-12
     assert np.abs(accel.phi_gamma(x, accel.plan_for(a))[0] - expected).max() <= 1e-15
+
+
+# the kernels table's widths: the dual route, both sides of the sqrt(pi)
+# crossover and both extremes
+TABLE_A_VALUES = [0.05, 0.3, 1.2, 1.7725, 2.5, 30.0]
+
+
+@pytest.mark.parametrize("a", TABLE_A_VALUES)
+def test_kernel_columns_match_scalar(a):
+    x = np.concatenate([np.linspace(-8.0, 8.0, 1601),
+                        np.array([a / 2, -a / 2, a, -a, 2.5 * a]).clip(-8.0, 8.0)])
+    params = KernelParams(a)
+    plan = accel.plan_for(a)
+    p, g, gamma, phi, residual = accel.kernel_columns(x, plan)
+    expected_phi, expected_gamma = accel.phi_gamma(x, plan)
+    assert np.array_equal(phi, expected_phi) and np.array_equal(gamma, expected_gamma)
+    assert p == pytest.approx([normal_pdf(float(v)) for v in x], rel=1e-15)
+    scalar_g = np.array([eval_g(float(v), params).value for v in x])
+    scalar_residual = np.array([fp_residual(float(v), params) for v in x])
+    # each route certifies 1e-12 relative truncation, so 2e-12 between them
+    assert np.abs(g - scalar_g).max() <= 2e-12
+    assert np.abs(residual - scalar_residual).max() <= 2e-12
+    # the scalar residual reaches 2e-13 at a = 0.05; the array one stays at round-off
+    assert np.abs(residual).max() <= 1e-14
+
+
+@pytest.mark.parametrize("a", TABLE_A_VALUES)
+def test_kernel_columns_g_antiperiodic(a):
+    x = np.linspace(-8.0, 8.0 - a, 1001)
+    plan = accel.plan_for(a)
+    assert accel.kernel_columns(x + a, plan)[1] == pytest.approx(
+        -accel.kernel_columns(x, plan)[1], rel=0, abs=1e-14)
 
 
 def _phi_gamma_boolean_mask(x, plan):
@@ -229,7 +261,7 @@ def test_plan_validation():
     # a * a underflows: the dual coefficients would divide by zero
     with pytest.raises(ValueError, match="underflow"):
         accel.plan_for(1e-300)
-    # phi's plan may not outgrow the scalar reference's term cap
+    # a plan takes at most KernelParams.max_terms terms of phi's series
     assert accel.plan_for(0.0326).phi_coef.size == KernelParams.max_terms
     with pytest.raises(ValueError, match="^a: 0.0325 is too small, phi's series would take 257"):
         accel.plan_for(0.0325)

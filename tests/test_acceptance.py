@@ -10,7 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from oracles import big_g_oracle, flip_identity_check, sparsity_ratio
+from oracles import (_gamma_raw, _phi_raw, big_g_oracle, eval_g, eval_gamma, eval_phi,
+                     flip_identity_check, fp_residual, sparsity_ratio)
 from parityshift import accel
 from parityshift.attack import PerturbationVector, optimal_parity_evasion, sparsity_budget
 from parityshift.detector import big_g_value
@@ -23,16 +24,7 @@ from parityshift.harness import (
     sweep_phase_transition,
     trial_rng,
 )
-from parityshift.kernels import (
-    KernelParams,
-    eval_big_g,
-    eval_g,
-    eval_gamma,
-    eval_phi,
-    fp_residual,
-    _gamma_raw,
-    _phi_raw,
-)
+from parityshift.kernels import KernelParams, eval_big_g
 
 ACCEPT_SEED = 20250810
 SQRT_PI = math.sqrt(math.pi)

@@ -68,9 +68,10 @@ class TestKernelsCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["kernels.csv", "run_meta.json"]
 
     def test_rows_are_not_held(self, tmp_path):
-        # rows are written as they are computed: 20,001 rows of about 120
-        # bytes of text (2.4 MB) take the traced peak to about their grid
-        # array's 160 KB, which a list of every row's text would pass
+        # rows are computed and written 1,024 at a time: 20,001 rows of
+        # about 120 bytes of text (2.4 MB) take the traced peak to about
+        # 630 KB, their grid array's 160 KB and one block's columns and
+        # temporaries, which a list of every row's text would pass
         tracemalloc.start()
         try:
             assert run_cli(["kernels", "--a", "1", "--xmin=-1", "--xmax", "1",
@@ -88,18 +89,21 @@ class TestKernelsCommand:
         run_cli(args + [str(tmp_path / "two")])
         assert read(tmp_path / "one" / "kernels.csv") == read(tmp_path / "two" / "kernels.csv")
 
-    @pytest.mark.parametrize("a, x", [(0.02, "-2.96"), (0.01, "-4.0")])
-    def test_small_width_names_a_and_x(self, tmp_path, capsys, a, x):
-        # phi's up-shift series needs more than max_terms terms there
+    @pytest.mark.parametrize("a, terms", [(0.0325, 257), (0.03, 279), (0.02, 417)])
+    def test_small_width_names_a(self, tmp_path, capsys, a, terms):
+        # phi's series plan would need more than max_terms terms, as in an experiment
         assert run_cli(["kernels", "--a", str(a), "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: a: {a!r} is too small, a series stopped at x={x}")
+        assert err == (f"error: a: {a!r} is too small, phi's series would take {terms} terms, "
+                       "more than the 256 a series plan may take\n")
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="signals a child process")
     def test_sigterm_leaves_no_partial_table(self, tmp_path):
-        # 1.6 million rows take about a minute; the run is terminated once rows
-        # reach kernels.csv.partial, which it removes, with the directory it made
+        # 1.6 million rows take 6.6-8.4 s on a 2-core x86-64 machine, and the first
+        # rows reach kernels.csv.partial within a second; the run is terminated
+        # then, while it writes the table, and removes the partial file and
+        # the directory it made (a run that finished would exit 0)
         out = tmp_path / "run"
         partial = out / "kernels.csv.partial"
         proc = subprocess.Popen(
@@ -121,10 +125,27 @@ class TestKernelsCommand:
         assert proc.returncode == 143
         assert list(tmp_path.iterdir()) == []
 
-    def test_smallest_default_grid_width(self, tmp_path):
-        # a = 0.03 still sums every series on the default grid
-        assert run_cli(["kernels", "--a", "0.03", "--out", str(tmp_path)]) == 0
+    def test_smallest_default_grid_width(self, tmp_path, capsys):
+        # the smallest a a series plan takes, as in an experiment
+        assert run_cli(["kernels", "--a", "0.0326", "--out", str(tmp_path)]) == 0
+        assert "[PASS] max_abs_fp_residual" in capsys.readouterr().out
         assert len((tmp_path / "kernels.csv").read_text().splitlines()) == 802
+
+    def test_non_finite_value_names_first_x(self, tmp_path, capsys, monkeypatch):
+        # g turns NaN from x = 2 on, in the table's second block of rows
+        columns = cli.accel.kernel_columns
+
+        def corrupt(x, plan):
+            p, g, gamma, phi, residual = columns(x, plan)
+            return p, np.where(x > 1.999, math.nan, g), gamma, phi, residual
+
+        monkeypatch.setattr(cli.accel, "kernel_columns", corrupt)
+        xs = np.arange(-4.0, 4.0 + 0.0025, 0.005)
+        first = float(xs[xs > 1.999][0])
+        assert run_cli(["kernels", "--a", "1", "--step", "0.005", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"assertion failure: non-finite kernel value at x={first!r}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_grid_outside_domain_rejected(self, tmp_path):
         code = run_cli(["kernels", "--a", "1.0", "--xmin", "-40", "--xmax", "40",
@@ -466,7 +487,8 @@ class TestShardedImports:
 
 
 # Also in a fresh interpreter: importing the package loads no submodule,
-# and the scalar kernels load without the harness, the CLI or scipy.
+# and kernels.py (parameters, checks and G(a)) loads without the harness,
+# the CLI or scipy.
 _IMPORT_SCRIPT = """
 import json, sys
 

@@ -1,4 +1,4 @@
-"""Kernel series: frozen oracle values, identities, range and mode tests."""
+"""Kernel series (G(a), and the scalar g, gamma and phi oracles): values, identities, ranges."""
 
 import math
 import re
@@ -7,20 +7,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import big_g_oracle
+from oracles import (_check_range, _gamma_raw, _phi_raw, big_g_oracle, eval_g, eval_gamma,
+                     eval_phi, fp_residual, normal_pdf)
 from parityshift.kernels import (
     KernelParams,
     KernelRangeError,
     SeriesConvergenceError,
     eval_big_g,
-    eval_g,
-    eval_gamma,
-    eval_phi,
-    fp_residual,
-    normal_pdf,
     _big_g_dual,
-    _gamma_raw,
-    _phi_raw,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -295,7 +289,5 @@ class TestNormalization:
 class TestRangeGuard:
     def test_kernel_range_error_is_loud(self):
         # sanity: the guard trips on a synthetic out-of-band value
-        from parityshift.kernels import _check_range
-
         with pytest.raises(KernelRangeError):
             _check_range(1.1, KernelParams(1.0), "gamma", 0.0)

@@ -39,14 +39,18 @@ the coupling summary digests of coupling-a2 and hoeffding
 and no trials.jsonl or kernels.csv hash changed.
 
 The kernels.csv hashes (``kernels --a A --xmin -3 --xmax 3 --step 0.005``)
-were recorded before the five scalar series of kernels.py came to share
-one truncation rule in ``_sum_series``, so they pin that the rewrite kept
-every bit of g, gamma, phi and the identity residual.  The values of A
-cover the dual route (0.05, 0.3, 1.2), the primal route just past the
-sqrt(pi) = 1.77245 crossover (1.7725) and beyond it (2.5, 30), and both
-extremes (0.05, 30).  They assume that ``math.exp`` and ``math.cos``
-come from the C library, glibc 2.36 where they were recorded; another
-libm may round the last bit differently.
+were re-recorded when the table came to be computed on arrays by
+``accel.kernel_columns`` instead of by the scalar series, now the tests'
+reference in ``tests/oracles.py``.  Over the six tables the largest
+change per column was: x none; p 5.6e-17 (1 ulp, numpy's exp in place of
+``math.exp``); g 5.4e-15 (a = 1.7725); gamma 2.0e-14 (a = 1.7725); phi
+4.4e-13 (a = 0.3).  The identity residual fell from up to 2.0e-13 to at
+most 1.7e-16.  The values of A cover the dual route (0.05, 0.3, 1.2),
+the primal route just past the sqrt(pi) = 1.77245 crossover (1.7725)
+and beyond it (2.5, 30), and both extremes (0.05, 30).  They assume
+numpy 2.4.6's exp and cos, whose SIMD code depends on the CPU (these were
+recorded on x86-64 with AVX-512), as the experiment digests above do;
+another build or CPU may round the last bit differently.
 """
 
 import hashlib
@@ -97,12 +101,12 @@ GOLDEN = {
 
 # a -> sha256 of kernels.csv over x in [-3, 3] at step 0.005
 KERNELS_GOLDEN = {
-    "0.05": "e427ab7fb0c07509504563d437d6353e699d2ab790157534688ec5ed9b36cbbe",
-    "0.3": "5fb542044bf1dad83f6f9c2fa61ce69a3f70bccb16fbdaf944ab57a6f84f0ed0",
-    "1.2": "02ea322314f129b446fe970345db5b412f1e6d251fef80d1129667373b857750",
-    "1.7725": "6c3776e2fddd137aa5880c31103b914b84910153e97f0e4f0cad449789e96e75",
-    "2.5": "91779b97c3f7aaeb18d2eed24583cbb69b1a5473de6f3a0d015ed1ae1bdf010e",
-    "30": "75a492f9e870c9120d46d26b227c59156411d1729714bd67ae3b26e16b165f82",
+    "0.05": "eb1d1abdc067d80b2cc570e975001dc6fbbef1c6a7f6803b296677070200843f",
+    "0.3": "99bc26fbf6f324fd6e897001c08cb4643f4acf021a65702c6b2373e024ec24c1",
+    "1.2": "2150ad805c73a62ac42e5c9366a9ed3d35e7fe468311cd60b9dd384709028851",
+    "1.7725": "82822f45594fe1bd14a26118fba5f9b3d53e766f71a5363758862931a4841b7f",
+    "2.5": "3eec454d08ac55a1103f0f3c17dbb37a7f44cf4b66eefb08b2fab3501f0e683d",
+    "30": "2faf8528c47eccd892401f7d1e0cba38250fab6e60c22017f58f0b10f6692ce8",
 }
 
 # coupling preset -> (recorded pool_skew, recorded pool_var, sha256 of
