@@ -3,12 +3,12 @@
 The Monte Carlo harness evaluates the stay/up-shift probabilities, die
 outcomes and bin-parity labels across ~1e8 coordinates per experiment,
 so these are the only routines worth vectorising.  Each kernel sums the
-terms of a precomputed plan, truncated at 1e-12 relative, and agrees
-within 2e-12 with the adaptive scalar series that the tests keep as its
-reference (``tests/oracles.py``).  The kernels are elementwise, so the
+terms of a precomputed plan, truncated at the plan's rel_tol / 1000, and
+agrees within 2e-12 with the tests' adaptive scalar series at rel_tol
+1e-12 (``tests/oracles.py``).  The kernels are elementwise, so the
 harness calls each once per (m, n) trial block; the label sums are then
-taken per row.  ``kernel_columns`` builds the ``kernels`` command's table
-from ``phi_gamma``.
+taken per row.  ``kernel_columns`` builds the ``kernels`` command's
+table from ``phi_gamma``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import MODE_CROSSOVER_A, SQRT_TWO_PI, KernelParams, KernelRangeError
+from .kernels import MAX_TERMS, MODE_CROSSOVER_A, SQRT_TWO_PI, KernelParams, KernelRangeError
 
 __all__ = [
     "SeriesPlan",
@@ -58,10 +58,9 @@ def plan_for(a: float, rel_tol: float = 1e-12) -> SeriesPlan:
     target = -math.log(rel_tol * 1e-3)
 
     k_phi = max(2, math.ceil(math.sqrt(2.0 * target) / a) + 1)
-    # a plan sums at most max_terms terms of phi's series: a >= 0.0326 at rel_tol 1e-12
-    if k_phi > KernelParams.max_terms:
+    if k_phi > MAX_TERMS:
         raise ValueError(f"a: {a!r} is too small, phi's series would take {k_phi:.3g} terms, "
-                         f"more than the {KernelParams.max_terms} a series plan may take")
+                         f"more than the {MAX_TERMS} a series plan may take")
     ks = np.arange(1, k_phi + 1, dtype=np.float64)
     # From a = 40 on, every coefficient but gamma's first (1) is exp(-800)
     # or less, which is 0; a capped at 40 gives the same bits without

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .kernels import KernelParams, eval_big_g
+from .kernels import big_g
 
 __all__ = ["ZERO_TEST_MIN_SUM", "min_accepted_sum", "big_g_value"]
 
@@ -26,8 +26,8 @@ ZERO_TEST_MIN_SUM = 1
 
 @lru_cache(maxsize=128)
 def big_g_value(a: float) -> float:
-    """G(a) at rel_tol 1e-12, cached; the thresholded test's centering."""
-    return eval_big_g(KernelParams(a, rel_tol=1e-12)).value
+    """G(a), cached; the thresholded test's centering."""
+    return big_g(a)
 
 
 def min_accepted_sum(a: float, lam: float, n: int) -> int:

@@ -50,7 +50,6 @@ zero tolerance.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import ctypes
 import functools
@@ -190,10 +189,9 @@ class ExperimentSpec:
             raise SpecValidationError(
                 f"n: the cube_scaling regime requires n >= 3, got {self.n!r}")
         try:
-            # plan_for's KernelParams checks a and rel_tol; a fixed a's type
-            # is checked before effective_a converts it
-            if self.regime == "fixed_a":
-                KernelParams(self.a, self.rel_tol)
+            # KernelParams checks a and rel_tol before plan_for's cache hashes
+            # them; a fixed a's type is checked before effective_a converts it
+            KernelParams(self.a if self.regime == "fixed_a" else self.effective_a, self.rel_tol)
             accel.plan_for(self.effective_a, self.rel_tol)
         except ValueError as exc:
             if self.regime == "cube_scaling" and str(exc).startswith("a:"):
@@ -365,8 +363,9 @@ def _tally(*jobs: _Job) -> list[dict[str, Any]]:
     """
     # One Philox, re-keyed for every trial, and one pair of block arrays
     # serve every task in a process (forked workers write their own
-    # copies), so the jobs must share one block shape, as a sweep's cells do.
-    if len({(job.rows_per_block, job.spec.n, job.uniforms) for job in jobs}) != 1:
+    # copies), and every job has as many tasks, so the jobs must share n
+    # and trials, and so one block shape, as a sweep's cells do.
+    if len({(job.spec.n, job.spec.trials, job.uniforms) for job in jobs}) != 1:
         raise ValueError("the jobs of one tally must share one block shape")
     _keep_freed_heap()
     bit_generator = Philox(0)
@@ -374,17 +373,17 @@ def _tally(*jobs: _Job) -> list[dict[str, Any]]:
     with _n_limits_memory(*shape):
         x = np.empty(shape)
         u = np.empty_like(x) if jobs[0].uniforms else None
-    workers = min(worker_count(), sum(job.block_count for job in jobs) // _MIN_WORKER_BLOCKS)
-    # task ids offsets[j] .. offsets[j + 1] - 1 are job j's, in block order
-    offsets = list(itertools.accumulate((-(-job.block_count // _TASK_BLOCKS) for job in jobs),
-                                        initial=0))
-    tasks = range(offsets[-1])
+    blocks = jobs[0].block_count
+    workers = min(worker_count(), len(jobs) * blocks // _MIN_WORKER_BLOCKS)
+    # task ids j * tasks_per_job .. (j + 1) * tasks_per_job - 1 are job j's, in block order
+    tasks_per_job = -(-blocks // _TASK_BLOCKS)
+    tasks = range(len(jobs) * tasks_per_job)
 
     def run_task(task):
         # the task's blocks first..stop-1 of job j: j, counters summed over rows, and record lines
-        j = bisect.bisect_right(offsets, task) - 1
-        first = (task - offsets[j]) * _TASK_BLOCKS
-        stop = min(first + _TASK_BLOCKS, jobs[j].block_count)
+        j, k = divmod(task, tasks_per_job)
+        first = k * _TASK_BLOCKS
+        stop = min(first + _TASK_BLOCKS, blocks)
         counts: dict[str, Any] = {}
         lines: list[str] = []
         with _n_limits_memory(*shape):
@@ -527,10 +526,15 @@ def _summary(operation: str, spec: ExperimentSpec, rates: dict[str, tuple[int, i
              premises: dict[str, bool] | None = None,
              counts: dict[str, int] | None = None) -> ExperimentSummary:
     """A run's summary: Wilson intervals for its (count, total) rates; passed if all checks are."""
+    premises = dict(premises or {})
+    # alpha is the false-alarm budget; lambda meets it when e^{-lam^2/2} <= alpha
+    if spec.alpha is not None:
+        bounds = {**bounds, "alpha": spec.alpha}
+        premises["lambda_meets_alpha"] = math.exp(-0.5 * spec.lam * spec.lam) <= spec.alpha
     return ExperimentSummary(
         operation=operation, spec=asdict(spec),
         rates={name: _rate(count, total) for name, (count, total) in rates.items()},
-        bounds=bounds, premises=premises or {}, checks=checks, counts=counts or {},
+        bounds=bounds, premises=premises, checks=checks, counts=counts or {},
         passed=all(c["passed"] for c in checks.values()),
     )
 
@@ -554,14 +558,6 @@ def _budget(t: float, n: int, name: str = "t") -> int:
     if budget < 0:
         raise SpecValidationError(f"{name}: t = {t!r} leaves no admissible perturbation")
     return budget
-
-
-def _note_alpha_target(out: ExperimentSummary, spec: ExperimentSpec) -> ExperimentSummary:
-    # alpha is the false-alarm budget; lambda meets it when e^{-lam^2/2} <= alpha
-    if spec.alpha is not None:
-        out.bounds["alpha"] = spec.alpha
-        out.premises["lambda_meets_alpha"] = math.exp(-0.5 * spec.lam * spec.lam) <= spec.alpha
-    return out
 
 
 def _evasion_job(spec: ExperimentSpec, s_min: int, budget,
@@ -768,7 +764,7 @@ def run_thm1_detectable(
 
     alarm_bound = math.exp(-0.5 * lam * lam)
     floor = 1.0 - alarm_bound - 3.0 * binomial_se(alarm_bound, trials)
-    return _note_alpha_target(_summary(
+    return _summary(
         "thm1_detectable", spec,
         rates={"null_accept": (accept_pre_count, trials), "overlap": (overlap, trials)},
         bounds={"a": a, "big_g": big_g, "cube_n1_lhs": n1_lhs, "cube_n1_rhs": n1_rhs,
@@ -784,7 +780,7 @@ def run_thm1_detectable(
         premises=premises,
         counts={"attacked": accept_pre_count, "overlap_count": overlap,
                 "flip_violations": flip_violations},
-    ), spec)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -820,7 +816,7 @@ def run_thm2_undetectable(
     gap_limit = bound + 3.0 * gap_se
     family_floor = 1.0 - bound - 3.0 * math.sqrt(bound / trials)
 
-    return _note_alpha_target(_summary(
+    return _summary(
         "thm2_undetectable", spec,
         rates={"null_accept": (accept_pre_count, trials),
                "attacked_success": (success_count, trials),
@@ -836,7 +832,7 @@ def run_thm2_undetectable(
                 flip_violations, 0, "direct binning vs integer-shift labels"),
         },
         counts={"flip_violations": flip_violations},
-    ), spec)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -888,7 +884,7 @@ def run_thm2_detectable(
     alarm_rate = 1.0 - accept_pre_count / trials
     alarm_limit = alarm_bound + 3.0 * binomial_se(alarm_bound, trials)
 
-    return _note_alpha_target(_summary(
+    return _summary(
         "thm2_detectable", spec,
         rates={"null_accept": (accept_pre_count, trials),
                "attacked_accept": (accept_post_count, trials),
@@ -907,7 +903,7 @@ def run_thm2_detectable(
         },
         premises={"t_at_most_G_minus_eps": bool(premise_t), "n_above_lambda2_over_eps2": True},
         counts={"overlap_count": overlap, "flip_violations": flip_violations},
-    ), spec)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ The kernel family is:
 ``g``, ``gamma`` and ``phi`` have one implementation, on arrays, in
 ``accel``; their adaptive scalar series are the tests' reference
 (``tests/oracles.py``).  This module holds what both share: the bin
-width and tolerance (``KernelParams``), the checks of a real input, the
-errors, and ``G(a)``.
+width and tolerance (``KernelParams``), a plan's term limit, the checks
+of a real input, the errors, and ``G(a)`` (``big_g``).
 
 Each of ``g`` and ``gamma`` has two series representations: translate
 sums over ``k`` ("primal", terms decay like ``exp(-k^2 a^2/2)``) and
@@ -25,33 +25,24 @@ Poisson-summed cosine series ("dual", terms decay like
 ``a = sqrt(pi)``, which is the mode crossover.  ``G(a)`` likewise has a
 dual series and a primal one, the alternating sum of normal bin masses;
 their rates coincide at ``a = sqrt(2 pi)``, ``BIG_G_CROSSOVER_A``.
-
-Every scalar series, here and in the tests, obeys one truncation rule,
-applied by ``_sum_series``.  Each series is a generator of
-``(term count, value, tail)`` steps, where tail bounds everything after
-the step.  Summing stops at the first step whose tail is at most
-``rel_tol * max(|value|, 1e-300)`` and reports that tail as
-``est_error``; a step that would take the count past ``max_terms``
-raises ``SeriesConvergenceError`` instead.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = [
     "KernelParams",
-    "KernelEval",
-    "SeriesConvergenceError",
     "KernelRangeError",
+    "MAX_TERMS",
     "MODE_CROSSOVER_A",
     "BIG_G_CROSSOVER_A",
     "POSITIVE_FINITE",
     "check_real",
     "square_underflows",
-    "eval_big_g",
+    "big_g",
 ]
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -64,15 +55,15 @@ MODE_CROSSOVER_A = math.sqrt(math.pi)
 #: bin-mass terms like exp(-j^2 a^2 / 2); the rates are equal at a = sqrt(2 pi).
 BIG_G_CROSSOVER_A = math.sqrt(2.0 * math.pi)
 
+#: Most terms of phi's series an ``accel`` plan may take: a >= 0.0326 at
+#: rel_tol 1e-12.
+MAX_TERMS = 256
+
 # Denormal floor used in relative stopping rules so that series whose true
-# value is ~0 (e.g. g at a bin edge) still terminate via term underflow.
+# value is ~0 (G at a tiny a, g at a bin edge) still terminate via term underflow.
 _TINY = 1e-300
 
 _FOUR_OVER_PI = 4.0 / math.pi
-
-
-class SeriesConvergenceError(RuntimeError):
-    """A series failed to meet its tolerance within the term cap."""
 
 
 class KernelRangeError(RuntimeError):
@@ -121,15 +112,13 @@ class KernelParams:
 
     a : hypercube edge half-length / bin width, dimensionless, > 0.
     rel_tol : relative series tolerance, in [1e-300, 1e-6].
-    max_terms : cap on evaluated series terms, >= 8.
     """
 
     a: float
     rel_tol: float = 1e-12
-    max_terms: int = 256
 
     def __post_init__(self) -> None:
-        # the one check of a and rel_tol: accel.plan_for, the harness's
+        # the one check of a and rel_tol: big_g, accel.plan_for, the harness's
         # ExperimentSpec and the kernels command build a KernelParams
         check_real("a", self.a, POSITIVE_FINITE)
         if square_underflows(self.a):
@@ -137,13 +126,6 @@ class KernelParams:
         # accel.plan_for sums to rel_tol / 1000, which must not underflow to 0
         check_real("rel_tol", self.rel_tol,
                    ("lie in [1e-300, 1e-6]", lambda v: 1e-300 <= v <= 1e-6))
-        if not (isinstance(self.max_terms, int) and self.max_terms >= 8):
-            raise ValueError(f"max_terms: must be an integer >= 8, got {self.max_terms!r}")
-
-    @property
-    def mode(self) -> str:
-        """Series route: 'primal' for a >= sqrt(pi), 'dual' below."""
-        return "primal" if self.a >= MODE_CROSSOVER_A else "dual"
 
     @property
     def x_max(self) -> float:
@@ -151,104 +133,45 @@ class KernelParams:
         return 12.0 + 4.0 * self.a
 
 
-@dataclass(frozen=True)
-class KernelEval:
-    """A series value with its truncation certificate.
-
-    est_error is a rigorous bound on the omitted tail and satisfies
-    est_error <= rel_tol * max(|value|, 1e-300).
-    """
-
-    value: float
-    terms_used: int
-    mode: str
-    est_error: float
-
-
-def _sum_series(steps, params: KernelParams, scale: float, what: tuple) -> tuple:
-    """Sum ``(term count, value, tail)`` steps under the one truncation rule.
-
-    Returns ``(total, terms, tail)`` at the first step whose tail is at
-    most ``rel_tol * max(scale * |total|, 1e-300)``; a series yields an
-    infinite tail for a step that must not end it.  ``what`` is the
-    series name, optionally followed by a coordinate's name and value,
-    for the ``SeriesConvergenceError`` raised when the next step would
-    take the term count past ``max_terms``.
-    """
-    rel_tol, max_terms = params.rel_tol, params.max_terms
-    total = 0.0
-    terms = 0
-    for count, value, tail in steps:
-        if terms + count > max_terms:
-            name, *where = what
-            at = f"{where[0]}={where[1]!r}, " if where else ""
-            raise SeriesConvergenceError(
-                f"{name}: no convergence within {max_terms} terms ({at}a={params.a!r})"
-            )
-        total += value
-        terms += count
-        if tail <= rel_tol * max(scale * abs(total), _TINY):
-            return total, terms, tail
-
-
-def eval_big_g(params: KernelParams) -> KernelEval:
+def big_g(a: float) -> float:
     """Central-bin mass G(a), from whichever of its two series decays faster.
 
-    Below ``BIG_G_CROSSOVER_A`` the Poisson-summed series
+    Below ``BIG_G_CROSSOVER_A`` the Poisson-summed series, summed until
+    its tail is at most 1e-12 relative,
 
         G(a) = (4/pi) sum_{k>=0} (-1)^k / (1+2k) * exp(-(1+2k)^2 pi^2 / (2 a^2)),
 
     from it on the alternating sum of normal bin masses (the translate
-    sum of g integrated over the bin)
+    sum of g integrated over the bin), summed to half an ulp (2^-53),
 
         G(a) = 1 - 2 sum_{j>=0} (-1)^j erfc((j + 1/2) a / sqrt 2).
 
-    Both alternate with strictly decreasing terms, so each remainder is
-    bounded by the first omitted term.  At large a the dual series would
-    need about a terms, meet only rel_tol and so leave [0, 1] (1 + 7e-13
-    at a = 38); the bin-mass one rounds to 1 exactly from a ~ 17 on.
+    Both alternate with decreasing terms, so each tail is bounded by the
+    first omitted term.  Those terms shrink at least geometrically and
+    underflow to 0, which meets the 1e-300 floor of the stopping rule,
+    so each loop ends without a term cap.  At large a the dual series
+    would leave [0, 1] (1 + 7e-13 at a = 38); the bin-mass one rounds to
+    1 exactly from a ~ 17 on.  ``KernelParams`` checks a.
     """
-    if params.a < BIG_G_CROSSOVER_A:
-        return _big_g_dual(params)
-    return _big_g_bins(params)
-
-
-def _big_g_dual(params: KernelParams) -> KernelEval:
-    total, terms, tail = _sum_series(
-        _big_g_steps(params.a), params, _FOUR_OVER_PI, ("G(a) series",))
-    return KernelEval(_FOUR_OVER_PI * total, terms, "dual", tail)
-
-
-def _big_g_bins(params: KernelParams) -> KernelEval:
-    # its terms fall like exp(-j^2 a^2 / 2), so summing them to half an
-    # ulp (2^-53) rather than to rel_tol costs at most one more term
-    total, terms, tail = _sum_series(
-        _big_g_bin_steps(params.a), replace(params, rel_tol=min(params.rel_tol, 2.0**-53)),
-        1.0, ("G(a) bin-mass series",))
-    return KernelEval(total, terms, "primal", tail)
-
-
-def _big_g_steps(a: float):
-    beta = math.pi * math.pi / (2.0 * a * a)
-    odd = 1
-    sign = 1.0
-    weight = math.exp(-beta * odd * odd)
-    while True:
-        nxt = odd + 2
-        weight_nxt = math.exp(-beta * nxt * nxt)
-        yield 1, sign * (weight / odd), _FOUR_OVER_PI * weight_nxt / nxt
-        odd, sign, weight = nxt, -sign, weight_nxt
-
-
-def _big_g_bin_steps(a: float):
-    # Step j adds -+2 erfc((j + 1/2) a / sqrt 2), twice the normal mass
-    # outside the bins -j..j; step 0 also carries the 1.
+    KernelParams(a)
+    total = 0.0
+    if a < BIG_G_CROSSOVER_A:
+        beta = math.pi * math.pi / (2.0 * a * a)
+        odd, sign, weight = 1, 1.0, math.exp(-beta)
+        while True:
+            total += sign * (weight / odd)
+            nxt = odd + 2
+            weight = math.exp(-beta * nxt * nxt)
+            if _FOUR_OVER_PI * weight / nxt <= 1e-12 * max(_FOUR_OVER_PI * abs(total), _TINY):
+                return _FOUR_OVER_PI * total
+            odd, sign = nxt, -sign
+    # term j adds -+2 erfc((j + 1/2) a / sqrt 2), twice the normal mass
+    # outside the bins -j..j; term 0 also carries the 1
     h = a / math.sqrt(2.0)
-    value = 1.0 - 2.0 * math.erfc(0.5 * h)
-    sign, j = 2.0, 1
+    term, sign, j = 1.0 - 2.0 * math.erfc(0.5 * h), 2.0, 1
     while True:
+        total += term
         nxt = math.erfc((j + 0.5) * h)
-        yield 1, value, 2.0 * nxt
-        value, sign, j = sign * nxt, -sign, j + 1
-
-
+        if 2.0 * nxt <= 2.0**-53 * max(abs(total), _TINY):
+            return total
+        term, sign, j = sign * nxt, -sign, j + 1

@@ -11,14 +11,22 @@ The adaptive scalar series of g, gamma and phi, and the
 density-preservation residual built from them (``eval_g``,
 ``eval_gamma``, ``eval_phi``, ``fp_residual``), are the independent
 float64 reference for ``accel.phi_gamma`` and ``accel.kernel_columns``.
-They sum each series term by term under ``kernels._sum_series``'s
-truncation rule until the tail bound meets rel_tol, assemble every
-exponent before exponentiating (no density ratios), so no intermediate
-overflows for any a > 0, and check each raw probability against
-[-10 rel_tol, 1 + 10 rel_tol] before clamping it.
+They assemble every exponent before exponentiating (no density ratios),
+so no intermediate overflows for any a > 0, and check each raw
+probability against [-10 rel_tol, 1 + 10 rel_tol] before clamping it.
+``route(a)`` picks the series of g and gamma: primal from sqrt(pi) on,
+dual below.
+
+Every one of these series obeys one truncation rule, applied by
+``_sum_series``.  Each series is a generator of ``(term count, value,
+tail)`` steps, where tail bounds everything after the step.  Summing
+stops at the first step whose tail is at most
+``rel_tol * max(|value|, 1e-300)`` and reports that tail as
+``est_error``; a step that would take the count past ``MAX_TERMS``
+raises ``SeriesConvergenceError`` instead.
 
 ``big_g_oracle`` and ``phi_oracle`` are the arbitrary-precision
-references that ``kernels.eval_big_g`` and both evaluations of phi
+references that ``kernels.big_g`` and both evaluations of phi
 (``eval_phi`` here, ``accel.phi_gamma``) are held to.
 """
 
@@ -33,10 +41,13 @@ import numpy as np
 from parityshift import accel
 from parityshift.attack import PerturbationVector
 from parityshift.detector import ZERO_TEST_MIN_SUM, min_accepted_sum
-from parityshift.kernels import (SQRT_TWO_PI, KernelEval, KernelParams, KernelRangeError,
-                                 _sum_series)
+from parityshift.kernels import (MODE_CROSSOVER_A, SQRT_TWO_PI, KernelParams, KernelRangeError,
+                                 _TINY)
 
 _PROB_SLACK = 1e-9
+
+#: Cap on the terms one scalar series may sum; the cap tests lower it to 8.
+MAX_TERMS = 256
 
 
 class InvalidProbabilitiesError(ValueError):
@@ -235,6 +246,55 @@ def sparsity_ratio(theta: PerturbationVector) -> float:
     return theta.zero_count / theta.n
 
 
+class SeriesConvergenceError(RuntimeError):
+    """A series failed to meet its tolerance within the term cap."""
+
+
+@dataclass(frozen=True)
+class KernelEval:
+    """A series value with its truncation certificate.
+
+    est_error is a rigorous bound on the omitted tail and satisfies
+    est_error <= rel_tol * max(|value|, 1e-300).
+    """
+
+    value: float
+    terms_used: int
+    mode: str
+    est_error: float
+
+
+def _sum_series(steps, params: KernelParams, scale: float, what: tuple) -> tuple:
+    """Sum ``(term count, value, tail)`` steps under the one truncation rule.
+
+    Returns ``(total, terms, tail)`` at the first step whose tail is at
+    most ``rel_tol * max(scale * |total|, 1e-300)``; a series yields an
+    infinite tail for a step that must not end it.  ``what`` is the
+    series name, optionally followed by a coordinate's name and value,
+    for the ``SeriesConvergenceError`` raised when the next step would
+    take the term count past ``MAX_TERMS``.
+    """
+    rel_tol, max_terms = params.rel_tol, MAX_TERMS
+    total = 0.0
+    terms = 0
+    for count, value, tail in steps:
+        if terms + count > max_terms:
+            name, *where = what
+            at = f"{where[0]}={where[1]!r}, " if where else ""
+            raise SeriesConvergenceError(
+                f"{name}: no convergence within {max_terms} terms ({at}a={params.a!r})"
+            )
+        total += value
+        terms += count
+        if tail <= rel_tol * max(scale * abs(total), _TINY):
+            return total, terms, tail
+
+
+def route(a: float) -> str:
+    """Series route of g and gamma: 'primal' for a >= sqrt(pi), 'dual' below."""
+    return "primal" if a >= MODE_CROSSOVER_A else "dual"
+
+
 def normal_pdf(x: float) -> float:
     """Standard normal density."""
     return math.exp(-0.5 * x * x) / SQRT_TWO_PI
@@ -299,12 +359,12 @@ def eval_g(x: float, params: KernelParams, mode: str | None = None) -> KernelEva
     g(x) = (1/sqrt(2 pi)) sum_k (-1)^k exp(-(x + k a)^2 / 2)
          = (2/a) sum_{m odd >= 1} exp(-m^2 pi^2 / (2 a^2)) cos(m pi x / a)
 
-    The route is picked by ``params.mode`` unless ``mode`` overrides it
-    (used by the cross-representation tests).
+    The route is picked by ``route(params.a)`` unless ``mode`` overrides
+    it (used by the cross-representation tests).
 
     Raises SeriesConvergenceError if the term cap is hit.
     """
-    mode = params.mode if mode is None else mode
+    mode = route(params.a) if mode is None else mode
     if mode == "primal":
         return _g_primal(x, params)
     if mode == "dual":
@@ -323,7 +383,7 @@ def _gamma_raw(x: float, params: KernelParams) -> float:
     a = params.a
     if abs(x) >= 0.5 * a:
         return 0.0
-    if params.mode == "dual":
+    if route(a) == "dual":
         ge = _g_dual(x, params)
         return ge.value * SQRT_TWO_PI * math.exp(0.5 * x * x)
     return _sum_series(_gamma_primal_steps(x, a), params, 1.0,

@@ -8,7 +8,7 @@ import pytest
 
 from oracles import eval_g, eval_gamma, eval_phi, fp_residual, normal_pdf, phi_oracle
 from parityshift import accel
-from parityshift.kernels import KernelParams, KernelRangeError
+from parityshift.kernels import MAX_TERMS, KernelParams, KernelRangeError
 
 A_VALUES = [0.3, 0.494, 0.7, 1.0, math.sqrt(math.pi), 2.0, 3.0, 8.0, 30.0]
 
@@ -261,8 +261,8 @@ def test_plan_validation():
     # a * a underflows: the dual coefficients would divide by zero
     with pytest.raises(ValueError, match="underflow"):
         accel.plan_for(1e-300)
-    # a plan takes at most KernelParams.max_terms terms of phi's series
-    assert accel.plan_for(0.0326).phi_coef.size == KernelParams.max_terms
+    # a plan takes at most MAX_TERMS terms of phi's series
+    assert accel.plan_for(0.0326).phi_coef.size == MAX_TERMS
     with pytest.raises(ValueError, match="^a: 0.0325 is too small, phi's series would take 257"):
         accel.plan_for(0.0325)
 

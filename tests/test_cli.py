@@ -91,7 +91,7 @@ class TestKernelsCommand:
 
     @pytest.mark.parametrize("a, terms", [(0.0325, 257), (0.03, 279), (0.02, 417)])
     def test_small_width_names_a(self, tmp_path, capsys, a, terms):
-        # phi's series plan would need more than max_terms terms, as in an experiment
+        # phi's series plan would need more than kernels.MAX_TERMS terms, as in an experiment
         assert run_cli(["kernels", "--a", str(a), "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert err == (f"error: a: {a!r} is too small, phi's series would take {terms} terms, "
@@ -743,6 +743,8 @@ class TestBadNumericInput:
                           "trials": 5}, "n"),
         # the plan sums to rel_tol / 1000, which underflows to 0 here
         (["experiment", "--preset", "coupling-a1"], {"rel_tol": 5e-324}, "rel_tol"),
+        # a list is unhashable, so it must be named before the plan's cache sees it
+        (["sweep", "--preset", "sweep-c"], {"rel_tol": [1.0]}, "rel_tol"),
     ])
     def test_integer_too_large_for_a_double(self, tmp_path, capsys, argv, config, field):
         # JSON integers have no size limit; one beyond the largest double is

@@ -278,13 +278,22 @@ class TestThm2Detectable:
         out = run_thm2_detectable(spec)
         assert out.counts["overlap_count"] == 0
 
-    def test_alpha_target_premise(self):
-        base = dict(regime="fixed_a", a=2.0, n=5000, trials=30, master_seed=SEED, lam=3.0)
-        loose = run_thm2_detectable(ExperimentSpec(**base, alpha=0.05))
-        strict = run_thm2_detectable(ExperimentSpec(**base, alpha=0.001))
+    @pytest.mark.parametrize("run, spec", [
+        pytest.param(run_thm1_detectable, dict(regime="cube_scaling", c=4.0, n=1000),
+                     id="thm1-detectable"),
+        pytest.param(run_thm2_undetectable, dict(regime="fixed_a", a=2.0, n=1000),
+                     id="thm2-undetectable"),
+        pytest.param(run_thm2_detectable, dict(regime="fixed_a", a=2.0, n=5000),
+                     id="thm2-detectable"),
+    ])
+    def test_alpha_target_premise(self, run, spec):
+        # every run that takes alpha notes it and whether lambda meets it
+        base = dict(spec, trials=30, master_seed=SEED, lam=3.0)
+        loose = run(ExperimentSpec(**base, alpha=0.05))
+        strict = run(ExperimentSpec(**base, alpha=0.001))
         # e^{-4.5} ~ 0.0111 sits between the two targets
-        assert loose.premises["lambda_meets_alpha"]
-        assert not strict.premises["lambda_meets_alpha"]
+        assert loose.premises["lambda_meets_alpha"] and loose.bounds["alpha"] == 0.05
+        assert not strict.premises["lambda_meets_alpha"] and strict.bounds["alpha"] == 0.001
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_evaded_sum_matches_constructed_evasion(self, n):
@@ -739,6 +748,17 @@ def shard(monkeypatch):
     set_workers.calls = []
     monkeypatch.setattr(harness, "forked_map", spy)
     return set_workers
+
+
+def test_tally_jobs_share_trials():
+    # a task id is decoded by one job's task count, so jobs that differ in
+    # trials alone, and so in block count, are refused
+    spec = ExperimentSpec(regime="fixed_a", a=2.0, n=5000, trials=10, master_seed=SEED)
+    jobs = [harness._Job(dataclasses.replace(spec, trials=trials), lambda *args: None)
+            for trials in (10, 20)]
+    assert jobs[0].rows_per_block == jobs[1].rows_per_block
+    with pytest.raises(ValueError, match="^the jobs of one tally must share one block shape"):
+        harness._tally(*jobs)
 
 
 def _children() -> list[int]:

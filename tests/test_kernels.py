@@ -7,15 +7,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import (_check_range, _gamma_raw, _phi_raw, big_g_oracle, eval_g, eval_gamma,
-                     eval_phi, fp_residual, normal_pdf)
-from parityshift.kernels import (
-    KernelParams,
-    KernelRangeError,
-    SeriesConvergenceError,
-    eval_big_g,
-    _big_g_dual,
-)
+import oracles
+from oracles import (SeriesConvergenceError, _check_range, _gamma_raw, _phi_raw, big_g_oracle,
+                     eval_g, eval_gamma, eval_phi, fp_residual, normal_pdf, route)
+from parityshift.kernels import KernelParams, KernelRangeError, big_g
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -36,11 +31,11 @@ BIG_G_ORACLE = {
 class TestKernelParams:
     def test_valid(self):
         p = KernelParams(1.5)
-        assert p.mode == "dual" and p.x_max == 18.0
+        assert route(p.a) == "dual" and p.x_max == 18.0
 
     def test_mode_crossover(self):
-        assert KernelParams(SQRT_PI).mode == "primal"
-        assert KernelParams(SQRT_PI - 1e-9).mode == "dual"
+        assert route(SQRT_PI) == "primal"
+        assert route(SQRT_PI - 1e-9) == "dual"
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -50,7 +45,7 @@ class TestKernelParams:
             {"a": float("nan")},
             {"a": 1.0, "rel_tol": 0.0},
             {"a": 1.0, "rel_tol": 1e-5},
-            {"a": 1.0, "max_terms": 7},
+            {"a": 1.0, "rel_tol": float("nan")},
             {"a": 1e-300},
         ],
     )
@@ -61,7 +56,7 @@ class TestKernelParams:
     def test_smallest_width(self):
         # a * a must be a normal double: the dual series divide by it
         assert KernelParams(1.5e-154).a == 1.5e-154
-        assert eval_big_g(KernelParams(1.5e-154)).value == 0.0
+        assert big_g(1.5e-154) == 0.0
         with pytest.raises(ValueError, match=r"^a: 1\.4e-154 is too small"):
             KernelParams(1.4e-154)
 
@@ -105,54 +100,51 @@ class TestEvalG:
             for x in np.linspace(-1.5 * a, 1.5 * a, 13):
                 e = eval_g(float(x), p)
                 assert e.est_error <= p.rel_tol * max(abs(e.value), 1e-300)
-                assert e.terms_used <= p.max_terms
+                assert e.terms_used <= oracles.MAX_TERMS
 
     @pytest.mark.parametrize("series, call", [
         # primal route forced far below the crossover: O(1) alternating
         # translates need far more than 8 terms
-        pytest.param("primal g", lambda: eval_g(0.11, KernelParams(0.3, max_terms=8),
-                                                mode="primal"), id="primal-g"),
+        pytest.param("primal g", lambda: eval_g(0.11, KernelParams(0.3), mode="primal"),
+                     id="primal-g"),
         # dual route forced far above it: the cosine weights barely decay
-        pytest.param("dual g", lambda: eval_g(0.3, KernelParams(10.0, max_terms=8),
-                                              mode="dual"), id="dual-g"),
-        # G(a)'s dual route forced far above its crossover, like dual g
-        pytest.param("G(a)", lambda: _big_g_dual(KernelParams(12.0, max_terms=8)), id="big-g"),
-        pytest.param("primal gamma", lambda: eval_gamma(0.1, KernelParams(1.8, max_terms=8)),
+        pytest.param("dual g", lambda: eval_g(0.3, KernelParams(10.0), mode="dual"),
+                     id="dual-g"),
+        pytest.param("primal gamma", lambda: eval_gamma(0.1, KernelParams(1.8)),
                      id="primal-gamma"),
-        pytest.param("up-shift", lambda: eval_phi(0.1, KernelParams(0.3, max_terms=8)),
-                     id="phi-forward"),
+        pytest.param("up-shift", lambda: eval_phi(0.1, KernelParams(0.3)), id="phi-forward"),
     ])
-    def test_nonconvergence_raises(self, series, call):
-        # every series meets the same term cap and names itself when it does
-        with pytest.raises(SeriesConvergenceError, match=rf"^{re.escape(series)} series: "):
+    def test_nonconvergence_raises(self, series, call, monkeypatch):
+        # every series meets the same term cap, here 8, and names itself when it does
+        monkeypatch.setattr(oracles, "MAX_TERMS", 8)
+        with pytest.raises(SeriesConvergenceError,
+                           match=rf"^{re.escape(series)} series: no convergence within 8 terms"):
             call()
 
 
 class TestEvalBigG:
     @pytest.mark.parametrize("a,expected", sorted(BIG_G_ORACLE.items()))
     def test_frozen_oracle_values(self, a, expected):
-        got = eval_big_g(KernelParams(a))
-        assert got.value == pytest.approx(expected, abs=1e-12)
-        assert got.est_error <= 1e-12 * max(got.value, 1e-300)
+        assert big_g(a) == pytest.approx(expected, abs=1e-12)
 
     def test_leading_term_a1(self):
         # (4/pi) e^{-pi^2/2} dominates; later terms < 1e-19
         lead = (4.0 / math.pi) * math.exp(-math.pi**2 / 2.0)
-        assert eval_big_g(KernelParams(1.0)).value == pytest.approx(lead, abs=1e-19)
+        assert big_g(1.0) == pytest.approx(lead, abs=1e-19)
 
     def test_large_a_limit(self):
-        assert eval_big_g(KernelParams(20.0)).value == pytest.approx(1.0, abs=1e-12)
+        assert big_g(20.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_strictly_increasing_on_log_grid(self):
         grid = np.exp(np.linspace(math.log(0.3), math.log(12.0), 25))
-        values = [eval_big_g(KernelParams(float(a))).value for a in grid]
+        values = [big_g(float(a)) for a in grid]
         assert all(v1 < v2 for v1, v2 in zip(values, values[1:]))
 
 
 class TestBigGOracle:
     @pytest.mark.parametrize("a", sorted(BIG_G_ORACLE))
     def test_dual_route_agreement(self, a):
-        assert abs(eval_big_g(KernelParams(a)).value - big_g_oracle(a)) <= 1e-10
+        assert abs(big_g(a) - big_g_oracle(a)) <= 1e-10
 
     def test_frozen_regression_a2(self):
         assert big_g_oracle(2.0) == pytest.approx(0.37077742979952391, abs=1e-14)
@@ -283,7 +275,7 @@ class TestNormalization:
             epsabs=1e-13, epsrel=1e-12, limit=200,
         )
         assert err < 1e-11
-        assert abs(val - eval_big_g(p).value) <= 1e-10
+        assert abs(val - big_g(a)) <= 1e-10
 
 
 class TestRangeGuard:
