@@ -339,14 +339,14 @@ def _cmd_run(args, argv) -> int:
                 summary = run(spec, on_trial=fh.write)
         else:
             summary = run(spec, **grids)
-        _write_json(out_dir / "summary.json", summary.to_dict())
-        if summary.rows is not None:
-            (out_dir / "sweep.csv").write_text("\n".join(_sweep_csv_lines(summary.rows)) + "\n")
+        _write_json(out_dir / "summary.json", summary)
+        if "rows" in summary:
+            (out_dir / "sweep.csv").write_text("\n".join(_sweep_csv_lines(summary["rows"])) + "\n")
     command = "sweep" if operation == "sweep" else f"experiment:{operation}"
     _write_meta(out_dir, command, argv, spec.master_seed, start)
 
-    ok = _print_checks(summary.checks)
-    print(f"wrote {out_dir / 'summary.json'}; passed={summary.passed}")
+    ok = _print_checks(summary["checks"])
+    print(f"wrote {out_dir / 'summary.json'}; passed={summary['passed']}")
     return 0 if ok else 1
 
 

@@ -1,10 +1,10 @@
 """Seeded Monte Carlo experiments reproducing both theorem directions.
 
 Every experiment, the phase-transition sweep included, consumes an
-ExperimentSpec and returns an ExperimentSummary holding empirical rates
-(with Wilson 95% intervals), the analytic bounds evaluated at the spec,
-machine-checked premises, and named pass/fail checks; a sweep's summary
-holds its grid cells in ``rows`` instead of rates and bounds.  Trials
+ExperimentSpec and returns the dict ``summary.json`` holds: empirical
+rates (with Wilson 95% intervals), the analytic bounds evaluated at the
+spec, machine-checked premises, integer counts and named pass/fail checks;
+a sweep's summary holds its grid cells in ``rows`` instead of those.  Trials
 use counter-based Philox substreams keyed by (master_seed, trial_index),
 and the whole summary is bit-reproducible for a given seed.
 
@@ -59,7 +59,7 @@ import mmap
 import sys
 import warnings
 from collections.abc import Callable, Iterator
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -76,7 +76,6 @@ from .stats import binomial_se, ks_distance_standard_normal, sample_moments, wil
 
 __all__ = [
     "ExperimentSpec",
-    "ExperimentSummary",
     "SpecValidationError",
     "trial_rng",
     "run_coupling_validation",
@@ -228,27 +227,6 @@ def _pair_texts() -> np.ndarray:
 
 # Receives each trial's record as one line of JSON text (``_record_lines``).
 OnTrial = Callable[[str], None]
-
-
-@dataclass
-class ExperimentSummary:
-    """Aggregated rates, bounds, premises and pass/fail checks, or a sweep's rows.
-
-    ``to_dict`` leaves out the fields that are None.
-    """
-
-    operation: str
-    spec: dict
-    rates: dict[str, dict] | None = None
-    bounds: dict[str, float] | None = None
-    premises: dict[str, bool] | None = None
-    checks: dict[str, dict] = field(default_factory=dict)
-    counts: dict[str, int] | None = None
-    passed: bool = True
-    rows: list[dict] | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {name: value for name, value in asdict(self).items() if value is not None}
 
 
 def trial_rng(
@@ -496,11 +474,7 @@ def _record_lines(start: int, n: int, theta: PerturbationVector | None, s_pre: n
 def _attacked(x: np.ndarray, theta: PerturbationVector,
               out: np.ndarray | None = None) -> np.ndarray:
     """x' = x + theta.signs * a, written into out if given; a 1-d theta shifts every row."""
-    if out is None:
-        out = np.empty_like(x)
-    np.multiply(theta.signs, theta.a, out=out)
-    out += x
-    return out
+    return np.add(x, theta.signs * theta.a, out=out)
 
 
 def _check(passed, observed, limit, note: str = "") -> dict:
@@ -524,19 +498,19 @@ def _rate(count: int, total: int) -> dict:
 def _summary(operation: str, spec: ExperimentSpec, rates: dict[str, tuple[int, int]],
              bounds: dict[str, float], checks: dict[str, dict],
              premises: dict[str, bool] | None = None,
-             counts: dict[str, int] | None = None) -> ExperimentSummary:
+             counts: dict[str, int] | None = None) -> dict[str, Any]:
     """A run's summary: Wilson intervals for its (count, total) rates; passed if all checks are."""
     premises = dict(premises or {})
     # alpha is the false-alarm budget; lambda meets it when e^{-lam^2/2} <= alpha
     if spec.alpha is not None:
         bounds = {**bounds, "alpha": spec.alpha}
         premises["lambda_meets_alpha"] = math.exp(-0.5 * spec.lam * spec.lam) <= spec.alpha
-    return ExperimentSummary(
-        operation=operation, spec=asdict(spec),
-        rates={name: _rate(count, total) for name, (count, total) in rates.items()},
-        bounds=bounds, premises=premises, checks=checks, counts=counts or {},
-        passed=all(c["passed"] for c in checks.values()),
-    )
+    return {
+        "operation": operation, "spec": asdict(spec),
+        "rates": {name: _rate(count, total) for name, (count, total) in rates.items()},
+        "bounds": bounds, "premises": premises, "checks": checks, "counts": counts or {},
+        "passed": all(c["passed"] for c in checks.values()),
+    }
 
 
 def _require(spec: ExperimentSpec, regime: str, operation: str, *unread: str) -> None:
@@ -613,7 +587,7 @@ def _coupling_job(spec: ExperimentSpec, s_min: int | None, budget: int | None = 
 
 def run_coupling_validation(
     spec: ExperimentSpec, on_trial: OnTrial | None = None
-) -> ExperimentSummary:
+) -> dict[str, Any]:
     """Distributional checks of the coupling attack at fixed a.
 
     Pools x' across trials and reports the KS distance to the normal CDF,
@@ -668,7 +642,7 @@ def run_coupling_validation(
 
 def run_thm1_undetectable(
     spec: ExperimentSpec, on_trial: OnTrial | None = None
-) -> ExperimentSummary:
+) -> dict[str, Any]:
     """Cube regime, small c: the coupling leaves no coordinate unmoved.
 
     Computes the exact no-stay probability (1 - G(a))^n, the analytic
@@ -732,7 +706,7 @@ def run_thm1_undetectable(
 
 def run_thm1_detectable(
     spec: ExperimentSpec, on_trial: OnTrial | None = None
-) -> ExperimentSummary:
+) -> dict[str, Any]:
     """Cube regime, large c: the zero test beats the full hypercube attack.
 
     Premises (recorded, not enforced): c > pi, G(a) > n^(-pi^2/(2 c^2)),
@@ -789,7 +763,7 @@ def run_thm1_detectable(
 
 def run_thm2_undetectable(
     spec: ExperimentSpec, on_trial: OnTrial | None = None
-) -> ExperimentSummary:
+) -> dict[str, Any]:
     """Fixed a, generous budget: the coupling evades any test.
 
     Confirms the attack lands inside the sparsity budget with frequency
@@ -855,7 +829,7 @@ def _min_admissible_n(lam: float, eps: float) -> tuple[int, float]:
 
 def run_thm2_detectable(
     spec: ExperimentSpec, on_trial: OnTrial | None = None
-) -> ExperimentSummary:
+) -> dict[str, Any]:
     """Fixed a, tight budget: the thresholded test beats optimal evasion.
 
     Requires n > lambda^2 / eps^2 (hard error naming the minimal
@@ -914,7 +888,7 @@ def sweep_phase_transition(
     spec: ExperimentSpec,
     t_offsets: list[float] | None = None,
     c_values: list[float] | None = None,
-) -> ExperimentSummary:
+) -> dict[str, Any]:
     """Attacker-success rates across the sparsity or cube-scaling grid.
 
     fixed_a: sweeps t = G(a) + offset over the given offsets (default
@@ -954,10 +928,10 @@ def sweep_phase_transition(
                          "attacker_success": _rate(success[j], trials),
                          "overlap_rate": tally["overlap"][j] / trials})
         monotone = all(c1 <= c2 for c1, c2 in zip(success, success[1:]))
-        return ExperimentSummary("sweep", asdict(spec), rows=rows, passed=monotone, checks={
-            "success_monotone_in_t": _check(
-                monotone, 0 if monotone else 1, 0,
-                "success counts nondecreasing across the t grid (shared substreams)")})
+        return {"operation": "sweep", "spec": asdict(spec), "rows": rows, "passed": monotone,
+                "checks": {"success_monotone_in_t": _check(
+                    monotone, 0 if monotone else 1, 0,
+                    "success counts nondecreasing across the t grid (shared substreams)")}}
 
     # cube regime: coupling attack against the zero test, one job per
     # cell, all tallied together so that a sharded sweep forks once
@@ -979,4 +953,4 @@ def sweep_phase_transition(
                      "overlap_rate": tally["overlap"] / trials,
                      # the test wins where it accepts x and rejects the attacked x'
                      "detector_win_rate": (tally["accept_pre"] - tally["overlap"]) / trials})
-    return ExperimentSummary("sweep", asdict(spec), rows=rows)
+    return {"operation": "sweep", "spec": asdict(spec), "rows": rows, "checks": {}, "passed": True}

@@ -99,12 +99,12 @@ def test_c3_coupling_distribution():
         spec = ExperimentSpec(regime="fixed_a", a=a, n=1000, trials=1000,
                               master_seed=ACCEPT_SEED, epsilon=eps)
         out = run_coupling_validation(spec)
-        ks_ok = out.checks["ks_within_critical"]["passed"]
-        zf_ok = out.checks["zero_fraction_4se"]["passed"]
+        ks_ok = out["checks"]["ks_within_critical"]["passed"]
+        zf_ok = out["checks"]["zero_fraction_4se"]["passed"]
         ok = ok and ks_ok and zf_ok
         details.append(
-            f"a={a}: KS={out.bounds['ks_distance']:.2e} (crit {out.bounds['ks_critical']:.2e}), "
-            f"zero_frac={out.rates['zero_fraction']['rate']:.3e} vs G={out.bounds['big_g']:.3e}"
+            f"a={a}: KS={out['bounds']['ks_distance']:.2e} (crit {out['bounds']['ks_critical']:.2e}), "
+            f"zero_frac={out['rates']['zero_fraction']['rate']:.3e} vs G={out['bounds']['big_g']:.3e}"
         )
     report("criterion-3 coupling distribution", ok, "; ".join(details),
            time.perf_counter() - t0, 30.0)
@@ -115,7 +115,7 @@ def test_c4_hoeffding_bound():
     spec = ExperimentSpec(regime="fixed_a", a=2.0, n=2000, trials=10_000,
                           master_seed=ACCEPT_SEED, epsilon=0.05)
     out = run_coupling_validation(spec)
-    tail = out.counts["tail_count"]
+    tail = out["counts"]["tail_count"]
     report(
         "criterion-4 hoeffding bound", tail == 0,
         f"tail count={tail} over 1e4 trials (per-trial bound e^-10={math.exp(-10):.2e})",
@@ -128,12 +128,12 @@ def test_c5_thm1_undetectable():
     spec = ExperimentSpec(regime="cube_scaling", c=1.5, n=10_000, trials=10_000,
                           master_seed=ACCEPT_SEED)
     out = run_thm1_undetectable(spec)
-    analytic = out.checks["exact_ge_chain_bound"]["passed"]
-    wilson = out.checks["wilson_contains_exact"]["passed"]
-    rate = out.rates["no_stay_trials"]
+    analytic = out["checks"]["exact_ge_chain_bound"]["passed"]
+    wilson = out["checks"]["wilson_contains_exact"]["passed"]
+    rate = out["rates"]["no_stay_trials"]
     report(
         "criterion-5 thm1 undetectable", analytic and wilson,
-        f"exact={out.bounds['exact_no_stay']:.8f} >= bound={out.bounds['chain_bound']:.8f}; "
+        f"exact={out['bounds']['exact_no_stay']:.8f} >= bound={out['bounds']['chain_bound']:.8f}; "
         f"MC={rate['rate']:.6f} wilson=[{rate['lo']:.6f}, {rate['hi']:.6f}]",
         time.perf_counter() - t0, 120.0,
     )
@@ -144,14 +144,14 @@ def test_c6_thm1_detectable():
     spec = ExperimentSpec(regime="cube_scaling", c=4.0, n=10_000, trials=10_000,
                           master_seed=ACCEPT_SEED, lam=3.0)
     out = run_thm1_detectable(spec)
-    overlap = out.counts["overlap_count"]
-    flips = out.counts["flip_violations"]
-    floor = out.checks["null_accept_floor"]
-    ok = all(out.premises.values()) and overlap == 0 and flips == 0 and floor["passed"]
+    overlap = out["counts"]["overlap_count"]
+    flips = out["counts"]["flip_violations"]
+    floor = out["checks"]["null_accept_floor"]
+    ok = all(out["premises"].values()) and overlap == 0 and flips == 0 and floor["passed"]
     report(
         "criterion-6 thm1 detectable", ok,
-        f"premises={out.premises}, overlap={overlap}, flip_violations={flips}, "
-        f"null_accept={out.rates['null_accept']['rate']:.4f} (floor {floor['limit']:.4f})",
+        f"premises={out['premises']}, overlap={overlap}, flip_violations={flips}, "
+        f"null_accept={out['rates']['null_accept']['rate']:.4f} (floor {floor['limit']:.4f})",
         time.perf_counter() - t0, 120.0,
     )
 
@@ -161,9 +161,9 @@ def test_c7_thm2_detectable():
     spec = ExperimentSpec(regime="fixed_a", a=2.0, n=5000, trials=10_000,
                           master_seed=ACCEPT_SEED, epsilon=0.05, lam=3.0)
     out = run_thm2_detectable(spec)
-    overlap = out.counts["overlap_count"]
-    flips = out.counts["flip_violations"]
-    alarm = out.checks["null_false_alarm"]
+    overlap = out["counts"]["overlap_count"]
+    flips = out["counts"]["flip_violations"]
+    alarm = out["checks"]["null_false_alarm"]
     ok = overlap == 0 and flips == 0 and alarm["passed"]
     report(
         "criterion-7 thm2 detectable", ok,
@@ -178,7 +178,7 @@ def test_c8_phase_transition_sweep():
     spec = ExperimentSpec(regime="fixed_a", a=2.0, n=2000, trials=10_000,
                           master_seed=ACCEPT_SEED, epsilon=0.05, lam=3.0)
     offsets = [-0.15, -0.1, -0.05, 0.0, 0.05, 0.1, 0.15]
-    rows = sweep_phase_transition(spec, t_offsets=offsets).rows
+    rows = sweep_phase_transition(spec, t_offsets=offsets)["rows"]
     by_offset = {row["t_offset"]: row for row in rows}
     low = by_offset[-0.1]["attacker_success"]["rate"]
     high = by_offset[0.1]["attacker_success"]["rate"]

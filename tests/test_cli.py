@@ -805,10 +805,12 @@ class TestFiniteGuard:
         _assert_finite({"x": [1.0, 2, "s", None, True]})
 
 
-# Per-type extremes the input-space property test draws from.
-_REALS = [0.0, 5e-324, 1e-300, 1e-160, 0.0326, 1.0, 30.0, 1e5, 1e300, math.inf, -math.inf,
-          math.nan]
-_INTEGERS = [1, 2, 3, 2**31, 10**9, 2**64, 10**4299]  # the last has 4300 digits
+# Per-type extremes and ordinary values the input-space property test draws from.
+_REALS = [0.0, 5e-324, 1e-300, 1e-160, 0.0326, 0.25, 0.5, 1.0, 2.5, 3.75, 30.0, 1e5, 1e300,
+          -1.0, math.inf, -math.inf, math.nan]
+_INTEGERS = [-2**63, -5, -1, 0, 1, 2, 3, 2**31, 10**9, 2**64, 10**4299]  # the last has 4300 digits
+# --format values; only `experiment` takes the flag
+_FORMATS = ["json", "jsonl", "json,jsonl", "xml", ",,"]
 _CONFIG_ONLY = ["0.05", None, [1.0], True]
 # fields of experiment and sweep runs, with the flag that sets each, if any
 _INTEGER_FLAGS = {"n": "--n", "trials": "--trials", "master_seed": "--seed"}
@@ -820,9 +822,10 @@ _CONFIG_FIELDS = {"regime": st.sampled_from(["fixed_a", "cube_scaling"]),
                   "c_values": st.lists(st.sampled_from(_REALS), min_size=1, max_size=2)}
 _KERNEL_FLAGS = {"a": "--a", "xmin": "--xmin", "xmax": "--xmax", "step": "--step",
                  "rel_tol": "--rel-tol"}
-# what an exit 2 may name: a spec field, a grid, a kernels argument or the operation
+# what an exit 2 may name: a spec field, a grid, a kernels argument, the
+# operation or the output format
 _NAMES = {*(f.name for f in dataclasses.fields(ExperimentSpec)), *_CONFIG_FIELDS,
-          *_KERNEL_FLAGS}
+          *_KERNEL_FLAGS, "format"}
 # tier-1 takes 25 fixed examples; CI, under the input-space profile of
 # tests/conftest.py, takes that profile's larger random budget
 _BUDGET = (settings() if settings.get_current_profile_name() == "input-space"
@@ -831,7 +834,8 @@ _BUDGET = (settings() if settings.get_current_profile_name() == "input-space"
 
 @st.composite
 def _commands(draw):
-    """(argv, config, whether trials was drawn): a command with up to three overridden fields."""
+    """(argv, config, whether trials was drawn): a command with up to three overridden
+    fields and, for `experiment`, perhaps an output format."""
     name = draw(st.sampled_from(["kernels", *sorted(cli.PRESETS)]))
     if name == "kernels":
         fields = draw(st.lists(st.sampled_from(sorted(_KERNEL_FLAGS)), max_size=3, unique=True))
@@ -856,6 +860,8 @@ def _commands(draw):
             argv.append(f"{flag}={value if isinstance(value, int) else repr(value)}")
         else:
             config[field] = draw(st.one_of(typed, st.sampled_from(_CONFIG_ONLY)))
+    if command == "experiment" and draw(st.booleans()):
+        argv.append(f"--format={draw(st.sampled_from(_FORMATS))}")
     # at most 3 trials, unless the example draws trials itself
     argv += [f"{_INTEGER_FLAGS[f]}={v}" for f, v in (("trials", 3), ("master_seed", 1))
              if f not in fields]

@@ -124,15 +124,15 @@ class TestCouplingValidation:
     def test_checks_pass_small(self):
         spec = ExperimentSpec(regime="fixed_a", a=2.0, n=2000, trials=300, master_seed=SEED)
         out = run_coupling_validation(spec)
-        assert out.passed, out.checks
-        assert out.rates["zero_fraction"]["total"] == 2000 * 300
+        assert out["passed"], out["checks"]
+        assert out["rates"]["zero_fraction"]["total"] == 2000 * 300
 
     def test_moments_reported(self):
         spec = ExperimentSpec(regime="fixed_a", a=0.7, n=4000, trials=100, master_seed=SEED,
                               epsilon=4e-5)
         out = run_coupling_validation(spec)
-        assert out.passed, out.checks
-        assert abs(out.bounds["pool_mean"]) < 0.01
+        assert out["passed"], out["checks"]
+        assert abs(out["bounds"]["pool_mean"]) < 0.01
 
     def test_wrong_regime(self):
         spec = ExperimentSpec(regime="cube_scaling", c=2.0, n=100, trials=10, master_seed=1)
@@ -153,11 +153,11 @@ class TestCouplingValidation:
         # the count is mid-range; the run counts it as the trials outside
         # Theorem 2's family sr < G + eps
         spec = ExperimentSpec(regime="fixed_a", a=2.0, n=50, trials=400, master_seed=3)
-        tail = run_coupling_validation(spec).counts["tail_count"]
+        tail = run_coupling_validation(spec)["counts"]["tail_count"]
         limit = big_g_value(2.0) + spec.epsilon
         assert tail == sum(_zero_count_for_trial(spec, i) / spec.n >= limit
                            for i in range(spec.trials))
-        assert tail == spec.trials - run_thm2_undetectable(spec).rates["in_family"]["count"]
+        assert tail == spec.trials - run_thm2_undetectable(spec)["rates"]["in_family"]["count"]
         assert 0.1 * spec.trials < tail < 0.3 * spec.trials
 
 
@@ -166,9 +166,9 @@ class TestThm1Undetectable:
         spec = ExperimentSpec(regime="cube_scaling", c=1.5, n=10_000, trials=400,
                               master_seed=SEED)
         out = run_thm1_undetectable(spec)
-        assert out.passed, out.checks
-        assert out.premises["c_below_pi_over_sqrt2"]
-        assert out.bounds["exact_no_stay"] >= out.bounds["chain_bound"]
+        assert out["passed"], out["checks"]
+        assert out["premises"]["c_below_pi_over_sqrt2"]
+        assert out["bounds"]["exact_no_stay"] >= out["bounds"]["chain_bound"]
 
     def test_fast_path_matches_full_coupling(self):
         # the masked die-interval shortcut must reproduce couple_perturb's
@@ -194,15 +194,15 @@ class TestThm1Undetectable:
     def test_vanishing_c_limit(self):
         spec = ExperimentSpec(regime="cube_scaling", c=0.1, n=100, trials=40, master_seed=SEED)
         out = run_thm1_undetectable(spec)
-        assert out.bounds["big_g"] == 0.0
-        assert out.bounds["exact_no_stay"] == 1.0
-        assert out.rates["no_stay_trials"]["rate"] == 1.0
+        assert out["bounds"]["big_g"] == 0.0
+        assert out["bounds"]["exact_no_stay"] == 1.0
+        assert out["rates"]["no_stay_trials"]["rate"] == 1.0
 
     def test_premise_violation_warns_but_runs(self):
         spec = ExperimentSpec(regime="cube_scaling", c=4.0, n=1000, trials=10, master_seed=SEED)
         with pytest.warns(UserWarning):
             out = run_thm1_undetectable(spec)
-        assert not out.premises["c_below_pi_over_sqrt2"]
+        assert not out["premises"]["c_below_pi_over_sqrt2"]
 
 
 class TestThm1Detectable:
@@ -210,30 +210,30 @@ class TestThm1Detectable:
         spec = ExperimentSpec(regime="cube_scaling", c=4.0, n=10_000, trials=400,
                               master_seed=SEED)
         out = run_thm1_detectable(spec)
-        assert out.passed, out.checks
-        assert out.premises == {
+        assert out["passed"], out["checks"]
+        assert out["premises"] == {
             "c_above_pi": True, "cube_n1": True, "cube_n2": True,
             "sqrt_n_G_above_lambda": True,
         }
-        assert out.counts["overlap_count"] == 0
-        assert out.counts["flip_violations"] == 0
+        assert out["counts"]["overlap_count"] == 0
+        assert out["counts"]["flip_violations"] == 0
 
     def test_frozen_premise_values(self):
         # closed forms at c=4, n=1e4, frozen from the high-precision oracle
         spec = ExperimentSpec(regime="cube_scaling", c=4.0, n=10_000, trials=1,
                               master_seed=SEED)
         out = run_thm1_detectable(spec)
-        assert out.bounds["big_g"] == pytest.approx(0.074337776774847591, abs=1e-12)
-        assert out.bounds["cube_n1_rhs"] == pytest.approx(0.058384753352642474, abs=1e-12)
-        assert out.bounds["cube_n2_lhs"] == pytest.approx(34.087794240488966, abs=1e-10)
+        assert out["bounds"]["big_g"] == pytest.approx(0.074337776774847591, abs=1e-12)
+        assert out["bounds"]["cube_n1_rhs"] == pytest.approx(0.058384753352642474, abs=1e-12)
+        assert out["bounds"]["cube_n2_lhs"] == pytest.approx(34.087794240488966, abs=1e-10)
 
 
 class TestThm2Undetectable:
     def test_small_run(self):
         spec = ExperimentSpec(regime="fixed_a", a=2.0, n=2000, trials=400, master_seed=SEED)
         out = run_thm2_undetectable(spec)
-        assert out.passed, out.checks
-        assert out.bounds["t"] == pytest.approx(big_g_value(2.0) + 0.05)
+        assert out["passed"], out["checks"]
+        assert out["bounds"]["t"] == pytest.approx(big_g_value(2.0) + 0.05)
 
     def test_t_equal_one_only_fails_when_nothing_moves(self):
         # sr < 1 excludes exactly the all-zero perturbation
@@ -244,12 +244,12 @@ class TestThm2Undetectable:
             1 for i in range(300)
             if _zero_count_for_trial(spec, i) == spec.n
         )
-        assert out.rates["in_family"]["count"] == 300 - all_zero
+        assert out["rates"]["in_family"]["count"] == 300 - all_zero
 
     def test_degenerate_scale_still_reports(self):
         spec = ExperimentSpec(regime="fixed_a", a=2.0, n=10, trials=50, master_seed=SEED)
         out = run_thm2_undetectable(spec)
-        for entry in out.rates.values():
+        for entry in out["rates"].values():
             assert 0.0 <= entry["rate"] <= 1.0
             assert entry["lo"] <= entry["rate"] <= entry["hi"]
 
@@ -264,9 +264,9 @@ class TestThm2Detectable:
     def test_small_run_zero_overlap(self):
         spec = ExperimentSpec(regime="fixed_a", a=2.0, n=5000, trials=400, master_seed=SEED)
         out = run_thm2_detectable(spec)
-        assert out.passed, out.checks
-        assert out.counts["overlap_count"] == 0
-        assert out.premises["t_at_most_G_minus_eps"]
+        assert out["passed"], out["checks"]
+        assert out["counts"]["overlap_count"] == 0
+        assert out["premises"]["t_at_most_G_minus_eps"]
 
     def test_boundary_n_rejected_with_minimal_n(self):
         spec = ExperimentSpec(regime="fixed_a", a=2.0, n=3600, trials=10, master_seed=SEED)
@@ -276,7 +276,7 @@ class TestThm2Detectable:
     def test_minimal_n_accepted(self):
         spec = ExperimentSpec(regime="fixed_a", a=2.0, n=3601, trials=20, master_seed=SEED)
         out = run_thm2_detectable(spec)
-        assert out.counts["overlap_count"] == 0
+        assert out["counts"]["overlap_count"] == 0
 
     @pytest.mark.parametrize("run, spec", [
         pytest.param(run_thm1_detectable, dict(regime="cube_scaling", c=4.0, n=1000),
@@ -292,8 +292,8 @@ class TestThm2Detectable:
         loose = run(ExperimentSpec(**base, alpha=0.05))
         strict = run(ExperimentSpec(**base, alpha=0.001))
         # e^{-4.5} ~ 0.0111 sits between the two targets
-        assert loose.premises["lambda_meets_alpha"] and loose.bounds["alpha"] == 0.05
-        assert not strict.premises["lambda_meets_alpha"] and strict.bounds["alpha"] == 0.001
+        assert loose["premises"]["lambda_meets_alpha"] and loose["bounds"]["alpha"] == 0.05
+        assert not strict["premises"]["lambda_meets_alpha"] and strict["bounds"]["alpha"] == 0.001
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_evaded_sum_matches_constructed_evasion(self, n):
@@ -324,9 +324,9 @@ class TestThm2Detectable:
         spec = ExperimentSpec(regime="fixed_a", a=2.0, n=5000, trials=150, master_seed=SEED,
                               t=t)
         out = run_thm2_detectable(spec)
-        assert not out.premises["t_at_most_G_minus_eps"]
+        assert not out["premises"]["t_at_most_G_minus_eps"]
         # evasion succeeds nearly every accepted trial
-        assert out.rates["overlap"]["rate"] > 0.9
+        assert out["rates"]["overlap"]["rate"] > 0.9
 
 
 # one small valid spec per operation; thm2_detectable needs n > lam^2/eps^2
@@ -343,6 +343,27 @@ SMALL_RUNS = [
 ]
 
 
+# every key summary.json holds, sorted: a run's, then a sweep's
+_RUN_KEYS = ["bounds", "checks", "counts", "operation", "passed", "premises", "rates", "spec"]
+_SWEEP_KEYS = ["checks", "operation", "passed", "rows", "spec"]
+
+
+@pytest.mark.filterwarnings("ignore:theorem premises not all met")
+@pytest.mark.parametrize("run, kwargs, grid, keys", [
+    *[(run, kwargs, {}, _RUN_KEYS) for run, kwargs in SMALL_RUNS],
+    (sweep_phase_transition, dict(regime="fixed_a", a=2.0, n=200), {"t_offsets": [0.0, 0.1]},
+     _SWEEP_KEYS),
+    (sweep_phase_transition, dict(regime="cube_scaling", c=1.5, n=200), {"c_values": [1.5, 4.0]},
+     _SWEEP_KEYS),
+], ids=[run.__name__ for run, _ in SMALL_RUNS] + ["sweep-t", "sweep-c"])
+def test_summary_keys(run, kwargs, grid, keys):
+    summary = run(ExperimentSpec(**kwargs, trials=7, master_seed=SEED), **grid)
+    assert sorted(summary) == keys
+    if "c_values" in grid:
+        # the cube sweep has no check, so it passes
+        assert summary["checks"] == {} and summary["passed"] is True
+
+
 @pytest.mark.filterwarnings("ignore:theorem premises not all met")
 class TestOnTrial:
     @pytest.mark.parametrize("run, kwargs", SMALL_RUNS, ids=lambda v: getattr(v, "__name__", ""))
@@ -353,7 +374,7 @@ class TestOnTrial:
         recs = [json.loads(line) for line in lines]
         assert [rec["trial_index"] for rec in recs] == list(range(spec.trials))
         # recording never changes what the run reports
-        assert streamed.to_dict() == run(spec).to_dict()
+        assert streamed == run(spec)
         # every attack keeps only +1 labels unmoved and flips the rest
         for rec in recs:
             s_pre = round(rec["statistic_pre"] * spec.n)
@@ -371,9 +392,9 @@ class TestOnTrial:
         assert rec["accepted_post"]
         assert all(r["theta_rle"] == [[1, 50]] for r in recs)
         # the summary counts only accepted trials as attacked, as before
-        assert out.passed
-        assert out.counts == {"attacked": 198, "overlap_count": 0, "flip_violations": 0}
-        assert {name: r["count"] for name, r in out.rates.items()} == {
+        assert out["passed"]
+        assert out["counts"] == {"attacked": 198, "overlap_count": 0, "flip_violations": 0}
+        assert {name: r["count"] for name, r in out["rates"].items()} == {
             "null_accept": 198, "overlap": 0}
 
     @pytest.mark.parametrize("run, kwargs", SMALL_RUNS, ids=lambda v: getattr(v, "__name__", ""))
@@ -539,12 +560,12 @@ class TestTrialBlocks:
         spec = ExperimentSpec(**kwargs, trials=trials, master_seed=SEED)
         monkeypatch.setattr(harness, "_BLOCK_COORDS", 1)
         ref_recs = []
-        ref = run(spec, on_trial=ref_recs.append).to_dict()
+        ref = run(spec, on_trial=ref_recs.append)
         monkeypatch.setattr(harness, "_BLOCK_COORDS", block_coords)
         recs = []
-        assert run(spec, on_trial=recs.append).to_dict() == ref
+        assert run(spec, on_trial=recs.append) == ref
         assert recs == ref_recs
-        assert run(spec).to_dict() == ref
+        assert run(spec) == ref
 
     @pytest.mark.parametrize("run", [run_coupling_validation, run_thm2_undetectable])
     @pytest.mark.parametrize("n, trials", [(200, 7), (200, 1), (harness._BLOCK_COORDS + 50, 2)])
@@ -575,7 +596,7 @@ class TestTrialBlocks:
             x = rng.standard_normal(spec.n)
             pool.append(x + couple_perturb(x, params, rng.random(spec.n)).signs * 2.0)
         pool = np.concatenate(pool)
-        bounds = run_coupling_validation(spec).bounds
+        bounds = run_coupling_validation(spec)["bounds"]
         assert bounds["ks_distance"] == ks_distance_standard_normal(pool)
         assert (bounds["pool_mean"], bounds["pool_var"]) == sample_moments(pool)[:2]
 
@@ -609,14 +630,14 @@ class TestLabelPasses:
 class TestDeterminism:
     def test_bit_identical_summaries(self):
         spec = ExperimentSpec(regime="fixed_a", a=2.0, n=1000, trials=60, master_seed=SEED)
-        first = run_thm2_undetectable(spec).to_dict()
-        second = run_thm2_undetectable(spec).to_dict()
+        first = run_thm2_undetectable(spec)
+        second = run_thm2_undetectable(spec)
         assert first == second
 
     def test_seed_changes_rates(self):
         base = dict(regime="fixed_a", a=2.0, n=500, trials=80)
-        one = run_coupling_validation(ExperimentSpec(**base, master_seed=1)).bounds["ks_distance"]
-        two = run_coupling_validation(ExperimentSpec(**base, master_seed=2)).bounds["ks_distance"]
+        one = run_coupling_validation(ExperimentSpec(**base, master_seed=1))["bounds"]["ks_distance"]
+        two = run_coupling_validation(ExperimentSpec(**base, master_seed=2))["bounds"]["ks_distance"]
         assert one != two
 
 
@@ -624,25 +645,25 @@ class TestSweep:
     def test_single_cell_matches_thm2_detectable(self):
         spec = ExperimentSpec(regime="fixed_a", a=2.0, n=5000, trials=120, master_seed=SEED)
         full = run_thm2_detectable(spec)
-        rows = sweep_phase_transition(spec, t_offsets=[-spec.epsilon]).rows
+        rows = sweep_phase_transition(spec, t_offsets=[-spec.epsilon])["rows"]
         assert len(rows) == 1
         row = rows[0]
-        assert row["t"] == full.bounds["t"]
-        assert row["attacker_success"]["count"] == full.rates["attacked_accept"]["count"]
-        assert row["null_accept_rate"] == full.rates["null_accept"]["rate"]
-        assert row["overlap_rate"] == full.rates["overlap"]["rate"]
+        assert row["t"] == full["bounds"]["t"]
+        assert row["attacker_success"]["count"] == full["rates"]["attacked_accept"]["count"]
+        assert row["null_accept_rate"] == full["rates"]["null_accept"]["rate"]
+        assert row["overlap_rate"] == full["rates"]["overlap"]["rate"]
 
     def test_success_monotone_in_t(self):
         spec = ExperimentSpec(regime="fixed_a", a=2.0, n=2000, trials=250, master_seed=SEED)
         rows = sweep_phase_transition(
             spec, t_offsets=[-0.15, -0.1, -0.05, -0.03, 0.0, 0.05, 0.1, 0.15]
-        ).rows
+        )["rows"]
         counts = [r["attacker_success"]["count"] for r in rows]
         assert counts == sorted(counts)
 
     def test_cube_sweep_shape(self):
         spec = ExperimentSpec(regime="cube_scaling", c=1.0, n=500, trials=60, master_seed=SEED)
-        rows = sweep_phase_transition(spec, c_values=[1.0, 2.5, 4.0]).rows
+        rows = sweep_phase_transition(spec, c_values=[1.0, 2.5, 4.0])["rows"]
         assert [r["c"] for r in rows] == [1.0, 2.5, 4.0]
         for row in rows:
             assert 0.0 <= row["detector_win_rate"] <= 1.0
@@ -655,7 +676,7 @@ class TestSweep:
         # direct binning; n is odd, so that a label sum of 1 exists
         spec = ExperimentSpec(regime="cube_scaling", c=1.0, n=301, trials=60, master_seed=SEED)
         c_values = [1.0, 2.0, 3.0, 4.0]
-        rows = sweep_phase_transition(spec, c_values=c_values).rows
+        rows = sweep_phase_transition(spec, c_values=c_values)["rows"]
         totals = np.zeros(5, dtype=int)
         for c, row in zip(c_values, rows):
             a = dataclasses.replace(spec, c=c).effective_a
@@ -715,17 +736,17 @@ class TestSweep:
     def test_summary_payload(self):
         spec = ExperimentSpec(regime="fixed_a", a=2.0, n=300, trials=20, master_seed=SEED)
         summary = sweep_phase_transition(spec, t_offsets=[0.0, 0.1])
-        assert summary.operation == "sweep" and summary.passed
-        assert sorted(summary.to_dict()) == ["checks", "operation", "passed", "rows", "spec"]
-        assert list(summary.checks) == ["success_monotone_in_t"]
+        assert summary["operation"] == "sweep" and summary["passed"]
+        assert sorted(summary) == ["checks", "operation", "passed", "rows", "spec"]
+        assert list(summary["checks"]) == ["success_monotone_in_t"]
         assert "rows" not in run_thm2_detectable(
-            dataclasses.replace(spec, n=5000, trials=3)).to_dict()
+            dataclasses.replace(spec, n=5000, trials=3))
 
     def test_deterministic(self):
         spec = ExperimentSpec(regime="fixed_a", a=2.0, n=800, trials=50, master_seed=SEED)
-        assert sweep_phase_transition(spec, t_offsets=[0.0, 0.1]).rows == sweep_phase_transition(
+        assert sweep_phase_transition(spec, t_offsets=[0.0, 0.1])["rows"] == sweep_phase_transition(
             spec, t_offsets=[0.0, 0.1]
-        ).rows
+        )["rows"]
 
 
 @pytest.fixture
@@ -788,13 +809,13 @@ class TestSharding:
         spec = ExperimentSpec(**kwargs, trials=20, master_seed=SEED)
         shard(1)
         ref_recs = []
-        ref = run(spec, on_trial=ref_recs.append).to_dict()
+        ref = run(spec, on_trial=ref_recs.append)
         assert shard.calls == []
         shard(workers)
         recs = []
-        assert run(spec, on_trial=recs.append).to_dict() == ref
+        assert run(spec, on_trial=recs.append) == ref
         assert recs == ref_recs
-        assert run(spec).to_dict() == ref
+        assert run(spec) == ref
         assert shard.calls == [workers, workers]
         assert _children() == []
 
@@ -806,9 +827,9 @@ class TestSharding:
     ], ids=["t", "c"])
     def test_sweeps_match_one_worker(self, shard, spec, grid):
         shard(1)
-        ref = sweep_phase_transition(spec, **grid).rows
+        ref = sweep_phase_transition(spec, **grid)["rows"]
         shard(2)
-        assert sweep_phase_transition(spec, **grid).rows == ref
+        assert sweep_phase_transition(spec, **grid)["rows"] == ref
         # all cells of a sweep share one set of workers
         assert shard.calls == [2]
 
@@ -820,10 +841,10 @@ class TestSharding:
         spec = ExperimentSpec(regime="fixed_a", a=2.0, n=30_000, trials=20, master_seed=SEED)
         shard(1)
         ref_recs = []
-        ref = run_coupling_validation(spec, on_trial=ref_recs.append).to_dict()
+        ref = run_coupling_validation(spec, on_trial=ref_recs.append)
         shard(workers)
         recs = []
-        assert run_coupling_validation(spec, on_trial=recs.append).to_dict() == ref
+        assert run_coupling_validation(spec, on_trial=recs.append) == ref
         assert recs == ref_recs
         assert shard.calls == [workers]
         assert _children() == []
@@ -840,10 +861,10 @@ class TestSharding:
         with monkeypatch.context() as one_core:
             one_core.setattr(harness, "worker_count", lambda: 1)
             ref_lines = []
-            ref = run_coupling_validation(spec, on_trial=ref_lines.append).to_dict()
+            ref = run_coupling_validation(spec, on_trial=ref_lines.append)
         reaped = len(forked.worker_usage)
         lines = []
-        assert run_coupling_validation(spec, on_trial=lines.append).to_dict() == ref
+        assert run_coupling_validation(spec, on_trial=lines.append) == ref
         assert lines == ref_lines
         assert len(forked.worker_usage) - reaped == workers
         assert _children() == []
