@@ -19,7 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import MAX_TERMS, MODE_CROSSOVER_A, SQRT_TWO_PI, KernelParams, KernelRangeError
+from .kernels import (MAX_TERMS, MODE_CROSSOVER_A, SQRT_TWO_PI, ConfigError, KernelParams,
+                      KernelRangeError)
 
 __all__ = [
     "SeriesPlan",
@@ -43,12 +44,9 @@ class SeriesPlan:
 
     a: float
     rel_tol: float
-    band: float                 # range-check slack, 10 * rel_tol
-    use_dual: bool              # stay-probability route: dual if a < sqrt(pi), else primal
     phi_coef: np.ndarray        # exp(-k^2 a^2 / 2), k = 1..K_phi
     gamma_coef: np.ndarray      # primal: exp(-k(k-1) a^2 / 2), k = 1..K_gamma, each <= 1
-    dual_coef: np.ndarray       # dual: (2/a) exp(-m^2 pi^2/(2 a^2)), odd m
-    dual_freq: np.ndarray       # dual: m pi / a, odd m
+    dual_coef: np.ndarray       # dual: (2/a) exp(-m^2 pi^2/(2 a^2)), odd m; primal: empty
 
 
 @lru_cache(maxsize=64)
@@ -59,8 +57,8 @@ def plan_for(a: float, rel_tol: float = 1e-12) -> SeriesPlan:
 
     k_phi = max(2, math.ceil(math.sqrt(2.0 * target) / a) + 1)
     if k_phi > MAX_TERMS:
-        raise ValueError(f"a: {a!r} is too small, phi's series would take {k_phi:.3g} terms, "
-                         f"more than the {MAX_TERMS} a series plan may take")
+        raise ConfigError(f"a: {a!r} is too small, phi's series would take {k_phi:.3g} terms, "
+                          f"more than the {MAX_TERMS} a series plan may take")
     ks = np.arange(1, k_phi + 1, dtype=np.float64)
     # From a = 40 on, every coefficient but gamma's first (1) is exp(-800)
     # or less, which is 0; a capped at 40 gives the same bits without
@@ -68,8 +66,8 @@ def plan_for(a: float, rel_tol: float = 1e-12) -> SeriesPlan:
     a_exp = min(a, 40.0)
     phi_coef = np.exp(-0.5 * (ks * a_exp) ** 2)
 
-    use_dual = a < MODE_CROSSOVER_A
-    if use_dual:
+    # the stay probability's route: dual if a < sqrt(pi), else primal
+    if a < MODE_CROSSOVER_A:
         beta = math.pi * math.pi / (2.0 * a * a)
         m_min = math.sqrt(max(target + math.log(2.0 * SQRT_TWO_PI / a) + a * a / 8.0, 1.0) / beta)
         m_max = int(m_min) + 2
@@ -77,7 +75,6 @@ def plan_for(a: float, rel_tol: float = 1e-12) -> SeriesPlan:
             m_max += 1
         ms = np.arange(1, m_max + 1, 2, dtype=np.float64)
         dual_coef = (2.0 / a) * np.exp(-beta * ms * ms)
-        dual_freq = ms * math.pi / a
         gamma_coef = phi_coef[:1]
     else:
         disc = 1.0 + 8.0 * (target + math.log(2.0)) / (a * a)
@@ -85,18 +82,9 @@ def plan_for(a: float, rel_tol: float = 1e-12) -> SeriesPlan:
         kg = np.arange(1, k_gamma + 1, dtype=np.float64)
         gamma_coef = np.exp(-0.5 * kg * (kg - 1.0) * a_exp * a_exp)
         dual_coef = np.empty(0, dtype=np.float64)
-        dual_freq = np.empty(0, dtype=np.float64)
 
-    return SeriesPlan(
-        a=float(a),
-        rel_tol=float(rel_tol),
-        band=10.0 * rel_tol,
-        use_dual=use_dual,
-        phi_coef=phi_coef,
-        gamma_coef=gamma_coef,
-        dual_coef=dual_coef,
-        dual_freq=dual_freq,
-    )
+    return SeriesPlan(a=float(a), rel_tol=float(rel_tol), phi_coef=phi_coef,
+                      gamma_coef=gamma_coef, dual_coef=dual_coef)
 
 
 def _alt_horner_inplace(w: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -131,7 +119,7 @@ def phi_gamma(x: np.ndarray, plan: SeriesPlan) -> tuple[np.ndarray, np.ndarray]:
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     a = plan.a
-    band = plan.band
+    band = 10.0 * plan.rel_tol  # the range check's slack
     abs_x = np.abs(x)
     forward = _alt_horner_inplace(np.exp(-a * abs_x), plan.phi_coef)
 
@@ -139,9 +127,9 @@ def phi_gamma(x: np.ndarray, plan: SeriesPlan) -> tuple[np.ndarray, np.ndarray]:
     central = np.flatnonzero(abs_x < 0.5 * a)
     gamma_lo = gamma_hi = 0.0
     if central.size:
-        if plan.use_dual:
+        if plan.dual_coef.size:
             xc = x.reshape(-1).take(central)
-            cos_m = np.cos(plan.dual_freq[0] * xc)
+            cos_m = np.cos(math.pi / a * xc)
             gamma_c = plan.dual_coef[0] * cos_m
             # 2 cos(2 theta); the recurrence starts from cos(-theta) = cos(theta)
             two_cos2 = cos_m * cos_m

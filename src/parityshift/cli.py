@@ -12,10 +12,12 @@ sweep       run the sweep operation the same way, write summary.json
 
 Configuration layers, later wins: preset -> --config JSON -> flags; a
 preset is the flat object a config file holds.  Exit codes: 0 every
-check passes, 1 a check failed (never a crash), 2 bad configuration,
-with ``error: <field>:`` naming the field.  Payload files are
-byte-stable for a fixed seed; timestamps live only in the run_meta.json
-sidecar.
+check passes, 1 a check failed (never a crash), 2 bad configuration
+(``kernels.ConfigError``), with ``error: <field>:`` naming the field.
+A theorem premise the run does not meet is a ``[NOTE]`` line after the
+checks; the run goes on, and its summary records the premise as false.
+Payload files are byte-stable for a fixed seed; timestamps live only in
+the run_meta.json sidecar.
 """
 
 from __future__ import annotations
@@ -38,13 +40,9 @@ import numpy as np
 
 from . import accel, forked, harness
 from .harness import ExperimentSpec
-from .kernels import POSITIVE_FINITE, KernelParams, check_real
+from .kernels import POSITIVE_FINITE, ConfigError, KernelParams, check_real
 
 __all__ = ["main", "run_cli", "PRESETS"]
-
-
-class ConfigError(ValueError):
-    """Bad command-line or file configuration."""
 
 
 _OPERATIONS = {
@@ -147,14 +145,15 @@ def _write_meta(out_dir: Path, command: str, argv: list[str], seed: int | None,
     (out_dir / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def _print_checks(checks: dict[str, dict]) -> bool:
-    ok = True
+def _print_checks(checks: dict[str, dict], premises: dict[str, bool]) -> None:
+    """Print a line per check, then a [NOTE] line per premise not met."""
     for name, chk in checks.items():
         status = "PASS" if chk["passed"] else "FAIL"
         print(f"[{status}] {name}: observed={chk['observed']:.6g} limit={chk['limit']:.6g}"
               + (f"  ({chk['note']})" if chk.get("note") else ""))
-        ok = ok and chk["passed"]
-    return ok
+    for name, met in premises.items():
+        if not met:
+            print(f"[NOTE] premise {name} not met")
 
 
 def _grid(key: str, value) -> list:
@@ -310,7 +309,7 @@ def _cmd_kernels(args, argv) -> int:
             fh.writelines(map(_TABLE_ROW.__mod__, zip(*(c.tolist() for c in columns))))
     _write_meta(out_dir, "kernels", argv, None, start)
     ok = worst <= 1e-9
-    print(f"[{'PASS' if ok else 'FAIL'}] max_abs_fp_residual: observed={worst:.6g} limit=1e-09")
+    _print_checks({"max_abs_fp_residual": {"passed": ok, "observed": worst, "limit": 1e-9}}, {})
     print(f"wrote {out_dir / 'kernels.csv'} ({xs.size} rows)")
     return 0 if ok else 1
 
@@ -345,9 +344,9 @@ def _cmd_run(args, argv) -> int:
     command = "sweep" if operation == "sweep" else f"experiment:{operation}"
     _write_meta(out_dir, command, argv, spec.master_seed, start)
 
-    ok = _print_checks(summary["checks"])
+    _print_checks(summary["checks"], summary.get("premises", {}))
     print(f"wrote {out_dir / 'summary.json'}; passed={summary['passed']}")
-    return 0 if ok else 1
+    return 0 if summary["passed"] else 1
 
 
 def _sweep_csv_lines(rows: list[dict]) -> list[str]:
@@ -423,7 +422,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args, argv)
-    except ValueError as exc:  # ConfigError and SpecValidationError included
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

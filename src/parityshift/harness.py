@@ -57,7 +57,6 @@ import itertools
 import math
 import mmap
 import sys
-import warnings
 from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, replace
 from typing import Any
@@ -71,12 +70,11 @@ from . import accel
 from .attack import PerturbationVector, couple_perturb, optimal_parity_evasion, sparsity_budget
 from .detector import ZERO_TEST_MIN_SUM, big_g_value, min_accepted_sum
 from .forked import forked_map, worker_count
-from .kernels import POSITIVE_FINITE, KernelParams, check_real, square_underflows
+from .kernels import POSITIVE_FINITE, ConfigError, KernelParams, check_real, square_underflows
 from .stats import binomial_se, ks_distance_standard_normal, sample_moments, wilson_interval
 
 __all__ = [
     "ExperimentSpec",
-    "SpecValidationError",
     "trial_rng",
     "run_coupling_validation",
     "run_thm1_undetectable",
@@ -131,10 +129,6 @@ _PAIR_TEXT_COUNTS = 256
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 
-class SpecValidationError(ValueError):
-    """An experiment spec violates a hard precondition."""
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Parameter set for one experiment.
@@ -159,48 +153,46 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         if self.regime not in _REGIMES:
-            raise SpecValidationError(f"regime: must be one of {_REGIMES}, got {self.regime!r}")
+            raise ConfigError(f"regime: must be one of {_REGIMES}, got {self.regime!r}")
         # bool is a subclass of int, but True is not a count or a seed; n is
         # an array length, so n float64 values must stay within numpy's
         # largest array size (a block holds at most max(n, _BLOCK_COORDS))
         for name, most in (("n", (2**63 - 1) // 8), ("trials", _DOUBLE_MAX)):
             if not (type(value := getattr(self, name)) is int and value >= 1):
-                raise SpecValidationError(f"{name}: must be a positive integer, got {value!r}")
+                raise ConfigError(f"{name}: must be a positive integer, got {value!r}")
             if value > most:
-                raise SpecValidationError(f"{name}: must be at most {most:.6g}, got {value!r}")
+                raise ConfigError(f"{name}: must be at most {most:.6g}, got {value!r}")
         if type(self.master_seed) is not int:
-            raise SpecValidationError(f"master_seed: must be an integer, got {self.master_seed!r}")
+            raise ConfigError(f"master_seed: must be an integer, got {self.master_seed!r}")
         for name, domain in _REAL_DOMAINS.items():
             if (value := getattr(self, name)) is not None or name not in _UNSET_REALS:
-                check_real(name, value, domain, SpecValidationError)
+                check_real(name, value, domain)
         # the bounds take eps^2 and lambda^2 (exp(-2 n eps^2), lambda^2 / eps^2)
         if square_underflows(float(self.epsilon)):
-            raise SpecValidationError(
-                f"epsilon: {self.epsilon!r} is too small, its square underflows")
+            raise ConfigError(f"epsilon: {self.epsilon!r} is too small, its square underflows")
         if math.isinf(float(self.lam) * float(self.lam)):
-            raise SpecValidationError(f"lam: {self.lam!r} is too large, its square overflows")
+            raise ConfigError(f"lam: {self.lam!r} is too large, its square overflows")
         width, other = ("a", "c") if self.regime == "fixed_a" else ("c", "a")
         if getattr(self, other) is not None:
-            raise SpecValidationError(f"{other}: the {self.regime} regime must not set {other}")
+            raise ConfigError(f"{other}: the {self.regime} regime must not set {other}")
         if getattr(self, width) is None:
-            raise SpecValidationError(f"{width}: the {self.regime} regime requires {width}")
+            raise ConfigError(f"{width}: the {self.regime} regime requires {width}")
         if self.regime == "cube_scaling" and self.n < 3:
-            raise SpecValidationError(
-                f"n: the cube_scaling regime requires n >= 3, got {self.n!r}")
+            raise ConfigError(f"n: the cube_scaling regime requires n >= 3, got {self.n!r}")
         try:
             # KernelParams checks a and rel_tol before plan_for's cache hashes
             # them; a fixed a's type is checked before effective_a converts it
             KernelParams(self.a if self.regime == "fixed_a" else self.effective_a, self.rel_tol)
             accel.plan_for(self.effective_a, self.rel_tol)
-        except ValueError as exc:
+        except ConfigError as exc:
             if self.regime == "cube_scaling" and str(exc).startswith("a:"):
-                raise SpecValidationError(f"c: {self.c!r} is too small at n = {self.n}, "
-                                          f"a = c / sqrt(ln n) ({exc})") from None
-            raise SpecValidationError(str(exc)) from None
+                raise ConfigError(f"c: {self.c!r} is too small at n = {self.n}, "
+                                  f"a = c / sqrt(ln n) ({exc})") from None
+            raise
         if self.regime == "fixed_a":
             big_g = big_g_value(self.effective_a)
             if not (0.0 < big_g - self.epsilon and big_g + self.epsilon < 1.0):
-                raise SpecValidationError(
+                raise ConfigError(
                     f"epsilon: window violated: need 0 < G(a) - eps and G(a) + eps < 1, "
                     f"got G({self.a}) = {big_g!r}, eps = {self.epsilon!r}"
                 )
@@ -389,14 +381,14 @@ def _tally(*jobs: _Job) -> list[dict[str, Any]]:
 
 @contextlib.contextmanager
 def _n_limits_memory(rows: int, n: int) -> Iterator[None]:
-    """Raise a MemoryError in a trial block as a SpecValidationError naming n.
+    """Raise a MemoryError in a trial block as a ConfigError naming n.
 
     Each of a block's arrays holds rows x n <= max(n, _BLOCK_COORDS) values.
     """
     try:
         yield
     except MemoryError as exc:
-        raise SpecValidationError(
+        raise ConfigError(
             f"n: a trial block of {rows} x {n} values does not fit in memory: {exc}") from None
 
 
@@ -516,11 +508,10 @@ def _summary(operation: str, spec: ExperimentSpec, rates: dict[str, tuple[int, i
 def _require(spec: ExperimentSpec, regime: str, operation: str, *unread: str) -> None:
     # the regime an operation runs in, and the optional fields it never reads
     if spec.regime != regime:
-        raise SpecValidationError(
-            f"regime: {operation} requires the {regime} regime, got {spec.regime!r}")
+        raise ConfigError(f"regime: {operation} requires the {regime} regime, got {spec.regime!r}")
     for name in unread:
         if getattr(spec, name) is not None:
-            raise SpecValidationError(f"{name}: {operation} does not take {name}")
+            raise ConfigError(f"{name}: {operation} does not take {name}")
 
 
 def _budget(t: float, n: int, name: str = "t") -> int:
@@ -528,9 +519,9 @@ def _budget(t: float, n: int, name: str = "t") -> int:
     try:
         budget = sparsity_budget(t, n)
     except ValueError as exc:
-        raise SpecValidationError(f"{name}: {exc}") from None
+        raise ConfigError(f"{name}: {exc}") from None
     if budget < 0:
-        raise SpecValidationError(f"{name}: t = {t!r} leaves no admissible perturbation")
+        raise ConfigError(f"{name}: t = {t!r} leaves no admissible perturbation")
     return budget
 
 
@@ -603,7 +594,7 @@ def run_coupling_validation(
     try:
         pool = np.frombuffer(mmap.mmap(-1, 8 * total), dtype=np.float64).reshape(trials, n)
     except (OSError, OverflowError):
-        raise SpecValidationError(
+        raise ConfigError(
             f"trials: the pool of x' holds trials x n = {total} values, "
             f"{8.0 * trials * n / 2**30:.3g} GiB, more than this process can map") from None
     # the Hoeffding tail sr >= G + eps is the complement of the family sr < G + eps
@@ -652,15 +643,6 @@ def run_thm1_undetectable(
     _require(spec, "cube_scaling", "run_thm1_undetectable", "t", "alpha")
     c, n, trials = float(spec.c), spec.n, spec.trials
     a = spec.effective_a
-    c_crit = math.pi / math.sqrt(2.0)
-    premise_c = c < c_crit
-    if not premise_c:
-        warnings.warn(
-            f"c = {c} is not below pi/sqrt(2) ~ {c_crit:.6f}; theorem hypothesis violated, "
-            "running anyway",
-            stacklevel=2,
-        )
-
     big_g = big_g_value(a)
     exact = (1.0 - big_g) ** n
     chain_base = 1.0 - (4.0 / math.pi) * n ** (-math.pi**2 / (2.0 * c * c))
@@ -695,7 +677,7 @@ def run_thm1_undetectable(
                 lo <= exact <= hi, exact, hi,
                 f"MC Wilson interval [{lo!r}, {hi!r}] must contain exact"),
         },
-        premises={"c_below_pi_over_sqrt2": premise_c},
+        premises={"c_below_pi_over_sqrt2": c < math.pi / math.sqrt(2.0)},
         counts={"zero_free_trials": zero_free},
     )
 
@@ -728,8 +710,6 @@ def run_thm1_detectable(
         "cube_n2": n2_lhs > n2_rhs,
         "sqrt_n_G_above_lambda": math.sqrt(n) * big_g > lam,
     }
-    if not all(premises.values()):
-        warnings.warn(f"theorem premises not all met: {premises}; running anyway", stacklevel=2)
 
     # the full hypercube attack is the evader with nothing kept
     (tally,) = _tally(_evasion_job(spec, ZERO_TEST_MIN_SUM, 0, on_trial))
@@ -819,7 +799,7 @@ def _min_admissible_n(lam: float, eps: float) -> tuple[int, float]:
     # (float(9/0.0025) lands just below 3600 otherwise).
     threshold = (lam * lam) / (eps * eps)
     if math.isinf(threshold):
-        raise SpecValidationError(
+        raise ConfigError(
             f"n: no n exceeds lambda^2/eps^2, which overflows at lambda = {lam!r}, eps = {eps!r}")
     snapped = round(threshold)
     if abs(threshold - snapped) <= 1e-9 * max(1.0, abs(snapped)):
@@ -841,7 +821,7 @@ def run_thm2_detectable(
     a, n, trials, lam, eps = spec.effective_a, spec.n, spec.trials, spec.lam, spec.epsilon
     min_n, threshold = _min_admissible_n(lam, eps)
     if n < min_n:
-        raise SpecValidationError(
+        raise ConfigError(
             f"n: n = {n} violates n > lambda^2/eps^2 = {threshold:g}; "
             f"minimal admissible n is {min_n}"
         )
@@ -907,9 +887,9 @@ def sweep_phase_transition(
         ("t_offsets", t_offsets, "c_values", c_values) if spec.regime == "fixed_a"
         else ("c_values", c_values, "t_offsets", t_offsets))
     if other_values is not None:
-        raise SpecValidationError(f"{other}: a {spec.regime} sweep takes {grid}, not {other}")
+        raise ConfigError(f"{other}: a {spec.regime} sweep takes {grid}, not {other}")
     if values is not None and len(values) == 0:
-        raise SpecValidationError(f"{grid}: a sweep needs at least one cell")
+        raise ConfigError(f"{grid}: a sweep needs at least one cell")
     rows: list[dict] = []
     if spec.regime == "fixed_a":
         a, n, trials, lam = spec.effective_a, spec.n, spec.trials, spec.lam
@@ -940,8 +920,8 @@ def sweep_phase_transition(
         c_values = [1.0 + 0.25 * j for j in range(13)]
     try:
         cells = [replace(spec, c=c) for c in c_values]
-    except SpecValidationError as exc:
-        raise SpecValidationError(f"c_values: {exc}") from None
+    except ConfigError as exc:
+        raise ConfigError(f"c_values: {exc}") from None
     big_gs = [big_g_value(cell.effective_a) for cell in cells]
     tallies = _tally(*(_coupling_job(cell, ZERO_TEST_MIN_SUM) for cell in cells))
     for cell, big_g, tally in zip(cells, big_gs, tallies):

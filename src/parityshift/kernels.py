@@ -34,6 +34,7 @@ import sys
 from dataclasses import dataclass
 
 __all__ = [
+    "ConfigError",
     "KernelParams",
     "KernelRangeError",
     "MAX_TERMS",
@@ -66,6 +67,10 @@ _TINY = 1e-300
 _FOUR_OVER_PI = 4.0 / math.pi
 
 
+class ConfigError(ValueError):
+    """Bad input, in every layer; the message starts with the field it names."""
+
+
 class KernelRangeError(RuntimeError):
     """A probability series produced a value outside its certified range.
 
@@ -81,8 +86,8 @@ class KernelRangeError(RuntimeError):
 POSITIVE_FINITE = ("be positive and finite", lambda v: 0.0 < v <= sys.float_info.max)
 
 
-def check_real(name: str, value, domain: tuple, error: type[ValueError] = ValueError) -> None:
-    """Raise ``error`` naming ``name`` unless value is a real number inside domain.
+def check_real(name: str, value, domain: tuple) -> None:
+    """Raise ``ConfigError`` naming ``name`` unless value is a real number inside domain.
 
     domain is ``(text, inside)``: the message "name: must <text>, got
     value" and the predicate the value must pass.  A bool, a string,
@@ -90,10 +95,10 @@ def check_real(name: str, value, domain: tuple, error: type[ValueError] = ValueE
     an int is compared exactly, never converted.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise error(f"{name}: must be a real number, got {value!r}")
+        raise ConfigError(f"{name}: must be a real number, got {value!r}")
     text, inside = domain
     if not inside(value):
-        raise error(f"{name}: must {text}, got {value!r}")
+        raise ConfigError(f"{name}: must {text}, got {value!r}")
 
 
 def square_underflows(a: float) -> bool:
@@ -122,7 +127,7 @@ class KernelParams:
         # ExperimentSpec and the kernels command build a KernelParams
         check_real("a", self.a, POSITIVE_FINITE)
         if square_underflows(self.a):
-            raise ValueError(f"a: {self.a!r} is too small, its square underflows")
+            raise ConfigError(f"a: {self.a!r} is too small, its square underflows")
         # accel.plan_for sums to rel_tol / 1000, which must not underflow to 0
         check_real("rel_tol", self.rel_tol,
                    ("lie in [1e-300, 1e-6]", lambda v: 1e-300 <= v <= 1e-6))

@@ -154,7 +154,6 @@ class TestKernelsCommand:
 
 
 class TestExperimentCommand:
-    @pytest.mark.filterwarnings("ignore:c = 30.0 is not below")
     def test_no_stay_of_exactly_zero_inside_wilson(self, tmp_path, capsys):
         # at c = 30 every trial keeps coordinates unmoved, and the exact
         # no-stay probability is 0.0: the Wilson interval of 0 stay-free
@@ -162,6 +161,15 @@ class TestExperimentCommand:
         assert run_cli(["experiment", "--preset", "thm1-undetectable", "--c", "30",
                         "--trials", "3", "--seed", "1", "--out", str(tmp_path)]) == 0
         assert "[PASS] wilson_contains_exact" in capsys.readouterr().out
+
+    def test_unmet_premise_prints_a_note(self, tmp_path, capsys):
+        argv = ["experiment", "--preset", "thm1-undetectable", "--trials", "5", "--seed", "1"]
+        assert run_cli(argv + ["--c", "3", "--out", str(tmp_path / "c3")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        # after the check lines, before the summary line
+        assert out[-2] == "[NOTE] premise c_below_pi_over_sqrt2 not met"
+        assert run_cli(argv + ["--out", str(tmp_path / "preset")]) == 0
+        assert "[NOTE]" not in capsys.readouterr().out
 
     def test_preset_runs_and_writes_summary(self, tmp_path, capsys):
         code = run_cli(["experiment", "--preset", "thm2-detectable", "--trials", "150",
@@ -319,7 +327,6 @@ SMALL_CONFIGS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:theorem premises not all met")
 class TestTrialRecords:
     @pytest.mark.parametrize("operation", sorted(SMALL_CONFIGS))
     def test_lines_match_asdict(self, operation, tmp_path):
@@ -758,7 +765,6 @@ class TestBadNumericInput:
 
 
 class TestLargeInput:
-    @pytest.mark.filterwarnings("ignore:c = .* theorem hypothesis violated:UserWarning")
     @pytest.mark.parametrize("preset", ["thm1-detectable", "thm1-undetectable"])
     def test_cube_c_1e5_runs_or_names_c(self, tmp_path, capsys, preset):
         # a = c / sqrt(ln n) ~ 3.3e4, where G(a)'s dual series would need
@@ -792,6 +798,20 @@ class TestLargeInput:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith(f"error: {field}:")
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds allocations on Linux")
+    @pytest.mark.parametrize("preset, c", [("thm1-detectable", "2"), ("thm1-undetectable", "3")])
+    def test_unmet_premise_leaves_the_error_first_on_stderr(self, tmp_path, preset, c):
+        # c misses the preset's premise, and one block row of n = 2**40
+        # normals cannot allocate: stderr holds the error and nothing
+        # before it, in a fresh interpreter with no warning filter
+        proc = subprocess.run(
+            [sys.executable, "-c", _LIMITED_SCRIPT, str(2 << 30), "experiment",
+             "--preset", preset, "--c", c, "--n", "1099511627776", "--trials", "1",
+             "--seed", "1", "--out", str(tmp_path / "run")],
+            capture_output=True, text=True, env=_src_env(), timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: n:"), proc.stderr
 
 
 class TestFiniteGuard:
@@ -874,9 +894,7 @@ class TestInputSpace:
     Each example runs the CLI in a child process capped at 2 GiB of
     address space.  A run of many trials is valid input that would take
     hours: once such a run has made its output directory, its input
-    handling is over, and it is stopped after a few seconds.  A
-    UserWarning (a theorem premise not met) is silenced, so that an error
-    is the first thing on stderr; a RuntimeWarning is not.
+    handling is over, and it is stopped after a few seconds.
     """
 
     @settings(_BUDGET, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -889,8 +907,7 @@ class TestInputSpace:
                 (Path(tmp) / "config.json").write_text(json.dumps(config))
                 argv = argv + ["--config", str(Path(tmp) / "config.json")]
             proc = subprocess.Popen(
-                [sys.executable, "-W", "ignore::UserWarning", "-c", _LIMITED_SCRIPT, str(2 << 30),
-                 *argv, "--out", str(out)],
+                [sys.executable, "-c", _LIMITED_SCRIPT, str(2 << 30), *argv, "--out", str(out)],
                 env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                 start_new_session=True)
             try:

@@ -17,14 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import decide
-from parityshift import accel, forked, harness
+from oracles import big_g_oracle, decide
+from parityshift import accel, cli, forked, harness
 from parityshift.attack import (PerturbationVector, couple_perturb, optimal_parity_evasion,
                                 sparsity_budget)
-from parityshift.detector import big_g_value
+from parityshift.detector import big_g_value, min_accepted_sum
 from parityshift.harness import (
     ExperimentSpec,
-    SpecValidationError,
     run_coupling_validation,
     run_thm1_detectable,
     run_thm1_undetectable,
@@ -33,7 +32,7 @@ from parityshift.harness import (
     sweep_phase_transition,
     trial_rng,
 )
-from parityshift.kernels import KernelParams, KernelRangeError
+from parityshift.kernels import ConfigError, KernelParams, KernelRangeError
 from parityshift.stats import ks_distance_standard_normal, sample_moments
 
 SEED = 91625
@@ -54,18 +53,18 @@ class TestExperimentSpec:
         n = 10_000
         root = math.sqrt(math.log(n))
         ExperimentSpec(regime="cube_scaling", c=0.0326 * root, n=n, trials=1, master_seed=1)
-        with pytest.raises(SpecValidationError, match="^c: .* phi's series would take 257"):
+        with pytest.raises(ConfigError, match="^c: .* phi's series would take 257"):
             ExperimentSpec(regime="cube_scaling", c=0.0325 * root, n=n, trials=1, master_seed=1)
 
     def test_epsilon_window_rejected(self):
         # G(5) ~ 0.975: G + eps >= 1
-        with pytest.raises(SpecValidationError):
+        with pytest.raises(ConfigError):
             ExperimentSpec(regime="fixed_a", a=5.0, n=100, trials=10, master_seed=1,
                            epsilon=0.05)
 
     def test_tiny_big_g_rejected(self):
         # G(0.5) ~ 3.4e-9 < eps: window empty on the left
-        with pytest.raises(SpecValidationError):
+        with pytest.raises(ConfigError):
             ExperimentSpec(regime="fixed_a", a=0.5, n=100, trials=10, master_seed=1)
 
     @pytest.mark.parametrize("field_name", ["n", "trials", "master_seed", "a", "c", "t",
@@ -74,15 +73,15 @@ class TestExperimentSpec:
         # bool is an int subclass; True must not pass as a count, a seed or a real number
         kwargs = dict(regime="fixed_a", a=2.0, n=100, trials=10, master_seed=1)
         kwargs[field_name] = True
-        with pytest.raises(SpecValidationError, match=f"^{field_name}: "):
+        with pytest.raises(ConfigError, match=f"^{field_name}: "):
             ExperimentSpec(**kwargs)
 
     def test_regime_field_consistency(self):
-        with pytest.raises(SpecValidationError):
+        with pytest.raises(ConfigError):
             ExperimentSpec(regime="fixed_a", a=1.0, c=2.0, n=10, trials=1, master_seed=0)
-        with pytest.raises(SpecValidationError):
+        with pytest.raises(ConfigError):
             ExperimentSpec(regime="cube_scaling", c=None, n=10, trials=1, master_seed=0)
-        with pytest.raises(SpecValidationError):
+        with pytest.raises(ConfigError):
             ExperimentSpec(regime="warp", n=10, trials=1, master_seed=0)
 
 
@@ -136,7 +135,7 @@ class TestCouplingValidation:
 
     def test_wrong_regime(self):
         spec = ExperimentSpec(regime="cube_scaling", c=2.0, n=100, trials=10, master_seed=1)
-        with pytest.raises(SpecValidationError):
+        with pytest.raises(ConfigError):
             run_coupling_validation(spec)
 
     def test_trial_records(self):
@@ -198,11 +197,10 @@ class TestThm1Undetectable:
         assert out["bounds"]["exact_no_stay"] == 1.0
         assert out["rates"]["no_stay_trials"]["rate"] == 1.0
 
-    def test_premise_violation_warns_but_runs(self):
+    def test_premise_violation_recorded_and_runs(self):
         spec = ExperimentSpec(regime="cube_scaling", c=4.0, n=1000, trials=10, master_seed=SEED)
-        with pytest.warns(UserWarning):
-            out = run_thm1_undetectable(spec)
-        assert not out["premises"]["c_below_pi_over_sqrt2"]
+        out = run_thm1_undetectable(spec)
+        assert out["premises"] == {"c_below_pi_over_sqrt2": False}
 
 
 class TestThm1Detectable:
@@ -270,7 +268,7 @@ class TestThm2Detectable:
 
     def test_boundary_n_rejected_with_minimal_n(self):
         spec = ExperimentSpec(regime="fixed_a", a=2.0, n=3600, trials=10, master_seed=SEED)
-        with pytest.raises(SpecValidationError, match=r"3600.*3601"):
+        with pytest.raises(ConfigError, match=r"3600.*3601"):
             run_thm2_detectable(spec)
 
     def test_minimal_n_accepted(self):
@@ -348,7 +346,6 @@ _RUN_KEYS = ["bounds", "checks", "counts", "operation", "passed", "premises", "r
 _SWEEP_KEYS = ["checks", "operation", "passed", "rows", "spec"]
 
 
-@pytest.mark.filterwarnings("ignore:theorem premises not all met")
 @pytest.mark.parametrize("run, kwargs, grid, keys", [
     *[(run, kwargs, {}, _RUN_KEYS) for run, kwargs in SMALL_RUNS],
     (sweep_phase_transition, dict(regime="fixed_a", a=2.0, n=200), {"t_offsets": [0.0, 0.1]},
@@ -364,7 +361,6 @@ def test_summary_keys(run, kwargs, grid, keys):
         assert summary["checks"] == {} and summary["passed"] is True
 
 
-@pytest.mark.filterwarnings("ignore:theorem premises not all met")
 class TestOnTrial:
     @pytest.mark.parametrize("run, kwargs", SMALL_RUNS, ids=lambda v: getattr(v, "__name__", ""))
     def test_once_per_trial_in_order(self, run, kwargs):
@@ -548,7 +544,6 @@ def _check_thm1_records(spec, lines):
         assert rec["sr"] == rec["zero_count"] / spec.n
 
 
-@pytest.mark.filterwarnings("ignore:theorem premises not all met")
 class TestTrialBlocks:
     # (trials, _BLOCK_COORDS) at n = 200: blocks of 3 + 3 + 1 trials; one
     # block holding the only trial; n above the block size, one trial a block
@@ -601,7 +596,6 @@ class TestTrialBlocks:
         assert (bounds["pool_mean"], bounds["pool_var"]) == sample_moments(pool)[:2]
 
 
-@pytest.mark.filterwarnings("ignore:theorem premises not all met")
 class TestLabelPasses:
     # passes of the bin-parity labels over every trial's n coordinates, with
     # records and without: x is binned once for a test or records, and x'
@@ -670,6 +664,39 @@ class TestSweep:
         # large-c cell: the full flip makes accepted-then-accepted impossible
         assert rows[-1]["overlap_rate"] == 0.0 or rows[-1]["big_g"] > 0
 
+    @pytest.mark.parametrize("preset", ["sweep-c", "sweep-t"])
+    def test_rows_match_exact_binomial_laws(self, preset):
+        # At the golden size, each row's counts against their exact laws
+        # (two-sided binomial test, scipy as oracle).  A label is +1 with
+        # probability (1 + G)/2, so k, the +1 count of a trial, is
+        # Binom(n, (1 + G)/2) and its label sum is s_pre = 2k - n.  A
+        # coordinate stays with probability G, so a trial has no stay
+        # with probability (1 - G)^n.  The t-sweep's evader keeps
+        # min(k, budget) coordinates, so s_post = 2 min(k, budget) - s_pre.
+        from scipy.stats import binom, binomtest
+
+        config = dict(cli.PRESETS[preset])
+        del config["operation"]
+        grid = {key: config.pop(key) for key in ("c_values", "t_offsets") if key in config}
+        spec = ExperimentSpec(**{**config, "trials": 200, "master_seed": 42})
+        n, trials = spec.n, spec.trials
+        k = np.arange(n + 1)
+        laws = []  # (count, probability)
+        for row in sweep_phase_transition(spec, **grid)["rows"]:
+            a = row["c"] / math.sqrt(math.log(n)) if preset == "sweep-c" else spec.a
+            big_g = big_g_oracle(a)
+            pmf = binom.pmf(k, n, (1.0 + big_g) / 2.0)
+            s_pre = 2 * k - n
+            s_min = 1 if preset == "sweep-c" else min_accepted_sum(a, spec.lam, n)
+            laws.append((round(row["null_accept_rate"] * trials), pmf[s_pre >= s_min].sum()))
+            if preset == "sweep-c":
+                laws.append((row["no_stay_rate"]["count"], (1.0 - big_g) ** n))
+            else:
+                s_post = 2 * np.minimum(k, row["budget"]) - s_pre
+                laws.append((row["attacker_success"]["count"], pmf[s_post >= s_min].sum()))
+        for count, p in laws:
+            assert binomtest(count, trials, min(p, 1.0)).pvalue >= 1e-6, (count, p)
+
     def test_cube_sweep_matches_per_trial_loop(self):
         # each cell's counts against one trial at a time: one draw, one
         # couple_perturb, and the zero test decided on x and on x' by
@@ -730,7 +757,7 @@ class TestSweep:
          {"c_values": [1.0, 10**400]}, "c_values"),
     ])
     def test_bad_input_raises_naming_the_field(self, spec, grid, field):
-        with pytest.raises(SpecValidationError, match=f"^{field}:"):
+        with pytest.raises(ConfigError, match=f"^{field}:"):
             sweep_phase_transition(spec, **grid)
 
     def test_summary_payload(self):
@@ -800,7 +827,6 @@ def _raise_in_worker(exc_factory):
     return perturb
 
 
-@pytest.mark.filterwarnings("ignore:theorem premises not all met")
 class TestSharding:
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("run, kwargs", SMALL_RUNS, ids=lambda v: getattr(v, "__name__", ""))
