@@ -169,10 +169,10 @@ def _build_spec(args) -> tuple[str, dict, dict]:
 
     Each layer is a flat object of operation, spec fields and grid, and a
     later layer's value wins.  A required spec field that no layer gives
-    stays None, which ExperimentSpec names.  A non-null bin width of the
-    other regime (c under fixed_a, a under cube_scaling) is an error when
-    the config file or a flag gives it; a preset's is dropped, since a
-    later layer may change the regime.
+    stays None, which ExperimentSpec names.  A preset's bin width of the
+    other regime (c under fixed_a, a under cube_scaling) is dropped, since
+    a later layer may change the regime; one that the config file or a
+    flag gives is kept, and ExperimentSpec refuses it, naming the field.
     """
     layers = []  # (values, whether the config file or a flag gave them)
     if args.preset:
@@ -220,9 +220,7 @@ def _build_spec(args) -> tuple[str, dict, dict]:
             merged["regime"] = "fixed_a"
     # compared, not looked up: a config's regime may be any JSON value
     for regime, unused in (("fixed_a", "c"), ("cube_scaling", "a")):
-        if merged["regime"] == regime:
-            if merged.get(unused) is not None and unused in given:
-                raise ConfigError(f"{unused}: the {regime} regime does not take {unused}")
+        if merged["regime"] == regime and unused not in given:
             merged.pop(unused, None)
     if merged.get("master_seed") is None:
         raise ConfigError("master_seed: stochastic commands need --seed (or master_seed in config)")

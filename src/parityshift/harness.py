@@ -34,18 +34,18 @@ central bin, the optimal evader keeps +1 labels, and Theorem 1's full
 cube keeps none.  So a trial comes down to its clean label sum s_pre
 and its kept (unmoved) count: the attacked sum is 2 * kept - s_pre, and
 Theorem 2's family (sr < t) and the Hoeffding tail (sr >= G + eps) are
-complementary events on kept.  Each run is an attack on a block that
-returns kept and the block's perturbation theta, and ``_count_block``
-derives every counter and trial record from (s_pre, kept) and theta,
-binning x once per block and only for a test or records.  The evader's
-attack (``_evasion_job``) serves thm2-detectable, thm1-detectable
-(budget 0) and the t-sweep; the coupling die's (``_coupling_job``)
-serves coupling validation, which pools x', thm2-undetectable and the
-c-sweep.  thm1-undetectable's die runs on central-bin coordinates only,
-so its records carry no theta_rle.  Direct binning of the attacked
-sample appears only in the flip_violations counters of thm1-detectable
-and the two thm2 runs, which check the identity on every trial with
-zero tolerance.
+complementary events on kept.  An attack maps a block to kept and its
+perturbation theta, and ``_count_block`` derives every counter and trial
+record from (s_pre, kept) and theta, binning x once per block and only
+for a test or records.  It alone builds x' = x + theta: into coupling
+validation's pool, and for the flip_violations counters of
+thm1-detectable and the two thm2 runs, which bin x' directly and check
+the identity on every trial with zero tolerance.  The evader's attack
+(``_evasion_job``) serves thm2-detectable, thm1-detectable (budget 0)
+and the t-sweep; the coupling die's (``_coupling_job``) serves coupling
+validation, thm2-undetectable and the c-sweep.  thm1-undetectable rolls
+the die (``couple_perturb``) on central-bin coordinates only, so its
+records carry no theta_rle.
 """
 
 from __future__ import annotations
@@ -248,29 +248,24 @@ def trial_rng(
 
 @dataclass(frozen=True)
 class _Job:
-    """One run's trials: attack(start, x, u, z, s_pre) -> (kept, theta, x_post).
+    """One run's trials: attack(x, u, z, s_pre) -> (kept, theta).
 
     s_min is the least label sum the run's test accepts and budget the
     most kept coordinates its sparsity family allows (None: no test, no
     family).  theta is the block's PerturbationVector, a 1-d one that
-    every row shares, or None; x_post is x + theta (``_attacked``) where
-    the run checks the flip identity, else None.
+    every row shares, or None.  ``_count_block`` writes each trial's
+    x + theta into its row of pool, when given, and bins x + theta for
+    flip_violations under check_flip.
     """
 
     spec: ExperimentSpec
-    attack: Callable[..., tuple[Any, Any, np.ndarray | None]]
+    attack: Callable[..., tuple[Any, PerturbationVector | None]]
     uniforms: bool = False
     s_min: int | None = None
     budget: int | None = None
     on_trial: OnTrial | None = None
-
-    @property
-    def rows_per_block(self) -> int:
-        return min(self.spec.trials, max(1, _BLOCK_COORDS // self.spec.n))
-
-    @property
-    def block_count(self) -> int:
-        return -(-self.spec.trials // self.rows_per_block)
+    pool: np.ndarray | None = None
+    check_flip: bool = False
 
 
 def _blocks(
@@ -327,9 +322,10 @@ def _tally(*jobs: _Job) -> list[dict[str, Any]]:
     job's on_trial as it arrives, so on_trial sees the lines in trial
     order.  The tasks are a range of ids, each decoded
     into its job and blocks where it runs, so no list of them is built
-    and a run of any size starts at once.  A buffer that an attack fills
-    for the caller must be a shared mapping made before the call, since a
-    forked worker writes only its own copy of a private array.
+    and a run of any size starts at once.  A job's pool, which
+    ``_count_block`` fills for the caller, must be a shared mapping made
+    before the call, since a forked worker writes only its own copy of a
+    private array.
     """
     # One Philox, re-keyed for every trial, and one pair of block arrays
     # serve every task in a process (forked workers write their own
@@ -339,11 +335,12 @@ def _tally(*jobs: _Job) -> list[dict[str, Any]]:
         raise ValueError("the jobs of one tally must share one block shape")
     _keep_freed_heap()
     bit_generator = Philox(0)
-    shape = (jobs[0].rows_per_block, jobs[0].spec.n)
+    n, trials = jobs[0].spec.n, jobs[0].spec.trials
+    shape = (min(trials, max(1, _BLOCK_COORDS // n)), n)
     with _n_limits_memory(*shape):
         x = np.empty(shape)
         u = np.empty_like(x) if jobs[0].uniforms else None
-    blocks = jobs[0].block_count
+    blocks = -(-trials // shape[0])
     workers = min(worker_count(), len(jobs) * blocks // _MIN_WORKER_BLOCKS)
     # task ids j * tasks_per_job .. (j + 1) * tasks_per_job - 1 are job j's, in block order
     tasks_per_job = -(-blocks // _TASK_BLOCKS)
@@ -401,15 +398,17 @@ def _count_block(job: _Job, start: int, x: np.ndarray,
     sr < t); with s_pre it gives s_post = 2 * kept - s_pre, acceptance
     before the attack, after it and both (a run without a test accepts
     every sum, each being at least -n) and, with a budget, success.  kept
-    is one count per row or one column per t-sweep budget.  An attack
-    returns x' only where the run checks the flip identity, for
-    flip_violations.  Records are formatted in the process that ran the
-    block, so only text leaves a worker.
+    is one count per row or one column per t-sweep budget.  x' = x + theta
+    is built here alone: into the job's pool, and binned for
+    flip_violations under check_flip.  Records are formatted in the
+    process that ran the block, so only text leaves a worker.
     """
     a, budget = job.spec.effective_a, job.budget
     binned = job.s_min is not None or job.on_trial is not None
     z, s_pre = accel.parity_labels_and_sum(x, a) if binned else (None, None)
-    kept, theta, x_post = job.attack(start, x, u, z, s_pre)
+    kept, theta = job.attack(x, u, z, s_pre)
+    if job.pool is not None:
+        _attacked(x, theta, out=job.pool[start : start + len(x)])
     counters = {"zero_free": kept == 0, "zero_total": kept}
     if budget is not None:
         counters["in_family"] = kept <= budget
@@ -423,8 +422,9 @@ def _count_block(job: _Job, start: int, x: np.ndarray,
                     overlap=accept_pre[col] & accept_post)
     if budget is not None:
         counters["success"] = accept_post & counters["in_family"]
-    if x_post is not None:
-        counters["flip_violations"] = accel.parity_labels_and_sum(x_post, a)[1] != s_post
+    if job.check_flip:
+        s_direct = accel.parity_labels_and_sum(_attacked(x, theta), a)[1]
+        counters["flip_violations"] = s_direct != s_post
     return counters, [] if job.on_trial is None else _record_lines(
         start, job.spec.n, theta, s_pre, s_post, kept, accept_pre, accept_post)
 
@@ -532,44 +532,35 @@ def _evasion_job(spec: ExperimentSpec, s_min: int, budget,
     The evader keeps min(budget, #{z = +1}) = min(budget, (n + s_pre) / 2)
     coordinates and moves the rest; a row of budgets (the t-sweep) gives
     kept one column per budget.  At one budget the attack also returns
-    the perturbation, optimal_parity_evasion's, and x' for the flip
-    check.  At budget 0 (Theorem 1's full cube) the evader moves every
-    coordinate by +a, so every row shares one 1-d perturbation.
+    the perturbation, optimal_parity_evasion's, and the run checks the
+    flip identity.  At budget 0 (Theorem 1's full cube) the evader moves
+    every coordinate by +a, so every row shares one 1-d perturbation.
     """
     a, n, budget = spec.effective_a, spec.n, np.asarray(budget)
 
-    def attack(start, x, u, z, s_pre):
+    def attack(x, u, z, s_pre):
         kept = np.minimum.outer((n + s_pre) // 2, budget)
         if budget.ndim:
-            return kept, None, None
+            return kept, None
         # built per block, inside the block's memory guard, and only at budget 0
-        theta = (PerturbationVector(np.ones(n, dtype=np.int8), a) if budget == 0
-                 else optimal_parity_evasion(z, a, budget))
-        return kept, theta, _attacked(x, theta)
+        return kept, (PerturbationVector(np.ones(n, dtype=np.int8), a) if budget == 0
+                      else optimal_parity_evasion(z, a, budget))
 
-    return _Job(spec, attack, s_min=s_min, on_trial=on_trial)
+    return _Job(spec, attack, s_min=s_min, on_trial=on_trial, check_flip=not budget.ndim)
 
 
 def _coupling_job(spec: ExperimentSpec, s_min: int | None, budget: int | None = None,
-                  on_trial: OnTrial | None = None, pool: np.ndarray | None = None) -> _Job:
-    """A job of the coupling die, whose stays are the kept coordinates.
-
-    Given a pool (coupling validation), the attack writes each trial's x'
-    into its row.  Otherwise it builds x' for the flip check only under a
-    budget (Theorem 2's undetectable run), never for a c-sweep cell.
-    """
+                  on_trial: OnTrial | None = None, pool: np.ndarray | None = None,
+                  check_flip: bool = False) -> _Job:
+    """A job of the coupling die, whose stays are the kept coordinates."""
     params = KernelParams(spec.effective_a, rel_tol=spec.rel_tol)
 
-    def attack(start, x, u, z, s_pre):
+    def attack(x, u, z, s_pre):
         theta = couple_perturb(x, params, u)
-        x_post = None
-        if pool is not None:
-            _attacked(x, theta, out=pool[start : start + len(x)])
-        elif budget is not None:
-            x_post = _attacked(x, theta)
-        return theta.zero_count, theta, x_post
+        return theta.zero_count, theta
 
-    return _Job(spec, attack, uniforms=True, s_min=s_min, budget=budget, on_trial=on_trial)
+    return _Job(spec, attack, uniforms=True, s_min=s_min, budget=budget, on_trial=on_trial,
+                pool=pool, check_flip=check_flip)
 
 
 # ---------------------------------------------------------------------------
@@ -648,18 +639,17 @@ def run_thm1_undetectable(
     chain_base = 1.0 - (4.0 / math.pi) * n ** (-math.pi**2 / (2.0 * c * c))
     chain_bound = chain_base**n if chain_base > 0.0 else 0.0
 
-    plan = accel.plan_for(a, spec.rel_tol)
+    params = KernelParams(a, rel_tol=spec.rel_tol)
 
-    def attack(start, x, u, z, s_pre):
+    def attack(x, u, z, s_pre):
         # Only coordinates inside the central bin can stay (the stay
         # probability vanishes elsewhere), so the die runs on that
         # subset alone; same draws, same outcomes.  The fraction of
         # work is P(|X| < a/2), about 0.19 at the preset's a ~ 0.494.
-        central = np.flatnonzero(np.abs(x) < 0.5 * a)
-        phi_c, gamma_c = accel.phi_gamma(x.ravel()[central], plan)
-        uc = u.ravel()[central]
-        stays = central[accel.die_outcomes(phi_c, gamma_c, uc) == 0]
-        return np.bincount(stays // n, minlength=len(x)), None, None
+        stays = np.flatnonzero(np.abs(x) < 0.5 * a)
+        if stays.size:  # couple_perturb refuses an empty sample
+            stays = stays[couple_perturb(x.ravel()[stays], params, u.ravel()[stays]).signs == 0]
+        return np.bincount(stays // n, minlength=len(x)), None
 
     (tally,) = _tally(_Job(spec, attack, uniforms=True, on_trial=on_trial))
     zero_free = tally["zero_free"]
@@ -756,7 +746,7 @@ def run_thm2_undetectable(
     t = spec.t if spec.t is not None else big_g + spec.epsilon
     budget = _budget(t, n)
     s_min = min_accepted_sum(a, lam, n)
-    (tally,) = _tally(_coupling_job(spec, s_min, budget, on_trial))
+    (tally,) = _tally(_coupling_job(spec, s_min, budget, on_trial, check_flip=True))
     accept_pre_count, success_count = tally["accept_pre"], tally["success"]
     in_family_count, flip_violations = tally["in_family"], tally["flip_violations"]
 

@@ -190,6 +190,14 @@ class TestThm1Undetectable:
             x2 = rng2.standard_normal(spec.n)
             assert fast == couple_perturb(x2, params, rng2.random(spec.n)).zero_count
 
+    def test_block_without_central_coordinates(self):
+        # at n = 3 and c = 0.1 the central bin |x| < a/2 ~ 0.048 is most
+        # often empty, and then the die has nothing to roll
+        spec = ExperimentSpec(regime="cube_scaling", c=0.1, n=3, trials=1, master_seed=SEED)
+        x = trial_rng(spec.master_seed, 0).standard_normal(spec.n)
+        assert (np.abs(x) >= 0.5 * spec.effective_a).all()
+        assert run_thm1_undetectable(spec)["rates"]["no_stay_trials"]["count"] == 1
+
     def test_vanishing_c_limit(self):
         spec = ExperimentSpec(regime="cube_scaling", c=0.1, n=100, trials=40, master_seed=SEED)
         out = run_thm1_undetectable(spec)
@@ -306,14 +314,13 @@ class TestThm2Detectable:
         z, s_pre = accel.parity_labels_and_sum(x, a)
         assert (z[-2] == 1).all() and (z[-1] == -1).all()
         spec = ExperimentSpec(regime="fixed_a", a=a, n=n, trials=len(x), master_seed=SEED)
-        per_budget, _, _ = harness._evasion_job(spec, 0, np.arange(n)).attack(
-            0, x, None, z, s_pre)
+        per_budget, _ = harness._evasion_job(spec, 0, np.arange(n)).attack(x, None, z, s_pre)
         for budget in range(n):
             t = (budget + 0.5) / n  # ceil(t n) - 1 = budget
             assert sparsity_budget(t, n) == budget
             theta = optimal_parity_evasion(z, a, budget)
             _, s_direct = accel.parity_labels_and_sum(x + theta.signs * a, a)
-            kept, _, _ = harness._evasion_job(spec, 0, budget).attack(0, x, None, z, s_pre)
+            kept, _ = harness._evasion_job(spec, 0, budget).attack(x, None, z, s_pre)
             assert (2 * kept - s_pre).tolist() == s_direct.tolist()
             assert (2 * per_budget[:, budget] - s_pre).tolist() == s_direct.tolist()
 
@@ -621,6 +628,49 @@ class TestLabelPasses:
         assert sum(binned) == json_only * spec.trials * spec.n
 
 
+# Where each run bins and builds x', at n = 200 and 7 trials, one block:
+# its passes of the bin-parity labels over n * trials coordinates and its
+# calls of _attacked.  x is binned for a test or records, x' for the pool
+# or the flip check, and a c-sweep cell builds no x'.
+WORK_PROFILE = {
+    "coupling": (run_coupling_validation, dict(regime="fixed_a", a=2.0), {}, 0, 1),
+    "coupling-records": (run_coupling_validation, dict(regime="fixed_a", a=2.0),
+                         dict(on_trial=lambda line: None), 1, 1),
+    "thm1-undetectable": (run_thm1_undetectable, dict(regime="cube_scaling", c=1.5), {}, 0, 0),
+    "thm1-detectable": (run_thm1_detectable, dict(regime="cube_scaling", c=4.0), {}, 2, 1),
+    "thm2-undetectable": (run_thm2_undetectable, dict(regime="fixed_a", a=2.0), {}, 2, 1),
+    "thm2-detectable": (run_thm2_detectable,
+                        dict(regime="fixed_a", a=2.0, epsilon=0.1, lam=1.0), {}, 2, 1),
+    "sweep-t": (sweep_phase_transition, dict(regime="fixed_a", a=2.0),
+                dict(t_offsets=[-0.05, 0.05]), 1, 0),
+    "sweep-c": (sweep_phase_transition, dict(regime="cube_scaling", c=1.0),
+                dict(c_values=[1.0, 2.0]), 2, 0),
+}
+
+
+@pytest.mark.parametrize("case", WORK_PROFILE)
+def test_work_profile(monkeypatch, case):
+    run, fields, kwargs, passes, attacked = WORK_PROFILE[case]
+    spec = ExperimentSpec(**fields, n=200, trials=7, master_seed=SEED)
+    monkeypatch.setattr(harness, "worker_count", lambda: 1)
+    binned, calls = [], []
+    real_parity, real_attacked = accel.parity_labels_and_sum, harness._attacked
+
+    def parity(x, a):
+        binned.append(np.size(x))
+        return real_parity(x, a)
+
+    def attacked_spy(*args, **kwargs):
+        calls.append(args)
+        return real_attacked(*args, **kwargs)
+
+    monkeypatch.setattr(accel, "parity_labels_and_sum", parity)
+    monkeypatch.setattr(harness, "_attacked", attacked_spy)
+    run(spec, **kwargs)
+    assert sum(binned) == passes * spec.n * spec.trials
+    assert len(calls) == attacked
+
+
 class TestDeterminism:
     def test_bit_identical_summaries(self):
         spec = ExperimentSpec(regime="fixed_a", a=2.0, n=1000, trials=60, master_seed=SEED)
@@ -804,7 +854,8 @@ def test_tally_jobs_share_trials():
     spec = ExperimentSpec(regime="fixed_a", a=2.0, n=5000, trials=10, master_seed=SEED)
     jobs = [harness._Job(dataclasses.replace(spec, trials=trials), lambda *args: None)
             for trials in (10, 20)]
-    assert jobs[0].rows_per_block == jobs[1].rows_per_block
+    # both jobs' blocks hold _BLOCK_COORDS // n trials, so only their block counts differ
+    assert harness._BLOCK_COORDS // 5000 < 10
     with pytest.raises(ValueError, match="^the jobs of one tally must share one block shape"):
         harness._tally(*jobs)
 
