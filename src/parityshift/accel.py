@@ -224,18 +224,13 @@ def die_outcomes(phi: np.ndarray, gamma: np.ndarray, u: np.ndarray) -> np.ndarra
     return up.view(np.int8) + up_or_stay.view(np.int8) - 1
 
 
-def parity_labels_and_sum(x: np.ndarray, a: float) -> tuple[np.ndarray, int | np.ndarray]:
-    """Bin-parity labels z_i = +-1 and their integer sum.
-
-    For a 2-d trial block (one trial per row) the sum is taken per row
-    and returned as an int64 array.
-    """
+def parity_labels_and_sum(x: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bin-parity labels z_i = +-1 and their int64 sum over the last axis,
+    so a 2-d trial block (one trial per row) gets one sum per row."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     k = np.floor(x / a + 0.5).astype(np.int64)
     odd = (k & 1).astype(np.int8)
     z = (1 - 2 * odd).astype(np.int8)
-    if x.ndim == 1:
-        return z, int(x.size - 2 * int(odd.sum()))
     return z, x.shape[-1] - 2 * odd.sum(axis=-1, dtype=np.int64)
 
 

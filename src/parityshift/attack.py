@@ -54,9 +54,8 @@ class PerturbationVector:
         return int(self.signs.shape[-1])
 
     @property
-    def zero_count(self) -> int | np.ndarray:
-        counts = np.count_nonzero(self.signs == 0, axis=-1)
-        return int(counts) if self.signs.ndim == 1 else counts
+    def zero_count(self) -> np.ndarray:
+        return np.count_nonzero(self.signs == 0, axis=-1)
 
     def to_rle(self) -> np.ndarray:
         """Run-length encoding: a (k, 2) int64 array of [sign, count] rows (signs in units of a).

@@ -3,10 +3,10 @@
 Every experiment, the phase-transition sweep included, consumes an
 ExperimentSpec and returns the dict ``summary.json`` holds: empirical
 rates (with Wilson 95% intervals), the analytic bounds evaluated at the
-spec, machine-checked premises, integer counts and named pass/fail checks;
-a sweep's summary holds its grid cells in ``rows`` instead of those.  Trials
-use counter-based Philox substreams keyed by (master_seed, trial_index),
-and the whole summary is bit-reproducible for a given seed.
+spec, machine-checked premises and named pass/fail checks; a sweep's
+summary holds its grid cells in ``rows`` instead of those.  Trials use
+counter-based Philox substreams keyed by (master_seed, trial_index), and
+the whole summary is bit-reproducible for a given seed.
 
 Every run goes through one trial-block engine: ``_blocks`` draws
 consecutive trials into the rows of an (m, n) array, each row from its
@@ -469,7 +469,7 @@ def _attacked(x: np.ndarray, theta: PerturbationVector,
     return np.add(x, theta.signs * theta.a, out=out)
 
 
-def _check(passed, observed, limit, note: str = "") -> dict:
+def _check(passed, observed, limit, note: str) -> dict:
     return {"passed": bool(passed), "observed": float(observed), "limit": float(limit),
             "note": note}
 
@@ -489,8 +489,7 @@ def _rate(count: int, total: int) -> dict:
 
 def _summary(operation: str, spec: ExperimentSpec, rates: dict[str, tuple[int, int]],
              bounds: dict[str, float], checks: dict[str, dict],
-             premises: dict[str, bool] | None = None,
-             counts: dict[str, int] | None = None) -> dict[str, Any]:
+             premises: dict[str, bool] | None = None) -> dict[str, Any]:
     """A run's summary: Wilson intervals for its (count, total) rates; passed if all checks are."""
     premises = dict(premises or {})
     # alpha is the false-alarm budget; lambda meets it when e^{-lam^2/2} <= alpha
@@ -500,7 +499,7 @@ def _summary(operation: str, spec: ExperimentSpec, rates: dict[str, tuple[int, i
     return {
         "operation": operation, "spec": asdict(spec),
         "rates": {name: _rate(count, total) for name, (count, total) in rates.items()},
-        "bounds": bounds, "premises": premises, "checks": checks, "counts": counts or {},
+        "bounds": bounds, "premises": premises, "checks": checks,
         "passed": all(c["passed"] for c in checks.values()),
     }
 
@@ -614,7 +613,6 @@ def run_coupling_validation(
             "pool_var_4se": _at_most(abs(var - 1.0), 4.0 * math.sqrt(2.0 / total), "x' variance"),
             "pool_skew_4se": _at_most(abs(skew), 4.0 * math.sqrt(6.0 / total), "x' skewness"),
         },
-        counts={"zero_total": zero_total, "tail_count": tail_count, "pooled": total},
     )
 
 
@@ -668,7 +666,6 @@ def run_thm1_undetectable(
                 f"MC Wilson interval [{lo!r}, {hi!r}] must contain exact"),
         },
         premises={"c_below_pi_over_sqrt2": c < math.pi / math.sqrt(2.0)},
-        counts={"zero_free_trials": zero_free},
     )
 
 
@@ -722,8 +719,6 @@ def run_thm1_detectable(
                 "P(A > 0) under the null vs 1 - exp(-lambda^2/2) - 3 SE"),
         },
         premises=premises,
-        counts={"attacked": accept_pre_count, "overlap_count": overlap,
-                "flip_violations": flip_violations},
     )
 
 
@@ -775,7 +770,6 @@ def run_thm2_undetectable(
             "flip_identity_zero": _at_most(
                 flip_violations, 0, "direct binning vs integer-shift labels"),
         },
-        counts={"flip_violations": flip_violations},
     )
 
 
@@ -846,7 +840,6 @@ def run_thm2_detectable(
                 alarm_rate, alarm_limit, "null rejection rate vs exp(-lambda^2/2) + 3 SE"),
         },
         premises={"t_at_most_G_minus_eps": bool(premise_t), "n_above_lambda2_over_eps2": True},
-        counts={"overlap_count": overlap, "flip_violations": flip_violations},
     )
 
 

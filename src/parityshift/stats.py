@@ -34,18 +34,18 @@ _KS_MARGIN = 1e-9
 _MOMENT_CHUNK = 1 << 16
 
 
-def wilson_interval(count: int, total: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial rate; its ends are exactly 0 at count 0 and
+def wilson_interval(count: int, total: int) -> tuple[float, float]:
+    """Wilson score 95% interval for a binomial rate; its ends are exactly 0 at count 0 and
     1 at count = total, where center - half and center + half miss them by rounding."""
     if total <= 0:
         raise ValueError("total must be positive")
     if not (0 <= count <= total):
         raise ValueError(f"count {count} outside [0, {total}]")
     p = count / total
-    z2 = z * z
+    z2 = _Z95 * _Z95
     denom = 1.0 + z2 / total
     center = (p + z2 / (2.0 * total)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / total + z2 / (4.0 * total * total)) / denom
+    half = _Z95 * math.sqrt(p * (1.0 - p) / total + z2 / (4.0 * total * total)) / denom
     return (0.0 if count == 0 else max(0.0, center - half),
             1.0 if count == total else min(1.0, center + half))
 

@@ -115,7 +115,7 @@ def test_c4_hoeffding_bound():
     spec = ExperimentSpec(regime="fixed_a", a=2.0, n=2000, trials=10_000,
                           master_seed=ACCEPT_SEED, epsilon=0.05)
     out = run_coupling_validation(spec)
-    tail = out["counts"]["tail_count"]
+    tail = out["rates"]["hoeffding_tail"]["count"]
     report(
         "criterion-4 hoeffding bound", tail == 0,
         f"tail count={tail} over 1e4 trials (per-trial bound e^-10={math.exp(-10):.2e})",
@@ -144,8 +144,8 @@ def test_c6_thm1_detectable():
     spec = ExperimentSpec(regime="cube_scaling", c=4.0, n=10_000, trials=10_000,
                           master_seed=ACCEPT_SEED, lam=3.0)
     out = run_thm1_detectable(spec)
-    overlap = out["counts"]["overlap_count"]
-    flips = out["counts"]["flip_violations"]
+    overlap = out["rates"]["overlap"]["count"]
+    flips = out["checks"]["flip_identity_zero"]["observed"]
     floor = out["checks"]["null_accept_floor"]
     ok = all(out["premises"].values()) and overlap == 0 and flips == 0 and floor["passed"]
     report(
@@ -161,8 +161,8 @@ def test_c7_thm2_detectable():
     spec = ExperimentSpec(regime="fixed_a", a=2.0, n=5000, trials=10_000,
                           master_seed=ACCEPT_SEED, epsilon=0.05, lam=3.0)
     out = run_thm2_detectable(spec)
-    overlap = out["counts"]["overlap_count"]
-    flips = out["counts"]["flip_violations"]
+    overlap = out["rates"]["overlap"]["count"]
+    flips = out["checks"]["flip_identity_zero"]["observed"]
     alarm = out["checks"]["null_false_alarm"]
     ok = overlap == 0 and flips == 0 and alarm["passed"]
     report(

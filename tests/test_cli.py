@@ -178,7 +178,7 @@ class TestExperimentCommand:
         out = capsys.readouterr().out
         assert "[PASS] overlap_zero" in out
         summary = json.loads((tmp_path / "summary.json").read_text())
-        assert summary["counts"]["overlap_count"] == 0
+        assert summary["rates"]["overlap"]["count"] == 0
         assert summary["passed"] is True
         records = [json.loads(line) for line in (tmp_path / "trials.jsonl").read_text().splitlines()]
         assert len(records) == 150

@@ -152,7 +152,7 @@ class TestCouplingValidation:
         # the count is mid-range; the run counts it as the trials outside
         # Theorem 2's family sr < G + eps
         spec = ExperimentSpec(regime="fixed_a", a=2.0, n=50, trials=400, master_seed=3)
-        tail = run_coupling_validation(spec)["counts"]["tail_count"]
+        tail = run_coupling_validation(spec)["rates"]["hoeffding_tail"]["count"]
         limit = big_g_value(2.0) + spec.epsilon
         assert tail == sum(_zero_count_for_trial(spec, i) / spec.n >= limit
                            for i in range(spec.trials))
@@ -221,8 +221,8 @@ class TestThm1Detectable:
             "c_above_pi": True, "cube_n1": True, "cube_n2": True,
             "sqrt_n_G_above_lambda": True,
         }
-        assert out["counts"]["overlap_count"] == 0
-        assert out["counts"]["flip_violations"] == 0
+        assert out["rates"]["overlap"]["count"] == 0
+        assert out["checks"]["flip_identity_zero"]["observed"] == 0
 
     def test_frozen_premise_values(self):
         # closed forms at c=4, n=1e4, frozen from the high-precision oracle
@@ -271,7 +271,7 @@ class TestThm2Detectable:
         spec = ExperimentSpec(regime="fixed_a", a=2.0, n=5000, trials=400, master_seed=SEED)
         out = run_thm2_detectable(spec)
         assert out["passed"], out["checks"]
-        assert out["counts"]["overlap_count"] == 0
+        assert out["rates"]["overlap"]["count"] == 0
         assert out["premises"]["t_at_most_G_minus_eps"]
 
     def test_boundary_n_rejected_with_minimal_n(self):
@@ -282,7 +282,7 @@ class TestThm2Detectable:
     def test_minimal_n_accepted(self):
         spec = ExperimentSpec(regime="fixed_a", a=2.0, n=3601, trials=20, master_seed=SEED)
         out = run_thm2_detectable(spec)
-        assert out["counts"]["overlap_count"] == 0
+        assert out["rates"]["overlap"]["count"] == 0
 
     @pytest.mark.parametrize("run, spec", [
         pytest.param(run_thm1_detectable, dict(regime="cube_scaling", c=4.0, n=1000),
@@ -349,7 +349,7 @@ SMALL_RUNS = [
 
 
 # every key summary.json holds, sorted: a run's, then a sweep's
-_RUN_KEYS = ["bounds", "checks", "counts", "operation", "passed", "premises", "rates", "spec"]
+_RUN_KEYS = ["bounds", "checks", "operation", "passed", "premises", "rates", "spec"]
 _SWEEP_KEYS = ["checks", "operation", "passed", "rows", "spec"]
 
 
@@ -394,11 +394,11 @@ class TestOnTrial:
         assert round(rec["statistic_post"] * spec.n) == 2
         assert rec["accepted_post"]
         assert all(r["theta_rle"] == [[1, 50]] for r in recs)
-        # the summary counts only accepted trials as attacked, as before
+        # every trial is attacked, and the null acceptance counts only the accepted ones
         assert out["passed"]
-        assert out["counts"] == {"attacked": 198, "overlap_count": 0, "flip_violations": 0}
         assert {name: r["count"] for name, r in out["rates"].items()} == {
             "null_accept": 198, "overlap": 0}
+        assert out["checks"]["flip_identity_zero"]["observed"] == 0
 
     @pytest.mark.parametrize("run, kwargs", SMALL_RUNS, ids=lambda v: getattr(v, "__name__", ""))
     def test_json_line_of_every_run(self, run, kwargs):
@@ -603,31 +603,6 @@ class TestTrialBlocks:
         assert (bounds["pool_mean"], bounds["pool_var"]) == sample_moments(pool)[:2]
 
 
-class TestLabelPasses:
-    # passes of the bin-parity labels over every trial's n coordinates, with
-    # records and without: x is binned once for a test or records, and x'
-    # once more where a run checks the flip identity
-    @pytest.mark.parametrize("run, kwargs, recorded, json_only", [
-        (*run_kwargs, *passes) for run_kwargs, passes in
-        zip(SMALL_RUNS, [(1, 0), (1, 0), (2, 2), (2, 2), (2, 2)])
-    ], ids=[run.__name__ for run, _ in SMALL_RUNS])
-    def test_coordinates_binned(self, monkeypatch, run, kwargs, recorded, json_only):
-        spec = ExperimentSpec(**kwargs, trials=7, master_seed=SEED)
-        binned = []
-        real = accel.parity_labels_and_sum
-
-        def counted(x, a):
-            binned.append(np.size(x))
-            return real(x, a)
-
-        monkeypatch.setattr(accel, "parity_labels_and_sum", counted)
-        run(spec, on_trial=lambda rec: None)
-        assert sum(binned) == recorded * spec.trials * spec.n
-        binned.clear()
-        run(spec)
-        assert sum(binned) == json_only * spec.trials * spec.n
-
-
 # Where each run bins and builds x', at n = 200 and 7 trials, one block:
 # its passes of the bin-parity labels over n * trials coordinates and its
 # calls of _attacked.  x is binned for a test or records, x' for the pool
@@ -637,10 +612,19 @@ WORK_PROFILE = {
     "coupling-records": (run_coupling_validation, dict(regime="fixed_a", a=2.0),
                          dict(on_trial=lambda line: None), 1, 1),
     "thm1-undetectable": (run_thm1_undetectable, dict(regime="cube_scaling", c=1.5), {}, 0, 0),
+    "thm1-undetectable-records": (run_thm1_undetectable, dict(regime="cube_scaling", c=1.5),
+                                  dict(on_trial=lambda line: None), 1, 0),
     "thm1-detectable": (run_thm1_detectable, dict(regime="cube_scaling", c=4.0), {}, 2, 1),
+    "thm1-detectable-records": (run_thm1_detectable, dict(regime="cube_scaling", c=4.0),
+                                dict(on_trial=lambda line: None), 2, 1),
     "thm2-undetectable": (run_thm2_undetectable, dict(regime="fixed_a", a=2.0), {}, 2, 1),
+    "thm2-undetectable-records": (run_thm2_undetectable, dict(regime="fixed_a", a=2.0),
+                                  dict(on_trial=lambda line: None), 2, 1),
     "thm2-detectable": (run_thm2_detectable,
                         dict(regime="fixed_a", a=2.0, epsilon=0.1, lam=1.0), {}, 2, 1),
+    "thm2-detectable-records": (run_thm2_detectable,
+                                dict(regime="fixed_a", a=2.0, epsilon=0.1, lam=1.0),
+                                dict(on_trial=lambda line: None), 2, 1),
     "sweep-t": (sweep_phase_transition, dict(regime="fixed_a", a=2.0),
                 dict(t_offsets=[-0.05, 0.05]), 1, 0),
     "sweep-c": (sweep_phase_transition, dict(regime="cube_scaling", c=1.0),

@@ -38,6 +38,15 @@ the coupling summary digests of coupling-a2 and hoeffding
 (``no_stay_rate`` lo of the last seven cells).  No other value moved,
 and no trials.jsonl or kernels.csv hash changed.
 
+Seven digests were re-recorded when the summary's ``counts`` block was
+deleted, since each of its counts is already a rate's count or total or
+a check's observed value: the summary.json of thm1-undetectable,
+thm1-detectable, thm2-undetectable and thm2-detectable, and the coupling
+summary digests of coupling-a1, coupling-a2 and hoeffding.  Each new
+summary.json is, byte for byte, the old one with ``counts`` popped and
+dumped again as the CLI writes it, and every count it held equalled its
+rate or check.  No trials.jsonl, sweep or kernels.csv hash changed.
+
 The kernels.csv hashes (``kernels --a A --xmin -3 --xmax 3 --step 0.005``)
 were re-recorded when the table came to be computed on arrays by
 ``accel.kernel_columns`` instead of by the scalar series, now the tests'
@@ -65,19 +74,19 @@ ARGS = ["--seed", "42", "--trials", "200"]
 # preset -> {payload file: sha256}
 GOLDEN = {
     "thm1-undetectable": {
-        "summary.json": "9bc4db2a501d6a25033cd1719e16de386f37a210aae8dee2c3c43736cd7ae714",
+        "summary.json": "ef052d5bd7c3168718d8123be5b8522edd71a70475d697b43277a43b591c03ad",
         "trials.jsonl": "3bf5c87fcd02d2cc639802bb11dc814b649d1964582bc4585b3129a411eedd8c",
     },
     "thm1-detectable": {
-        "summary.json": "d4d895a4a562a81cdcc7479d3fe726731ee8a5101d44e8c9b0af9d2eb85ac285",
+        "summary.json": "f127cc04423600fa75c2f52cccb2620b5c08b711cd8ca1c3baa3b9b4a2ea77e1",
         "trials.jsonl": "938009d3b74c3178c3822dfbffdb78276843bc056746294f9d4076c999c4f06c",
     },
     "thm2-undetectable": {
-        "summary.json": "f78ef8a4f659574d37a794ed2686e014a3c02cb012d621cb4ab7ac445acbfa4b",
+        "summary.json": "8d5db83e1d39c6e2e725c8a674e4991dbf22b77a51e2f44a327c8163f5cc611c",
         "trials.jsonl": "4e0083b551a263da1605110832072eaf48189436f8a812933f41e102cf931fcb",
     },
     "thm2-detectable": {
-        "summary.json": "5ef07b20423a069f38948ccf54c3934057cfbdf9f1601cfb6f0e2f9c6b46df3f",
+        "summary.json": "a7c8a6409023d506461f9329d780b88cee4c0c2c1d2f0d2d7d27432490d623b7",
         "trials.jsonl": "6a1c89eaeb8655c8eb3c4cf479d484db18ab6d7351df830270d4801095ed1c8d",
     },
     "coupling-a1": {
@@ -113,11 +122,11 @@ KERNELS_GOLDEN = {
 # summary.json written without the two moments and their checks' observed)
 COUPLING_SUMMARY = {
     "coupling-a1": (-0.009487640849109212, 1.0024087264708208,
-                    "1cda721333a01077325e73462d1b3ea2bcbe696e8bb24f473abc30811cc84171"),
+                    "d5710d8fe223cb195e15a61469b3cd5d97138eefca0659f6cdb72cfd282076a7"),
     "coupling-a2": (-0.004417113065563041, 1.001439897597183,
-                    "a29170e37356b3de2ff65a53b21e60b8450174074f59118e285809171914fcce"),
+                    "3ce28048be7695899dfce5ff45ed35c1ac543fd20826a0cd8f4ecb89e1b973e7"),
     "hoeffding": (-0.001581461617898963, 0.9949943534211366,
-                  "c402d8591cf441af588245b135523e83609dcf20a9df7497b42a7e6cc78f2cf9"),
+                  "0ebd4dc964340bbc89a4d5f3f7b45779331e98d8eb19b0a1ee33367ab09c2ba1"),
 }
 
 
