@@ -655,6 +655,29 @@ def test_work_profile(monkeypatch, case):
     assert len(calls) == attacked
 
 
+class TestLabelPasses:
+    # coupling validation bins x for its records alone: one pass of the
+    # bin-parity labels over every trial's n coordinates with records, none
+    # without, in one process with the default worker count
+    @pytest.mark.parametrize("run, kwargs", SMALL_RUNS[:1],
+                             ids=[run.__name__ for run, _ in SMALL_RUNS[:1]])
+    def test_coordinates_binned(self, monkeypatch, run, kwargs):
+        spec = ExperimentSpec(**kwargs, trials=7, master_seed=SEED)
+        binned = []
+        real = accel.parity_labels_and_sum
+
+        def counted(x, a):
+            binned.append(np.size(x))
+            return real(x, a)
+
+        monkeypatch.setattr(accel, "parity_labels_and_sum", counted)
+        run(spec, on_trial=lambda rec: None)
+        assert sum(binned) == spec.trials * spec.n
+        binned.clear()
+        run(spec)
+        assert sum(binned) == 0
+
+
 class TestDeterminism:
     def test_bit_identical_summaries(self):
         spec = ExperimentSpec(regime="fixed_a", a=2.0, n=1000, trials=60, master_seed=SEED)
