@@ -11,6 +11,13 @@ pickle from worker i % workers.  A worker whose pipe is full blocks
 until the parent reads, so a slow consumer holds at most a pipe's buffer
 and one result a worker.  Each worker is reaped with ``os.wait4``, and
 its resource usage is kept in ``worker_usage``.
+
+Worker w runs on the w-th CPU this process may use (the allowed CPUs
+sorted, taken modulo their count), pinned with ``os.sched_setaffinity``.
+A forked child starts on its parent's CPU, and where the scheduler does
+not balance load between CPUs (a cpuset with ``sched_load_balance`` 0)
+it can stay there, so two unpinned workers may share one CPU while the
+other idles.  A worker that cannot be pinned runs unpinned.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ def forked_map(fn: Callable[[Any], Any], tasks: Sequence, workers: int) -> Itera
     worker's traceback; a worker that dies raises RuntimeError.  Once
     the generator ends, raises or is closed, no worker is left running.
     """
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
     procs: list = []  # (buffered read end of the worker's pipe, worker pid), by worker
     try:
         for w in range(workers):
@@ -54,7 +62,8 @@ def forked_map(fn: Callable[[Any], Any], tasks: Sequence, workers: int) -> Itera
             pid = os.fork()
             if pid == 0:
                 inherited = [ours] + [reader.fileno() for reader, _ in procs]
-                _serve(fn, tasks[w::workers], theirs, inherited)
+                cpu = cpus[w % len(cpus)] if cpus else None
+                _serve(fn, tasks[w::workers], theirs, inherited, cpu)
             os.close(theirs)
             procs.append((open(ours, "rb"), pid))
         # enumerate, not len: a range of tasks may be longer than len can report
@@ -84,16 +93,18 @@ def _receive(reader, pid: int) -> Any:
     raise exc from RuntimeError(f"raised in worker process {pid}:\n{worker_traceback}")
 
 
-def _serve(fn: Callable[[Any], Any], tasks: Sequence, fd: int, parent_ends: list[int]) -> NoReturn:
+def _serve(fn: Callable[[Any], Any], tasks: Sequence, fd: int, parent_ends: list[int],
+           cpu: int | None) -> NoReturn:
     """A forked worker: pickle fn(task) onto the pipe fd for each of its tasks, in order.
 
     Each reply is pickled whole before any of it is written, so a result
     that cannot be pickled reaches the parent as an exception of fn does,
     and the pipe holds part of a reply only if the worker dies writing it.
 
-    The worker first closes the read ends of every worker's pipe that the
-    fork copied, so that its write fails once the parent exits, however
-    it exits, and leaves Ctrl-C to the parent, which stops every worker.
+    The worker first pins itself to CPU `cpu` (None pins nothing), then
+    closes the read ends of every worker's pipe that the fork copied, so
+    that its write fails once the parent exits, however it exits, and
+    leaves Ctrl-C to the parent, which stops every worker.
     It dies on SIGTERM, as ``forked_map`` expects, whatever handler the
     parent had installed.  It stops after sending an exception, since
     the parent raises it, and leaves only by ``os._exit``, so it never
@@ -101,6 +112,11 @@ def _serve(fn: Callable[[Any], Any], tasks: Sequence, fd: int, parent_ends: list
     """
     code = 1
     try:
+        if cpu is not None:
+            try:
+                os.sched_setaffinity(0, (cpu,))
+            except OSError:  # such as EINVAL: the CPU left the allowed set since the parent read it
+                pass
         for end in parent_ends:
             os.close(end)
         signal.signal(signal.SIGINT, signal.SIG_IGN)

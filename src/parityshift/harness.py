@@ -14,15 +14,15 @@ own substream, so the kernels run once per block while every value stays
 what a lone trial would give.  ``_tally`` is the one place blocks run.
 It splits each run's blocks into tasks of contiguous blocks and runs the
 same task function whatever the worker count: sharded across one forked
-worker process per core this process may use (``os.sched_getaffinity``)
-when the run is large enough, else in this process.  ``taskset -c 0``
-thus runs everything on one core.  Every counter is an integer sum, so
-no payload depends on the worker count.  An optional ``on_trial``
-callback receives each trial's record as one line of JSON text, in
-trial order.  A block's lines are formatted together (``_record_lines``)
-in the process that ran the block, a worker or this one, so sharding
-spreads record building too; no record is held by the run beyond the
-few tasks in flight.
+worker process per core this process may use (``os.sched_getaffinity``),
+each pinned to its own core, when the run is large enough, else in this
+process.  ``taskset -c 0`` thus runs everything on one core.  Every
+counter is an integer sum, so no payload depends on the worker count.
+An optional ``on_trial`` callback receives each trial's record as one
+line of JSON text, in trial order.  A block's lines are formatted
+together (``_record_lines``) in the process that ran the block, a worker
+or this one, so sharding spreads record building too; no record is held
+by the run beyond the few tasks in flight.
 Before the first block, glibc's heap trim and mmap thresholds are set
 once per process (``_keep_freed_heap``), so memory a block frees is
 reused by the next block instead of being handed back to the kernel and
@@ -104,15 +104,17 @@ _BLOCK_COORDS = 1 << 14
 # Blocks per task, the unit _tally runs and hands on, in a worker or in-process.
 _TASK_BLOCKS = 8
 # Blocks each worker must get before a run is sharded, so two workers
-# need 32.  Forking two workers, their first result and reaping them
-# took 5.5-7.1 ms on a 2-core machine (the first forked_map after
-# importing parityshift.cli, 5 fresh interpreters), the time of 10-14
-# parity-only blocks of thm2-detectable (about 0.5 ms each).  There, in
-# 5 fresh interpreters a side on a loaded machine, thm2-detectable took
-# 32-40 ms sharded against 22-38 ms in-process at 32 blocks, and broke
-# even at 64; coupling-a1's 63 blocks, which now shard, took a median
-# 140 ms against 158 ms, and with records, whose lines its workers
-# build, 37% less time.
+# need 32.  Forking two pinned workers, their first result and reaping
+# them took 4.6-6.3 ms on a 2-core machine (the first forked_map after
+# importing parityshift.cli, 9 of 10 fresh interpreters; one took
+# 14.6 ms), the time of 9-13 parity-only blocks of thm2-detectable
+# (about 0.5 ms each).  There, in 7 fresh interpreters a side, sharded
+# against taskset -c 0, thm2-detectable took a median 15.1 against
+# 8.1 ms at 16 blocks and 13.8 against 12.1 ms at 24, about broke even
+# at 32 (16.7 against 15.8 ms, sharded faster in 5 of 7) and gained at
+# 48 (20.6 against 21.9 ms) and 64 (27.2 against 30.4 ms); coupling-a1's
+# 63 blocks took a median 76 ms sharded against 82 ms in-process, and
+# with records, whose lines its workers build, 82 against 110 ms.
 _MIN_WORKER_BLOCKS = 16
 # Run lengths whose [sign, count] text _record_lines takes from a
 # table.  Coupling runs are at most a few dozen coordinates long; a longer

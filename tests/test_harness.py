@@ -1,6 +1,7 @@
 """Harness: spec validation, determinism, all five operations, sweep, sharding."""
 
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -1057,6 +1058,30 @@ def test_workers_take_sigterm_default_action():
     finally:
         signal.signal(signal.SIGTERM, previous)
     assert handlers == [signal.SIG_DFL, signal.SIG_DFL]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_worker_w_runs_on_the_w_th_allowed_cpu(workers):
+    # a forked child starts on its parent's CPU and, where the scheduler
+    # does not balance load, stays there, so forked_map pins each worker;
+    # three workers on two CPUs wrap round to the first
+    cpus = sorted(os.sched_getaffinity(0))
+    placed = list(forked.forked_map(lambda _: sorted(os.sched_getaffinity(0)), range(workers), workers))
+    assert placed == [[cpus[w % len(cpus)]] for w in range(workers)]
+    assert sorted(os.sched_getaffinity(0)) == cpus
+
+
+def test_failed_pin_leaves_worker_unpinned(monkeypatch):
+    # the CPU a worker was given may leave the allowed set before the
+    # worker pins itself; the worker then runs where the fork put it
+    def gone(pid, cpus):
+        raise OSError(errno.EINVAL, "gone")
+
+    cpus = sorted(os.sched_getaffinity(0))
+    monkeypatch.setattr(os, "sched_setaffinity", gone)
+    results = list(forked.forked_map(lambda t: (t, sorted(os.sched_getaffinity(0))), range(4), 2))
+    assert results == [(t, cpus) for t in range(4)]
+    assert _children() == []
 
 
 class _ExitWhenPickled:
