@@ -122,8 +122,10 @@ def _write_meta(out_dir: Path, command: str, argv: list[str], seed: int | None,
     usage = resource.getrusage(resource.RUSAGE_SELF)
     # ru_maxrss is in KiB on Linux and in bytes on macOS, reported here
     # in decimal MB: this process's peak resident set so far and, if the
-    # run forked trial-block workers, the largest peak among them.  Every
-    # worker of this run was reaped by forked_map before this is written.
+    # run forked workers, the largest peak among them.  "workers" counts
+    # every process the run forked: trial-block workers and coupling
+    # validation's moment and KS workers.  Every worker of this run was
+    # reaped by forked_map before this is written.
     to_mb = (1 if sys.platform == "darwin" else 1024) / 1e6
     workers = forked.worker_usage[started:]
     meta = {

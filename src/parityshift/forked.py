@@ -29,7 +29,7 @@ import traceback
 from collections.abc import Callable, Iterator, Sequence
 from typing import Any, NoReturn
 
-__all__ = ["worker_count", "forked_map", "worker_usage"]
+__all__ = ["worker_count", "forked_map", "task_map", "worker_usage"]
 
 # the resource.struct_rusage of every worker forked_map has reaped, in reaping order
 worker_usage: list = []
@@ -76,6 +76,17 @@ def forked_map(fn: Callable[[Any], Any], tasks: Sequence, workers: int) -> Itera
             os.kill(pid, signal.SIGTERM)
         for _, pid in procs:
             worker_usage.append(os.wait4(pid, 0)[2])
+
+
+def task_map(fn: Callable[[Any], Any], tasks: Sequence, workers: int) -> Iterator:
+    """Yield fn(task) for every task, in task order: from ``forked_map``
+    when workers > 1, else computed in this process as the results are
+    consumed.  One worker would add only a fork, and a profiler of this
+    process would not see its work.
+    """
+    if workers > 1:
+        return forked_map(fn, tasks, workers)
+    return (fn(task) for task in tasks)
 
 
 def _receive(reader, pid: int) -> Any:

@@ -18,6 +18,9 @@ worker process per core this process may use (``os.sched_getaffinity``),
 each pinned to its own core, when the run is large enough, else in this
 process.  ``taskset -c 0`` thus runs everything on one core.  Every
 counter is an integer sum, so no payload depends on the worker count.
+Coupling validation's pooled moments and KS run by the same rule
+(``_workers``), each worker on one contiguous part of the pool, and
+give the same floats as in this process.
 An optional ``on_trial`` callback receives each trial's record as one
 line of JSON text, in trial order.  A block's lines are formatted
 together (``_record_lines``) in the process that ran the block, a worker
@@ -69,7 +72,7 @@ from numpy.random import Generator, Philox
 from . import accel
 from .attack import PerturbationVector, couple_perturb, optimal_parity_evasion, sparsity_budget
 from .detector import ZERO_TEST_MIN_SUM, big_g_value, min_accepted_sum
-from .forked import forked_map, worker_count
+from .forked import task_map, worker_count
 from .kernels import POSITIVE_FINITE, ConfigError, KernelParams, check_real, square_underflows
 from .stats import binomial_se, ks_distance_standard_normal, sample_moments, wilson_interval
 
@@ -116,6 +119,15 @@ _TASK_BLOCKS = 8
 # 63 blocks took a median 76 ms sharded against 82 ms in-process, and
 # with records, whose lines its workers build, 82 against 110 ms.
 _MIN_WORKER_BLOCKS = 16
+# Pool values each worker must get before coupling validation's moments
+# and KS run in forked workers, so two workers need 2^23 (8.4e6).  From
+# _tally's return to the summary, pools of n = 1000 rows took (2-core
+# machine, fresh interpreters, medians of 6-8 runs a side) 23 ms
+# in-process against 50 ms forked at 1e6 values, 38 against 50 ms at
+# 2e6, 68-73 against 80-83 ms at 4e6, 88 against 107 ms at 5e6, 115
+# against 119 ms at 6e6, 136-158 against 131-134 ms at 8e6, and 404
+# against 295 ms at 2e7.
+_MIN_WORKER_VALUES = 1 << 22
 # Run lengths whose [sign, count] text _record_lines takes from a
 # table.  Coupling runs are at most a few dozen coordinates long; a longer
 # one, such as Theorem 1's full cube (one run of n) or the optimal
@@ -311,6 +323,13 @@ def _keep_freed_heap() -> None:
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
 
 
+def _workers(work: int, min_work: int) -> int:
+    """Worker processes to fork for `work` units: one per core this process
+    may use, as long as each gets at least min_work units; 0 or 1 means
+    the work runs in this process."""
+    return min(worker_count(), work // min_work)
+
+
 def _tally(*jobs: _Job) -> list[dict[str, Any]]:
     """Total each job's integer counters over its trial blocks.
 
@@ -343,7 +362,7 @@ def _tally(*jobs: _Job) -> list[dict[str, Any]]:
         x = np.empty(shape)
         u = np.empty_like(x) if jobs[0].uniforms else None
     blocks = -(-trials // shape[0])
-    workers = min(worker_count(), len(jobs) * blocks // _MIN_WORKER_BLOCKS)
+    workers = _workers(len(jobs) * blocks, _MIN_WORKER_BLOCKS)
     # task ids j * tasks_per_job .. (j + 1) * tasks_per_job - 1 are job j's, in block order
     tasks_per_job = -(-blocks // _TASK_BLOCKS)
     tasks = range(len(jobs) * tasks_per_job)
@@ -363,11 +382,7 @@ def _tally(*jobs: _Job) -> list[dict[str, Any]]:
                 lines += block_lines
         return j, counts, lines
 
-    # one worker would add only a fork, and perfbench's tracer sees this process alone
-    if workers > 1:
-        results = forked_map(run_task, tasks, workers)
-    else:
-        results = (run_task(task) for task in tasks)
+    results = task_map(run_task, tasks, workers)
     totals: list[dict[str, Any]] = [{} for _ in jobs]
     with contextlib.closing(results):
         for j, counters, lines in results:
@@ -592,8 +607,10 @@ def run_coupling_validation(
     # the Hoeffding tail sr >= G + eps is the complement of the family sr < G + eps
     (tally,) = _tally(_coupling_job(spec, None, _budget(big_g + spec.epsilon, n), on_trial, pool))
     zero_total, tail_count = tally["zero_total"], trials - tally["in_family"]
-    mean, var, skew = sample_moments(pool.reshape(-1))
-    ks = ks_distance_standard_normal(pool.reshape(-1), overwrite_input=True)
+    # a large pool's moments and KS run on forked workers too, each on its own part of the pool
+    workers = _workers(total, _MIN_WORKER_VALUES)
+    mean, var, skew = sample_moments(pool.reshape(-1), workers)
+    ks = ks_distance_standard_normal(pool.reshape(-1), overwrite_input=True, workers=workers)
     hoeffding_bound = math.exp(-2.0 * n * spec.epsilon * spec.epsilon)
     ks_critical = 1.95 / math.sqrt(total)
     tail_limit = hoeffding_bound + 3.0 * math.sqrt(hoeffding_bound / trials)

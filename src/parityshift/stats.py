@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import math
+import mmap
 
 import numpy as np
+
+from .forked import task_map
 
 __all__ = [
     "wilson_interval",
@@ -68,69 +71,131 @@ def normal_cdf(x) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-def ks_distance_standard_normal(sample: np.ndarray, overwrite_input: bool = False) -> float:
+def ks_distance_standard_normal(sample: np.ndarray, overwrite_input: bool = False,
+                                workers: int = 1) -> float:
     """Kolmogorov-Smirnov distance of a sample to the N(0,1) CDF.
 
     Sorts a copy of the flattened sample, or, with overwrite_input, sorts
-    a contiguous float64 sample in place and leaves it sorted (any other
-    sample is still copied first).  A sample containing NaN raises
-    ValueError; +-inf are valid.
+    a contiguous float64 sample in place (any other sample is still
+    copied first).  A sample containing NaN raises ValueError; +-inf are
+    valid.
 
-    The sorted sample is split into chunks of _KS_CHUNK, and the CDF is
-    first evaluated only at each chunk's two ends, _KS_SCAN chunks at a
-    time, keeping only each chunk's upper bound.  Both the steps
-    (i+1)/n and the CDF rise along the sorted sample, so no value inside
-    a chunk exceeds max(step_last - cdf_first, cdf_last - (step_first -
-    1/n)), while the differences at the ends are attained and bound the
-    maximum from below.  Only the chunks whose bound, plus a margin far
-    above the CDF's rounding, reaches that lower bound are scanned in
-    full, runs of consecutive ones in slices of up to _KS_SCAN values.
-    They include the chunk holding the maximum, and every difference is
-    the whole-sample formula's, so the result is the same float as a
-    full scan and does not depend on the chunk size.
+    The sample is cut into `workers` contiguous parts, each sorted in
+    place by its own forked worker (``forked.task_map``), and then each
+    part is scanned by its own worker, so an in-place sample is left
+    sorted part by part.  This needs a sample whose memory the workers
+    share with this process, so with workers > 1 the parts are forked
+    only when overwrite_input is set and the sample lies in an
+    ``mmap.mmap`` (``mmap.mmap(-1, size)`` maps shared memory, as
+    coupling validation's pool does); otherwise, and at workers = 1, the
+    sample is one part, sorted and scanned in this process.
+
+    A value's rank in the whole sorted sample is its index in its part
+    plus, for every other part, the number of that part's values that
+    sort before it: np.searchsorted, with ties going to the lower part
+    (side "right" into earlier parts, "left" into later ones).  Each part
+    is split into chunks of _KS_CHUNK, and the CDF is first evaluated
+    only at each chunk's two ends, _KS_SCAN chunks at a time, keeping
+    only each chunk's upper bound.  Both the steps (r+1)/n and the CDF
+    rise along a sorted part, so no value inside a chunk exceeds
+    max(step_last - cdf_first, cdf_last - (step_first - 1/n)), while the
+    differences at the ends are attained and bound the part's maximum
+    from below.  Only the chunks whose bound, plus a margin far above
+    the CDF's rounding, reaches that lower bound are scanned in full,
+    runs of consecutive ones in slices of up to _KS_SCAN values, each
+    slice ranked by searching only the window of every other part that
+    its end values bound.  They include the chunk holding the part's
+    maximum, and every difference is the whole-sample formula's,
+    (r+1)/n - Phi(v) or Phi(v) - ((r+1)/n - 1/n), so the largest over the
+    parts is the same float as a full scan of the sorted sample,
+    whatever the chunk size and the number of parts.
     """
     s = np.ascontiguousarray(sample, dtype=np.float64).reshape(-1)
-    if overwrite_input:
-        s.sort()
-    else:
-        s = np.sort(s)
     n = s.size
     if n == 0:
         raise ValueError("empty sample")
-    if np.isnan(s[-1]):  # NaN sorts last
+    if not overwrite_input:
+        s = s.copy()
+    if not (overwrite_input and _in_mapping(s)):
+        workers = 1
+    parts = _cuts(n, workers, 1)
+
+    def sort_part(part):
+        s[part[0] : part[1]].sort()
+
+    for _ in task_map(sort_part, parts, len(parts)):
+        pass
+    if any(np.isnan(s[hi - 1]) for _, hi in parts):  # NaN sorts last
         raise ValueError("sample contains NaN")
+    return max(task_map(lambda p: _ks_part(s, parts, p), range(len(parts)), len(parts)))
+
+
+def _ks_part(s: np.ndarray, parts: list[tuple[int, int]], p: int) -> float:
+    """The largest KS difference at the values of part p of s, whose parts are each sorted."""
+    n = s.size
+    lo, hi = parts[p]
+    part = s[lo:hi]
+    # every other part, and the side a tie with it goes to: the lower part first
+    others = [(s[a:b], "right" if q < p else "left")
+              for q, (a, b) in enumerate(parts) if q != p]
+
+    def rank(index: np.ndarray, values: np.ndarray) -> np.ndarray:
+        # the whole-sample ranks of the sorted values part[index]
+        for other, side in others:
+            a, b = other.searchsorted(values[[0, -1]], side)
+            index = index + a + other[a:b].searchsorted(values, side)
+        return index
+
     inv_n = 1.0 / n
-    chunks = -(-n // _KS_CHUNK)
+    m = part.size
+    chunks = -(-m // _KS_CHUNK)
     bound = np.empty(chunks)
     best = -math.inf
-    for lo in range(0, chunks, _KS_SCAN):
-        first = np.arange(lo, min(lo + _KS_SCAN, chunks)) * _KS_CHUNK
-        cdf_first = normal_cdf(s[first])
-        cdf_last = normal_cdf(s[np.minimum(first + (_KS_CHUNK - 1), n - 1)])
-        step_first = (first + 1.0) / n
-        step_last = np.minimum(first + float(_KS_CHUNK), n) / n
+    for c in range(0, chunks, _KS_SCAN):
+        first = np.arange(c, min(c + _KS_SCAN, chunks)) * _KS_CHUNK
+        last = np.minimum(first + (_KS_CHUNK - 1), m - 1)
+        cdf_first = normal_cdf(part[first])
+        cdf_last = normal_cdf(part[last])
+        step_first = (rank(first, part[first]) + 1.0) / n
+        step_last = (rank(last, part[last]) + 1.0) / n
         best = max(best, float(np.max(step_first - cdf_first)),
                    float(np.max(step_last - cdf_last)))
         step_first -= inv_n  # from here on, the step below each chunk's first value
         best = max(best, float(np.max(cdf_first - step_first)),
                    float(np.max(cdf_last - (step_last - inv_n))))
-        np.maximum(step_last - cdf_first, cdf_last - step_first, out=bound[lo : lo + first.size])
+        np.maximum(step_last - cdf_first, cdf_last - step_first, out=bound[c : c + first.size])
     bound += _KS_MARGIN
     slices: list[list[int]] = []
-    for lo in (np.flatnonzero(bound >= best) * _KS_CHUNK).tolist():
-        hi = min(lo + _KS_CHUNK, n)
-        if slices and slices[-1][1] == lo and hi - slices[-1][0] <= _KS_SCAN:
-            slices[-1][1] = hi  # extends the slice that ends where this chunk starts
+    for a in (np.flatnonzero(bound >= best) * _KS_CHUNK).tolist():
+        b = min(a + _KS_CHUNK, m)
+        if slices and slices[-1][1] == a and b - slices[-1][0] <= _KS_SCAN:
+            slices[-1][1] = b  # extends the slice that ends where this chunk starts
         else:
-            slices.append([lo, hi])
-    for lo, hi in slices:
-        cdf = normal_cdf(s[lo:hi])
-        steps = np.arange(lo + 1, hi + 1, dtype=np.float64) / n
+            slices.append([a, b])
+    for a, b in slices:
+        cdf = normal_cdf(part[a:b])
+        steps = (rank(np.arange(a, b), part[a:b]) + 1.0) / n
         best = max(best, float(np.max(steps - cdf)), float(np.max(cdf - (steps - inv_n))))
     return best
 
 
-def sample_moments(x: np.ndarray) -> tuple[float, float, float]:
+def _in_mapping(a: np.ndarray) -> bool:
+    """Whether a's memory lies in an ``mmap.mmap``, which a forked worker writes for this process."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return isinstance(getattr(a, "obj", a), mmap.mmap)
+
+
+def _cuts(n: int, parts: int, unit: int) -> list[tuple[int, int]]:
+    """range(n) cut into at most `parts` contiguous (lo, hi) parts, none empty, at
+    multiples of unit, the parts' unit counts differing by at most one."""
+    units = -(-n // unit)
+    parts = max(1, min(parts, units))
+    edges = [min(n, units * k // parts * unit) for k in range(parts + 1)]
+    return list(zip(edges, edges[1:]))
+
+
+def sample_moments(x: np.ndarray, workers: int = 1) -> tuple[float, float, float]:
     """Mean, population variance and skewness of a sample.
 
     The mean is numpy's float(x.mean()).  The second and third central
@@ -138,24 +203,36 @@ def sample_moments(x: np.ndarray) -> tuple[float, float, float]:
     and the chunk sums are combined with math.fsum, which rounds their
     exact total once, so no array larger than a chunk is allocated.  The
     cube is formed as (c*c)*c in the buffer that held c*c: np.power is an
-    order of magnitude slower.
+    order of magnitude slower.  With workers > 1 the chunks are cut into
+    that many contiguous parts, each summed by its own forked worker
+    (``forked.task_map``), and the chunk sums reach math.fsum in chunk
+    order, the same list as in this process, so the result is the same.
     """
     x = np.ascontiguousarray(x, dtype=np.float64).reshape(-1)
     n = x.size
     if n == 0:
         raise ValueError("empty sample")
     mean = float(x.mean())
-    c = np.empty(min(n, _MOMENT_CHUNK))
-    sq = np.empty_like(c)
+
+    def central_sums(part):
+        c = np.empty(min(part[1] - part[0], _MOMENT_CHUNK))
+        sq = np.empty_like(c)
+        sums2, sums3 = [], []
+        for lo in range(*part, _MOMENT_CHUNK):
+            chunk = x[lo : min(lo + _MOMENT_CHUNK, part[1])]
+            cc, cs = c[: chunk.size], sq[: chunk.size]
+            np.subtract(chunk, mean, out=cc)
+            np.multiply(cc, cc, out=cs)
+            sums2.append(float(np.sum(cs)))
+            cs *= cc
+            sums3.append(float(np.sum(cs)))
+        return sums2, sums3
+
     sums2, sums3 = [], []
-    for lo in range(0, n, _MOMENT_CHUNK):
-        chunk = x[lo : lo + _MOMENT_CHUNK]
-        cc, cs = c[: chunk.size], sq[: chunk.size]
-        np.subtract(chunk, mean, out=cc)
-        np.multiply(cc, cc, out=cs)
-        sums2.append(float(np.sum(cs)))
-        cs *= cc
-        sums3.append(float(np.sum(cs)))
+    parts = _cuts(n, workers, _MOMENT_CHUNK)
+    for part2, part3 in task_map(central_sums, parts, len(parts)):
+        sums2 += part2
+        sums3 += part3
     var = math.fsum(sums2) / n
     if var == 0.0:
         return mean, var, 0.0

@@ -837,12 +837,13 @@ class TestSweep:
 @pytest.fixture
 def shard(monkeypatch):
     """Make tiny runs shard: one trial a block, tasks of three blocks, no
-    size threshold.  Returns a setter for the worker count; each sharded
-    _tally call appends its worker count to the setter's ``calls``."""
+    size threshold.  Returns a setter for the worker count; each
+    forked_map call, such as a sharded _tally's, appends its worker count
+    to the setter's ``calls``."""
     monkeypatch.setattr(harness, "_BLOCK_COORDS", 1)
     monkeypatch.setattr(harness, "_TASK_BLOCKS", 3)
     monkeypatch.setattr(harness, "_MIN_WORKER_BLOCKS", 1)
-    real = harness.forked_map
+    real = forked.forked_map
 
     def spy(fn, tasks, workers):
         set_workers.calls.append(workers)
@@ -852,7 +853,7 @@ def shard(monkeypatch):
         monkeypatch.setattr(harness, "worker_count", lambda: workers)
 
     set_workers.calls = []
-    monkeypatch.setattr(harness, "forked_map", spy)
+    monkeypatch.setattr(forked, "forked_map", spy)
     return set_workers
 
 
@@ -952,6 +953,25 @@ class TestSharding:
         assert run_coupling_validation(spec, on_trial=lines.append) == ref
         assert lines == ref_lines
         assert len(forked.worker_usage) - reaped == workers
+        assert _children() == []
+
+    @pytest.mark.parametrize("n, trials, tail_workers", [(1000, 1000, 0), (2048, 4096, 6)])
+    def test_tail_threshold(self, monkeypatch, n, trials, tail_workers):
+        # records-coupling's pool of 1e6 values takes its moments and KS in
+        # this process; 2^23 values, enough for two workers of
+        # _MIN_WORKER_VALUES, take them on two workers in each of three
+        # rounds: the moments, the sort and the scan.  The tally stays in
+        # this process, so every worker reaped is the tail's.
+        assert n * trials == 2 * harness._MIN_WORKER_VALUES or tail_workers == 0
+        monkeypatch.setattr(harness, "_MIN_WORKER_BLOCKS", 1 << 62)
+        spec = ExperimentSpec(regime="fixed_a", a=2.0, n=n, trials=trials, master_seed=SEED)
+        with monkeypatch.context() as one_core:
+            one_core.setattr(harness, "worker_count", lambda: 1)
+            ref = run_coupling_validation(spec)
+        monkeypatch.setattr(harness, "worker_count", lambda: 2)
+        reaped = len(forked.worker_usage)
+        assert run_coupling_validation(spec) == ref
+        assert len(forked.worker_usage) - reaped == tail_workers
         assert _children() == []
 
     def test_thm1_records_match_per_trial_loop(self, shard):

@@ -1,6 +1,7 @@
 """Pooled statistics: the normal CDF, the chunked KS distance and the chunked moment triple."""
 
 import math
+import mmap
 import tracemalloc
 
 import mpmath
@@ -8,9 +9,10 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
-from parityshift import harness, stats
+from parityshift import forked, harness, stats
 from parityshift.harness import ExperimentSpec, run_coupling_validation, trial_rng
 from parityshift.stats import ks_distance_standard_normal, normal_cdf, sample_moments
+from test_harness import _children
 
 
 def _peak_traced_bytes(fn, *args) -> int:
@@ -32,6 +34,19 @@ def _sorted_quantiles(n: int) -> np.ndarray:
     # the N(0,1) quantiles at (i + 1/2)/n: an empirical CDF that hugs the
     # normal CDF everywhere, so the pruned scan can skip no chunk
     return ndtri((np.arange(n) + 0.5) / n)
+
+
+def _shared(sample: np.ndarray) -> np.ndarray:
+    # a float64 copy of sample in a shared anonymous mapping, as coupling
+    # validation's pool is, which forked workers sort for this process
+    out = np.frombuffer(mmap.mmap(-1, 8 * sample.size), dtype=np.float64)
+    out[:] = sample
+    return out
+
+
+def _forked_since(reaped: int) -> int:
+    # the workers forked_map has reaped since worker_usage held `reaped`
+    return len(forked.worker_usage) - reaped
 
 
 def _ks_one_shot(sample: np.ndarray) -> float:
@@ -236,6 +251,90 @@ class TestSampleMoments:
         assert math.isfinite(skew)
 
 
+class TestForkedParts:
+    # A shared sample cut into contiguous parts, one forked worker each:
+    # the KS sorts the parts in one round and scans them, ranked across
+    # the parts, in another; the moments sum each part's chunks.  Both
+    # must give the floats of one process.
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            # ties of one decimal straddle every cut
+            lambda g: np.round(g.standard_normal(50_003), 1),
+            lambda g: np.full(3 * stats._KS_CHUNK + 7, 0.25),
+            # +-inf at both ends of the sample, so in the first and the last part
+            lambda g: np.concatenate([[np.inf, -np.inf], g.standard_normal(9_000),
+                                      [np.inf, -np.inf, -np.inf]]),
+            lambda g: g.standard_normal(50_003) + 0.02,
+            # every chunk is a candidate, and ranks interleave the parts
+            lambda g: g.permutation(_sorted_quantiles(200_003)),
+            # already sorted: every value of an earlier part is below every later one
+            lambda g: _sorted_quantiles(20_003),
+        ],
+        ids=["ties", "all-equal", "inf", "shift", "quantiles", "sorted"],
+    )
+    def test_ks_matches_one_shot(self, make, workers):
+        sample = make(trial_rng(99, 3))
+        x = _shared(sample)
+        reaped = len(forked.worker_usage)
+        assert ks_distance_standard_normal(x, overwrite_input=True, workers=workers) \
+            == _ks_one_shot(sample)
+        # a sort round and a scan round, and each part is left sorted
+        assert _forked_since(reaped) == 2 * workers
+        for lo, hi in stats._cuts(x.size, workers, 1):
+            assert (x[lo : hi - 1] <= x[lo + 1 : hi]).all()
+        assert _children() == []
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 1659, 196_731])
+    def test_ks_sizes_that_do_not_divide(self, size):
+        # no part is empty: one value runs in this process, two fork two workers
+        sample = trial_rng(2718, size).standard_normal(size)
+        reaped = len(forked.worker_usage)
+        assert ks_distance_standard_normal(_shared(sample), True, workers=3) == _ks_one_shot(sample)
+        assert _forked_since(reaped) == (2 * min(size, 3) if size > 1 else 0)
+
+    @pytest.mark.parametrize("scan", [1, 3, 64])
+    @pytest.mark.parametrize("size", [5, 13, 4097])
+    def test_ks_sliced_chunk_ends_within_parts(self, monkeypatch, scan, size):
+        # with 4-value chunks, each part's chunk ends are taken _KS_SCAN
+        # chunks at a time and its candidate runs are cut into slices
+        monkeypatch.setattr(stats, "_KS_CHUNK", 4)
+        monkeypatch.setattr(stats, "_KS_SCAN", scan)
+        g = trial_rng(8, size)
+        for sample in (g.permutation(_sorted_quantiles(size)), g.standard_normal(size) + 0.02):
+            assert (ks_distance_standard_normal(_shared(sample), True, workers=2)
+                    == _ks_one_shot(sample))
+
+    @pytest.mark.parametrize("where", [0, -1], ids=["first-part", "last-part"])
+    def test_nan_raises_in_parent(self, where):
+        x = _shared(trial_rng(7, 5).standard_normal(1659))
+        x[where] = np.nan
+        with pytest.raises(ValueError, match="NaN") as info:
+            ks_distance_standard_normal(x, overwrite_input=True, workers=2)
+        # not a worker's exception, which forked_map raises from the worker's traceback
+        assert info.value.__cause__ is None
+        assert _children() == []
+
+    def test_private_sample_runs_in_process(self):
+        # a forked worker would sort only its own copy of private memory
+        sample = trial_rng(5, 3).standard_normal(1659)
+        reaped = len(forked.worker_usage)
+        for x, overwrite in ((_shared(sample), False), (sample.copy(), True)):
+            assert ks_distance_standard_normal(x, overwrite, workers=2) == _ks_one_shot(sample)
+        assert _forked_since(reaped) == 0
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("size", [3, 65_537, 3 * stats._MOMENT_CHUNK + 5, 200_001])
+    def test_moments_match_one_process(self, size, workers):
+        x = trial_rng(1618, size).standard_normal(size)
+        reaped = len(forked.worker_usage)
+        assert sample_moments(x, workers) == sample_moments(x)
+        parts = len(stats._cuts(size, workers, stats._MOMENT_CHUNK))
+        assert _forked_since(reaped) == (parts if parts > 1 else 0)
+
+
 class TestPeakMemory:
     def test_ks_holds_one_bound_per_chunk(self, monkeypatch):
         # a sorted sample in place, so no copy is made: what the KS holds is
@@ -258,9 +357,12 @@ class TestPeakMemory:
         # needs lives in a shared anonymous mapping, which tracemalloc does
         # not see.  What it does see is this process's blocks and chunks,
         # so a second pool-sized array for the moments or the sort would
-        # take the peak past half the pool.
+        # take the peak past half the pool.  Sharded, the moments and the
+        # KS run on the workers too, and what this process keeps of them
+        # is each part's chunk sums and largest difference.
         monkeypatch.setattr(harness, "worker_count", lambda: workers)
         monkeypatch.setattr(harness, "_MIN_WORKER_BLOCKS", 1)
+        monkeypatch.setattr(harness, "_MIN_WORKER_VALUES", 1)
         spec = ExperimentSpec(regime="fixed_a", a=2.0, n=1000, trials=1000, master_seed=42)
         pool_bytes = 8 * spec.n * spec.trials
         assert _peak_traced_bytes(run_coupling_validation, spec) < 0.5 * pool_bytes
